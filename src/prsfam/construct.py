@@ -14,7 +14,7 @@ Three builders are provided:
 
 All builders verify at build time that no row contains a zero symbol,
 check row distinctness exhaustively (recording the outcome, since it
-can genuinely fail at small parameters; see ``_distinct``), then freeze
+can genuinely fail at small parameters; see ``_record_distinctness``), then freeze
 the result.
 """
 
@@ -135,8 +135,9 @@ def _symbol_rows_from_polys(polys, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _distinct(rows) -> bool:
-    """Exhaustive build-time distinctness check.
+def _record_distinctness(fam: Family) -> Family:
+    """Exhaustive build-time distinctness check, stored in
+    params["distinct_rows"].
 
     The supporting character-sum argument needs p large against the
     degree (roughly p > (2d-1)^2), and below that range equal rows can
@@ -145,7 +146,8 @@ def _distinct(rows) -> bool:
     record the outcome in params["distinct_rows"] instead of refusing;
     the bound verifier reports a violation.
     """
-    return len(set(rows)) == len(rows)
+    fam.params["distinct_rows"] = fam.distinct_rows()
+    return fam
 
 
 def _find_base_poly(p: int, d: int, budget: int) -> Poly:
@@ -212,9 +214,9 @@ def family_f1(p: int, d: int, base: Poly | None = None,
         _validate_base(base, p, d)
     rows = _symbol_rows_from_polys(
         (scale_poly(base, i) for i in range(1, p)), p)
-    return Family(p=p, d=d, k=2, rows=rows, construction="f1",
-                  params={"base": base.coeffs,
-                          "distinct_rows": _distinct(rows)})
+    return _record_distinctness(Family(
+        p=p, d=d, k=2, rows=rows, construction="f1",
+        params={"base": base.coeffs}))
 
 
 def family_f2(p: int, d: int, trace_zero: bool = True,
@@ -231,9 +233,9 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     else:
         polys = _enumerate_all_irreducibles(p, d, budget=budget)
     rows = _symbol_rows_from_polys(polys, p)
-    return Family(p=p, d=d, k=2, rows=rows, construction="f2",
-                  params={"trace_zero": trace_zero,
-                          "distinct_rows": _distinct(rows)})
+    return _record_distinctness(Family(
+        p=p, d=d, k=2, rows=rows, construction="f2",
+        params={"trace_zero": trace_zero}))
 
 
 def _enumerate_all_irreducibles(p: int, d: int,
@@ -296,9 +298,9 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
     if len(rows) != expected:
         raise InternalError(
             f"family size {len(rows)} != (p^d-p)/(dp) = {expected}")
-    return Family(p=p, d=d, k=k, rows=rows, construction="ksym",
-                  params={"require_coprime": require_coprime,
-                          "distinct_rows": _distinct(rows)})
+    return _record_distinctness(Family(
+        p=p, d=d, k=k, rows=rows, construction="ksym",
+        params={"require_coprime": require_coprime}))
 
 
 def dual_tag(tag: str) -> str:

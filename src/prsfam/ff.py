@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .errors import DomainError, InternalError, ParameterError
-from .poly import Poly, is_irreducible
+from .poly import Poly, _prime_divisors, is_irreducible
 
 __all__ = [
     "is_prime",
@@ -59,20 +59,6 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
