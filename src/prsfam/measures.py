@@ -12,21 +12,54 @@ are non-decreasing with the window fitting inside the rows, and two
 tuple positions selecting equal row contents must use distinct shifts.
 With all shifts zero this forbids repeated and duplicate-content rows.
 
-Every exact search precomputes a loop-count estimate and refuses with a
-``BudgetError`` rather than running unbounded.  Searches report a
-witness; ties are broken toward the lexicographically smallest
+Lag-prefix engine.  The exact phi and gamma searches (and their
+zero-shift variants) fix a row tuple I and a lag tuple
+T = (0, d2-d1, ..., d_ell-d1), build the one product or pattern-code
+sequence of length L = N - T[-1], and read every window (d1, M) as a
+difference P[e] - P[s] of a prefix array, with s = d1 and e = d1 + M:
+
+* phi is max P - min P, O(L) per (I, T);
+* gamma uses Q_W[n] = k^ell * C_W[n] - n per pattern W.  Q_W falls by
+  one per step and rises at each occurrence of W, so its extremes lie
+  at occurrences, at 0 and at L: O(L + k^ell) per (I, T);
+* the zero-shift variants are the case T = 0, s = 0, e = N.
+
+Positions with equal lags form a block.  Only the canonical row tuples
+are searched: inside a block, I strictly increases with pairwise
+distinct row contents.  Permuting rows inside a block changes nothing
+but I, and the canonical tuple is the lex-smallest of its class.
+Binary ``big_gamma`` runs the phi search, since relabeling {0, 1} only
+flips signs.
+
+Witnesses: ties are broken toward the lexicographically smallest
 (I, D, M, pattern) tuple, which makes one- and many-threaded runs
-byte-identical.  Witnesses use 1-based row indices and positions.
+byte-identical.  Inside one (I, T) that is the smallest s, then the
+smallest e, then the smallest W.  Witnesses use 1-based row indices and
+positions.
+
+Budgets: every exact search precomputes a loop-count estimate and
+refuses with a ``BudgetError`` rather than running unbounded.  For the
+lag searches it is the exact sequence-step count: the sum over lag
+tuples T of (canonical row tuples for T) * L, times k^ell for gamma.
+In closed form, with e_b the b-th elementary symmetric polynomial of
+the content-class sizes, it is the sum over compositions
+(b_1, ..., b_r) of ell of C(N, r) * e_b1 * ... * e_br; the zero-shift
+variants take e_ell * N.  Sampled modes keep their own loops and draw
+sequence.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import (accumulate, chain, combinations,
+                       combinations_with_replacement, count, groupby,
+                       permutations, product)
+from operator import add, mul
 from typing import Optional, Union
 
 from .construct import Family
@@ -237,12 +270,122 @@ def f_complexity(fam: Family, budget: Optional[int] = None) -> MeasureResult:
 
 
 # ---------------------------------------------------------------------------
+# lag-prefix search engine
+
+
+def _combine(op, seqs):
+    """Termwise ``op`` over the sequences, as long as the shortest."""
+    it = seqs[0]
+    for seq in seqs[1:]:
+        it = map(op, it, seq)
+    return it
+
+
+def _lag_plans(ell: int, n: int, circ: bool) -> list:
+    """Every lag tuple T = (0, d2-d1, ..., d_ell-d1) with T[-1] < n (only
+    T = 0 when ``circ``), paired with the sizes of its tied-lag blocks."""
+    if circ:
+        lags = [(0,) * ell]
+    else:
+        lags = [(0,) + rest for rest in
+                combinations_with_replacement(range(n), ell - 1)]
+    return [(T, [len(list(g)) for _, g in groupby(T)]) for T in lags]
+
+
+def _canonical_blocks(ids: list[int], sizes) -> dict:
+    """For each block size b: the strictly increasing b-tuples of row
+    indices with pairwise distinct contents, grouped by first index."""
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(ids):
+        classes.setdefault(c, []).append(i)
+    out = {}
+    for b in sizes:
+        by_first: dict[int, list] = {}
+        for picked in combinations(classes.values(), b):
+            for rows in product(*picked):
+                rows = tuple(sorted(rows))
+                by_first.setdefault(rows[0], []).append(rows)
+        out[b] = by_first
+    return out
+
+
+def _lag_estimate(fam: Family, ell: int, circ: bool) -> int:
+    """Sequence steps of a lag search: sum over T of (canonical row
+    tuples for T) * L_T.
+
+    A block of b tied lags takes e_b row tuples, e_b being the b-th
+    elementary symmetric polynomial of the content-class sizes.  Lag
+    tuples with r distinct values 0 = u_1 < ... < u_r < N have
+    L = N - u_r, and summing N - u_r over them gives C(N, r).
+    """
+    n = fam.length
+    e = [1] + [0] * ell
+    for m in Counter(fam.rows).values():
+        for b in range(ell, 0, -1):
+            e[b] += e[b - 1] * m
+    if circ:
+        return e[ell] * n
+    total = 0
+    for cuts in product((False, True), repeat=ell - 1):
+        sizes = [1]
+        for cut in cuts:
+            if cut:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        total += math.comb(n, len(sizes)) * math.prod(e[b] for b in sizes)
+    return total
+
+
+def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
+                n_jobs: int) -> _Best:
+    """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
+
+    ``rows_at[j]`` holds the rows as read at tuple position j.  The
+    kernel gets the ell shifted rows of one (I, T), the sequence length
+    L and the best value so far; it returns None when it cannot reach
+    that value, else (value, s, e, extra) for its best window [s, e),
+    which is offered as the key (I, D, e - s, extra) with D = s + T.
+    Rows inside a tied-lag block strictly increase with distinct
+    contents: the lex-smallest member of each class of tuples that
+    differ by a permutation inside blocks, so witnesses are kept.
+    Chunked by I[0].
+    """
+    n = fam.length
+    plans = _lag_plans(ell, n, circ)
+    blocks = _canonical_blocks(_content_ids(fam),
+                               {b for _, sizes in plans for b in sizes})
+    anywhere = {b: [I for group in by_first.values() for I in group]
+                for b, by_first in blocks.items()}
+    shifted = [{t: [row[t:] for row in rows_at[j]]
+                for t in {T[j] for T, _ in plans}} for j in range(ell)]
+
+    def scan_chunk(i1: int) -> _Best:
+        local = _Best()
+        for T, sizes in plans:
+            cols = [shifted[j][t] for j, t in enumerate(T)]
+            size = n - T[-1]
+            for parts in product(blocks[sizes[0]].get(i1, ()),
+                                 *(anywhere[b] for b in sizes[1:])):
+                I = tuple(chain.from_iterable(parts))
+                found = kernel([cols[j][i] for j, i in enumerate(I)], size,
+                               local.value)
+                if found is not None:
+                    value, s, e, extra = found
+                    local.offer(value,
+                                (I, tuple(s + t for t in T), e - s, extra))
+        return local
+
+    return _run_chunks(scan_chunk, range(fam.size), n_jobs)
+
+
+# ---------------------------------------------------------------------------
 # binary product correlation
 
 
 def _phi_scan(slices) -> tuple[int, int]:
     """Max |prefix sum of termwise products| and its earliest window
-    length, over windows 1..len."""
+    length, over windows 1..len (the sampled kernel)."""
     best = -1
     best_m = 0
     acc = 0
@@ -275,42 +418,47 @@ def _phi_scan(slices) -> tuple[int, int]:
     return best, best_m
 
 
+def _phi_windows(seqs, size: int, floor):
+    """Every window of one product sequence: |P[e] - P[s]| peaks at
+    max P - min P, first reached at the earlier of the two first
+    extremes (s) and then the other one (e)."""
+    P = list(accumulate(_combine(mul, seqs), initial=0))
+    hi, lo = max(P), min(P)
+    if floor is not None and hi - lo < floor:
+        return None
+    a, b = P.index(hi), P.index(lo)
+    return hi - lo, min(a, b), max(a, b), ()
+
+
+def _phi_full(seqs, size: int, floor):
+    return abs(sum(_combine(mul, seqs))), 0, size, ()
+
+
+def _phi_search(fam: Family, ell: int, budget: Optional[int], n_jobs: int,
+                what: str, circ: bool = False) -> _Best:
+    pm = fam.pm_rows()
+    _check_budget(_lag_estimate(fam, ell, circ), budget, what)
+    return _lag_search(fam, [pm] * ell, ell, circ,
+                       _phi_full if circ else _phi_windows, n_jobs)
+
+
 def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
                       budget: Optional[int] = None, seed: int = 0,
                       samples: int = 1000, n_jobs: int = 1) -> MeasureResult:
     """Maximum absolute windowed product-sum over all admissible
     (window, shifts, rows) choices of a binary family.
 
-    Exact mode enumerates the full space; sampled mode draws a seeded
+    Exact mode runs the lag-prefix search; sampled mode draws a seeded
     random subset and reports a lower bound of the maximum.
     """
     _require_order(ell)
-    pm = fam.pm_rows()
-    n, f = fam.length, fam.size
-    ids = _content_ids(fam)
-
     if mode == MODE_EXACT:
-        shift_tuples = _shift_tuples(ell, n)
-        _check_budget(len(shift_tuples) * f**ell * n, budget,
-                      f"order-{ell} correlation")
-
-        def scan_chunk(i1: int) -> _Best:
-            local = _Best()
-            for rest in product(range(f), repeat=ell - 1):
-                I = (i1,) + rest
-                sel = [pm[i] for i in I]
-                for D in shift_tuples:
-                    if not _admissible(ids, I, D):
-                        continue
-                    mmax = n - D[-1]
-                    slices = [sel[j][D[j]:D[j] + mmax] for j in range(ell)]
-                    val, m = _phi_scan(slices)
-                    if val >= 0:
-                        local.offer(val, (I, D, m))
-            return local
-
-        best = _run_chunks(scan_chunk, range(f), n_jobs)
+        best = _phi_search(fam, ell, budget, n_jobs,
+                           f"order-{ell} correlation")
     elif mode == MODE_SAMPLED:
+        pm = fam.pm_rows()
+        n, f = fam.length, fam.size
+        ids = _content_ids(fam)
         _check_budget(samples * n, budget, f"sampled order-{ell} correlation")
         rng = random.Random(seed)
         best = _Best()
@@ -330,7 +478,7 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     if best.value is None:
         return MeasureResult("phi", ell, 0, mode, None,
                              subject=fam.construction)
-    I, D, m = best.key
+    I, D, m = best.key[:3]
     witness = CorrelationSpec(ell=ell, window=m, shifts=D,
                               rows=tuple(i + 1 for i in I))
     return MeasureResult("phi", ell, best.value, mode, witness,
@@ -345,31 +493,13 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require_order(ell)
-    pm = fam.pm_rows()
-    n, f = fam.length, fam.size
-    ids = _content_ids(fam)
-    _check_budget(f**ell * n, budget, f"order-{ell} zero-shift correlation")
-    zeros = (0,) * ell
-
-    def scan_chunk(i1: int) -> _Best:
-        local = _Best()
-        for rest in product(range(f), repeat=ell - 1):
-            I = (i1,) + rest
-            if not _admissible(ids, I, zeros):
-                continue
-            slices = [pm[i] for i in I]
-            acc = 0
-            for terms in zip(*slices):
-                acc += math.prod(terms)
-            local.offer(abs(acc), (I,))
-        return local
-
-    best = _run_chunks(scan_chunk, range(f), n_jobs)
+    best = _phi_search(fam, ell, budget, n_jobs,
+                       f"order-{ell} zero-shift correlation", circ=True)
     if best.value is None:
         return MeasureResult("phi_circ", ell, 0, MODE_EXACT, None,
                              subject=fam.construction)
-    (I,) = best.key
-    witness = CorrelationSpec(ell=ell, window=n, shifts=zeros,
+    I = best.key[0]
+    witness = CorrelationSpec(ell=ell, window=fam.length, shifts=(0,) * ell,
                               rows=tuple(i + 1 for i in I))
     return MeasureResult("phi_circ", ell, best.value, MODE_EXACT, witness,
                          subject=fam.construction)
@@ -381,7 +511,8 @@ def cross_correlation_circ(fam: Family, ell: int, *,
 
 def _gamma_scan(slices, k: int, ell: int, all_patterns) -> tuple[int, int, tuple]:
     """Scaled deviation max_{M,W} |k^ell * count_W(M) - M| with the
-    earliest window and smallest pattern attaining it."""
+    earliest window and smallest pattern attaining it (the sampled
+    kernel)."""
     kl = k**ell
     counts: dict[tuple, int] = {}
     best_s = -1
@@ -400,6 +531,75 @@ def _gamma_scan(slices, k: int, ell: int, all_patterns) -> tuple[int, int, tuple
     return best_s, best_m, best_w
 
 
+def _pattern(code: int, k: int, ell: int) -> tuple[int, ...]:
+    return tuple((code // k**(ell - 1 - j)) % k for j in range(ell))
+
+
+def _gamma_kernels(k: int, ell: int):
+    """Kernels over pattern codes sum_j W_j k^(ell-1-j), whose order is
+    the lex order of the patterns; the shifted rows arrive pre-scaled."""
+    kl = k**ell
+
+    def windows(seqs, size: int, floor):
+        # Q_W[n] = kl * C_W[n] - n falls by 1 per step and rises by kl - 1
+        # at each occurrence of W, so its maxima sit at 0 or just after
+        # an occurrence and its minima at an occurrence or at L.  With
+        # A_j = kl * j - t_j for the j-th occurrence t_j:
+        # max Q = max(0, max A + kl - 1), min Q = min(min A, kl * C - L).
+        stats: dict[int, list] = {}  # code -> [C, max A, its t, min A, its t]
+        for t, c in enumerate(_combine(add, seqs)):
+            st = stats.get(c)
+            if st is None:
+                stats[c] = [1, -t, t, -t, t]
+                continue
+            a = kl * st[0] - t
+            st[0] += 1
+            if a > st[1]:
+                st[1], st[2] = a, t
+            elif a < st[3]:
+                st[3], st[4] = a, t
+        best = None  # (-value, s, e, code)
+        if len(stats) < kl:  # an absent pattern: Q falls from 0 to -L
+            best = (-size, 0, size, next(c for c in count() if c not in stats))
+        for c, (occ, amax, tmax, amin, tmin) in stats.items():
+            hi, s_hi = (amax + kl - 1, tmax + 1) if amax + kl > 1 else (0, 0)
+            end = kl * occ - size
+            lo, s_lo = (amin, tmin) if amin <= end else (end, size)
+            s, e = min(s_hi, s_lo), max(s_hi, s_lo)
+            if e == s:  # k = 1: Q is constant and every window ties
+                e += 1
+            cand = (lo - hi, s, e, c)
+            if best is None or cand < best:
+                best = cand
+        if floor is not None and -best[0] < floor:
+            return None
+        return -best[0], best[1], best[2], _pattern(best[3], k, ell)
+
+    def full(seqs, size: int, floor):
+        counts = Counter(_combine(add, seqs))
+        best_v, best_c = -1, None
+        if len(counts) < kl:
+            best_v, best_c = size, next(c for c in count() if c not in counts)
+        for c, occ in counts.items():
+            v = abs(kl * occ - size)
+            if v > best_v or (v == best_v and c < best_c):
+                best_v, best_c = v, c
+        return best_v, 0, size, _pattern(best_c, k, ell)
+
+    return windows, full
+
+
+def _gamma_search(fam: Family, ell: int, budget: Optional[int], n_jobs: int,
+                  what: str, circ: bool = False) -> _Best:
+    k = fam.k
+    _check_budget(_lag_estimate(fam, ell, circ) * k**ell, budget, what)
+    rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
+               for j in range(ell)]
+    windows, full = _gamma_kernels(k, ell)
+    return _lag_search(fam, rows_at, ell, circ, full if circ else windows,
+                       n_jobs)
+
+
 def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
           budget: Optional[int] = None, seed: int = 0, samples: int = 1000,
           n_jobs: int = 1) -> MeasureResult:
@@ -407,33 +607,15 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     all admissible (pattern, window, shifts, rows) choices.  The value
     is an exact rational with denominator dividing k^ell."""
     _require_order(ell)
-    n, f, k = fam.length, fam.size, fam.k
-    ids = _content_ids(fam)
-    kl = k**ell
-    all_patterns = list(product(range(k), repeat=ell))
+    kl = fam.k**ell
 
     if mode == MODE_EXACT:
-        shift_tuples = _shift_tuples(ell, n)
-        _check_budget(len(shift_tuples) * f**ell * n * kl, budget,
-                      f"order-{ell} pattern deviation")
-
-        def scan_chunk(i1: int) -> _Best:
-            local = _Best()
-            for rest in product(range(f), repeat=ell - 1):
-                I = (i1,) + rest
-                sel = [fam.rows[i] for i in I]
-                for D in shift_tuples:
-                    if not _admissible(ids, I, D):
-                        continue
-                    mmax = n - D[-1]
-                    slices = [sel[j][D[j]:D[j] + mmax] for j in range(ell)]
-                    s, m, w = _gamma_scan(slices, k, ell, all_patterns)
-                    if s >= 0:
-                        local.offer(s, (I, D, m, w))
-            return local
-
-        best = _run_chunks(scan_chunk, range(f), n_jobs)
+        best = _gamma_search(fam, ell, budget, n_jobs,
+                             f"order-{ell} pattern deviation")
     elif mode == MODE_SAMPLED:
+        n, f, k = fam.length, fam.size, fam.k
+        ids = _content_ids(fam)
+        all_patterns = list(product(range(k), repeat=ell))
         _check_budget(samples * n * kl, budget,
                       f"sampled order-{ell} pattern deviation")
         rng = random.Random(seed)
@@ -466,36 +648,16 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
     """Pattern-count deviation restricted to the full window and all
     shifts zero, maximized over row tuples and patterns."""
     _require_order(ell)
-    n, f, k = fam.length, fam.size, fam.k
-    ids = _content_ids(fam)
-    kl = k**ell
-    all_patterns = list(product(range(k), repeat=ell))
-    _check_budget(f**ell * n * kl, budget,
-                  f"order-{ell} zero-shift pattern deviation")
-    zeros = (0,) * ell
-
-    def scan_chunk(i1: int) -> _Best:
-        local = _Best()
-        for rest in product(range(f), repeat=ell - 1):
-            I = (i1,) + rest
-            if not _admissible(ids, I, zeros):
-                continue
-            counts: dict[tuple, int] = {}
-            for pattern in zip(*(fam.rows[i] for i in I)):
-                counts[pattern] = counts.get(pattern, 0) + 1
-            for w in all_patterns:
-                s = abs(kl * counts.get(w, 0) - n)
-                local.offer(s, (I, w))
-        return local
-
-    best = _run_chunks(scan_chunk, range(f), n_jobs)
+    best = _gamma_search(fam, ell, budget, n_jobs,
+                         f"order-{ell} zero-shift pattern deviation",
+                         circ=True)
     if best.value is None:
         return MeasureResult("gamma_circ", ell, Fraction(0), MODE_EXACT, None,
                              subject=fam.construction)
-    I, w = best.key
-    witness = CorrelationSpec(ell=ell, window=n, shifts=zeros,
+    I, _, _, w = best.key
+    witness = CorrelationSpec(ell=ell, window=fam.length, shifts=(0,) * ell,
                               rows=tuple(i + 1 for i in I), pattern=w)
-    return MeasureResult("gamma_circ", ell, Fraction(best.value, kl),
+    return MeasureResult("gamma_circ", ell, Fraction(best.value, fam.k**ell),
                          MODE_EXACT, witness, subject=fam.construction)
 
 
@@ -559,7 +721,14 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
                 counts[idx % k] += 1
                 yield _magnitude(counts, cos, sin), m
 
-    if mode == MODE_EXACT:
+    if mode == MODE_EXACT and k == 2:
+        # Relabeling {0, 1} only flips the sign of every term, so the value
+        # is phi's and the identity, the lex-smallest map, is the witness.
+        best = _phi_search(fam, ell, budget, n_jobs,
+                           f"order-{ell} root-relabeling correlation")
+        if best.key is not None:
+            best.key = best.key[:3] + (((0, 1),) * ell,)
+    elif mode == MODE_EXACT:
         shift_tuples = _shift_tuples(ell, n)
         _check_budget(len(shift_tuples) * f**ell * n * nperm**ell, budget,
                       f"order-{ell} root-relabeling correlation")

@@ -373,3 +373,58 @@ def test_witness_validate_rejects_malformed_specs():
     with pytest.raises(ParameterError):
         CorrelationSpec(ell=1, window=2, shifts=(0,),
                         rows=(2,)).validate(fam)  # row index out of range
+
+
+# --- lag-search work estimates ----------------------------------------------
+
+
+def _estimate(measure, fam, ell):
+    try:
+        measure(fam, ell, budget=0)
+    except BudgetError as exc:
+        return exc.estimate
+    return 0  # nothing to search: the zero budget was enough
+
+
+def _lag_work(fam, ell, circ):
+    """Sequence steps of the lag search, by literal enumeration: every
+    lag tuple T, every canonical admissible row tuple I (rows strictly
+    increasing inside a block of tied lags, equal contents only on
+    distinct lags), L = N - T[-1] steps each."""
+    n, f = fam.length, fam.size
+    lags = ([(0,) * ell] if circ else
+            [(0,) + r for r in combinations_with_replacement(range(n), ell - 1)])
+    work = 0
+    for T in lags:
+        for I in product(range(f), repeat=ell):
+            tied = [(a, b) for a in range(ell) for b in range(a + 1, ell)
+                    if T[a] == T[b]]
+            if all(I[a] < I[b] and fam.rows[I[a]] != fam.rows[I[b]]
+                   for a, b in tied):
+                work += n - T[-1]
+    return work
+
+
+def test_lag_estimates_bound_literal_work():
+    rng = random.Random(19)
+    fams = [random_family(rng, max_f=5, max_n=7, k=k, min_n=1)
+            for k in (2, 2, 2, 3, 4) for _ in range(3)]
+    fams.append(fam_pm([(1, 1, 1), (1, 1, 1), (1, -1, 1)]))
+    for fam in fams:
+        kl = {ell: fam.k**ell for ell in (1, 2, 3)}
+        for ell in (1, 2, 3):
+            walk = _lag_work(fam, ell, circ=False)
+            circ = _lag_work(fam, ell, circ=True)
+            assert walk * kl[ell] <= _estimate(gamma, fam, ell)
+            assert circ * kl[ell] <= _estimate(gamma_circ, fam, ell)
+            if fam.k == 2:
+                assert walk <= _estimate(cross_correlation, fam, ell)
+                assert circ <= _estimate(cross_correlation_circ, fam, ell)
+                assert walk <= _estimate(big_gamma, fam, ell)
+
+
+def test_dual_f1_17_5_order4_fits_default_budget():
+    from prsfam.construct import dual
+    from prsfam.measures import DEFAULT_BUDGET
+    est = _estimate(cross_correlation, dual(family_f1(17, 5)), 4)
+    assert 0 < est <= DEFAULT_BUDGET

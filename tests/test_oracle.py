@@ -111,6 +111,7 @@ def test_phi_circ_matches_oracle(case):
 @_examples(_EDGE_BINARY + [
     (Family(p=3, d=1, k=5, rows=((4, 4, 4),)), 1),
     (Family(p=3, d=1, k=3, rows=((0, 2), (1, 1), (0, 2))), 2),
+    (Family(p=3, d=1, k=1, rows=((0, 0, 0), (0, 0, 0))), 2),  # k = 1
 ])
 def test_gamma_matches_oracle(case):
     fam, ell = case
