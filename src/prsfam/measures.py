@@ -12,40 +12,27 @@ are non-decreasing with the window fitting inside the rows, and two
 tuple positions selecting equal row contents must use distinct shifts.
 With all shifts zero this forbids repeated and duplicate-content rows.
 
-Lag-prefix engine.  The exact phi and gamma searches (and their
-zero-shift variants) fix a row tuple I and a lag tuple
-T = (0, d2-d1, ..., d_ell-d1), build the one product or pattern-code
-sequence of length L = N - T[-1], and read every window (d1, M) as a
-difference P[e] - P[s] of a prefix array, with s = d1 and e = d1 + M:
+Lag-prefix engine.  Exact phi and gamma fix a row tuple I and a lag
+tuple T = (0, d2-d1, ..., d_ell-d1), build one product (phi) or
+pattern-code (gamma) sequence of length L = N - T[-1], and read each
+window (d1, M) as P[e] - P[s] of one prefix array, s = d1, e = d1 + M.
+phi is max P - min P, O(L) per (I, T).  gamma tracks
+Q_W[n] = k^ell * C_W[n] - n, whose extremes lie only at occurrences of
+W, at 0 and at L: O(L + k^ell).  The zero-shift variants are the case
+T = 0, s = 0, e = N; binary ``big_gamma`` is phi, since relabeling
+{0, 1} only flips signs.  Positions with equal lags form a block, and
+inside a block I strictly increases with distinct row contents: the
+lex-smallest tuple of each class that permuting a block leaves equal.
 
-* phi is max P - min P, O(L) per (I, T);
-* gamma uses Q_W[n] = k^ell * C_W[n] - n per pattern W.  Q_W falls by
-  one per step and rises at each occurrence of W, so its extremes lie
-  at occurrences, at 0 and at L: O(L + k^ell) per (I, T);
-* the zero-shift variants are the case T = 0, s = 0, e = N.
+Ties go to the lexicographically smallest (I, D, M, pattern) witness
+(inside one (I, T): smallest s, then e, then W), which makes one- and
+many-threaded runs byte-identical.  Witnesses use 1-based row indices
+and positions.
 
-Positions with equal lags form a block.  Only the canonical row tuples
-are searched: inside a block, I strictly increases with pairwise
-distinct row contents.  Permuting rows inside a block changes nothing
-but I, and the canonical tuple is the lex-smallest of its class.
-Binary ``big_gamma`` runs the phi search, since relabeling {0, 1} only
-flips signs.
-
-Witnesses: ties are broken toward the lexicographically smallest
-(I, D, M, pattern) tuple, which makes one- and many-threaded runs
-byte-identical.  Inside one (I, T) that is the smallest s, then the
-smallest e, then the smallest W.  Witnesses use 1-based row indices and
-positions.
-
-Budgets: every exact search precomputes a loop-count estimate and
-refuses with a ``BudgetError`` rather than running unbounded.  For the
-lag searches it is the exact sequence-step count: the sum over lag
-tuples T of (canonical row tuples for T) * L, times k^ell for gamma.
-In closed form, with e_b the b-th elementary symmetric polynomial of
-the content-class sizes, it is the sum over compositions
-(b_1, ..., b_r) of ell of C(N, r) * e_b1 * ... * e_br; the zero-shift
-variants take e_ell * N.  Sampled modes keep their own loops and draw
-sequence.
+Every exact search precomputes a loop-count estimate and refuses with a
+``BudgetError`` rather than running unbounded.  For the lag searches it
+is the exact step count, the sum over T of (canonical I count) * L,
+times k^ell for gamma; ``_lag_estimate`` gives its closed form.
 """
 
 from __future__ import annotations
@@ -222,6 +209,19 @@ def _require_order(ell: int) -> None:
         raise ParameterError(f"order must be an integer >= 1, got {ell}")
 
 
+def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
+    """The sampled modes' seeded draws: (I, D, L) for each admissible
+    draw, the window starting at D[0].  Lazy, so a caller may draw more
+    from ``rng`` between items without changing the sequence."""
+    n, f = fam.length, fam.size
+    ids = _content_ids(fam)
+    for _ in range(samples):
+        I = tuple(rng.randrange(f) for _ in range(ell))
+        D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
+        if _admissible(ids, I, D):
+            yield I, D, n - D[-1]
+
+
 # ---------------------------------------------------------------------------
 # covering complexity
 
@@ -282,8 +282,8 @@ def _combine(op, seqs):
 
 
 def _lag_plans(ell: int, n: int, circ: bool) -> list:
-    """Every lag tuple T = (0, d2-d1, ..., d_ell-d1) with T[-1] < n (only
-    T = 0 when ``circ``), paired with the sizes of its tied-lag blocks."""
+    """Each lag tuple T with T[-1] < n (only T = 0 when ``circ``) and the
+    sizes of its tied-lag blocks."""
     if circ:
         lags = [(0,) * ell]
     else:
@@ -302,21 +302,22 @@ def _canonical_blocks(ids: list[int], sizes) -> dict:
     for b in sizes:
         by_first: dict[int, list] = {}
         for picked in combinations(classes.values(), b):
-            for rows in product(*picked):
-                rows = tuple(sorted(rows))
-                by_first.setdefault(rows[0], []).append(rows)
+            for I in product(*picked):
+                I = tuple(sorted(I))
+                by_first.setdefault(I[0], []).append(I)
         out[b] = by_first
     return out
 
 
 def _lag_estimate(fam: Family, ell: int, circ: bool) -> int:
     """Sequence steps of a lag search: sum over T of (canonical row
-    tuples for T) * L_T.
+    tuples for T) * L.
 
     A block of b tied lags takes e_b row tuples, e_b being the b-th
-    elementary symmetric polynomial of the content-class sizes.  Lag
-    tuples with r distinct values 0 = u_1 < ... < u_r < N have
-    L = N - u_r, and summing N - u_r over them gives C(N, r).
+    elementary symmetric polynomial of the content-class sizes.  The
+    lag tuples with r distinct values 0 = u_1 < ... < u_r < N have
+    L = N - u_r, which sums to C(N, r) over them.  So the count is the
+    sum over r of C(N, r) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
     """
     n = fam.length
     e = [1] + [0] * ell
@@ -325,31 +326,23 @@ def _lag_estimate(fam: Family, ell: int, circ: bool) -> int:
             e[b] += e[b - 1] * m
     if circ:
         return e[ell] * n
-    total = 0
-    for cuts in product((False, True), repeat=ell - 1):
-        sizes = [1]
-        for cut in cuts:
-            if cut:
-                sizes.append(1)
-            else:
-                sizes[-1] += 1
-        total += math.comb(n, len(sizes)) * math.prod(e[b] for b in sizes)
+    total, power = 0, [1] + [0] * ell
+    for r in range(1, ell + 1):
+        power = [sum(power[i] * e[j - i] for i in range(j))
+                 for j in range(ell + 1)]
+        total += math.comb(n, r) * power[ell]
     return total
 
 
 def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
                 n_jobs: int) -> _Best:
-    """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
+    """Maximize ``kernel`` over the canonical admissible (I, T) pairs,
+    chunked by I[0].
 
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
-    kernel gets the ell shifted rows of one (I, T), the sequence length
-    L and the best value so far; it returns None when it cannot reach
-    that value, else (value, s, e, extra) for its best window [s, e),
-    which is offered as the key (I, D, e - s, extra) with D = s + T.
-    Rows inside a tied-lag block strictly increase with distinct
-    contents: the lex-smallest member of each class of tuples that
-    differ by a permutation inside blocks, so witnesses are kept.
-    Chunked by I[0].
+    kernel gets the shifted rows of one (I, T), L and the best value so
+    far, and returns None below that value, else (value, s, e, extra)
+    for its best window [s, e): the key (I, s + T, e - s, extra).
     """
     n = fam.length
     plans = _lag_plans(ell, n, circ)
@@ -386,42 +379,14 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
 def _phi_scan(slices) -> tuple[int, int]:
     """Max |prefix sum of termwise products| and its earliest window
     length, over windows 1..len (the sampled kernel)."""
-    best = -1
-    best_m = 0
-    acc = 0
-    if len(slices) == 1:
-        it = enumerate(slices[0], start=1)
-        for m, a in it:
-            acc += a
-            v = acc if acc >= 0 else -acc
-            if v > best:
-                best, best_m = v, m
-    elif len(slices) == 2:
-        for m, (a, b) in enumerate(zip(slices[0], slices[1]), start=1):
-            acc += a * b
-            v = acc if acc >= 0 else -acc
-            if v > best:
-                best, best_m = v, m
-    elif len(slices) == 3:
-        for m, (a, b, c) in enumerate(zip(slices[0], slices[1], slices[2]),
-                                      start=1):
-            acc += a * b * c
-            v = acc if acc >= 0 else -acc
-            if v > best:
-                best, best_m = v, m
-    else:
-        for m, terms in enumerate(zip(*slices), start=1):
-            acc += math.prod(terms)
-            v = acc if acc >= 0 else -acc
-            if v > best:
-                best, best_m = v, m
-    return best, best_m
+    sums = [abs(v) for v in accumulate(_combine(mul, slices))]
+    best = max(sums)
+    return best, sums.index(best) + 1
 
 
 def _phi_windows(seqs, size: int, floor):
-    """Every window of one product sequence: |P[e] - P[s]| peaks at
-    max P - min P, first reached at the earlier of the two first
-    extremes (s) and then the other one (e)."""
+    """|P[e] - P[s]| peaks at max P - min P; s is the earlier of the two
+    first extremes and e the other."""
     P = list(accumulate(_combine(mul, seqs), initial=0))
     hi, lo = max(P), min(P)
     if floor is not None and hi - lo < floor:
@@ -457,21 +422,14 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
                            f"order-{ell} correlation")
     elif mode == MODE_SAMPLED:
         pm = fam.pm_rows()
-        n, f = fam.length, fam.size
-        ids = _content_ids(fam)
-        _check_budget(samples * n, budget, f"sampled order-{ell} correlation")
-        rng = random.Random(seed)
+        _check_budget(samples * fam.length, budget,
+                      f"sampled order-{ell} correlation")
         best = _Best()
-        for _ in range(samples):
-            I = tuple(rng.randrange(f) for _ in range(ell))
-            D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-            if not _admissible(ids, I, D):
-                continue
-            mmax = n - D[-1]
+        for I, D, mmax in _sampled_draws(fam, ell, random.Random(seed),
+                                         samples):
             slices = [pm[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
             val, m = _phi_scan(slices)
-            if val >= 0:
-                best.offer(val, (I, D, m))
+            best.offer(val, (I, D, m))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
@@ -613,23 +571,15 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
         best = _gamma_search(fam, ell, budget, n_jobs,
                              f"order-{ell} pattern deviation")
     elif mode == MODE_SAMPLED:
-        n, f, k = fam.length, fam.size, fam.k
-        ids = _content_ids(fam)
-        all_patterns = list(product(range(k), repeat=ell))
-        _check_budget(samples * n * kl, budget,
+        all_patterns = list(product(range(fam.k), repeat=ell))
+        _check_budget(samples * fam.length * kl, budget,
                       f"sampled order-{ell} pattern deviation")
-        rng = random.Random(seed)
         best = _Best()
-        for _ in range(samples):
-            I = tuple(rng.randrange(f) for _ in range(ell))
-            D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-            if not _admissible(ids, I, D):
-                continue
-            mmax = n - D[-1]
+        for I, D, mmax in _sampled_draws(fam, ell, random.Random(seed),
+                                         samples):
             slices = [fam.rows[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-            s, m, w = _gamma_scan(slices, k, ell, all_patterns)
-            if s >= 0:
-                best.offer(s, (I, D, m, w))
+            s, m, w = _gamma_scan(slices, fam.k, ell, all_patterns)
+            best.offer(s, (I, D, m, w))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
@@ -754,13 +704,8 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
                       f"sampled order-{ell} root-relabeling correlation")
         rng = random.Random(seed)
         best = _Best()
-        for _ in range(samples):
-            I = tuple(rng.randrange(f) for _ in range(ell))
-            D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-            if not _admissible(ids, I, D):
-                continue
+        for I, D, mmax in _sampled_draws(fam, ell, rng, samples):
             phi = tuple(perms[rng.randrange(nperm)] for _ in range(ell))
-            mmax = n - D[-1]
             slices = [fam.rows[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
             for val, m in window_values(slices, phi):
                 best.offer(val, (I, D, m, phi))
