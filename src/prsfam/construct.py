@@ -14,8 +14,8 @@ Three builders are provided:
 
 All builders verify at build time that no row contains a zero symbol,
 check row distinctness exhaustively (recording the outcome, since it
-can genuinely fail at small parameters; see ``_record_distinctness``), then freeze
-the result.
+can genuinely fail at small parameters; see ``_record_distinctness``),
+then freeze the result.
 """
 
 from __future__ import annotations

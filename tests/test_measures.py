@@ -393,7 +393,8 @@ def _lag_work(fam, ell, circ):
     distinct lags), L = N - T[-1] steps each."""
     n, f = fam.length, fam.size
     lags = ([(0,) * ell] if circ else
-            [(0,) + r for r in combinations_with_replacement(range(n), ell - 1)])
+            [(0,) + r
+             for r in combinations_with_replacement(range(n), ell - 1)])
     work = 0
     for T in lags:
         for I in product(range(f), repeat=ell):
