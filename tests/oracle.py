@@ -2,7 +2,7 @@
 
 Each function enumerates every admissible (I, D, M) choice, and every
 pattern W or relabeling where the measure has one, recomputes the
-window sum from scratch, and keeps the maximum with the lexicographically
+window sum afresh, and keeps the maximum with the lexicographically
 smallest (I, D, M, W) key.  Nothing is pruned or shared between windows,
 so the result is the definition itself; it is only fast enough for
 families of a few short rows.
