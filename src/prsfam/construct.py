@@ -155,10 +155,9 @@ def _find_base_poly(p: int, d: int, budget: int) -> Poly:
     first monic irreducible of degree d with zero x^(d-1) coefficient
     and nonzero x^(d-2), x^(d-3) coefficients."""
     tried = 0
-    for rest in product(range(p), repeat=d - 1):
+    nonzero = range(1, p)
+    for rest in product(nonzero, nonzero, *[range(p)] * (d - 3)):
         # rest = (coeff of x^(d-2), ..., coeff of x^0)
-        if rest[0] == 0 or rest[1] == 0:
-            continue
         tried += 1
         if tried > budget:
             raise ParameterError(

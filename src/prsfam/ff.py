@@ -7,6 +7,11 @@ fixed monic irreducible modulus.  The modulus and the primitive root
 used by the order-k character are chosen deterministically, so
 independent runs agree bit for bit.
 
+Each field caches its p-power Frobenius as a d x d matrix over F_p
+(the map is F_p-linear; see ``poly``), so a conjugate costs one
+matrix-vector product, and the trace, norm, degree and minimal
+polynomial, which walk the conjugates, cost that much per step.
+
 Every value is immutable and every operation is a pure function; values
 can be shared freely across threads.
 """
@@ -18,7 +23,14 @@ from itertools import product
 from typing import Iterable, Union
 
 from .errors import DomainError, InternalError, ParameterError
-from .poly import Poly, _prime_divisors, is_irreducible
+from .poly import (
+    Poly,
+    _apply_rows,
+    _frobenius_columns,
+    _mulmod,
+    _prime_divisors,
+    is_irreducible,
+)
 
 __all__ = [
     "is_prime",
@@ -30,8 +42,13 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale inputs)."""
+    """Deterministic trial-division primality check (desk-scale inputs).
+
+    Cached: ``legendre`` and ``char_k`` validate their modulus on every
+    call, and a build or character sum calls them with one p throughout.
+    """
     if n < 2:
         return False
     if n < 4:
@@ -117,9 +134,13 @@ def _default_modulus(p: int, d: int) -> Poly:
 
 class FieldParams:
     """Arithmetic context for F_{p^d}: odd prime p, degree d >= 1, and a
-    monic irreducible modulus defining the extension."""
+    monic irreducible modulus defining the extension.
 
-    __slots__ = ("p", "d", "modulus", "_mod_coeffs")
+    ``frobenius_rows`` is the p-power map as a matrix acting on
+    coordinate tuples: its column i holds (x^i)^p mod the modulus.
+    """
+
+    __slots__ = ("p", "d", "modulus", "_mod_coeffs", "frobenius_rows")
 
     def __init__(self, p: int, d: int, modulus: Poly | None = None):
         _check_odd_prime(p)
@@ -139,6 +160,7 @@ class FieldParams:
         self.d = d
         self.modulus = modulus
         self._mod_coeffs = modulus.coeffs
+        self.frobenius_rows = tuple(zip(*_frobenius_columns(modulus)))
 
     @property
     def order(self) -> int:
@@ -224,22 +246,9 @@ class ExtElem:
 
     def __mul__(self, other: "ExtElem") -> "ExtElem":
         self._check_same(other)
-        p = self.field.p
-        d = self.field.d
-        prod_c = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod_c[i + j] += a * b
-        mod = self.field._mod_coeffs
-        for i in range(2 * d - 2, d - 1, -1):
-            t = prod_c[i] % p
-            if t:
-                prod_c[i] = 0
-                off = i - d
-                for j in range(d):
-                    prod_c[off + j] -= t * mod[j]
-        return ExtElem(self.field, tuple(c % p for c in prod_c[:d]))
+        field = self.field
+        return ExtElem(field, tuple(_mulmod(
+            self.coeffs, other.coeffs, field._mod_coeffs, field.p)))
 
     def inv(self) -> "ExtElem":
         """Multiplicative inverse via the group order."""
@@ -264,8 +273,14 @@ class ExtElem:
         return acc
 
     def frobenius(self) -> "ExtElem":
-        """The p-power map; applying it d times is the identity."""
-        return self ** self.field.p
+        """The p-power map; applying it d times is the identity.
+
+        One product with the field's cached Frobenius matrix, which
+        equals ``self ** p`` because the map is F_p-linear.
+        """
+        field = self.field
+        return ExtElem(field, _apply_rows(
+            field.frobenius_rows, self.coeffs, field.p))
 
     def trace(self) -> int:
         """Sum of the d conjugates, landing in F_p."""

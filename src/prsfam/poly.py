@@ -12,6 +12,13 @@ minimal polynomials and conjugacy-class representatives of extension
 elements, the coefficient scaling f |-> i^deg(f) * f(X/i), and a
 square-freeness check for shifted products.
 
+The p-th power map of F_p[x]/(f) is F_p-linear, because a^p = a for
+every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
+``_frobenius_columns`` computes it once per modulus as a d x d matrix,
+whose column i is (x^i)^p mod f; every later p-th power (the powers
+x^(p^t) of the irreducibility test, the conjugates of an extension
+element) is one matrix-vector product instead of a square-and-multiply.
+
 Functions taking a prime ``p`` trust the caller; primality is validated
 at the field and construction layers.
 """
@@ -19,6 +26,7 @@ at the field and construction layers.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DomainError, InternalError, ParameterError
@@ -203,16 +211,52 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base**e reduced mod the polynomial ``mod`` (e >= 0)."""
-    result = Poly((1,), base.p)
-    base = base % mod
-    while e > 0:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int],
+            p: int) -> list[int]:
+    """a * b mod the monic f, on coefficient lists: ``f`` has length
+    d + 1, ``a`` and ``b`` have length d, and so does the result."""
+    d = len(f) - 1
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * d - 2, d - 1, -1):
+        t = prod[i] % p
+        if t:
+            off = i - d
+            for j in range(d):
+                prod[off + j] -= t * f[j]
+    return [c % p for c in prod[:d]]
+
+
+def _frobenius_columns(f: Poly) -> tuple[tuple[int, ...], ...]:
+    """The d columns (x^i)^p mod f, i = 0..d-1, of the p-power
+    Frobenius of F_p[x]/(f) for a monic f of degree d >= 1.
+
+    x^p mod f comes from left-to-right square-and-multiply, where a
+    multiplication by x is a shift and one reduction step; column i is
+    then column i-1 times x^p, d-2 more products.
+    """
+    p, fc, d = f.p, f.coeffs, f.degree
+    cols = [[1] + [0] * (d - 1)]
+    if d >= 2:
+        xp = [0, 1] + [0] * (d - 2)
+        for bit in bin(p)[3:]:
+            xp = _mulmod(xp, xp, fc, p)
+            if bit == "1":
+                top = xp[-1]
+                xp = [(c - top * m) % p for c, m in zip([0] + xp[:-1], fc)]
+        cols.append(xp)
+        for _ in range(d - 2):
+            cols.append(_mulmod(cols[-1], xp, fc, p))
+    return tuple(tuple(c) for c in cols)
+
+
+def _apply_rows(rows: Sequence[Sequence[int]], v: Sequence[int],
+                p: int) -> tuple[int, ...]:
+    """The matrix with these rows times the coordinate vector v, mod p."""
+    return tuple(sum(map(mul, r, v)) % p for r in rows)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -230,10 +274,13 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Deterministic irreducibility test over F_p.
+    """Deterministic irreducibility test over F_p (Rabin).
 
     Normalizes to monic form, then checks x^(p^n) = x mod f together
-    with gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.
+    with gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.  The
+    powers x^(p^t), t = 1..n, are the iterates of the linear Frobenius
+    of F_p[x]/(f) on x: one matrix-vector product each, from the
+    columns of ``_frobenius_columns``.
     """
     if f.degree < 1:
         raise ParameterError("irreducibility is defined for degree >= 1")
@@ -242,16 +289,16 @@ def is_irreducible(f: Poly) -> bool:
     if n == 1:
         return True
     p = f.p
-    x = _x(p)
-    # powers[t] = x^(p^t) mod f
-    powers = [x % f]
+    rows = tuple(zip(*_frobenius_columns(f)))
+    # powers[t] = coordinates of x^(p^t) mod f
+    powers = [(0, 1) + (0,) * (n - 2)]
     for _ in range(n):
-        powers.append(_pow_mod(powers[-1], p, f))
-    if powers[n] != x % f:
+        powers.append(_apply_rows(rows, powers[-1], p))
+    if powers[n] != powers[0]:
         return False
+    x = _x(p)
     for q in _prime_divisors(n):
-        t = n // q
-        g = poly_gcd(powers[t] - x, f)
+        g = poly_gcd(Poly(powers[n // q], p) - x, f)
         if g.degree != 0:
             return False
     return True
@@ -368,8 +415,14 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     tuple in its orbit and the list is ordered by those tuples.  These
     biject with the monic irreducible degree-d polynomials (trace-zero
     ones under the filter) via ``minimal_polynomial``.
+
+    Orbits are walked on coordinate tuples with the field's Frobenius
+    matrix.  The trace is an F_p-linear functional, constant on each
+    orbit, so under the filter an element is tested first (one dot
+    product with the traces of the basis) and a nonzero trace skips it
+    without walking its orbit.
     """
-    from .ff import FieldParams  # deferred: ff builds on this module
+    from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
 
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     if p**d > budget:
@@ -377,23 +430,23 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
             f"orbit enumeration needs {p**d} elements, budget is {budget}",
             estimate=p**d, budget=budget)
     field = FieldParams(p, d)
+    rows = field.frobenius_rows
+    basis_traces = [field.elem((0,) * i + (1,)).trace() for i in range(d)]
     seen: set[tuple[int, ...]] = set()
     reps = []
     for coords in product(range(p), repeat=d):
+        if trace_zero_only and sum(map(mul, coords, basis_traces)) % p:
+            continue
         if coords in seen:
             continue
-        alpha = field.elem(coords)
         orbit = {coords}
-        conj = alpha.frobenius()
-        while conj.coeffs not in orbit:
-            orbit.add(conj.coeffs)
-            conj = conj.frobenius()
+        conj = _apply_rows(rows, coords, p)
+        while conj not in orbit:
+            orbit.add(conj)
+            conj = _apply_rows(rows, conj, p)
         seen |= orbit
-        if len(orbit) != d:
-            continue
-        if trace_zero_only and alpha.trace() != 0:
-            continue
-        reps.append(alpha)
+        if len(orbit) == d:
+            reps.append(ExtElem(field, coords))
     return reps
 
 

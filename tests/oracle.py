@@ -1,20 +1,29 @@
-"""Literal-definition oracle for the correlation measures.
+"""Literal-definition oracles for the correlation measures and for the
+field and polynomial kernels of the build path.
 
-Each function enumerates every admissible (I, D, M) choice, and every
-pattern W or relabeling where the measure has one, recomputes the
+Each measure function enumerates every admissible (I, D, M) choice, and
+every pattern W or relabeling where the measure has one, recomputes the
 window sum afresh, and keeps the maximum with the lexicographically
 smallest (I, D, M, W) key.  Nothing is pruned or shared between windows,
 so the result is the definition itself; it is only fast enough for
 families of a few short rows.
 
-Every function returns ``(value, key)`` where ``key`` is ``None`` for an
-empty admissible space and otherwise the 0-based (I, D, M[, W]) tuple.
+Every measure function returns ``(value, key)`` where ``key`` is
+``None`` for an empty admissible space and otherwise the 0-based
+(I, D, M[, W]) tuple.
+
+The kernel references at the end use no precomputed map: irreducibility
+is trial division by every monic candidate divisor, and conjugates are
+literal p-th powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+
+from prsfam.ff import FieldParams
+from prsfam.poly import Poly
 
 
 def _admissible(fam, I, D) -> bool:
@@ -95,3 +104,43 @@ def big_gamma_binary(fam, ell):
 
     v, key = _best(values())
     return (0, None) if v is None else (v, key)
+
+
+def irreducible_by_divisors(f):
+    """f (degree >= 1, any leading coefficient) has no monic divisor of
+    degree 1..deg(f)/2."""
+    p, n = f.p, f.degree
+    for m in range(1, n // 2 + 1):
+        for rest in product(range(p), repeat=m):
+            if (f % Poly(rest + (1,), p)).is_zero:
+                return False
+    return True
+
+
+def conjugacy_representatives(p, d, trace_zero_only):
+    """Coordinate tuples of the lexicographically first element of each
+    conjugate orbit of degree exactly d, in lexicographic order.  Each
+    conjugate is a literal ``** p``, and the trace is the sum of the
+    orbit's elements."""
+    field = FieldParams(p, d)
+    seen = set()
+    reps = []
+    for coords in product(range(p), repeat=d):
+        if coords in seen:
+            continue
+        alpha = field.elem(coords)
+        orbit = [alpha]
+        conj = alpha ** p
+        while conj != alpha:
+            orbit.append(conj)
+            conj = conj ** p
+        seen.update(c.coeffs for c in orbit)
+        if len(orbit) != d:
+            continue
+        trace = field.zero
+        for c in orbit:
+            trace = trace + c
+        if trace_zero_only and trace != field.zero:
+            continue
+        reps.append(coords)
+    return reps
