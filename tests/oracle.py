@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from prsfam.ff import FieldParams
+from prsfam.measures import _magnitude, _root_tables
 from prsfam.poly import Poly
 
 
@@ -104,6 +105,36 @@ def big_gamma_binary(fam, ell):
 
     v, key = _best(values())
     return (0, None) if v is None else (v, key)
+
+
+def big_gamma(fam, ell):
+    """max |sum_{t<M} zeta_k^(sum_j phi_j(x_{I_j}[t + D_j]))| over every
+    relabeling phi_j of {0..k-1}.  Each window's count vector is built
+    afresh; for k <= 2 its magnitude is the integer |c_0 - c_1|, else
+    it goes through ``measures._magnitude``, so that float values and
+    their ties compare exactly as in the search."""
+    k = fam.k
+    maps = list(permutations(range(k)))
+    cos, sin = _root_tables(k)
+
+    def values():
+        for I, D, m in _choices(fam, ell, False):
+            for phi_ in product(maps, repeat=ell):
+                counts = [0] * k
+                for t in range(m):
+                    idx = sum(phi_[j][fam.rows[I[j]][t + D[j]]]
+                              for j in range(ell))
+                    counts[idx % k] += 1
+                if k <= 2:
+                    value = abs(counts[0] - (counts[1] if k == 2 else 0))
+                else:
+                    value = _magnitude(counts, cos, sin)
+                yield value, (I, D, m, phi_)
+
+    v, key = _best(values())
+    if v is None:
+        return (0 if k <= 2 else 0.0), None
+    return v, key
 
 
 def irreducible_by_divisors(f):

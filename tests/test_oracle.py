@@ -1,7 +1,7 @@
 """Differential tests: exact measures against the literal-definition
 oracle in ``oracle.py``, value and witness, at one and two jobs."""
 
-from math import comb
+from math import comb, factorial
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -27,19 +27,25 @@ _settings = settings(derandomize=True, database=None, max_examples=60,
 
 
 @st.composite
-def cases(draw, binary: bool, per_window: str = "one"):
-    """A family and an order: k in 2..5 (2 when binary), F <= 5, N <= 8,
-    ell in 1..3, N cut so the oracle stays within _ORACLE_CAP.  Row 0
-    may be made constant and the last row a copy of row 0."""
-    k = 2 if binary else draw(st.integers(2, 5))
-    ell = draw(st.integers(1, 3))
-    f = draw(st.integers(1, 5))
-    mult = {"one": 1, "patterns": k**ell, "maps": 2**ell}[per_window]
+def cases(draw, binary: bool, per_window: str = "one", k_min: int = 2):
+    """A family and an order: k in k_min..5 (2 when binary), F <= 5,
+    N <= 8, ell in 1..3, with ell, F and then N cut so the oracle stays
+    within _ORACLE_CAP.  Row 0 may be made constant and the last row a
+    copy of row 0."""
+    k = 2 if binary else draw(st.integers(k_min, 5))
 
-    def cost(n):
+    def cost(n, ell, f):
+        mult = {"one": 1, "patterns": k**ell, "maps": 2**ell,
+                "relabelings": factorial(k)**ell}[per_window]
         return comb(n + ell - 1, ell) * f**ell * n * n * ell * mult
 
-    n_max = max([1] + [n for n in range(1, 9) if cost(n) <= _ORACLE_CAP])
+    ell = draw(st.integers(1, max(e for e in (1, 2, 3)
+                                  if e == 1 or cost(1, e, 1) <= _ORACLE_CAP)))
+    f = draw(st.integers(1, max(g for g in range(1, 6)
+                                if g == 1 or cost(1, ell, g) <= _ORACLE_CAP)))
+
+    n_max = max([1] + [n for n in range(1, 9)
+                       if cost(n, ell, f) <= _ORACLE_CAP])
     n = draw(st.integers(1, n_max))
     row = st.tuples(*[st.integers(0, k - 1)] * n)
     rows = draw(st.lists(row, min_size=f, max_size=f))
@@ -67,6 +73,7 @@ def _check(measure, fam, ell, expected_value, expected_witness):
         r = measure(fam, ell, n_jobs=n_jobs)
         assert r.mode == MODE_EXACT
         assert r.value == expected_value
+        assert type(r.value) is type(expected_value)
         assert r.witness == expected_witness
 
 
@@ -137,4 +144,22 @@ def test_gamma_circ_matches_oracle(case):
 def test_binary_big_gamma_matches_oracle(case):
     fam, ell = case
     v, key = oracle.big_gamma_binary(fam, ell)
+    _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))
+
+
+@settings(_settings, max_examples=120)
+@given(case=cases(binary=False, per_window="relabelings", k_min=1))
+@_examples(_EDGE_BINARY + [
+    (Family(p=3, d=1, k=1, rows=((0, 0, 0),)), 1),            # k = 1
+    (Family(p=3, d=1, k=1, rows=((0, 0), (0, 0))), 2),        # k = 1 twice
+    (Family(p=3, d=1, k=3, rows=((2,),)), 1),                 # F = N = 1
+    (Family(p=3, d=1, k=3, rows=((1,), (2,), (1,))), 2),      # N = 1
+    (Family(p=3, d=1, k=4, rows=((3, 3, 3, 3),)), 2),         # constant row
+    (Family(p=3, d=1, k=3, rows=((0, 2, 1), (0, 2, 1))), 2),  # duplicates
+    (Family(p=3, d=1, k=5, rows=((4, 0), (4, 4), (1, 3))), 1),
+    (Family(p=3, d=1, k=4, rows=((0, 3, 1), (2, 2, 0))), 2),
+])
+def test_big_gamma_matches_oracle(case):
+    fam, ell = case
+    v, key = oracle.big_gamma(fam, ell)
     _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))
