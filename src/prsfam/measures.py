@@ -12,27 +12,31 @@ are non-decreasing with the window fitting inside the rows, and two
 tuple positions selecting equal row contents must use distinct shifts.
 With all shifts zero this forbids repeated and duplicate-content rows.
 
-Lag-prefix engine.  Exact phi and gamma fix a row tuple I and a lag
-tuple T = (0, d2-d1, ..., d_ell-d1), build one product (phi) or
-pattern-code (gamma) sequence of length L = N - T[-1], and read each
-window (d1, M) as P[e] - P[s] of one prefix array, s = d1, e = d1 + M.
-phi is max P - min P, O(L) per (I, T).  gamma tracks
-Q_W[n] = k^ell * C_W[n] - n, whose extremes lie only at occurrences of
-W, at 0 and at L: O(L + k^ell).  The zero-shift variants are the case
-T = 0, s = 0, e = N; binary ``big_gamma`` is phi, since relabeling
-{0, 1} only flips signs.  Positions with equal lags form a block, and
-inside a block I strictly increases with distinct row contents: the
+Lag-prefix engine.  Every exact correlation search runs in
+``_lag_search``: it fixes a row tuple I and a lag tuple
+T = (0, d2-d1, ..., d_ell-d1), builds one sequence of length
+L = N - T[-1] per (I, T), and reads each window (d1, M) as [s, e) with
+s = d1, e = d1 + M.  phi and gamma use one prefix array P and read a
+window as P[e] - P[s]: phi is max P - min P, O(L) per (I, T), and gamma
+tracks Q_W[n] = k^ell * C_W[n] - n, whose extremes lie only at
+occurrences of W, at 0 and at L: O(L + k^ell).  The zero-shift variants
+are the case T = 0, s = 0, e = N.  ``big_gamma`` for k <= 2 is phi,
+since relabeling {0, 1} only flips signs; for k >= 3 it builds the
+index sequence of each relabeling tuple and walks every window with
+incremental counts.  Positions with equal lags form a block, and inside
+a block I strictly increases with distinct row contents: the
 lex-smallest tuple of each class that permuting a block leaves equal.
+The search is serial; ``n_jobs`` is accepted and ignored.
 
-Ties go to the lexicographically smallest (I, D, M, pattern) witness
-(inside one (I, T): smallest s, then e, then W), which makes one- and
-many-threaded runs byte-identical.  Witnesses use 1-based row indices
-and positions.
+Ties go to the lexicographically smallest (I, D, M, pattern or
+relabeling) witness (inside one (I, T): smallest s, then e, then W).
+Witnesses use 1-based row indices and positions.
 
 Every exact search precomputes a loop-count estimate and refuses with a
-``BudgetError`` rather than running unbounded.  For the lag searches it
-is the exact step count, the sum over T of (canonical I count) * L,
-times k^ell for gamma; ``_lag_estimate`` gives its closed form.
+``BudgetError`` rather than running unbounded.  It is the exact step
+count, the sum over T of (canonical I count) * L, times k^ell for gamma;
+for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 * (k!)^ell.
+``_lag_estimate`` gives its closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations,
@@ -142,7 +145,7 @@ class MeasureResult:
 
 class _Best:
     """Deterministic max-tracker: highest value wins, ties go to the
-    lexicographically smallest key.  Thread-schedule independent."""
+    lexicographically smallest key, whatever the order of the offers."""
 
     __slots__ = ("value", "key")
 
@@ -156,21 +159,6 @@ class _Best:
             self.value = value
             self.key = key
 
-    def merge(self, other: "_Best") -> None:
-        if other.value is not None:
-            self.offer(other.value, other.key)
-
-
-def _run_chunks(worker, chunk_args, n_jobs: int) -> _Best:
-    best = _Best()
-    if n_jobs <= 1:
-        for arg in chunk_args:
-            best.merge(worker(arg))
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for local in pool.map(worker, chunk_args):
-                best.merge(local)
-    return best
 
 
 def _content_ids(fam: Family) -> list[int]:
@@ -198,10 +186,6 @@ def _check_budget(estimate: int, budget: Optional[int], what: str) -> None:
         raise BudgetError(
             f"exact {what} needs an estimated {estimate} loop steps, "
             f"budget is {budget}", estimate=estimate, budget=budget)
-
-
-def _shift_tuples(ell: int, n: int) -> list[tuple[int, ...]]:
-    return list(combinations_with_replacement(range(n), ell))
 
 
 def _require_order(ell: int) -> None:
@@ -294,32 +278,29 @@ def _lag_plans(ell: int, n: int, circ: bool) -> list:
 
 def _canonical_blocks(ids: list[int], sizes) -> dict:
     """For each block size b: the strictly increasing b-tuples of row
-    indices with pairwise distinct contents, grouped by first index."""
+    indices with pairwise distinct contents."""
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(ids):
         classes.setdefault(c, []).append(i)
-    out = {}
-    for b in sizes:
-        by_first: dict[int, list] = {}
-        for picked in combinations(classes.values(), b):
-            for I in product(*picked):
-                I = tuple(sorted(I))
-                by_first.setdefault(I[0], []).append(I)
-        out[b] = by_first
-    return out
+    return {b: [tuple(sorted(I))
+                for picked in combinations(classes.values(), b)
+                for I in product(*picked)]
+            for b in sizes}
 
 
-def _lag_estimate(fam: Family, ell: int, circ: bool) -> int:
+def _lag_estimate(fam: Family, ell: int, circ: bool,
+                  windows: bool = False) -> int:
     """Sequence steps of a lag search: sum over T of (canonical row
-    tuples for T) * L.
+    tuples for T) * L, or * L(L+1)/2 when every window is walked.
 
     A block of b tied lags takes e_b row tuples, e_b being the b-th
     elementary symmetric polynomial of the content-class sizes.  The
     lag tuples with r distinct values 0 = u_1 < ... < u_r < N have
-    L = N - u_r, which sums to C(N, r) over them.  So the count is the
-    sum over r of C(N, r) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
+    L = N - u_r, which sums to C(N, r) over them, and L(L+1)/2 sums to
+    C(N+1, r+1).  So the count is the sum over r of C(N, r) (resp.
+    C(N+1, r+1)) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
     """
-    n = fam.length
+    n, w = fam.length, int(windows)
     e = [1] + [0] * ell
     for m in Counter(fam.rows).values():
         for b in range(ell, 0, -1):
@@ -330,14 +311,12 @@ def _lag_estimate(fam: Family, ell: int, circ: bool) -> int:
     for r in range(1, ell + 1):
         power = [sum(power[i] * e[j - i] for i in range(j))
                  for j in range(ell + 1)]
-        total += math.comb(n, r) * power[ell]
+        total += math.comb(n + w, r + w) * power[ell]
     return total
 
 
-def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
-                n_jobs: int) -> _Best:
-    """Maximize ``kernel`` over the canonical admissible (I, T) pairs,
-    chunked by I[0].
+def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel) -> _Best:
+    """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
 
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
     kernel gets the shifted rows of one (I, T), L and the best value so
@@ -348,28 +327,20 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     plans = _lag_plans(ell, n, circ)
     blocks = _canonical_blocks(_content_ids(fam),
                                {b for _, sizes in plans for b in sizes})
-    anywhere = {b: [I for group in by_first.values() for I in group]
-                for b, by_first in blocks.items()}
     shifted = [{t: [row[t:] for row in rows_at[j]]
                 for t in {T[j] for T, _ in plans}} for j in range(ell)]
-
-    def scan_chunk(i1: int) -> _Best:
-        local = _Best()
-        for T, sizes in plans:
-            cols = [shifted[j][t] for j, t in enumerate(T)]
-            size = n - T[-1]
-            for parts in product(blocks[sizes[0]].get(i1, ()),
-                                 *(anywhere[b] for b in sizes[1:])):
-                I = tuple(chain.from_iterable(parts))
-                found = kernel([cols[j][i] for j, i in enumerate(I)], size,
-                               local.value)
-                if found is not None:
-                    value, s, e, extra = found
-                    local.offer(value,
-                                (I, tuple(s + t for t in T), e - s, extra))
-        return local
-
-    return _run_chunks(scan_chunk, range(fam.size), n_jobs)
+    best = _Best()
+    for T, sizes in plans:
+        cols = [shifted[j][t] for j, t in enumerate(T)]
+        size = n - T[-1]
+        for parts in product(*(blocks[b] for b in sizes)):
+            I = tuple(chain.from_iterable(parts))
+            found = kernel([cols[j][i] for j, i in enumerate(I)], size,
+                           best.value)
+            if found is not None:
+                value, s, e, extra = found
+                best.offer(value, (I, tuple(s + t for t in T), e - s, extra))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +370,11 @@ def _phi_full(seqs, size: int, floor):
     return abs(sum(_combine(mul, seqs))), 0, size, ()
 
 
-def _phi_search(fam: Family, ell: int, budget: Optional[int], n_jobs: int,
-                what: str, circ: bool = False) -> _Best:
-    pm = fam.pm_rows()
+def _phi_search(fam: Family, pm, ell: int, budget: Optional[int], what: str,
+                circ: bool = False) -> _Best:
     _check_budget(_lag_estimate(fam, ell, circ), budget, what)
     return _lag_search(fam, [pm] * ell, ell, circ,
-                       _phi_full if circ else _phi_windows, n_jobs)
+                       _phi_full if circ else _phi_windows)
 
 
 def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -418,7 +388,7 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     """
     _require_order(ell)
     if mode == MODE_EXACT:
-        best = _phi_search(fam, ell, budget, n_jobs,
+        best = _phi_search(fam, fam.pm_rows(), ell, budget,
                            f"order-{ell} correlation")
     elif mode == MODE_SAMPLED:
         pm = fam.pm_rows()
@@ -451,7 +421,7 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require_order(ell)
-    best = _phi_search(fam, ell, budget, n_jobs,
+    best = _phi_search(fam, fam.pm_rows(), ell, budget,
                        f"order-{ell} zero-shift correlation", circ=True)
     if best.value is None:
         return MeasureResult("phi_circ", ell, 0, MODE_EXACT, None,
@@ -547,15 +517,14 @@ def _gamma_kernels(k: int, ell: int):
     return windows, full
 
 
-def _gamma_search(fam: Family, ell: int, budget: Optional[int], n_jobs: int,
-                  what: str, circ: bool = False) -> _Best:
+def _gamma_search(fam: Family, ell: int, budget: Optional[int], what: str,
+                  circ: bool = False) -> _Best:
     k = fam.k
     _check_budget(_lag_estimate(fam, ell, circ) * k**ell, budget, what)
     rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
                for j in range(ell)]
     windows, full = _gamma_kernels(k, ell)
-    return _lag_search(fam, rows_at, ell, circ, full if circ else windows,
-                       n_jobs)
+    return _lag_search(fam, rows_at, ell, circ, full if circ else windows)
 
 
 def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -568,7 +537,7 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     kl = fam.k**ell
 
     if mode == MODE_EXACT:
-        best = _gamma_search(fam, ell, budget, n_jobs,
+        best = _gamma_search(fam, ell, budget,
                              f"order-{ell} pattern deviation")
     elif mode == MODE_SAMPLED:
         all_patterns = list(product(range(fam.k), repeat=ell))
@@ -598,7 +567,7 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
     """Pattern-count deviation restricted to the full window and all
     shifts zero, maximized over row tuples and patterns."""
     _require_order(ell)
-    best = _gamma_search(fam, ell, budget, n_jobs,
+    best = _gamma_search(fam, ell, budget,
                          f"order-{ell} zero-shift pattern deviation",
                          circ=True)
     if best.value is None:
@@ -631,6 +600,43 @@ def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
     return math.hypot(re, im)
 
 
+def _root_windows(k: int, ell: int):
+    """Kernel of exact big_gamma for k >= 3.  Per relabeling tuple phi it
+    builds the index sequence sum_j phi_j(x_j) mod k once, then walks e
+    from each s with incremental counts, computing the magnitude only
+    of windows long enough to reach the best value so far.  Ties go to
+    the smallest s, then e, then phi."""
+    perms = list(permutations(range(k)))
+    cos, sin = _root_tables(k)
+
+    def windows(seqs, size: int, floor):
+        mapped = [[[pi[x] for x in seq] for pi in perms] for seq in seqs]
+        best_v = -1.0 if floor is None else floor
+        best = None  # (s, e, phi)
+        for phi in product(range(len(perms)), repeat=ell):
+            idx = [v % k for v in
+                   _combine(add, [mapped[j][c] for j, c in enumerate(phi)])]
+            for s in range(size):
+                # A magnitude is at most M, up to float error far below 1,
+                # so no window with M + 1 <= best_v can reach best_v.
+                lo = s + max(int(best_v), 1)
+                counts = [0] * k
+                for c in idx[s:lo - 1]:
+                    counts[c] += 1
+                for e, c in enumerate(idx[lo - 1:], lo):
+                    counts[c] += 1
+                    v = _magnitude(counts, cos, sin)
+                    if v >= best_v and (v > best_v or best is None
+                                        or (s, e) < best[:2]):
+                        best_v, best = v, (s, e, phi)
+        if best is None:
+            return None
+        s, e, phi = best
+        return best_v, s, e, tuple(perms[c] for c in phi)
+
+    return windows
+
+
 def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
               mode: str = MODE_EXACT, *, seed: int = 0, samples: int = 1000,
               n_jobs: int = 1) -> MeasureResult:
@@ -639,76 +645,46 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     all admissible (window, shifts, rows) choices.
 
     Products of roots reduce to index sums mod k, accumulated as exact
-    integer counts; only the final magnitude uses floating point, which
-    is exact for k <= 2 (the value is then an integer and equals the
-    binary product correlation).
+    integer counts; only the final magnitude uses floating point.  For
+    k <= 2 every root is +/-1, the value is an integer, and exact mode
+    runs the phi search.  For k >= 3 exact mode runs the lag-prefix
+    engine over every window and relabeling.
     """
     _require_order(ell)
-    n, f, k = fam.length, fam.size, fam.k
-    ids = _content_ids(fam)
+    n, k = fam.length, fam.k
     perms = list(permutations(range(k)))
     nperm = len(perms)
     cos, sin = _root_tables(k)
     exact_mag = k <= 2
     err = 0.0 if exact_mag else ell * n * 2.0**-50
+    what = f"order-{ell} root-relabeling correlation"
 
-    def window_values(slices, phi):
-        """Yield (value, M) per window length for one relabeling."""
-        if exact_mag:
-            acc = 0
-            for m, syms in enumerate(zip(*slices), start=1):
-                idx = 0
-                for j, s in enumerate(syms):
-                    idx += phi[j][s]
-                acc += 1 if idx % k == 0 else -1
-                yield (acc if acc >= 0 else -acc), m
-        else:
-            counts = [0] * k
-            for m, syms in enumerate(zip(*slices), start=1):
-                idx = 0
-                for j, s in enumerate(syms):
-                    idx += phi[j][s]
-                counts[idx % k] += 1
-                yield _magnitude(counts, cos, sin), m
-
-    if mode == MODE_EXACT and k == 2:
-        # Relabeling {0, 1} only flips the sign of every term, so the value
-        # is phi's and the identity, the lex-smallest map, is the witness.
-        best = _phi_search(fam, ell, budget, n_jobs,
-                           f"order-{ell} root-relabeling correlation")
+    if mode == MODE_EXACT and exact_mag:
+        # Relabeling {0, 1} only flips the sign of every term (for k = 1
+        # every term is 1), so the value is phi's and the identity, the
+        # lex-smallest map, is the witness.
+        pm = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
+        best = _phi_search(fam, pm, ell, budget, what)
         if best.key is not None:
-            best.key = best.key[:3] + (((0, 1),) * ell,)
+            best.key = best.key[:3] + ((tuple(range(k)),) * ell,)
     elif mode == MODE_EXACT:
-        shift_tuples = _shift_tuples(ell, n)
-        _check_budget(len(shift_tuples) * f**ell * n * nperm**ell, budget,
-                      f"order-{ell} root-relabeling correlation")
-
-        def scan_chunk(i1: int) -> _Best:
-            local = _Best()
-            for rest in product(range(f), repeat=ell - 1):
-                I = (i1,) + rest
-                sel = [fam.rows[i] for i in I]
-                for D in shift_tuples:
-                    if not _admissible(ids, I, D):
-                        continue
-                    mmax = n - D[-1]
-                    slices = [sel[j][D[j]:D[j] + mmax] for j in range(ell)]
-                    for phi in product(perms, repeat=ell):
-                        for val, m in window_values(slices, phi):
-                            local.offer(val, (I, D, m, phi))
-            return local
-
-        best = _run_chunks(scan_chunk, range(f), n_jobs)
+        _check_budget(_lag_estimate(fam, ell, False, windows=True)
+                      * nperm**ell, budget, what)
+        best = _lag_search(fam, [fam.rows] * ell, ell, False,
+                           _root_windows(k, ell))
     elif mode == MODE_SAMPLED:
-        _check_budget(samples * n, budget,
-                      f"sampled order-{ell} root-relabeling correlation")
+        _check_budget(samples * n, budget, f"sampled {what}")
         rng = random.Random(seed)
         best = _Best()
         for I, D, mmax in _sampled_draws(fam, ell, rng, samples):
             phi = tuple(perms[rng.randrange(nperm)] for _ in range(ell))
-            slices = [fam.rows[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-            for val, m in window_values(slices, phi):
-                best.offer(val, (I, D, m, phi))
+            cols = [[phi[j][x] for x in fam.rows[I[j]][D[j]:D[j] + mmax]]
+                    for j in range(ell)]
+            counts = [0] * k
+            for m, c in enumerate(_combine(add, cols), 1):
+                counts[c % k] += 1
+                best.offer(abs(2 * counts[0] - m) if exact_mag
+                           else _magnitude(counts, cos, sin), (I, D, m, phi))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -386,11 +387,12 @@ def _estimate(measure, fam, ell):
     return 0  # nothing to search: the zero budget was enough
 
 
-def _lag_work(fam, ell, circ):
+def _lag_work(fam, ell, circ, windows=False):
     """Sequence steps of the lag search, by literal enumeration: every
     lag tuple T, every canonical admissible row tuple I (rows strictly
     increasing inside a block of tied lags, equal contents only on
-    distinct lags), L = N - T[-1] steps each."""
+    distinct lags), L = N - T[-1] steps each, or L(L+1)/2 when every
+    window is walked."""
     n, f = fam.length, fam.size
     lags = ([(0,) * ell] if circ else
             [(0,) + r
@@ -402,7 +404,8 @@ def _lag_work(fam, ell, circ):
                     if T[a] == T[b]]
             if all(I[a] < I[b] and fam.rows[I[a]] != fam.rows[I[b]]
                    for a, b in tied):
-                work += n - T[-1]
+                size = n - T[-1]
+                work += size * (size + 1) // 2 if windows else size
     return work
 
 
@@ -422,6 +425,10 @@ def test_lag_estimates_bound_literal_work():
                 assert walk <= _estimate(cross_correlation, fam, ell)
                 assert circ <= _estimate(cross_correlation_circ, fam, ell)
                 assert walk <= _estimate(big_gamma, fam, ell)
+            else:
+                pairs = _lag_work(fam, ell, circ=False, windows=True)
+                assert (pairs * math.factorial(fam.k)**ell
+                        <= _estimate(big_gamma, fam, ell))
 
 
 def test_dual_f1_17_5_order4_fits_default_budget():
