@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .construct import Family, dual_tag
 from .errors import ParameterError
-from .ff import legendre
+from .ff import _check_odd_prime, legendre
 from .measures import MeasureResult
 from .poly import Poly, count_trace_zero_irreducibles, mobius, poly_gcd
 
@@ -126,19 +126,28 @@ def fc_lower_bound_from_dual(family_size: int, max_corr: Number,
     return max(t - 1, 0)
 
 
+def _check_scale(c: float) -> None:
+    # NaN fails every comparison, so it is refused along with inf
+    if not 0 <= c < math.inf:
+        raise ParameterError(
+            f"the envelope constant c must be finite and >= 0, got {c}")
+
+
 def phi_envelope(p: int, d: int, ell: int, c: float = 10.0) -> float:
     """Upper envelope c * d * ell * sqrt(p) * ln(p) for the order-ell
     correlation of the polynomial residue-symbol families."""
-    if p < 3 or d < 1 or ell < 1 or c < 0:
-        raise ParameterError("need p >= 3, d >= 1, ell >= 1, c >= 0")
+    _check_scale(c)
+    if p < 3 or d < 1 or ell < 1:
+        raise ParameterError("need p >= 3, d >= 1, ell >= 1")
     return c * d * ell * math.sqrt(p) * math.log(p)
 
 
 def gamma_envelope(p: int, ell: int, c: float = 10.0) -> float:
     """Upper envelope c * ell * sqrt(p) * ln(p) for the order-ell
     pattern deviation of the k-symbol family."""
-    if p < 3 or c < 0:
-        raise ParameterError("need p >= 3 and c >= 0")
+    _check_scale(c)
+    if p < 3:
+        raise ParameterError("need p >= 3")
     if ell < 1:
         return 0.0
     return c * ell * math.sqrt(p) * math.log(p)
@@ -148,8 +157,9 @@ def dual_gamma_circ_envelope(p: int, d: int, ell: int,
                              c: float = 10.0) -> float:
     """Upper envelope c * ((ell*p - 1) * p^(d/2) + p) / (d*p) for the
     zero-shift pattern deviation of the k-symbol family's dual."""
-    if p < 3 or d < 1 or ell < 1 or c < 0:
-        raise ParameterError("need p >= 3, d >= 1, ell >= 1, c >= 0")
+    _check_scale(c)
+    if p < 3 or d < 1 or ell < 1:
+        raise ParameterError("need p >= 3, d >= 1, ell >= 1")
     return c * ((ell * p - 1) * p ** (d / 2) + p) / (d * p)
 
 
@@ -184,6 +194,7 @@ def weil_check(h: Poly, p: int) -> BoundReport:
     """Complete residue-symbol sum of a square-free polynomial checked
     against (deg h - 1) * sqrt(p); the comparison is exact (squared
     integer inequality), the report shows the float envelope."""
+    _check_odd_prime(p)
     if h.degree < 1:
         raise ParameterError("need a nonconstant polynomial")
     if h.p != p:
@@ -227,8 +238,10 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     the product correlation; k >= 3: the pattern deviation) for
     i = 1 .. floor(log_2 F) (resp. log_k).  Additionally supplied
     correlation measures of the family itself produce envelope reports.
-    Raises ``ParameterError`` listing anything missing.
+    Raises ``ParameterError`` listing anything missing, or for a
+    negative or non-finite ``c``.
     """
+    _check_scale(c)
     tag = fam.construction
     dtag = dual_tag(tag)
     p, d, k, f_size, n_len = fam.p, fam.d, fam.k, fam.size, fam.length

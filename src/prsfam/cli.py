@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from . import __version__
-from .bounds import BoundReport, KIND_EXACT, verify_family, weil_check
+from .bounds import (BoundReport, KIND_EXACT, _check_scale, verify_family,
+                     weil_check)
 from .construct import (
     Family,
     dual,
@@ -331,6 +332,7 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
 
 def _cmd_verify(args) -> int:
     fam = read_family(args.in_path)
+    _check_scale(args.c)  # before the measures, which may take long
     measures = compute_verify_measures(fam, max_order=args.max_order,
                                        budget=args.budget, n_jobs=args.jobs)
     reports = verify_family(fam, measures, c=args.c)

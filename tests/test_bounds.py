@@ -96,7 +96,25 @@ def test_dual_gamma_circ_envelope_shape():
         pytest.approx(((2 * 5 - 1) * 5**1.5 + 5) / 15)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+def test_envelopes_reject_bad_constant(c):
+    for envelope in (lambda: phi_envelope(11, 5, 2, c),
+                     lambda: gamma_envelope(13, 2, c),
+                     lambda: dual_gamma_circ_envelope(5, 3, 2, c)):
+        with pytest.raises(ParameterError, match="envelope constant"):
+            envelope()
+    fam = family_f2(5, 3)
+    with pytest.raises(ParameterError, match="envelope constant"):
+        verify_family(fam, [f_complexity(fam)], c=c)
+
+
 # --- complete character sums -------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [4, 6, 15])
+def test_weil_rejects_composite_modulus(p):
+    with pytest.raises(ParameterError, match="odd prime"):
+        weil_check(Poly((1, 0, 1), p), p)
 
 
 def test_weil_hand_case():

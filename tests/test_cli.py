@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +153,29 @@ def test_weil_subcommand(capsys):
     assert rec["value"] == "1" and rec["satisfied"] is True
     # non-square-free rejected
     assert run(["weil", "--poly", "1,2,1", "--p", "5"]) == EXIT_PARAM
+
+
+@pytest.mark.parametrize("p", ["4", "6", "15"])
+def test_weil_composite_modulus_exits_cleanly(p):
+    # in a subprocess, so a hang fails on the timeout instead of stalling
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prsfam.cli", "weil", "--poly", "1,0,1",
+         "--p", p], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PARAM
+    assert "odd prime" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_envelope_constant(tmp_path, capsys, c):
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
+    assert run(["verify", "--in", src, "--c", c]) == EXIT_PARAM
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "envelope constant" in out.err
 
 
 def test_unknown_flags_exit_2(capsys):
