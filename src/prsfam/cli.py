@@ -7,9 +7,9 @@ residue-symbol sum check for one polynomial).
 
 Exit codes: 0 success, 2 parameter/parse errors, 3 budget errors,
 4 when ``verify`` finds a violated exact inequality.  Output is
-deterministic for fixed inputs, including across ``--jobs`` settings;
-exact rationals are serialized as "num/den" strings so nothing passes
-through floating point.
+deterministic for fixed inputs; ``--jobs`` is accepted and changes
+nothing, since every search is serial.  Exact rationals are serialized
+as "num/den" strings so nothing passes through floating point.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--samples", type=int, default=1000)
     meas.add_argument("--seed", type=int, default=0)
     meas.add_argument("--budget", type=int, default=None)
-    meas.add_argument("--jobs", type=int, default=1)
+    meas.add_argument("--jobs", type=int, default=1,
+                      help="accepted and ignored: searches are serial")
     meas.add_argument("--format", choices=["json", "csv", "text"],
                       default="json")
     meas.add_argument("--out", default=None)
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-order", type=int, default=2,
                      help="envelope correlation orders to compute (default 2)")
     ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=int, default=1,
+                     help="accepted and ignored: searches are serial")
     ver.add_argument("--format", choices=["json", "csv", "text"],
                      default="json")
     ver.add_argument("--out", default=None)
@@ -273,10 +275,7 @@ def _cmd_measure(args) -> int:
     if name in ("phi", "gamma", "biggamma"):
         kwargs.update(mode=MODE_SAMPLED if args.mode == "sampled"
                       else MODE_EXACT,
-                      seed=args.seed, samples=args.samples,
-                      n_jobs=args.jobs)
-    elif name in ("phi0", "gamma0"):
-        kwargs["n_jobs"] = args.jobs
+                      seed=args.seed, samples=args.samples)
     sink, close = _open_sink(args.out)
     try:
         if name == "fc":
@@ -301,8 +300,7 @@ def _cmd_measure(args) -> int:
 
 
 def compute_verify_measures(fam: Family, max_order: int = 2,
-                            budget: int | None = None,
-                            n_jobs: int = 1) -> list[MeasureResult]:
+                            budget: int | None = None) -> list[MeasureResult]:
     """The measure set ``verify`` feeds to ``verify_family``: covering
     complexity, the dual correlations the lower bound needs, and
     order-1..max_order correlations of the family for the envelopes."""
@@ -315,18 +313,15 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
     imax = max(imax, 1) if fam.size >= 2 else 0
     for i in range(1, imax + 1):
         if fam.k == 2:
-            measures.append(cross_correlation(dl, i, budget=budget,
-                                              n_jobs=n_jobs))
+            measures.append(cross_correlation(dl, i, budget=budget))
         else:
-            measures.append(gamma(dl, i, budget=budget, n_jobs=n_jobs))
+            measures.append(gamma(dl, i, budget=budget))
     for ell in range(1, max_order + 1):
         if fam.k == 2:
-            measures.append(cross_correlation(fam, ell, budget=budget,
-                                              n_jobs=n_jobs))
+            measures.append(cross_correlation(fam, ell, budget=budget))
         else:
-            measures.append(gamma(fam, ell, budget=budget, n_jobs=n_jobs))
-            measures.append(gamma_circ(dl, ell, budget=budget,
-                                       n_jobs=n_jobs))
+            measures.append(gamma(fam, ell, budget=budget))
+            measures.append(gamma_circ(dl, ell, budget=budget))
     return measures
 
 
@@ -334,7 +329,7 @@ def _cmd_verify(args) -> int:
     fam = read_family(args.in_path)
     _check_scale(args.c)  # before the measures, which may take long
     measures = compute_verify_measures(fam, max_order=args.max_order,
-                                       budget=args.budget, n_jobs=args.jobs)
+                                       budget=args.budget)
     reports = verify_family(fam, measures, c=args.c)
     sink, close = _open_sink(args.out)
     try:
