@@ -160,7 +160,6 @@ class _Best:
             self.key = key
 
 
-
 def _content_ids(fam: Family) -> list[int]:
     ids: dict[tuple[int, ...], int] = {}
     out = []
@@ -654,7 +653,6 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     n, k = fam.length, fam.k
     perms = list(permutations(range(k)))
     nperm = len(perms)
-    cos, sin = _root_tables(k)
     exact_mag = k <= 2
     err = 0.0 if exact_mag else ell * n * 2.0**-50
     what = f"order-{ell} root-relabeling correlation"
@@ -674,13 +672,14 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
                            _root_windows(k, ell))
     elif mode == MODE_SAMPLED:
         _check_budget(samples * n, budget, f"sampled {what}")
+        cos, sin = _root_tables(k)
         rng = random.Random(seed)
         best = _Best()
         for I, D, mmax in _sampled_draws(fam, ell, rng, samples):
             phi = tuple(perms[rng.randrange(nperm)] for _ in range(ell))
             cols = [[phi[j][x] for x in fam.rows[I[j]][D[j]:D[j] + mmax]]
                     for j in range(ell)]
-            counts = [0] * k
+            counts = [0] * k  # for k <= 2 the value is |2 c_0 - M|
             for m, c in enumerate(_combine(add, cols), 1):
                 counts[c % k] += 1
                 best.offer(abs(2 * counts[0] - m) if exact_mag
