@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .construct import Family, dual_tag
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 from .ff import _check_odd_prime, legendre
-from .measures import MeasureResult
+from .measures import DEFAULT_BUDGET, MeasureResult
 from .poly import Poly, count_trace_zero_irreducibles, mobius, poly_gcd
 
 __all__ = [
@@ -193,8 +193,14 @@ def fc_envelope_ksym(p: int, d: int) -> float:
 def weil_check(h: Poly, p: int) -> BoundReport:
     """Complete residue-symbol sum of a square-free polynomial checked
     against (deg h - 1) * sqrt(p); the comparison is exact (squared
-    integer inequality), the report shows the float envelope."""
+    integer inequality), the report shows the float envelope.  The sum
+    takes p steps and is refused with a ``BudgetError`` when p exceeds
+    ``DEFAULT_BUDGET``."""
     _check_odd_prime(p)
+    if p > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"the complete sum needs {p} steps, budget is {DEFAULT_BUDGET}",
+            estimate=p, budget=DEFAULT_BUDGET)
     if h.degree < 1:
         raise ParameterError("need a nonconstant polynomial")
     if h.p != p:

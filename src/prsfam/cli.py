@@ -304,6 +304,8 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
     """The measure set ``verify`` feeds to ``verify_family``: covering
     complexity, the dual correlations the lower bound needs, and
     order-1..max_order correlations of the family for the envelopes."""
+    if max_order < 0:
+        raise ParameterError(f"max order must be >= 0, got {max_order}")
     dl = dual(fam)
     measures = [f_complexity(fam, budget=budget)]
     imax = 0

@@ -42,24 +42,44 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality for every
+# n below this limit (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale inputs).
+    """Deterministic primality check: Miller-Rabin with the prime bases
+    2..41, proven for n below 3,317,044,064,679,887,385,961,981.  Larger
+    n are refused with a ``ParameterError`` rather than answered
+    probabilistically.
 
     Cached: ``legendre`` and ``char_k`` validate their modulus on every
     call, and a build or character sum calls them with one p throughout.
     """
+    if n >= _MR_LIMIT:
+        raise ParameterError(
+            f"primality is only decided below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -28,15 +28,27 @@ a block I strictly increases with distinct row contents: the
 lex-smallest tuple of each class that permuting a block leaves equal.
 The search is serial; ``n_jobs`` is accepted and ignored.
 
+Largest window first.  Every window value of a length-L sequence has an
+a-priori cap: L for phi, L * max(k^ell - 1, 1) for the scaled gamma
+|k^ell * C - M|, and L + 1 for a k >= 3 big_gamma magnitude (at most
+M, plus room for its float error).  The search visits T by increasing
+T[-1], so L never increases, and stops at the first T whose cap is
+strictly below the best value found.  No skipped T can reach that
+value, every T that could tie it is still visited, and ties are decided
+by key, not by visit order, so values and witnesses are exactly those
+of the full search.
+
 Ties go to the lexicographically smallest (I, D, M, pattern or
 relabeling) witness (inside one (I, T): smallest s, then e, then W).
 Witnesses use 1-based row indices and positions.
 
 Every exact search precomputes a loop-count estimate and refuses with a
-``BudgetError`` rather than running unbounded.  It is the exact step
-count, the sum over T of (canonical I count) * L, times k^ell for gamma;
-for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 * (k!)^ell.
-``_lag_estimate`` gives its closed form.
+``BudgetError`` rather than running unbounded.  It counts the steps of
+the full search, the sum over T of (canonical I count) * L, times k^ell
+for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
+(k!)^ell.  ``_lag_estimate`` gives its closed form.  The stop above
+only removes steps, so the estimate is an upper bound on the steps
+taken, usually a loose one.
 """
 
 from __future__ import annotations
@@ -192,6 +204,12 @@ def _require_order(ell: int) -> None:
         raise ParameterError(f"order must be an integer >= 1, got {ell}")
 
 
+def _require_samples(samples: int) -> None:
+    if not isinstance(samples, int) or samples < 1:
+        raise ParameterError(
+            f"sample count must be an integer >= 1, got {samples}")
+
+
 def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
     """The sampled modes' seeded draws: (I, D, L) for each admissible
     draw, the window starting at D[0].  Lazy, so a caller may draw more
@@ -314,24 +332,35 @@ def _lag_estimate(fam: Family, ell: int, circ: bool,
     return total
 
 
-def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel) -> _Best:
+def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
+                cap) -> _Best:
     """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
 
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
     kernel gets the shifted rows of one (I, T), L and the best value so
     far, and returns None below that value, else (value, s, e, extra)
     for its best window [s, e): the key (I, s + T, e - s, extra).
+
+    ``cap(L)`` bounds every window value of a length-L sequence.  The
+    lag tuples are visited by increasing T[-1], so L never increases,
+    and the search stops at the first T with cap(L) < best value: no
+    later T can reach that value, let alone beat it.  The stop is
+    strict, so every tie is still offered to ``_Best``, which keeps the
+    lex-smallest key whatever the visit order; values and witnesses are
+    those of the full search.
     """
     n = fam.length
-    plans = _lag_plans(ell, n, circ)
+    plans = sorted(_lag_plans(ell, n, circ), key=lambda plan: plan[0][-1])
     blocks = _canonical_blocks(_content_ids(fam),
                                {b for _, sizes in plans for b in sizes})
     shifted = [{t: [row[t:] for row in rows_at[j]]
                 for t in {T[j] for T, _ in plans}} for j in range(ell)]
     best = _Best()
     for T, sizes in plans:
-        cols = [shifted[j][t] for j, t in enumerate(T)]
         size = n - T[-1]
+        if best.value is not None and cap(size) < best.value:
+            break
+        cols = [shifted[j][t] for j, t in enumerate(T)]
         for parts in product(*(blocks[b] for b in sizes)):
             I = tuple(chain.from_iterable(parts))
             found = kernel([cols[j][i] for j, i in enumerate(I)], size,
@@ -373,7 +402,7 @@ def _phi_search(fam: Family, pm, ell: int, budget: Optional[int], what: str,
                 circ: bool = False) -> _Best:
     _check_budget(_lag_estimate(fam, ell, circ), budget, what)
     return _lag_search(fam, [pm] * ell, ell, circ,
-                       _phi_full if circ else _phi_windows)
+                       _phi_full if circ else _phi_windows, lambda L: L)
 
 
 def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -390,6 +419,7 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
         best = _phi_search(fam, fam.pm_rows(), ell, budget,
                            f"order-{ell} correlation")
     elif mode == MODE_SAMPLED:
+        _require_samples(samples)
         pm = fam.pm_rows()
         _check_budget(samples * fam.length, budget,
                       f"sampled order-{ell} correlation")
@@ -523,7 +553,10 @@ def _gamma_search(fam: Family, ell: int, budget: Optional[int], what: str,
     rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
                for j in range(ell)]
     windows, full = _gamma_kernels(k, ell)
-    return _lag_search(fam, rows_at, ell, circ, full if circ else windows)
+    # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
+    scale = max(k**ell - 1, 1)
+    return _lag_search(fam, rows_at, ell, circ, full if circ else windows,
+                       lambda L: L * scale)
 
 
 def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -539,6 +572,7 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
         best = _gamma_search(fam, ell, budget,
                              f"order-{ell} pattern deviation")
     elif mode == MODE_SAMPLED:
+        _require_samples(samples)
         all_patterns = list(product(range(fam.k), repeat=ell))
         _check_budget(samples * fam.length * kl, budget,
                       f"sampled order-{ell} pattern deviation")
@@ -668,9 +702,11 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     elif mode == MODE_EXACT:
         _check_budget(_lag_estimate(fam, ell, False, windows=True)
                       * nperm**ell, budget, what)
+        # a magnitude is at most M <= L; the + 1 covers its float error
         best = _lag_search(fam, [fam.rows] * ell, ell, False,
-                           _root_windows(k, ell))
+                           _root_windows(k, ell), lambda L: L + 1)
     elif mode == MODE_SAMPLED:
+        _require_samples(samples)
         _check_budget(samples * n, budget, f"sampled {what}")
         cos, sin = _root_tables(k)
         rng = random.Random(seed)

@@ -17,7 +17,7 @@ from prsfam.cli import (
     main,
 )
 from prsfam.construct import read_family
-from prsfam.errors import ParameterError
+from prsfam.errors import BudgetError, ParameterError
 from prsfam.measures import cross_correlation, gamma
 from prsfam.construct import family_f2, family_k_symbol
 from prsfam.poly import Poly
@@ -155,17 +155,64 @@ def test_weil_subcommand(capsys):
     assert run(["weil", "--poly", "1,2,1", "--p", "5"]) == EXIT_PARAM
 
 
-@pytest.mark.parametrize("p", ["4", "6", "15"])
-def test_weil_composite_modulus_exits_cleanly(p):
+def _cli_subprocess(args):
     # in a subprocess, so a hang fails on the timeout instead of stalling
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "prsfam.cli", "weil", "--poly", "1,0,1",
-         "--p", p], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "prsfam.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("p", ["4", "6", "15"])
+def test_weil_composite_modulus_exits_cleanly(p):
+    proc = _cli_subprocess(["weil", "--poly", "1,0,1", "--p", p])
     assert proc.returncode == EXIT_PARAM
     assert "odd prime" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["weil", "--poly", "1,1", "--p", "1000000000000000003"],
+    ["gen", "--construction", "f2", "--p", "1000000000000000003",
+     "--d", "2", "--out", "{out}"],
+])
+def test_huge_prime_is_refused_by_budget(tmp_path, args):
+    proc = _cli_subprocess([a.format(out=tmp_path / "x.fam") for a in args])
+    assert proc.returncode == EXIT_BUDGET
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.fam").exists()
+
+
+def test_weil_check_budget_names_estimate():
+    p = 1000000000000000003
+    with pytest.raises(BudgetError) as exc:
+        weil_check(Poly([1, 1], p), p)
+    assert exc.value.estimate == p
+
+
+@pytest.mark.parametrize("measure", ["phi", "gamma", "biggamma"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_measure_rejects_empty_sample_count(tmp_path, capsys, measure,
+                                            samples):
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
+    assert run(["measure", "--in", src, "--measure", measure, "--mode",
+                "sampled", "--samples", samples]) == EXIT_PARAM
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "sample count" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_verify_rejects_negative_max_order(tmp_path, capsys):
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
+    assert run(["verify", "--in", src, "--max-order", "-1"]) == EXIT_PARAM
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "max order" in out.err
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-1"])

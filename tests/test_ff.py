@@ -26,6 +26,36 @@ def test_is_prime():
     assert not is_prime(91)  # 7 * 13
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == _trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [
+    2047,                        # strong pseudoprime to base 2
+    3215031751,                  # to bases 2, 3, 5, 7
+    3825123056546413051,         # to bases 2..23
+    318665857834031151167461,    # to bases 2..37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_inputs():
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1_000_000_007 * 998_244_353)
+    # Past the proven range of the fixed bases nothing is decided.
+    with pytest.raises(ParameterError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+    with pytest.raises(ParameterError):
+        legendre(2, 2**89 - 1)
+
+
 # --- residue symbol ---------------------------------------------------------
 
 

@@ -436,3 +436,24 @@ def test_dual_f1_17_5_order4_fits_default_budget():
     from prsfam.measures import DEFAULT_BUDGET
     est = _estimate(cross_correlation, dual(family_f1(17, 5)), 4)
     assert 0 < est <= DEFAULT_BUDGET
+
+
+def test_lag_search_stops_on_value_cap(monkeypatch):
+    # dual f1(13,5) at order 3: the full search calls the phi kernel
+    # 112,684 times; largest window first, almost every lag tuple has a
+    # window shorter than the value already found.
+    from prsfam import measures
+    from prsfam.construct import dual
+    real = measures._phi_windows
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_phi_windows", counted)
+    r = cross_correlation(dual(family_f1(13, 5)), 3)
+    assert len(calls) < 5000
+    assert r.value == 12
+    assert r.witness == CorrelationSpec(ell=3, window=12, shifts=(0, 0, 0),
+                                        rows=(1, 3, 9))

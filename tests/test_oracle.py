@@ -1,12 +1,17 @@
 """Differential tests: exact measures against the literal-definition
-oracle in ``oracle.py``, value and witness, at one and two jobs."""
+oracle in ``oracle.py``, value and witness, at one and two jobs and
+under a reversed or shuffled lag-tuple order."""
 
+import random
 from math import comb, factorial
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from _util import random_family
+from prsfam import measures
 from prsfam.construct import Family
 from prsfam.measures import (
     MODE_EXACT,
@@ -163,3 +168,54 @@ def test_big_gamma_matches_oracle(case):
     fam, ell = case
     v, key = oracle.big_gamma(fam, ell)
     _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))
+
+
+_EDGE_TERNARY = [
+    (Family(p=3, d=1, k=3, rows=((2,),)), 1),                 # F = N = 1
+    (Family(p=3, d=1, k=3, rows=((1, 1, 1, 1),)), 2),         # F = 1
+    (Family(p=3, d=1, k=3, rows=((0, 0, 0), (2, 1, 0))), 2),  # constant row
+    (Family(p=3, d=1, k=3, rows=((0, 2, 1), (0, 2, 1))), 2),  # duplicates
+    (Family(p=3, d=1, k=3, rows=((1,), (2,), (1,))), 2),      # N = 1
+]
+
+
+def _drawn(k, max_ell, max_n, seed):
+    rng = random.Random(seed)
+    return [(random_family(rng, max_f=3, max_n=max_n, k=k, min_n=1),
+             rng.randint(1, max_ell)) for _ in range(4)]
+
+
+_BINARY_CASES = _EDGE_BINARY + _drawn(2, 3, 6, 11)
+_TERNARY_CASES = _EDGE_TERNARY + _drawn(3, 2, 4, 12)
+
+_PLAN_ORDERS = {
+    "reversed": lambda plans: plans[::-1],
+    "shuffled": lambda plans: random.Random(3).sample(plans, len(plans)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_PLAN_ORDERS))
+def test_plan_order_does_not_change_results(monkeypatch, order):
+    # The search sorts its lag tuples itself and stops on the value cap;
+    # whatever order _lag_plans returns, value and witness stay the oracle's.
+    real = measures._lag_plans
+    monkeypatch.setattr(measures, "_lag_plans",
+                        lambda *a: _PLAN_ORDERS[order](real(*a)))
+    runs = [
+        (cross_correlation, lambda f, l: oracle.phi(f, l), {},
+         _BINARY_CASES),
+        (cross_correlation_circ, lambda f, l: oracle.phi(f, l, circ=True),
+         {"circ": True}, _BINARY_CASES),
+        (gamma, lambda f, l: oracle.gamma(f, l), {"field": "pattern"},
+         _BINARY_CASES + _TERNARY_CASES),
+        (gamma_circ, lambda f, l: oracle.gamma(f, l, circ=True),
+         {"circ": True, "field": "pattern"}, _BINARY_CASES + _TERNARY_CASES),
+        (big_gamma, oracle.big_gamma_binary, {"field": "root_maps"},
+         _BINARY_CASES),
+        (big_gamma, oracle.big_gamma, {"field": "root_maps"},
+         _TERNARY_CASES),
+    ]
+    for measure, ref, spec, families in runs:
+        for fam, ell in families:
+            v, key = ref(fam, ell)
+            _check(measure, fam, ell, v, _spec(fam, ell, key, **spec))
