@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-# Miller-Rabin with the prime bases up to 41 decides primality for every
-# n below this limit (Sorenson and Webster, 2015).
+# These bases make Miller-Rabin exact below the limit (Sorenson and
+# Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 

@@ -202,11 +202,10 @@ def test_plan_order_does_not_change_results(monkeypatch, order):
     monkeypatch.setattr(measures, "_lag_plans",
                         lambda *a: _PLAN_ORDERS[order](real(*a)))
     runs = [
-        (cross_correlation, lambda f, l: oracle.phi(f, l), {},
-         _BINARY_CASES),
+        (cross_correlation, oracle.phi, {}, _BINARY_CASES),
         (cross_correlation_circ, lambda f, l: oracle.phi(f, l, circ=True),
          {"circ": True}, _BINARY_CASES),
-        (gamma, lambda f, l: oracle.gamma(f, l), {"field": "pattern"},
+        (gamma, oracle.gamma, {"field": "pattern"},
          _BINARY_CASES + _TERNARY_CASES),
         (gamma_circ, lambda f, l: oracle.gamma(f, l, circ=True),
          {"circ": True, "field": "pattern"}, _BINARY_CASES + _TERNARY_CASES),
