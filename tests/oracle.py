@@ -10,7 +10,9 @@ families of a few short rows.
 
 Every measure function returns ``(value, key)`` where ``key`` is
 ``None`` for an empty admissible space and otherwise the 0-based
-(I, D, M[, W]) tuple.
+(I, D, M[, W]) tuple.  ``sampled`` does the same for the sampled modes:
+it replays their seeded draws and evaluates every window of each drawn
+(I, D) from the definition.
 
 The kernel references at the end use no precomputed map: irreducibility
 is trial division by every monic candidate divisor, and conjugates are
@@ -19,6 +21,7 @@ literal p-th powers.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -56,17 +59,43 @@ def _best(candidates):
     return best_v, best_k
 
 
+def _phi_window(fam, I, D, m):
+    total = 0
+    for t in range(m):
+        term = 1
+        for j in range(len(I)):
+            term *= 1 - 2 * fam.rows[I[j]][t + D[j]]
+        total += term
+    return abs(total)
+
+
+def _gamma_window(fam, I, D, m, w):
+    ell = len(I)
+    count = sum(1 for t in range(m)
+                if all(fam.rows[I[j]][t + D[j]] == w[j] for j in range(ell)))
+    return abs(Fraction(count) - Fraction(m, fam.k**ell))
+
+
+def _root_window(fam, I, D, m, phi_):
+    """The window's root-sum magnitude from a count vector built afresh:
+    the integer |c_0 - c_1| for k <= 2, else through
+    ``measures._magnitude``, so that float values and their ties compare
+    exactly as in the search."""
+    k = fam.k
+    counts = [0] * k
+    for t in range(m):
+        idx = sum(phi_[j][fam.rows[I[j]][t + D[j]]] for j in range(len(I)))
+        counts[idx % k] += 1
+    if k <= 2:
+        return abs(counts[0] - (counts[1] if k == 2 else 0))
+    return _magnitude(counts, *_root_tables(k))
+
+
 def phi(fam, ell, circ=False):
     """max |sum_{t<M} prod_j e(x_{I_j}[t + D_j])| with e(0)=1, e(1)=-1."""
     def values():
         for I, D, m in _choices(fam, ell, circ):
-            total = 0
-            for t in range(m):
-                term = 1
-                for j in range(ell):
-                    term *= 1 - 2 * fam.rows[I[j]][t + D[j]]
-                total += term
-            yield abs(total), (I, D, m)
+            yield _phi_window(fam, I, D, m), (I, D, m)
 
     v, key = _best(values())
     return (0, None) if v is None else (v, key)
@@ -79,10 +108,7 @@ def gamma(fam, ell, circ=False):
     def values():
         for I, D, m in _choices(fam, ell, circ):
             for w in product(range(k), repeat=ell):
-                count = sum(1 for t in range(m)
-                            if all(fam.rows[I[j]][t + D[j]] == w[j]
-                                   for j in range(ell)))
-                yield abs(Fraction(count) - Fraction(m, k**ell)), (I, D, m, w)
+                yield _gamma_window(fam, I, D, m, w), (I, D, m, w)
 
     v, key = _best(values())
     return (Fraction(0), None) if v is None else (v, key)
@@ -109,31 +135,57 @@ def big_gamma_binary(fam, ell):
 
 def big_gamma(fam, ell):
     """max |sum_{t<M} zeta_k^(sum_j phi_j(x_{I_j}[t + D_j]))| over every
-    relabeling phi_j of {0..k-1}.  Each window's count vector is built
-    afresh; for k <= 2 its magnitude is the integer |c_0 - c_1|, else
-    it goes through ``measures._magnitude``, so that float values and
-    their ties compare exactly as in the search."""
-    k = fam.k
-    maps = list(permutations(range(k)))
-    cos, sin = _root_tables(k)
+    relabeling phi_j of {0..k-1}, each window's magnitude taken by
+    ``_root_window``."""
+    maps = list(permutations(range(fam.k)))
 
     def values():
         for I, D, m in _choices(fam, ell, False):
             for phi_ in product(maps, repeat=ell):
-                counts = [0] * k
-                for t in range(m):
-                    idx = sum(phi_[j][fam.rows[I[j]][t + D[j]]]
-                              for j in range(ell))
-                    counts[idx % k] += 1
-                if k <= 2:
-                    value = abs(counts[0] - (counts[1] if k == 2 else 0))
-                else:
-                    value = _magnitude(counts, cos, sin)
-                yield value, (I, D, m, phi_)
+                yield _root_window(fam, I, D, m, phi_), (I, D, m, phi_)
 
     v, key = _best(values())
     if v is None:
-        return (0 if k <= 2 else 0.0), None
+        return (0 if fam.k <= 2 else 0.0), None
+    return v, key
+
+
+def sampled(name, fam, ell, seed, samples):
+    """The sampled mode of ``name`` ("phi", "gamma" or "big_gamma").
+
+    Replays the seeded draws of the sampled modes: per sample, I from
+    ell draws in range(F), then D as ell draws in range(N), sorted; for
+    big_gamma, after each admissible (I, D), one relabeling per tuple
+    position.  Every window [D_j, D_j + M) of an admissible draw, every
+    M from 1 to N - D_ell and, for gamma, every pattern is evaluated
+    afresh; the maximum with the smallest (I, D, M[, W]) key wins.
+    """
+    k, n = fam.k, fam.length
+    maps = list(permutations(range(k)))
+    rng = random.Random(seed)
+
+    def values():
+        for _ in range(samples):
+            I = tuple(rng.randrange(fam.size) for _ in range(ell))
+            D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
+            if not _admissible(fam, I, D):
+                continue
+            if name == "big_gamma":
+                phi_ = tuple(maps[rng.randrange(len(maps))]
+                             for _ in range(ell))
+            for m in range(1, n - D[-1] + 1):
+                if name == "phi":
+                    yield _phi_window(fam, I, D, m), (I, D, m)
+                elif name == "gamma":
+                    for w in product(range(k), repeat=ell):
+                        yield _gamma_window(fam, I, D, m, w), (I, D, m, w)
+                else:
+                    yield _root_window(fam, I, D, m, phi_), (I, D, m, phi_)
+
+    v, key = _best(values())
+    if v is None:
+        return {"phi": 0, "gamma": Fraction(0),
+                "big_gamma": 0 if k <= 2 else 0.0}[name], None
     return v, key
 
 

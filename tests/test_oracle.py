@@ -1,6 +1,7 @@
 """Differential tests: exact measures against the literal-definition
 oracle in ``oracle.py``, value and witness, at one and two jobs and
-under a reversed or shuffled lag-tuple order."""
+under a reversed or shuffled lag-tuple order; and the sampled modes
+against the oracle's replay of their draws."""
 
 import random
 from math import comb, factorial
@@ -15,10 +16,12 @@ from prsfam import measures
 from prsfam.construct import Family
 from prsfam.measures import (
     MODE_EXACT,
+    MODE_SAMPLED,
     CorrelationSpec,
     big_gamma,
     cross_correlation,
     cross_correlation_circ,
+    evaluate_witness,
     gamma,
     gamma_circ,
 )
@@ -218,3 +221,68 @@ def test_plan_order_does_not_change_results(monkeypatch, order):
         for fam, ell in families:
             v, key = ref(fam, ell)
             _check(measure, fam, ell, v, _spec(fam, ell, key, **spec))
+
+
+_SAMPLED = {
+    "phi": (cross_correlation, None),
+    "gamma": (gamma, "pattern"),
+    "big_gamma": (big_gamma, "root_maps"),
+}
+
+
+def _check_sampled(name, case, seed, samples):
+    fam, ell = case
+    measure, field = _SAMPLED[name]
+    v, key = oracle.sampled(name, fam, ell, seed, samples)
+    r = measure(fam, ell, mode=MODE_SAMPLED, seed=seed, samples=samples)
+    assert r.mode == MODE_SAMPLED
+    assert r.value == v
+    assert type(r.value) is type(v)
+    assert r.witness == _spec(fam, ell, key, field=field)
+    assert evaluate_witness(fam, r) == r.value
+    assert r.value <= measure(fam, ell).value
+
+
+def _sampled_examples(cases_):
+    def wrap(test):
+        for case in cases_:
+            test = example(case=case, seed=1, samples=30)(test)
+        return test
+    return wrap
+
+
+_sampled_settings = settings(_settings, max_examples=150)
+_seeds = st.integers(0, 2**32 - 1)
+_samples = st.integers(1, 30)
+
+
+@_sampled_settings
+@given(case=cases(binary=True), seed=_seeds, samples=_samples)
+@_sampled_examples(_EDGE_BINARY)
+def test_sampled_phi_matches_oracle(case, seed, samples):
+    _check_sampled("phi", case, seed, samples)
+
+
+@_sampled_settings
+@given(case=cases(binary=False, per_window="patterns", k_min=1),
+       seed=_seeds, samples=_samples)
+@_sampled_examples(_EDGE_BINARY + _EDGE_TERNARY + [
+    (Family(p=3, d=1, k=5, rows=((4, 4, 4),)), 1),
+    (Family(p=3, d=1, k=4, rows=((3, 0, 3), (1, 2, 2), (3, 0, 3))), 2),
+    (Family(p=3, d=1, k=1, rows=((0, 0, 0), (0, 0, 0))), 2),  # k = 1
+])
+def test_sampled_gamma_matches_oracle(case, seed, samples):
+    _check_sampled("gamma", case, seed, samples)
+
+
+@_sampled_settings
+@given(case=cases(binary=False, per_window="relabelings", k_min=1),
+       seed=_seeds, samples=_samples)
+@_sampled_examples(_EDGE_BINARY + _EDGE_TERNARY + [
+    (Family(p=3, d=1, k=1, rows=((0, 0, 0),)), 1),            # k = 1
+    (Family(p=3, d=1, k=4, rows=((3, 3, 3, 3),)), 2),         # constant row
+    (Family(p=3, d=1, k=5, rows=((4, 0), (4, 4), (1, 3))), 1),
+    (Family(p=3, d=1, k=4, rows=((0, 3, 1), (2, 2, 0))), 2),
+])
+def test_sampled_big_gamma_matches_oracle(case, seed, samples):
+    _check_sampled("big_gamma", case, seed, samples)
