@@ -38,9 +38,20 @@ value, every T that could tie it is still visited, and ties are decided
 by key, not by visit order, so values and witnesses are exactly those
 of the full search.
 
+Sampled modes.  A seeded draw (I, D) reads only the windows [0, M) of
+its shifted rows: the kernel case with s pinned at 0.
+``_sampled_search`` offers each admissible draw of ``_sampled_draws``
+to a pinned reading of the measure's kernel, which keeps the kernel
+protocol of ``_lag_search``: phi takes max |P[e]| over e >= 1 from its
+prefix array; gamma reads the windows kernel's occurrence statistics at
+s = 0, the larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma
+walks the windows from s = 0 of one relabeling tuple, drawn after each
+admissible draw.
+
 Ties go to the lexicographically smallest (I, D, M, pattern or
-relabeling) witness (inside one (I, T): smallest s, then e, then W).
-Witnesses use 1-based row indices and positions.
+relabeling) witness (inside one (I, T): smallest s, then e, then W;
+inside one draw: smallest e, then W).  Witnesses use 1-based row
+indices and positions.
 
 Every exact search precomputes a loop-count estimate and refuses with a
 ``BudgetError`` rather than running unbounded.  It counts the steps of
@@ -48,7 +59,8 @@ the full search, the sum over T of (canonical I count) * L, times k^ell
 for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
 (k!)^ell.  ``_lag_estimate`` gives its closed form.  The stop above
 only removes steps, so the estimate is an upper bound on the steps
-taken, usually a loose one.
+taken, usually a loose one.  A sampled search estimates samples * N,
+times k^ell for gamma.
 """
 
 from __future__ import annotations
@@ -58,6 +70,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
                        permutations, product)
@@ -142,6 +155,9 @@ class MeasureResult:
     ``witness`` re-evaluates to ``value`` exactly (``evaluate_witness``);
     it is ``None`` when the value comes from an a-priori cap or an empty
     admissible space.  ``mode`` is "exact" or "sampled-lower-bound".
+    The third mode, "verified-lower-bound", labels the certified level
+    that ``measure`` reports when ``f_complexity`` runs out of budget
+    (``BudgetError.verified_lower_bound``); no search returns it.
     ``err_bound`` is the floating-point slack of the reported magnitude
     (zero whenever the value is exact integer/rational arithmetic).
     """
@@ -199,28 +215,34 @@ def _check_budget(estimate: int, budget: Optional[int], what: str) -> None:
             f"budget is {budget}", estimate=estimate, budget=budget)
 
 
-def _require_order(ell: int) -> None:
+def _require(ell: int, mode: str = MODE_EXACT, samples: int = 1) -> None:
     if not isinstance(ell, int) or ell < 1:
         raise ParameterError(f"order must be an integer >= 1, got {ell}")
+    if mode == MODE_SAMPLED:
+        if not isinstance(samples, int) or samples < 1:
+            raise ParameterError(
+                f"sample count must be an integer >= 1, got {samples}")
+    elif mode != MODE_EXACT:
+        raise ParameterError(f"unknown mode {mode!r}")
 
 
-def _require_samples(samples: int) -> None:
-    if not isinstance(samples, int) or samples < 1:
-        raise ParameterError(
-            f"sample count must be an integer >= 1, got {samples}")
-
-
-def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
-    """The sampled modes' seeded draws: (I, D, L) for each admissible
-    draw, the window starting at D[0].  Lazy, so a caller may draw more
-    from ``rng`` between items without changing the sequence."""
-    n, f = fam.length, fam.size
-    ids = _content_ids(fam)
-    for _ in range(samples):
-        I = tuple(rng.randrange(f) for _ in range(ell))
-        D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-        if _admissible(ids, I, D):
-            yield I, D, n - D[-1]
+def _result(fam: Family, name: str, ell: int, mode: str, best: _Best,
+            zero: Value, scale: Optional[int] = None, field: str = "",
+            err: float = 0.0) -> MeasureResult:
+    """The result of a search whose best key is (I, D, M, extra): the
+    value, as ``Fraction(value, scale)`` when a scale is given, and the
+    witness, with ``extra`` as its ``field``; ``zero`` when the
+    admissible space is empty."""
+    if best.value is None:
+        return MeasureResult(name, ell, zero, mode, None,
+                             subject=fam.construction, err_bound=err)
+    I, D, m, extra = best.key
+    witness = CorrelationSpec(ell=ell, window=m, shifts=D,
+                              rows=tuple(i + 1 for i in I),
+                              **({field: extra} if field else {}))
+    value = best.value if scale is None else Fraction(best.value, scale)
+    return MeasureResult(name, ell, value, mode, witness,
+                         subject=fam.construction, err_bound=err)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +393,43 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     return best
 
 
+def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
+    """The sampled modes' seeded draws: (I, D, L) for each admissible
+    draw, the window starting at D[0].  Lazy, so a caller may draw more
+    from ``rng`` between items without changing the sequence."""
+    n, f = fam.length, fam.size
+    ids = _content_ids(fam)
+    for _ in range(samples):
+        I = tuple(rng.randrange(f) for _ in range(ell))
+        D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
+        if _admissible(ids, I, D):
+            yield I, D, n - D[-1]
+
+
+def _sampled_search(fam: Family, rows_at, ell: int, kernel,
+                    rng: random.Random, samples: int) -> _Best:
+    """Maximize a pinned ``kernel`` over the draws of ``_sampled_draws``.
+
+    A draw (I, D, L) reads only the windows [0, M) of its shifted rows
+    ``rows_at[j][I[j]][D[j]:]``: the engine's kernel case with s pinned
+    at 0.  The kernel takes the arguments of a ``_lag_search`` kernel
+    and returns None below the best value so far, else
+    (value, 0, e, extra) for its best window [0, e), ties going to the
+    earliest e: the key (I, D, e, extra).
+    """
+    best = _Best()
+    for I, D, size in _sampled_draws(fam, ell, rng, samples):
+        found = kernel([rows[i][d:d + size]
+                        for rows, i, d in zip(rows_at, I, D)], size,
+                       best.value)
+        if found is not None:
+            value, _, e, extra = found
+            best.offer(value, (I, D, e, extra))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # binary product correlation
-
-
-def _phi_scan(slices) -> tuple[int, int]:
-    """Max |prefix sum of termwise products| and its earliest window
-    length, over windows 1..len (the sampled kernel)."""
-    sums = [abs(v) for v in accumulate(_combine(mul, slices))]
-    best = max(sums)
-    return best, sums.index(best) + 1
 
 
 def _phi_windows(seqs, size: int, floor):
@@ -398,6 +447,13 @@ def _phi_full(seqs, size: int, floor):
     return abs(sum(_combine(mul, seqs))), 0, size, ()
 
 
+def _phi_pinned(seqs, size: int, floor):
+    """Windows [0, e): max |P[e]| over e >= 1, at the earliest e."""
+    P = [abs(v) for v in accumulate(_combine(mul, seqs))]  # |P[1..L]|
+    value = max(P)
+    return value, 0, P.index(value) + 1, ()
+
+
 def _phi_search(fam: Family, pm, ell: int, budget: Optional[int], what: str,
                 circ: bool = False) -> _Best:
     _check_budget(_lag_estimate(fam, ell, circ), budget, what)
@@ -411,35 +467,20 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     """Maximum absolute windowed product-sum over all admissible
     (window, shifts, rows) choices of a binary family.
 
-    Exact mode runs the lag-prefix search; sampled mode draws a seeded
-    random subset and reports a lower bound of the maximum.
+    Exact mode runs the lag-prefix search.  Sampled mode reports a lower
+    bound of the maximum: per seeded draw (I, D) the pinned kernel
+    ``_phi_pinned`` reads the prefix array of the shifted rows' product
+    from 0, max |P[e]| at the earliest e, and the best draw wins.
     """
-    _require_order(ell)
+    _require(ell, mode, samples)
+    pm, what = fam.pm_rows(), f"order-{ell} correlation"
     if mode == MODE_EXACT:
-        best = _phi_search(fam, fam.pm_rows(), ell, budget,
-                           f"order-{ell} correlation")
-    elif mode == MODE_SAMPLED:
-        _require_samples(samples)
-        pm = fam.pm_rows()
-        _check_budget(samples * fam.length, budget,
-                      f"sampled order-{ell} correlation")
-        best = _Best()
-        for I, D, mmax in _sampled_draws(fam, ell, random.Random(seed),
-                                         samples):
-            slices = [pm[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-            val, m = _phi_scan(slices)
-            best.offer(val, (I, D, m))
+        best = _phi_search(fam, pm, ell, budget, what)
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    if best.value is None:
-        return MeasureResult("phi", ell, 0, mode, None,
-                             subject=fam.construction)
-    I, D, m = best.key[:3]
-    witness = CorrelationSpec(ell=ell, window=m, shifts=D,
-                              rows=tuple(i + 1 for i in I))
-    return MeasureResult("phi", ell, best.value, mode, witness,
-                         subject=fam.construction)
+        _check_budget(samples * fam.length, budget, f"sampled {what}")
+        best = _sampled_search(fam, [pm] * ell, ell, _phi_pinned,
+                               random.Random(seed), samples)
+    return _result(fam, "phi", ell, mode, best, 0)
 
 
 def cross_correlation_circ(fam: Family, ell: int, *,
@@ -449,55 +490,29 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     zero, maximized over row tuples only.  The shared admissibility rule
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
-    _require_order(ell)
+    _require(ell)
     best = _phi_search(fam, fam.pm_rows(), ell, budget,
                        f"order-{ell} zero-shift correlation", circ=True)
-    if best.value is None:
-        return MeasureResult("phi_circ", ell, 0, MODE_EXACT, None,
-                             subject=fam.construction)
-    I = best.key[0]
-    witness = CorrelationSpec(ell=ell, window=fam.length, shifts=(0,) * ell,
-                              rows=tuple(i + 1 for i in I))
-    return MeasureResult("phi_circ", ell, best.value, MODE_EXACT, witness,
-                         subject=fam.construction)
+    return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
 
 
 # ---------------------------------------------------------------------------
 # k-symbol pattern-count measure
 
 
-def _gamma_scan(slices, k: int, ell: int, all_patterns) -> tuple[int, int, tuple]:
-    """Scaled deviation max_{M,W} |k^ell * count_W(M) - M| with the
-    earliest window and smallest pattern attaining it (the sampled
-    kernel)."""
-    kl = k**ell
-    counts: dict[tuple, int] = {}
-    best_s = -1
-    best_m = 0
-    best_w = None
-    m = 0
-    for pattern in zip(*slices):
-        m += 1
-        counts[pattern] = counts.get(pattern, 0) + 1
-        for w in all_patterns:
-            s = kl * counts.get(w, 0) - m
-            if s < 0:
-                s = -s
-            if s > best_s:
-                best_s, best_m, best_w = s, m, w
-    return best_s, best_m, best_w
-
-
 def _pattern(code: int, k: int, ell: int) -> tuple[int, ...]:
     return tuple((code // k**(ell - 1 - j)) % k for j in range(ell))
 
 
-def _gamma_kernels(k: int, ell: int):
-    """Kernels over pattern codes sum_j W_j k^(ell-1-j), whose order is
-    the lex order of the patterns; the shifted rows arrive pre-scaled."""
+def _gamma_kernel(k: int, ell: int):
+    """The kernel over pattern codes sum_j W_j k^(ell-1-j), whose order
+    is the lex order of the patterns; the shifted rows arrive
+    pre-scaled.  One pass gathers each code's occurrence statistics,
+    read for every window [s, e), for the windows [0, e) of a sampled
+    draw ("pinned"), or for the full window [0, L) ("full")."""
     kl = k**ell
 
-    def windows(seqs, size: int, floor):
+    def kernel(seqs, size: int, floor, reading: str = "windows"):
         # Q_W[n] = kl * C_W[n] - n falls by 1 per step and rises by kl - 1
         # at each occurrence of W, so its maxima sit at 0 or just after
         # an occurrence and its minima at an occurrence or at L.  With
@@ -522,41 +537,44 @@ def _gamma_kernels(k: int, ell: int):
             hi, s_hi = (amax + kl - 1, tmax + 1) if amax + kl > 1 else (0, 0)
             end = kl * occ - size
             lo, s_lo = (amin, tmin) if amin <= end else (end, size)
-            s, e = min(s_hi, s_lo), max(s_hi, s_lo)
+            if reading == "windows":
+                neg, s, e = lo - hi, min(s_hi, s_lo), max(s_hi, s_lo)
+            elif reading == "pinned":  # |Q[e] - Q[0]| peaks at max or min Q
+                s = 0
+                neg, e = min((-hi, s_hi), (lo, s_lo))
+            else:
+                neg, s, e = -abs(end), 0, size
             if e == s:  # k = 1: Q is constant and every window ties
                 e += 1
-            cand = (lo - hi, s, e, c)
+            cand = (neg, s, e, c)
             if best is None or cand < best:
                 best = cand
         if floor is not None and -best[0] < floor:
             return None
         return -best[0], best[1], best[2], _pattern(best[3], k, ell)
 
-    def full(seqs, size: int, floor):
-        counts = Counter(_combine(add, seqs))
-        best_v, best_c = -1, None
-        if len(counts) < kl:
-            best_v, best_c = size, next(c for c in count() if c not in counts)
-        for c, occ in counts.items():
-            v = abs(kl * occ - size)
-            if v > best_v or (v == best_v and c < best_c):
-                best_v, best_c = v, c
-        return best_v, 0, size, _pattern(best_c, k, ell)
-
-    return windows, full
+    return kernel
 
 
 def _gamma_search(fam: Family, ell: int, budget: Optional[int], what: str,
+                  mode: str = MODE_EXACT, seed: int = 0, samples: int = 0,
                   circ: bool = False) -> _Best:
-    k = fam.k
-    _check_budget(_lag_estimate(fam, ell, circ) * k**ell, budget, what)
+    k, kl = fam.k, fam.k**ell
+    if mode == MODE_SAMPLED:
+        _check_budget(samples * fam.length * kl, budget, f"sampled {what}")
+    else:
+        _check_budget(_lag_estimate(fam, ell, circ) * kl, budget, what)
     rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
                for j in range(ell)]
-    windows, full = _gamma_kernels(k, ell)
+    kernel = _gamma_kernel(k, ell)
+    if mode == MODE_SAMPLED:
+        return _sampled_search(fam, rows_at, ell,
+                               partial(kernel, reading="pinned"),
+                               random.Random(seed), samples)
     # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
-    scale = max(k**ell - 1, 1)
-    return _lag_search(fam, rows_at, ell, circ, full if circ else windows,
-                       lambda L: L * scale)
+    return _lag_search(fam, rows_at, ell, circ,
+                       partial(kernel, reading="full") if circ else kernel,
+                       lambda L: L * max(kl - 1, 1))
 
 
 def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -564,53 +582,30 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
           n_jobs: int = 1) -> MeasureResult:
     """Maximum deviation |count of a pattern in a window - M/k^ell| over
     all admissible (pattern, window, shifts, rows) choices.  The value
-    is an exact rational with denominator dividing k^ell."""
-    _require_order(ell)
-    kl = fam.k**ell
+    is an exact rational with denominator dividing k^ell.
 
-    if mode == MODE_EXACT:
-        best = _gamma_search(fam, ell, budget,
-                             f"order-{ell} pattern deviation")
-    elif mode == MODE_SAMPLED:
-        _require_samples(samples)
-        all_patterns = list(product(range(fam.k), repeat=ell))
-        _check_budget(samples * fam.length * kl, budget,
-                      f"sampled order-{ell} pattern deviation")
-        best = _Best()
-        for I, D, mmax in _sampled_draws(fam, ell, random.Random(seed),
-                                         samples):
-            slices = [fam.rows[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-            s, m, w = _gamma_scan(slices, fam.k, ell, all_patterns)
-            best.offer(s, (I, D, m, w))
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    if best.value is None:
-        return MeasureResult("gamma", ell, Fraction(0), mode, None,
-                             subject=fam.construction)
-    I, D, m, w = best.key
-    witness = CorrelationSpec(ell=ell, window=m, shifts=D,
-                              rows=tuple(i + 1 for i in I), pattern=w)
-    return MeasureResult("gamma", ell, Fraction(best.value, kl), mode, witness,
-                         subject=fam.construction)
+    Sampled mode reports a lower bound: per seeded draw (I, D) the
+    windows kernel, pinned at s = 0, reads its occurrence statistics as
+    max |Q_W[e]| over e >= 1 at the earliest e, then the smallest W, in
+    O(L + k^ell), and the best draw wins.
+    """
+    _require(ell, mode, samples)
+    best = _gamma_search(fam, ell, budget, f"order-{ell} pattern deviation",
+                         mode, seed, samples)
+    return _result(fam, "gamma", ell, mode, best, Fraction(0), fam.k**ell,
+                   "pattern")
 
 
 def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
                n_jobs: int = 1) -> MeasureResult:
     """Pattern-count deviation restricted to the full window and all
     shifts zero, maximized over row tuples and patterns."""
-    _require_order(ell)
+    _require(ell)
     best = _gamma_search(fam, ell, budget,
                          f"order-{ell} zero-shift pattern deviation",
                          circ=True)
-    if best.value is None:
-        return MeasureResult("gamma_circ", ell, Fraction(0), MODE_EXACT, None,
-                             subject=fam.construction)
-    I, _, _, w = best.key
-    witness = CorrelationSpec(ell=ell, window=fam.length, shifts=(0,) * ell,
-                              rows=tuple(i + 1 for i in I), pattern=w)
-    return MeasureResult("gamma_circ", ell, Fraction(best.value, fam.k**ell),
-                         MODE_EXACT, witness, subject=fam.construction)
+    return _result(fam, "gamma_circ", ell, MODE_EXACT, best, Fraction(0),
+                   fam.k**ell, "pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -633,23 +628,25 @@ def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
     return math.hypot(re, im)
 
 
-def _root_windows(k: int, ell: int):
-    """Kernel of exact big_gamma for k >= 3.  Per relabeling tuple phi it
-    builds the index sequence sum_j phi_j(x_j) mod k once, then walks e
-    from each s with incremental counts, computing the magnitude only
-    of windows long enough to reach the best value so far.  Ties go to
-    the smallest s, then e, then phi."""
+def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
+    """Kernels of big_gamma.  ``walk`` builds the index sequence
+    sum_j phi_j(x_j) mod k of each relabeling tuple phi it is given
+    once, then walks e from each start s with incremental counts,
+    computing the magnitude only of windows long enough to reach the
+    best value so far; ties go to the smallest s, then e, then phi.
+    ``windows`` (exact, k >= 3) walks every phi from every s.
+    ``pinned`` (sampled) walks one phi, drawn from ``rng``, from s = 0;
+    for k <= 2 it gets +/-1 rows and reads the pinned phi kernel, since
+    relabeling {0, 1} only flips signs."""
     perms = list(permutations(range(k)))
     cos, sin = _root_tables(k)
 
-    def windows(seqs, size: int, floor):
-        mapped = [[[pi[x] for x in seq] for pi in perms] for seq in seqs]
+    def walk(relabeled, starts, floor):
         best_v = -1.0 if floor is None else floor
         best = None  # (s, e, phi)
-        for phi in product(range(len(perms)), repeat=ell):
-            idx = [v % k for v in
-                   _combine(add, [mapped[j][c] for j, c in enumerate(phi)])]
-            for s in range(size):
+        for phi, cols in relabeled:
+            idx = [v % k for v in _combine(add, cols)]
+            for s in starts:
                 # A magnitude is at most M, up to float error far below 1,
                 # so no window with M + 1 <= best_v can reach best_v.
                 lo = s + max(int(best_v), 1)
@@ -667,7 +664,21 @@ def _root_windows(k: int, ell: int):
         s, e, phi = best
         return best_v, s, e, tuple(perms[c] for c in phi)
 
-    return windows
+    def windows(seqs, size: int, floor):
+        mapped = [[[pi[x] for x in seq] for pi in perms] for seq in seqs]
+        return walk(((phi, [mapped[j][c] for j, c in enumerate(phi)])
+                     for phi in product(range(len(perms)), repeat=ell)),
+                    range(size), floor)
+
+    def pinned(seqs, size: int, floor):
+        phi = tuple(rng.randrange(len(perms)) for _ in range(ell))
+        if k <= 2:
+            return (_phi_pinned(seqs, size, floor)[:3]
+                    + (tuple(perms[c] for c in phi),))
+        return walk([(phi, [[perms[c][x] for x in seq]
+                            for seq, c in zip(seqs, phi)])], range(1), floor)
+
+    return windows, pinned
 
 
 def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
@@ -679,59 +690,43 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
 
     Products of roots reduce to index sums mod k, accumulated as exact
     integer counts; only the final magnitude uses floating point.  For
-    k <= 2 every root is +/-1, the value is an integer, and exact mode
-    runs the phi search.  For k >= 3 exact mode runs the lag-prefix
-    engine over every window and relabeling.
+    k <= 2 every root is +/-1 (for k = 1 every term is 1), the value is
+    an integer, and exact mode runs the phi search.  For k >= 3 exact
+    mode runs the lag-prefix engine over every window and relabeling.
+    Sampled mode reports a lower bound: per seeded draw (I, D) it draws
+    one relabeling per tuple position, the pinned kernel walks the
+    windows [0, e) of that relabeling's index sequence (for k <= 2 it
+    reads the pinned phi kernel), keeping the earliest largest, and the
+    best draw wins.
     """
-    _require_order(ell)
+    _require(ell, mode, samples)
     n, k = fam.length, fam.k
-    perms = list(permutations(range(k)))
-    nperm = len(perms)
     exact_mag = k <= 2
     err = 0.0 if exact_mag else ell * n * 2.0**-50
     what = f"order-{ell} root-relabeling correlation"
-
-    if mode == MODE_EXACT and exact_mag:
-        # Relabeling {0, 1} only flips the sign of every term (for k = 1
-        # every term is 1), so the value is phi's and the identity, the
-        # lex-smallest map, is the witness.
-        pm = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
-        best = _phi_search(fam, pm, ell, budget, what)
+    rng = random.Random(seed)  # the sampled draws and their relabelings
+    windows, pinned = _root_kernels(k, ell, rng)
+    rows = fam.rows
+    if exact_mag:  # every root is +/-1, for k = 1 every term is 1
+        rows = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
+    if mode == MODE_SAMPLED:
+        _check_budget(samples * n, budget, f"sampled {what}")
+        best = _sampled_search(fam, [rows] * ell, ell, pinned, rng, samples)
+    elif exact_mag:
+        # Relabeling {0, 1} only flips the sign of every term, so the
+        # value is phi's and the identity, the lex-smallest map, is the
+        # witness.
+        best = _phi_search(fam, rows, ell, budget, what)
         if best.key is not None:
             best.key = best.key[:3] + ((tuple(range(k)),) * ell,)
-    elif mode == MODE_EXACT:
-        _check_budget(_lag_estimate(fam, ell, False, windows=True)
-                      * nperm**ell, budget, what)
-        # a magnitude is at most M <= L; the + 1 covers its float error
-        best = _lag_search(fam, [fam.rows] * ell, ell, False,
-                           _root_windows(k, ell), lambda L: L + 1)
-    elif mode == MODE_SAMPLED:
-        _require_samples(samples)
-        _check_budget(samples * n, budget, f"sampled {what}")
-        cos, sin = _root_tables(k)
-        rng = random.Random(seed)
-        best = _Best()
-        for I, D, mmax in _sampled_draws(fam, ell, rng, samples):
-            phi = tuple(perms[rng.randrange(nperm)] for _ in range(ell))
-            cols = [[phi[j][x] for x in fam.rows[I[j]][D[j]:D[j] + mmax]]
-                    for j in range(ell)]
-            counts = [0] * k  # for k <= 2 the value is |2 c_0 - M|
-            for m, c in enumerate(_combine(add, cols), 1):
-                counts[c % k] += 1
-                best.offer(abs(2 * counts[0] - m) if exact_mag
-                           else _magnitude(counts, cos, sin), (I, D, m, phi))
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
-    if best.value is None:
-        zero: Value = 0 if exact_mag else 0.0
-        return MeasureResult("big_gamma", ell, zero, mode, None,
-                             subject=fam.construction, err_bound=err)
-    I, D, m, phi = best.key
-    witness = CorrelationSpec(ell=ell, window=m, shifts=D,
-                              rows=tuple(i + 1 for i in I), root_maps=phi)
-    return MeasureResult("big_gamma", ell, best.value, mode, witness,
-                         subject=fam.construction, err_bound=err)
+        _check_budget(_lag_estimate(fam, ell, False, windows=True)
+                      * math.factorial(k)**ell, budget, what)
+        # a magnitude is at most M <= L; the + 1 covers its float error
+        best = _lag_search(fam, [rows] * ell, ell, False, windows,
+                           lambda L: L + 1)
+    return _result(fam, "big_gamma", ell, mode, best, 0 if exact_mag else 0.0,
+                   field="root_maps", err=err)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,33 @@ def test_phi_monotone_window_against_naive():
                     term *= pmr[I[j]][t + D[j]]
                 s += term
             naive = max(naive, abs(s))
-        from prsfam.measures import _phi_scan
+        from prsfam.measures import _phi_pinned
         slices = [pmr[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-        assert _phi_scan(slices)[0] == naive
+        assert _phi_pinned(slices, mmax, None)[0] == naive
+
+
+def test_gamma_pinned_kernel_against_naive():
+    # the sampled reading of the gamma kernel: windows [0, e) only, the
+    # largest |k^ell * C_W(e) - e|, then the earliest e, then the smallest W
+    from prsfam.measures import _gamma_kernel
+    rng = random.Random(21)
+    cases = [(2, 1, [(0, 0, 1, 1, 1, 1)])]  # max Q ties minus min Q
+    for _ in range(300):
+        k, ell, n = rng.randint(1, 4), rng.randint(1, 2), rng.randint(1, 8)
+        cases.append((k, ell, [tuple(rng.randrange(k) for _ in range(n))
+                               for _ in range(ell)]))
+    for k, ell, rows in cases:
+        n, kl = len(rows[0]), k**ell
+        naive = None  # the first (e, W) in order with the largest value
+        for e in range(1, n + 1):
+            for w in product(range(k), repeat=ell):
+                count = sum(1 for t in range(e)
+                            if all(r[t] == w[j] for j, r in enumerate(rows)))
+                if naive is None or abs(kl * count - e) > naive[0]:
+                    naive = (abs(kl * count - e), 0, e, w)
+        scaled = [tuple(x * k**(ell - 1 - j) for x in r)
+                  for j, r in enumerate(rows)]
+        assert _gamma_kernel(k, ell)(scaled, n, None, "pinned") == naive
 
 
 # --- pattern deviation -------------------------------------------------------
