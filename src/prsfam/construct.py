@@ -27,7 +27,7 @@ from itertools import product
 from typing import IO, Mapping, Union
 
 from . import poly as _poly
-from .errors import InternalError, ParameterError, ParseError
+from .errors import BudgetError, InternalError, ParameterError, ParseError
 from .ff import char_k, is_prime, legendre
 from .poly import (
     Poly,
@@ -174,6 +174,16 @@ def _find_base_poly(p: int, d: int, budget: int) -> Poly:
         f"coefficient pattern exists over F_{p}")
 
 
+def _check_row_symbols(rows: int, p: int, budget: int) -> None:
+    """Refuse, before any enumeration, a binary family of ``rows`` rows
+    of p - 1 symbols when that symbol count exceeds the budget."""
+    symbols = rows * (p - 1)
+    if symbols > budget:
+        raise BudgetError(
+            f"the family has {rows} rows of {p - 1} symbols, {symbols} in "
+            f"all; budget is {budget}", estimate=symbols, budget=budget)
+
+
 def _validate_base(base: Poly, p: int, d: int) -> None:
     if base.p != p:
         raise ParameterError("base polynomial is over the wrong prime field")
@@ -207,6 +217,7 @@ def family_f1(p: int, d: int, base: Poly | None = None,
     if d % p == 0:
         raise ParameterError(f"p={p} must not divide d={d}")
     budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
+    _check_row_symbols(p - 1, p, budget)
     if base is None:
         base = _find_base_poly(p, d, budget)
     else:
@@ -222,14 +233,23 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
               budget: int | None = None) -> Family:
     """Binary family with one row per monic irreducible degree-d
     polynomial (zero x^(d-1) coefficient by default), in lexicographic
-    polynomial order; row entries are the residue symbols at 1..p-1."""
+    polynomial order; row entries are the residue symbols at 1..p-1.
+    The row count is known in closed form, so a family of more row
+    symbols than the budget is refused before any enumeration."""
     if not is_prime(p) or p < 3:
         raise ParameterError(f"p must be an odd prime, got {p}")
     if d < 2:
         raise ParameterError(f"degree must be >= 2, got {d}")
+    budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
     if trace_zero:
+        _check_row_symbols(_poly.count_trace_zero_irreducibles(p, d), p,
+                           budget)
         polys = _poly.enumerate_trace_zero_irreducibles(p, d, budget=budget)
     else:
+        # Gauss's count of the monic irreducibles of degree d
+        _check_row_symbols(sum(_poly.mobius(d // t) * p**t
+                               for t in range(1, d + 1) if d % t == 0) // d,
+                           p, budget)
         polys = _enumerate_all_irreducibles(p, d, budget=budget)
     rows = _symbol_rows_from_polys(polys, p)
     return _record_distinctness(Family(
@@ -241,7 +261,6 @@ def _enumerate_all_irreducibles(p: int, d: int,
                                 budget: int | None = None) -> list[Poly]:
     budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
     if p**d > budget:
-        from .errors import BudgetError
         raise BudgetError(
             f"enumeration needs {p**d} candidates, budget is {budget}",
             estimate=p**d, budget=budget)
@@ -320,7 +339,8 @@ def dual(fam: Family) -> Family:
 
 
 _HEADER_RE = re.compile(
-    r"^#PRSFAM v1 p=(\d+) d=(\d+) k=(\d+) N=(\d+) F=(\d+) construction=(\S+)$")
+    r"^#PRSFAM v1 p=(\d+) d=(\d+) k=(\d+) N=(\d+) F=(\d+) construction=(\S+)$",
+    re.ASCII)
 
 
 def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
@@ -339,12 +359,17 @@ def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
 
 
 def read_family(source: Union[str, IO[str]]) -> Family:
-    """Parse a family file; the inverse of ``write_family``."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    """Parse a family file; the inverse of ``write_family``.  Symbols
+    are the ASCII digit strings that ``write_family`` writes."""
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty family file", line=1)
@@ -363,10 +388,10 @@ def read_family(source: Union[str, IO[str]]) -> Family:
             f"header says F={f} but file has {len(body)} rows", line=1)
     rows = []
     for idx, ln in enumerate(body, start=2):
-        try:
-            row = tuple(int(tok) for tok in ln.split())
-        except ValueError:
-            raise ParseError(f"non-integer symbol in {ln!r}", line=idx) from None
+        tokens = ln.split()
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ParseError(f"non-digit symbol in {ln!r}", line=idx)
+        row = tuple(int(tok) for tok in tokens)
         if len(row) != n:
             raise ParseError(
                 f"row has {len(row)} symbols, header says N={n}", line=idx)

@@ -175,6 +175,15 @@ def test_weil_composite_modulus_exits_cleanly(p):
     ["weil", "--poly", "1,1", "--p", "1000000000000000003"],
     ["gen", "--construction", "f2", "--p", "1000000000000000003",
      "--d", "2", "--out", "{out}"],
+    # f1 and f2 refuse on their row-symbol count, before any enumeration
+    ["gen", "--construction", "f1", "--p", "1000003", "--d", "5",
+     "--out", "{out}"],
+    ["gen", "--construction", "f1", "--p", "1000000000000000003",
+     "--d", "5", "--out", "{out}"],
+    ["gen", "--construction", "f2", "--p", "1000003", "--d", "2",
+     "--out", "{out}"],
+    ["gen", "--construction", "f2", "--p", "1000003", "--d", "2",
+     "--no-trace-zero", "--out", "{out}"],
 ])
 def test_huge_prime_is_refused_by_budget(tmp_path, args):
     proc = _cli_subprocess([a.format(out=tmp_path / "x.fam") for a in args])
@@ -223,6 +232,43 @@ def test_verify_rejects_bad_envelope_constant(tmp_path, capsys, c):
     out = capsys.readouterr()
     assert out.out == ""
     assert "envelope constant" in out.err
+
+
+def test_gen_row_symbol_budget(tmp_path, capsys):
+    # f1(13,5) has 12 rows of 12 symbols
+    out = str(tmp_path / "f1.fam")
+    args = ["gen", "--construction", "f1", "--p", "13", "--d", "5",
+            "--out", out]
+    assert run(args + ["--budget", "143"]) == EXIT_BUDGET
+    assert "144 in all" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(args + ["--budget", "144"]) == EXIT_OK
+
+
+_HEADER = b"#PRSFAM v1 p=3 d=1 k=2 N=2 F=1 construction=external\n"
+
+
+@pytest.mark.parametrize("body", [
+    _HEADER + b"0 \xff\n",                        # not UTF-8
+    b"\xfe\xff" + _HEADER + b"0 1\n",              # UTF-16 mark
+    _HEADER + b"0 +1\n",                          # signed symbol
+    _HEADER + "0 \u0661\n".encode(),              # Arabic-Indic digit one
+    _HEADER + b"0 0_1\n",                         # digit separator
+    _HEADER.replace(b"p=3", "p=\u0663".encode()) + b"0 1\n",
+])
+@pytest.mark.parametrize("command", ["measure", "verify", "dual"])
+def test_malformed_family_file_exits_2(tmp_path, capsys, body, command):
+    path = tmp_path / "bad.fam"
+    path.write_bytes(body)
+    args = {"measure": ["measure", "--in", str(path), "--measure", "phi"],
+            "verify": ["verify", "--in", str(path)],
+            "dual": ["dual", "--in", str(path),
+                     "--out", str(tmp_path / "out.fam")]}[command]
+    assert run(args) == EXIT_PARAM
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: line") or "UTF-8" in out.err
+    assert not (tmp_path / "out.fam").exists()
 
 
 def test_unknown_flags_exit_2(capsys):
