@@ -8,9 +8,11 @@ smallest (I, D, M, W) key.  Nothing is pruned or shared between windows,
 so the result is the definition itself; it is only fast enough for
 families of a few short rows.
 
-Every measure function returns ``(value, key)`` where ``key`` is
+Every correlation function returns ``(value, key)`` where ``key`` is
 ``None`` for an empty admissible space and otherwise the 0-based
-(I, D, M[, W]) tuple.  ``sampled`` does the same for the sampled modes:
+(I, D, M[, W]) tuple.  ``f_complexity`` returns the value and the first
+uncovered (positions, pattern) pair, or ``None`` when every level is
+covered.  ``sampled`` does the same for the sampled modes:
 it replays their seeded draws and evaluates every window of each drawn
 (I, D) from the definition.
 
@@ -23,11 +25,28 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from prsfam.ff import FieldParams
 from prsfam.measures import _magnitude, _root_tables
 from prsfam.poly import Poly
+
+
+def f_complexity(fam):
+    """The largest j such that every pattern in {0..k-1}^j is realized
+    at every increasing j-tuple of positions by some row.  The first
+    failing level j gives j - 1 and, as witness, the first position
+    tuple (lex order) with an unrealized pattern and the smallest such
+    pattern, both 0-based; N and ``None`` when no level fails."""
+    n, k = fam.length, fam.k
+    for j in range(1, n + 1):
+        for positions in combinations(range(n), j):
+            for pattern in product(range(k), repeat=j):
+                if not any(all(row[q] == s for q, s in zip(positions, pattern))
+                           for row in fam.rows):
+                    return j - 1, (positions, pattern)
+    return n, None
 
 
 def _admissible(fam, I, D) -> bool:

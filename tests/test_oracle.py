@@ -1,5 +1,5 @@
-"""Differential tests: exact measures against the literal-definition
-oracle in ``oracle.py``, value and witness, at one and two jobs and
+"""Differential tests: exact measures, ``f_complexity`` included,
+against the literal-definition oracle in ``oracle.py``, value and witness, at one and two jobs and
 under a reversed or shuffled lag-tuple order; and the sampled modes
 against the oracle's replay of their draws."""
 
@@ -20,8 +20,10 @@ from prsfam.measures import (
     CorrelationSpec,
     big_gamma,
     cross_correlation,
+    PatternWitness,
     cross_correlation_circ,
     evaluate_witness,
+    f_complexity,
     gamma,
     gamma_circ,
 )
@@ -171,6 +173,42 @@ def test_big_gamma_matches_oracle(case):
     fam, ell = case
     v, key = oracle.big_gamma(fam, ell)
     _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))
+
+
+@st.composite
+def families(draw):
+    """A family with k in 1..5, F <= 9, N <= 8; row 0 may be made
+    constant and the last row a copy of row 0."""
+    k, f, n = draw(st.integers(1, 5)), draw(st.integers(1, 9)), \
+        draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * n),
+                         min_size=f, max_size=f))
+    if draw(st.booleans()):
+        rows[0] = (draw(st.integers(0, k - 1)),) * n
+    if f >= 2 and draw(st.booleans()):
+        rows[-1] = rows[0]
+    return Family(p=3, d=1, k=k, rows=tuple(rows))
+
+
+@settings(_settings, max_examples=150)
+@given(fam=families())
+@example(fam=Family(p=3, d=1, k=2, rows=((0,),)))                # F = N = 1
+@example(fam=Family(p=3, d=1, k=2, rows=((0,), (1,))))           # N = 1
+@example(fam=Family(p=3, d=1, k=1, rows=((0, 0, 0), (0, 0, 0))))  # k = 1
+@example(fam=Family(p=3, d=1, k=3, rows=((2, 2, 2, 2),)))         # F = 1
+@example(fam=Family(p=3, d=1, k=2,
+                    rows=((0, 0), (0, 1), (1, 0), (1, 1), (0, 1))))
+def test_f_complexity_matches_oracle(fam):
+    v, key = oracle.f_complexity(fam)
+    r = f_complexity(fam)
+    assert r.value == v and type(r.value) is int
+    if key is None:
+        assert r.witness is None
+    else:
+        positions, pattern = key
+        assert r.witness == PatternWitness(
+            positions=tuple(q + 1 for q in positions), pattern=pattern)
+    assert evaluate_witness(fam, r) == v
 
 
 _EDGE_TERNARY = [
