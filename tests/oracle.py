@@ -16,6 +16,10 @@ covered.  ``sampled`` does the same for the sampled modes:
 it replays their seeded draws and evaluates every window of each drawn
 (I, D) from the definition.
 
+For k >= 3 the big_gamma functions decide every comparison of window
+magnitudes exactly (``_exact_square``) and report the float
+``measures._magnitude`` of the winning window's counts for display.
+
 The kernel references at the end use no precomputed map: irreducibility
 is trial division by every monic candidate divisor, and conjugates are
 literal p-th powers.
@@ -23,7 +27,10 @@ literal p-th powers.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
@@ -95,19 +102,77 @@ def _gamma_window(fam, I, D, m, w):
     return abs(Fraction(count) - Fraction(m, fam.k**ell))
 
 
+def _cyclotomic(k):
+    """Phi_k's integer coefficients, low to high, from the product of
+    x - zeta over the primitive k-th roots of unity."""
+    poly = [1]
+    for j in range(1, k + 1):
+        if math.gcd(j, k) == 1:
+            root = cmath.exp(2j * cmath.pi * j / k)
+            poly = [a - root * b for a, b in zip([0] + poly, poly + [0])]
+    return [round(c.real) for c in poly]
+
+
+def _decimal_cos(j, k):
+    """cos(2 pi j / k) to the current Decimal precision: pi by the
+    Decimal recipe's series, then the Taylor series of cos."""
+    three = Decimal(3)
+    last, t, pi, n, na, d, da = 0, three, three, 1, 0, 0, 24
+    while pi != last:
+        last = pi
+        n, na, d, da = n + na, na + 8, d + da, da + 32
+        t = t * n / d
+        pi += t
+    x = 2 * pi * j / k
+    last, total, term, i = 0, Decimal(1), Decimal(1), 0
+    while total != last:
+        last = total
+        i += 2
+        term = -term * x * x / (i * (i - 1))
+        total += term
+    return total
+
+
+def _exact_square(counts):
+    """|sum_j counts[j] zeta_k^j|^2 as a key that compares exactly.
+
+    The square is sum_d A_d zeta^d with A_d = sum_i c_i c_(i+d mod k),
+    reduced mod Phi_k to its unique coordinates r, which are equal
+    exactly when the values are.  The key is (value, r), the value
+    evaluated at 100 digits as sum_j r_j cos(2 pi j / k): two distinct
+    values in Z[zeta_k] whose coordinates have absolute sum S differ by
+    at least S^-(phi(k) - 1), their norm being a nonzero integer, far
+    above the evaluation error for the oracle's window sizes."""
+    k = len(counts)
+    poly = [sum(counts[i] * counts[(i + d) % k] for i in range(k))
+            for d in range(k)]
+    phi_k = _cyclotomic(k)
+    deg = len(phi_k) - 1
+    for m in range(k - 1, deg - 1, -1):
+        c = poly.pop()
+        for i in range(deg):
+            poly[m - deg + i] -= c * phi_k[i]
+    with localcontext() as ctx:
+        ctx.prec = 100
+        value = sum((r * _decimal_cos(j, k) for j, r in enumerate(poly)
+                     if r), Decimal(0))
+    return value, tuple(poly)
+
+
 def _root_window(fam, I, D, m, phi_):
-    """The window's root-sum magnitude from a count vector built afresh:
-    the integer |c_0 - c_1| for k <= 2, else through
-    ``measures._magnitude``, so that float values and their ties compare
-    exactly as in the search."""
+    """The window's root-sum magnitude from a count vector built afresh,
+    as (key, value): the integer |c_0 - c_1| twice for k <= 2, else
+    the ``_exact_square`` key and the display float of
+    ``measures._magnitude``."""
     k = fam.k
     counts = [0] * k
     for t in range(m):
         idx = sum(phi_[j][fam.rows[I[j]][t + D[j]]] for j in range(len(I)))
         counts[idx % k] += 1
     if k <= 2:
-        return abs(counts[0] - (counts[1] if k == 2 else 0))
-    return _magnitude(counts, *_root_tables(k))
+        v = abs(counts[0] - (counts[1] if k == 2 else 0))
+        return v, v
+    return _exact_square(counts), _magnitude(counts, *_root_tables(k))
 
 
 def phi(fam, ell, circ=False):
@@ -154,19 +219,21 @@ def big_gamma_binary(fam, ell):
 
 def big_gamma(fam, ell):
     """max |sum_{t<M} zeta_k^(sum_j phi_j(x_{I_j}[t + D_j]))| over every
-    relabeling phi_j of {0..k-1}, each window's magnitude taken by
-    ``_root_window``."""
+    relabeling phi_j of {0..k-1}, each window's magnitude compared
+    exactly by ``_root_window``'s key and reported as its value."""
     maps = list(permutations(range(fam.k)))
+    shown = {}
 
     def values():
         for I, D, m in _choices(fam, ell, False):
             for phi_ in product(maps, repeat=ell):
-                yield _root_window(fam, I, D, m, phi_), (I, D, m, phi_)
+                exact, shown[I, D, m, phi_] = _root_window(fam, I, D, m, phi_)
+                yield exact, (I, D, m, phi_)
 
     v, key = _best(values())
     if v is None:
         return (0 if fam.k <= 2 else 0.0), None
-    return v, key
+    return shown[key], key
 
 
 def sampled(name, fam, ell, seed, samples):
@@ -177,11 +244,13 @@ def sampled(name, fam, ell, seed, samples):
     big_gamma, after each admissible (I, D), one relabeling per tuple
     position.  Every window [D_j, D_j + M) of an admissible draw, every
     M from 1 to N - D_ell and, for gamma, every pattern is evaluated
-    afresh; the maximum with the smallest (I, D, M[, W]) key wins.
+    afresh; the maximum with the smallest (I, D, M[, W]) key wins, for
+    big_gamma compared exactly as in ``big_gamma``.
     """
     k, n = fam.k, fam.length
     maps = list(permutations(range(k)))
     rng = random.Random(seed)
+    shown = {}
 
     def values():
         for _ in range(samples):
@@ -199,13 +268,15 @@ def sampled(name, fam, ell, seed, samples):
                     for w in product(range(k), repeat=ell):
                         yield _gamma_window(fam, I, D, m, w), (I, D, m, w)
                 else:
-                    yield _root_window(fam, I, D, m, phi_), (I, D, m, phi_)
+                    key = I, D, m, phi_
+                    exact, shown[key] = _root_window(fam, I, D, m, phi_)
+                    yield exact, key
 
     v, key = _best(values())
     if v is None:
         return {"phi": 0, "gamma": Fraction(0),
                 "big_gamma": 0 if k <= 2 else 0.0}[name], None
-    return v, key
+    return shown.get(key, v), key
 
 
 def irreducible_by_divisors(f):

@@ -1,7 +1,8 @@
 """Differential tests: exact measures, ``f_complexity`` included,
-against the literal-definition oracle in ``oracle.py``, value and witness, at one and two jobs and
-under a reversed or shuffled lag-tuple order; and the sampled modes
-against the oracle's replay of their draws."""
+against the literal-definition oracle in ``oracle.py``, value and
+witness, at one and two jobs and under a reversed or shuffled lag-tuple
+order; and the sampled modes against the oracle's replay of their
+draws."""
 
 import random
 from math import comb, factorial
