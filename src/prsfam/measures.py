@@ -70,11 +70,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
-                       permutations, product)
-from operator import add, mul
+                       permutations, product, repeat, starmap)
+from operator import add, attrgetter, mul, sub
 from typing import Optional, Union
 
 from .construct import Family
@@ -207,11 +207,13 @@ def _admissible(ids: list[int], I: tuple[int, ...], D: tuple[int, ...]) -> bool:
     return True
 
 
-def _check_budget(estimate: int, budget: Optional[int], what: str) -> None:
+def _check_budget(estimate: int, budget: Optional[int], what: str,
+                  mode: str = MODE_EXACT) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     if estimate > budget:
+        kind = "sampled" if mode == MODE_SAMPLED else "exact"
         raise BudgetError(
-            f"exact {what} needs an estimated {estimate} loop steps, "
+            f"{kind} {what} needs an estimated {estimate} loop steps, "
             f"budget is {budget}", estimate=estimate, budget=budget)
 
 
@@ -477,7 +479,7 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     if mode == MODE_EXACT:
         best = _phi_search(fam, pm, ell, budget, what)
     else:
-        _check_budget(samples * fam.length, budget, f"sampled {what}")
+        _check_budget(samples * fam.length, budget, what, mode)
         best = _sampled_search(fam, [pm] * ell, ell, _phi_pinned,
                                random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
@@ -561,7 +563,11 @@ def _gamma_search(fam: Family, ell: int, budget: Optional[int], what: str,
                   circ: bool = False) -> _Best:
     k, kl = fam.k, fam.k**ell
     if mode == MODE_SAMPLED:
-        _check_budget(samples * fam.length * kl, budget, f"sampled {what}")
+        # a pinned draw combines ell rows of length <= N, then reads the
+        # statistics of at most min(N, k^ell) codes and one absent one
+        n = fam.length
+        _check_budget(samples * (ell * n + min(n, kl) + 1), budget, what,
+                      mode)
     else:
         _check_budget(_lag_estimate(fam, ell, circ) * kl, budget, what)
     rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
@@ -628,55 +634,249 @@ def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
     return math.hypot(re, im)
 
 
-def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
-    """Kernels of big_gamma.  ``walk`` builds the index sequence
-    sum_j phi_j(x_j) mod k of each relabeling tuple phi it is given
-    once, then walks e from each start s with incremental counts,
-    computing the magnitude only of windows long enough to reach the
-    best value so far; ties go to the smallest s, then e, then phi.
-    ``windows`` (exact, k >= 3) walks every phi from every s.
-    ``pinned`` (sampled) walks one phi, drawn from ``rng``, from s = 0;
-    for k <= 2 it gets +/-1 rows and reads the pinned phi kernel, since
-    relabeling {0, 1} only flips signs."""
-    perms = list(permutations(range(k)))
-    cos, sin = _root_tables(k)
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k's integer coefficients, low to high: x^k - 1 divided
+    exactly by Phi_d for every proper divisor d of k."""
+    poly = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            div = _cyclotomic(d)  # monic
+            q = [0] * (len(poly) - len(div) + 1)
+            for i in reversed(range(len(q))):
+                q[i] = poly[i + len(div) - 1]
+                for j, c in enumerate(div):
+                    poly[i + j] -= q[i] * c
+            poly = q
+    return tuple(poly)
 
-    def walk(relabeled, starts, floor):
-        best_v = -1.0 if floor is None else floor
-        best = None  # (s, e, phi)
-        for phi, cols in relabeled:
-            idx = [v % k for v in _combine(add, cols)]
-            for s in starts:
-                # A magnitude is at most M, up to float error far below 1,
-                # so no window with M + 1 <= best_v can reach best_v.
-                lo = s + max(int(best_v), 1)
-                counts = [0] * k
-                for c in idx[s:lo - 1]:
-                    counts[c] += 1
-                for e, c in enumerate(idx[lo - 1:], lo):
-                    counts[c] += 1
-                    v = _magnitude(counts, cos, sin)
-                    if v >= best_v and (v > best_v or best is None
-                                        or (s, e) < best[:2]):
-                        best_v, best = v, (s, e, phi)
-        if best is None:
-            return None
-        s, e, phi = best
-        return best_v, s, e, tuple(perms[c] for c in phi)
+
+def _reduce(poly: list[int]) -> list[int]:
+    """The coordinates of sum_j poly[j] zeta_k^j, k = len(poly), in the
+    basis 1, zeta, ..., zeta^(deg Phi_k - 1): the remainder mod Phi_k."""
+    k = len(poly)
+    phi_k = _cyclotomic(k)
+    deg = len(phi_k) - 1
+    poly = list(poly)
+    for m in reversed(range(deg, k)):
+        top = poly.pop()
+        for i in range(deg):
+            poly[m - deg + i] -= top * phi_k[i]
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _cos_fixed(k: int, bits: int) -> list[int]:
+    """2^bits * cos(2 pi j / k) for j < k, each within 2 units: pi by
+    Machin's formula, cos by its Taylor series, both in integers with 32
+    guard bits that absorb their truncation errors."""
+    one = 1 << (bits + 32)
+
+    def atan_inv(x: int) -> int:  # one * atan(1/x)
+        total, term, n = 0, one // x, 1
+        while term:
+            total += term // n if n % 4 == 1 else -(term // n)
+            term //= x * x
+            n += 2
+        return total
+
+    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+    out = []
+    for j in range(k):
+        x = 2 * pi * min(j, k - j) // k  # the angle, in [0, pi]
+        total, term, i = one, one, 0
+        while term:
+            i += 2
+            term = term * x // one * x // one // (i * (i - 1))
+            total += -term if i % 4 == 2 else term
+        out.append(total >> 32)
+    return out
+
+
+def _sign(r: list[int], k: int) -> int:
+    """The sign of the real number sum_j r_j zeta_k^j, given by its
+    coordinates mod Phi_k: an integer when only r_0 is nonzero (always
+    for k in {3, 4, 6}); for k = 5, 4x = p + q sqrt(5); else fixed-point
+    evaluations of sum_j r_j cos(2 pi j / k) at doubling precision
+    until the value clears the 2 sum |r_j| units of its error.  Nonzero
+    coordinates are a nonzero number, so the loop ends."""
+    if not any(r[1:]):
+        return (r[0] > 0) - (r[0] < 0)
+    if k == 5:  # cos 72 = (sqrt5 - 1)/4, cos 144 = cos 216 = (-sqrt5 - 1)/4
+        p, q = 4 * r[0] - r[1] - r[2] - r[3], r[1] - r[2] - r[3]
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp * sq >= 0:
+            return sp or sq
+        return sp if p * p > 5 * q * q else sq
+    slack, bits = 2 * sum(map(abs, r)), 64
+    while True:
+        v = sum(map(mul, r, _cos_fixed(k, bits)))
+        if abs(v) > slack:
+            return (v > 0) - (v < 0)
+        bits *= 2
+
+
+class _Mag:
+    """A k >= 3 magnitude |sum_j counts[j] zeta_k^j| that compares
+    exactly, with ints too.  The float ``f`` is within ``err`` of it and
+    decides whenever the gap exceeds both errors.  Otherwise the squares
+    decide: |z|^2 = sum_d A_d zeta^d with A_d = sum_i c_i c_(i+d mod k),
+    reduced mod Phi_k to unique integer coordinates, whose difference is
+    compared with zero by ``_sign``."""
+
+    __slots__ = ("f", "err", "counts", "_square")
+
+    def __init__(self, f: float, err: float, counts: tuple[int, ...]):
+        self.f, self.err, self.counts, self._square = f, err, counts, None
+
+    def square(self) -> list[int]:
+        if self._square is None:
+            c = self.counts
+            self._square = _reduce([sum(map(mul, c, c[d:] + c[:d]))
+                                    for d in range(len(c))])
+        return self._square
+
+    def _cmp(self, other) -> int:
+        if not isinstance(other, _Mag):  # an int n is |n * zeta^0|
+            other = _Mag(float(other), 0.0,
+                         (other,) + (0,) * (len(self.counts) - 1))
+        gap, slack = self.f - other.f, self.err + other.err
+        if abs(gap) > slack:
+            return 1 if gap > 0 else -1
+        return _sign(list(map(sub, self.square(), other.square())),
+                     len(self.counts))
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    __hash__ = None
+
+
+_xy = attrgetter("real", "imag")
+
+
+def _diameter(Q: list, tol: float) -> float:
+    """The largest distance between two points of Q, as the largest
+    between two points kept by Andrew's monotone chain.  A point leaves
+    the chain only on a computed cross product below -tol, a clear
+    right turn of the float points, so every vertex of their hull stays,
+    and with it the farthest pair; near-collinear points that stay only
+    cost time."""
+    pts = sorted(map(_xy, Q))
+    chain = []
+    for half in (pts, pts[::-1]):
+        part: list = []
+        for x, y in half:
+            while len(part) >= 2:
+                (ox, oy), (ax, ay) = part[-2], part[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= -tol:
+                    break
+                part.pop()
+            part.append((x, y))
+        chain += part[1:]  # each half starts where the other ends
+    hull = [complex(x, y) for x, y in chain]
+    return max(map(abs, starmap(sub, combinations(hull, 2))))
+
+
+def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
+    """Kernels of big_gamma.  For a relabeling tuple phi they build the
+    index sequence sum_j phi_j(x_j) mod k and its complex prefix points
+    Q[0..L]; the window [s, e) has magnitude |Q[e] - Q[s]|.
+
+    ``windows`` (exact, k >= 3) takes only the rotation-class
+    representatives, phi_j(0) = 0 for every j: adding c to phi_j turns
+    every term by zeta^c and leaves every magnitude unchanged, and the
+    representative is the lex-smallest map of its class.  It skips a
+    representative whose hull diameter of Q, the largest magnitude of
+    its windows, is clearly below the best value so far, and walks the
+    windows of the others.  ``pinned`` (sampled) walks one phi, drawn
+    from ``rng`` among all k! maps, from s = 0; for k <= 2 it gets +/-1
+    rows and reads the pinned phi kernel, since relabeling {0, 1} only
+    flips signs.
+
+    Floats stand for exact values within err(L) = (L + 1)^2 * 2^-44.
+    Each root is within 2^-48 of its value and each of the L prefix
+    additions rounds by at most L * 2^-53, so a coordinate of Q[n] is
+    within (L + 1)^2 * 2^-48 and a magnitude |Q[e] - Q[s]|, with its
+    rounding, within (L + 1)^2 * 2^-46; err(L) is four times that, and
+    also bounds the rounding of a cross product in ``_diameter``.  A
+    float gap beyond the errors decides a comparison, and ``_Mag``
+    decides the others exactly.  Ties go to the smallest s, then e, then
+    phi.
+    """
+    perms = list(permutations(range(k)))
+    roots = [complex(c, s) for c, s in zip(*_root_tables(k))]
+    n_reps = math.factorial(k - 1)  # perms[:n_reps] fix 0
+
+    def prefix(maps, seqs):
+        idx = [v % k for v in _combine(add, [list(map(m.__getitem__, seq))
+                                             for m, seq in zip(maps, seqs)])]
+        return idx, list(accumulate(map(roots.__getitem__, idx), initial=0j))
+
+    def walk(idx, Q, cut, starts, err, floor, best, phi):
+        """Offer the windows [s, e), s in ``starts``, of one relabeling
+        tuple whose windows reach at most ``cut`` (a float): a window
+        wins over ``best`` (s, e, phi, value) on a larger value or an
+        equal one with a smaller (s, e), and the first must reach
+        ``floor``."""
+        top = best[3] if best else floor
+        if top is not None and cut + err < top.f - top.err:
+            return best
+        # a window below cut - 2 err is below another of this phi
+        thr = cut - 2 * err
+        if top is not None:
+            thr = max(thr, top.f - top.err - err)
+        for s in starts:
+            lo = s + max(int(thr - err), 1)  # a magnitude is at most M
+            vals = list(map(abs, map(sub, Q[lo:], repeat(Q[s]))))
+            if not vals or max(vals) < thr:
+                continue
+            for e, v in enumerate(vals, lo):
+                if v < thr:
+                    continue
+                mag = _Mag(v, err, tuple(map(idx[s:e].count, range(k))))
+                if best is None:
+                    wins = floor is None or mag >= floor
+                else:
+                    c = mag._cmp(best[3])
+                    wins = c > 0 or (c == 0 and (s, e) < best[:2])
+                if wins:
+                    best = s, e, phi, mag
+                    thr = max(thr, v - 2 * err)
+        return best
 
     def windows(seqs, size: int, floor):
-        mapped = [[[pi[x] for x in seq] for pi in perms] for seq in seqs]
-        return walk(((phi, [mapped[j][c] for j, c in enumerate(phi)])
-                     for phi in product(range(len(perms)), repeat=ell)),
-                    range(size), floor)
+        err, best = (size + 1)**2 * 2.0**-44, None
+        for phi in product(range(n_reps), repeat=ell):
+            idx, Q = prefix([perms[c] for c in phi], seqs)
+            best = walk(idx, Q, _diameter(Q, err), range(size), err, floor,
+                        best, phi)
+        if best is None:
+            return None
+        s, e, phi, mag = best
+        return mag, s, e, tuple(perms[c] for c in phi)
 
     def pinned(seqs, size: int, floor):
         phi = tuple(rng.randrange(len(perms)) for _ in range(ell))
+        maps = tuple(perms[c] for c in phi)
         if k <= 2:
-            return (_phi_pinned(seqs, size, floor)[:3]
-                    + (tuple(perms[c] for c in phi),))
-        return walk([(phi, [[perms[c][x] for x in seq]
-                            for seq, c in zip(seqs, phi)])], range(1), floor)
+            return _phi_pinned(seqs, size, floor)[:3] + (maps,)
+        idx, Q = prefix(maps, seqs)
+        best = walk(idx, Q, max(map(abs, Q)), range(1),
+                    (size + 1)**2 * 2.0**-44, floor, None, phi)
+        return None if best is None else (best[3], 0, best[1], maps)
 
     return windows, pinned
 
@@ -710,7 +910,7 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     if exact_mag:  # every root is +/-1, for k = 1 every term is 1
         rows = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
     if mode == MODE_SAMPLED:
-        _check_budget(samples * n, budget, f"sampled {what}")
+        _check_budget(samples * n, budget, what, mode)
         best = _sampled_search(fam, [rows] * ell, ell, pinned, rng, samples)
     elif exact_mag:
         # Relabeling {0, 1} only flips the sign of every term, so the
@@ -722,9 +922,11 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     else:
         _check_budget(_lag_estimate(fam, ell, False, windows=True)
                       * math.factorial(k)**ell, budget, what)
-        # a magnitude is at most M <= L; the + 1 covers its float error
+        # an exact magnitude is at most M <= L
         best = _lag_search(fam, [rows] * ell, ell, False, windows,
-                           lambda L: L + 1)
+                           lambda L: L)
+    if not exact_mag and best.value is not None:
+        best.value = _magnitude(best.value.counts, *_root_tables(k))
     return _result(fam, "big_gamma", ell, mode, best, 0 if exact_mag else 0.0,
                    field="root_maps", err=err)
 

@@ -32,6 +32,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
@@ -113,6 +114,7 @@ def _cyclotomic(k):
     return [round(c.real) for c in poly]
 
 
+@lru_cache(maxsize=None)
 def _decimal_cos(j, k):
     """cos(2 pi j / k) to the current Decimal precision: pi by the
     Decimal recipe's series, then the Taylor series of cos."""
@@ -133,6 +135,7 @@ def _decimal_cos(j, k):
     return total
 
 
+@lru_cache(maxsize=None)
 def _exact_square(counts):
     """|sum_j counts[j] zeta_k^j|^2 as a key that compares exactly.
 
@@ -172,7 +175,7 @@ def _root_window(fam, I, D, m, phi_):
     if k <= 2:
         v = abs(counts[0] - (counts[1] if k == 2 else 0))
         return v, v
-    return _exact_square(counts), _magnitude(counts, *_root_tables(k))
+    return _exact_square(tuple(counts)), _magnitude(counts, *_root_tables(k))
 
 
 def phi(fam, ell, circ=False):

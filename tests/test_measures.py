@@ -7,7 +7,9 @@ import pytest
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError
+from prsfam import measures
 from prsfam.measures import (
+    MODE_EXACT,
     MODE_SAMPLED,
     CorrelationSpec,
     PatternWitness,
@@ -20,6 +22,7 @@ from prsfam.measures import (
     gamma_circ,
 )
 
+import oracle
 from _util import random_family
 
 
@@ -279,6 +282,58 @@ def test_big_gamma_err_bound_zero_for_binary():
     assert big_gamma(fam_pm([(1, -1)]), 1).err_bound == 0.0
 
 
+def _cyclic_power(base, n):
+    """base^n in Z[x]/(x^k - 1), k = len(base)."""
+    k = len(base)
+    out = [1] + [0] * (k - 1)
+    for _ in range(n):
+        out = [sum(out[i] * base[(j - i) % k] for i in range(k))
+               for j in range(k)]
+    return out
+
+
+@pytest.mark.parametrize("k, unit", [
+    (5, [-1, 1, 0, 0, 1]),       # zeta + zeta^4 - 1 = -0.38...
+    (7, [0, 0, 1, 0, 0, 1, 0]),  # zeta^2 + zeta^5 = -0.44...
+])
+def test_sign_of_small_units(k, unit):
+    # the powers of a real unit below 1 in absolute value shrink while
+    # their coordinates grow: at k = 7, u^80 is about 1e-28 with
+    # coordinates near 1e20, so the generic path doubles to 256 bits
+    for n in range(0, 81, 5):
+        r = measures._reduce(_cyclic_power(unit, n))
+        assert measures._sign(r, k) == (-1)**n
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_cos_fixed_within_two_units(bits):
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for k in range(3, 13):
+            table = measures._cos_fixed(k, bits)
+            for j in range(k):
+                exact = oracle._decimal_cos(j, k) * 2**bits
+                assert abs(Decimal(table[j]) - exact) <= 2
+
+
+def test_mag_compares_exactly_where_floats_cannot():
+    # an error bound this wide leaves every comparison to the exact path
+    rng = random.Random(23)
+    for k in range(3, 10):
+        for _ in range(60):
+            a, b = (tuple(rng.randrange(4) for _ in range(k))
+                    for _ in range(2))
+            ma, mb = (measures._Mag(0.0, 1e9, c) for c in (a, b))
+            ka, kb = oracle._exact_square(a), oracle._exact_square(b)
+            assert ma._cmp(mb) == (ka > kb) - (ka < kb)
+            # a rotation and a reflection of the counts keep |z|
+            for c in (a[1:] + a[:1], a[:1] + a[:0:-1]):
+                assert ma == measures._Mag(0.0, 1e9, c)
+    m = measures._Mag(0.0, 1e9, (3, 0, 0, 0, 0))
+    assert m == 3 and 2 < m < 4 and not 3 < m
+
+
 # --- sampled mode ------------------------------------------------------------
 
 
@@ -411,12 +466,11 @@ def _estimate(measure, fam, ell):
     return 0  # nothing to search: the zero budget was enough
 
 
-def _lag_work(fam, ell, circ, windows=False):
+def _lag_work(fam, ell, circ, steps=lambda L: L):
     """Sequence steps of the lag search, by literal enumeration: every
     lag tuple T, every canonical admissible row tuple I (rows strictly
     increasing inside a block of tied lags, equal contents only on
-    distinct lags), L = N - T[-1] steps each, or L(L+1)/2 when every
-    window is walked."""
+    distinct lags), ``steps(L)`` each with L = N - T[-1]."""
     n, f = fam.length, fam.size
     lags = ([(0,) * ell] if circ else
             [(0,) + r
@@ -428,8 +482,7 @@ def _lag_work(fam, ell, circ, windows=False):
                     if T[a] == T[b]]
             if all(I[a] < I[b] and fam.rows[I[a]] != fam.rows[I[b]]
                    for a, b in tied):
-                size = n - T[-1]
-                work += size * (size + 1) // 2 if windows else size
+                work += steps(n - T[-1])
     return work
 
 
@@ -450,9 +503,51 @@ def test_lag_estimates_bound_literal_work():
                 assert circ <= _estimate(cross_correlation_circ, fam, ell)
                 assert walk <= _estimate(big_gamma, fam, ell)
             else:
-                pairs = _lag_work(fam, ell, circ=False, windows=True)
+                pairs = _lag_work(fam, ell, circ=False,
+                                  steps=lambda L: L * (L + 1) // 2)
                 assert (pairs * math.factorial(fam.k)**ell
                         <= _estimate(big_gamma, fam, ell))
+                # the rotation-class kernel: per (I, T) and representative,
+                # a hull pass over the L + 1 prefix points, then at most
+                # the L(L+1)/2 windows
+                kernel = _lag_work(fam, ell, circ=False,
+                                   steps=lambda L: L + 1 + L * (L + 1) // 2)
+                assert (kernel * math.factorial(fam.k - 1)**ell
+                        <= _estimate(big_gamma, fam, ell))
+
+
+def test_sampled_gamma_estimate_bounds_literal_work():
+    # a pinned draw combines ell rows of length L, reads the statistics
+    # of each distinct code and looks for one absent pattern
+    rng = random.Random(29)
+    for k in (2, 3, 4, 5):
+        for _ in range(4):
+            fam = random_family(rng, max_f=4, max_n=9, k=k, min_n=1)
+            for ell in (1, 2, 3, 6):
+                seed, samples = rng.randrange(10**6), rng.randint(1, 40)
+                work = 0
+                for I, D, size in measures._sampled_draws(
+                        fam, ell, random.Random(seed), samples):
+                    codes = {tuple(fam.rows[i][d + t] for i, d in zip(I, D))
+                             for t in range(size)}
+                    work += ell * size + len(codes) + 1
+                with pytest.raises(BudgetError) as exc:
+                    gamma(fam, ell, mode=MODE_SAMPLED, seed=seed,
+                          samples=samples, budget=0)
+                assert work <= exc.value.estimate
+
+
+def test_refusal_names_the_mode():
+    fam = family_k_symbol(13, 2, 3)
+    for measure in (gamma, big_gamma):
+        for mode, prefix in ((MODE_SAMPLED, "sampled order-2 "),
+                             (MODE_EXACT, "exact order-2 ")):
+            with pytest.raises(BudgetError) as exc:
+                measure(fam, 2, mode=mode, budget=10)
+            assert str(exc.value).startswith(prefix)
+    with pytest.raises(BudgetError) as exc:
+        cross_correlation(family_f2(11, 2), 6, mode=MODE_SAMPLED, budget=10)
+    assert str(exc.value).startswith("sampled order-6 correlation needs")
 
 
 def test_dual_f1_17_5_order4_fits_default_budget():

@@ -5,6 +5,7 @@ order; and the sampled modes against the oracle's replay of their
 draws."""
 
 import random
+from dataclasses import replace
 from math import comb, factorial
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import oracle
 from _util import random_family
 from prsfam import measures
-from prsfam.construct import Family
+from prsfam.construct import Family, family_k_symbol
 from prsfam.measures import (
     MODE_EXACT,
     MODE_SAMPLED,
@@ -38,12 +39,13 @@ _settings = settings(derandomize=True, database=None, max_examples=60,
 
 
 @st.composite
-def cases(draw, binary: bool, per_window: str = "one", k_min: int = 2):
-    """A family and an order: k in k_min..5 (2 when binary), F <= 5,
+def cases(draw, binary: bool, per_window: str = "one", k_min: int = 2,
+          k_max: int = 5):
+    """A family and an order: k in k_min..k_max (2 when binary), F <= 5,
     N <= 8, ell in 1..3, with ell, F and then N cut so the oracle stays
     within _ORACLE_CAP.  Row 0 may be made constant and the last row a
     copy of row 0."""
-    k = 2 if binary else draw(st.integers(k_min, 5))
+    k = 2 if binary else draw(st.integers(k_min, k_max))
 
     def cost(n, ell, f):
         mult = {"one": 1, "patterns": k**ell, "maps": 2**ell,
@@ -212,6 +214,52 @@ def test_f_complexity_matches_oracle(fam):
     assert evaluate_witness(fam, r) == v
 
 
+@settings(_settings, max_examples=15)
+@given(case=cases(binary=False, per_window="relabelings", k_min=7, k_max=7))
+@_examples([
+    (Family(p=3, d=1, k=7, rows=((6, 0, 3, 6),)), 1),
+    (Family(p=3, d=1, k=7, rows=((1, 5, 2), (4, 4, 0))), 1),
+    (Family(p=3, d=1, k=7, rows=((2, 2, 2), (2, 2, 2))), 1),  # duplicates
+])
+def test_big_gamma_generic_alphabet_matches_oracle(case):
+    # k = 7 takes the generic exact path: equality on the coordinates mod
+    # Phi_7, order at growing precision
+    fam, ell = case
+    v, key = oracle.big_gamma(fam, ell)
+    _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))
+
+
+@settings(_settings, max_examples=40)
+@given(case=cases(binary=False, per_window="relabelings", k_min=3, k_max=6),
+       data=st.data())
+def test_big_gamma_invariant_under_symbol_bijection(case, data):
+    # one bijection of Z_k applied to every symbol only reorders the
+    # relabelings, so the exact |z|^2 of the maximum stays
+    fam, ell = case
+    sigma = data.draw(st.permutations(range(fam.k)))
+    moved = Family(p=3, d=1, k=fam.k, rows=tuple(
+        tuple(sigma[x] for x in row) for row in fam.rows))
+    a, b = big_gamma(fam, ell), big_gamma(moved, ell)
+    assert (a.witness is None) == (b.witness is None)
+    if a.witness is not None:
+        assert _exact_key(fam, a.witness) == _exact_key(moved, b.witness)
+
+
+def test_big_gamma_float_tie_goes_to_normalised_witness():
+    # ksym(31,3,5) at order 1: two relabelings of one window give exactly
+    # equal magnitudes whose floats differ in the last bit; the float
+    # kernel took (1,0,2,4,3) for its larger float, the exact one takes
+    # the lex-smallest, the rotation representative's conjugate
+    fam = family_k_symbol(31, 3, 5)
+    r = big_gamma(fam, 1)
+    assert r.witness == CorrelationSpec(ell=1, window=29, shifts=(0,),
+                                        rows=(104,),
+                                        root_maps=((0, 1, 4, 2, 3),))
+    assert repr(r.value) == "15.548236902780607"
+    old = replace(r.witness, root_maps=((1, 0, 2, 4, 3),))
+    assert _exact_key(fam, old) == _exact_key(fam, r.witness)
+
+
 _EDGE_TERNARY = [
     (Family(p=3, d=1, k=3, rows=((2,),)), 1),                 # F = N = 1
     (Family(p=3, d=1, k=3, rows=((1, 1, 1, 1),)), 2),         # F = 1
@@ -279,7 +327,19 @@ def _check_sampled(name, case, seed, samples):
     assert type(r.value) is type(v)
     assert r.witness == _spec(fam, ell, key, field=field)
     assert evaluate_witness(fam, r) == r.value
-    assert r.value <= measure(fam, ell).value
+    exact = measure(fam, ell)
+    if name == "big_gamma" and fam.k >= 3:
+        # equal magnitudes may display different last bits, so the order
+        # is checked exactly, on the windows the two witnesses name
+        if r.witness is not None:
+            assert _exact_key(fam, r.witness) <= _exact_key(fam, exact.witness)
+    else:
+        assert r.value <= exact.value
+
+
+def _exact_key(fam, w):
+    I = tuple(i - 1 for i in w.rows)
+    return oracle._root_window(fam, I, w.shifts, w.window, w.root_maps)[0]
 
 
 def _sampled_examples(cases_):
@@ -324,4 +384,13 @@ def test_sampled_gamma_matches_oracle(case, seed, samples):
     (Family(p=3, d=1, k=4, rows=((0, 3, 1), (2, 2, 0))), 2),
 ])
 def test_sampled_big_gamma_matches_oracle(case, seed, samples):
+    _check_sampled("big_gamma", case, seed, samples)
+
+
+@settings(_sampled_settings, max_examples=30)
+@given(case=cases(binary=False, per_window="relabelings", k_min=7, k_max=7),
+       seed=_seeds, samples=_samples)
+@_sampled_examples([(Family(p=3, d=1, k=7, rows=((6, 0, 3, 6),)), 1),
+                    (Family(p=3, d=1, k=7, rows=((1, 5, 2), (4, 4, 0))), 1)])
+def test_sampled_big_gamma_generic_alphabet_matches_oracle(case, seed, samples):
     _check_sampled("big_gamma", case, seed, samples)
