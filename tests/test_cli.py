@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prsfam.bounds import weil_check
 from prsfam.cli import (
@@ -100,6 +103,23 @@ def test_measure_budget_exit(tmp_path, capsys):
                 "--budget", "10"]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget" in err
+
+
+def test_sampled_gamma_high_order_fits_default_budget(tmp_path, capsys):
+    # a pinned draw costs ell*N + min(N, k^ell) + 1 steps: 10,000 draws at
+    # order 6 on ksym(31,2,5) estimate 2,110,000 (samples * N * k^ell was
+    # 4,687,500,000, over the default budget)
+    src = str(tmp_path / "ks.txt")
+    run(["gen", "--construction", "ksym", "--p", "31", "--d", "2",
+         "--k", "5", "--out", src])
+    args = ["measure", "--in", src, "--measure", "gamma", "--ell", "6",
+            "--mode", "sampled", "--samples", "10000"]
+    assert run(args) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)[0]["mode"] == \
+        "sampled-lower-bound"
+    assert run(args + ["--budget", "2109999"]) == EXIT_BUDGET
+    assert "sampled order-6 pattern deviation needs an estimated 2110000" \
+        in capsys.readouterr().err
 
 
 def test_measure_fc_budget_reports_lower_bound(tmp_path, capsys):
@@ -269,6 +289,71 @@ def test_malformed_family_file_exits_2(tmp_path, capsys, body, command):
     assert out.out == ""
     assert out.err.startswith("error: line") or "UTF-8" in out.err
     assert not (tmp_path / "out.fam").exists()
+
+
+_BASE_FAMILY = ["#PRSFAM v1 p=7 d=1 k=3 N=4 F=3 construction=external",
+                "0 1 2 1", "2 2 0 1", "1 0 0 2"]
+
+
+@st.composite
+def mutated_family_files(draw):
+    """The bytes of a small family file after up to four mutations: a
+    truncated header, a dropped or duplicated row, N or F = 10^12 in the
+    header, non-digit bytes inserted, CRLF line endings."""
+    lines, crlf, junk = list(_BASE_FAMILY), False, []
+    for op in draw(st.lists(st.sampled_from(
+            ["truncate", "drop", "dup", "huge", "junk", "crlf"]),
+            max_size=4)):
+        if op == "truncate" and lines[0]:
+            lines[0] = lines[0][:draw(st.integers(0, len(lines[0]) - 1))]
+        elif op in ("drop", "dup") and len(lines) > 1:
+            i = draw(st.integers(1, len(lines) - 1))
+            lines[i:i + 1] = [] if op == "drop" else [lines[i]] * 2
+        elif op == "huge":
+            field = draw(st.sampled_from(["N=4", "F=3"]))
+            lines[0] = lines[0].replace(field, field[:2] + "1" + "0" * 12)
+        elif op == "junk":
+            junk.append(draw(st.binary(min_size=1, max_size=3).filter(
+                lambda b: not any(48 <= c <= 57 for c in b))))
+        else:
+            crlf = True
+    data = ("\r\n" if crlf else "\n").join(lines).encode() + b"\n"
+    for piece in junk:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + piece + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_family_files(),
+       measure=st.sampled_from(["fc", "phi", "phi0", "gamma", "gamma0",
+                                "biggamma"]),
+       ell=st.integers(1, 2), sampled=st.booleans())
+def test_mutated_family_files_exit_cleanly(data, measure, ell, sampled):
+    # every run ends with a documented exit code and no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fam.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        measure_args = ["measure", "--in", path, "--measure", measure,
+                        "--ell", str(ell), "--budget", "100000",
+                        "--out", os.path.join(tmp, "m.json")]
+        if sampled:
+            measure_args += ["--mode", "sampled", "--samples", "50"]
+        for args in (measure_args,
+                     ["verify", "--in", path, "--budget", "100000",
+                      "--out", os.path.join(tmp, "v.json")],
+                     ["dual", "--in", path,
+                      "--out", os.path.join(tmp, "d.txt")]):
+            err = io.StringIO()
+            real, sys.stderr = sys.stderr, err
+            try:
+                code = run(args)
+            finally:
+                sys.stderr = real
+            assert code in (EXIT_OK, EXIT_PARAM, EXIT_BUDGET, EXIT_VIOLATED)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_flags_exit_2(capsys):
