@@ -21,17 +21,19 @@ window as P[e] - P[s]: phi is max P - min P, O(L) per (I, T), and gamma
 tracks Q_W[n] = k^ell * C_W[n] - n, whose extremes lie only at
 occurrences of W, at 0 and at L: O(L + k^ell).  The zero-shift variants
 are the case T = 0, s = 0, e = N.  ``big_gamma`` for k <= 2 is phi,
-since relabeling {0, 1} only flips signs; for k >= 3 it builds the
-index sequence of each relabeling tuple and walks every window with
-incremental counts.  Positions with equal lags form a block, and inside
+since relabeling {0, 1} only flips signs; for k >= 3 it takes one
+relabeling tuple per rotation class, skips those whose prefix points
+have a hull diameter clearly below the best value, walks the windows
+of the others, and compares magnitudes exactly (``_root_kernels``,
+``Magnitude``).  Positions with equal lags form a block, and inside
 a block I strictly increases with distinct row contents: the
 lex-smallest tuple of each class that permuting a block leaves equal.
 The search is serial; ``n_jobs`` is accepted and ignored.
 
 Largest window first.  Every window value of a length-L sequence has an
 a-priori cap: L for phi, L * max(k^ell - 1, 1) for the scaled gamma
-|k^ell * C - M|, and L + 1 for a k >= 3 big_gamma magnitude (at most
-M, plus room for its float error).  The search visits T by increasing
+|k^ell * C - M|, and L for a k >= 3 big_gamma magnitude (at most M),
+compared exactly.  The search visits T by increasing
 T[-1], so L never increases, and stops at the first T whose cap is
 strictly below the best value found.  No skipped T can reach that
 value, every T that could tie it is still visited, and ties are decided
@@ -57,10 +59,12 @@ Every exact search precomputes a loop-count estimate and refuses with a
 ``BudgetError`` rather than running unbounded.  It counts the steps of
 the full search, the sum over T of (canonical I count) * L, times k^ell
 for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
-(k!)^ell.  ``_lag_estimate`` gives its closed form.  The stop above
-only removes steps, so the estimate is an upper bound on the steps
-taken, usually a loose one.  A sampled search estimates samples * N,
-times k^ell for gamma.
+(k!)^ell, the walk of every window and relabeling, which bounds the
+(k-1)!^ell * (L + 1 + L(L+1)/2) steps of its rotation-class search.
+``_lag_estimate`` gives its closed form.  The stop above only removes
+steps, so the estimate is an upper bound on the steps taken, usually a
+loose one.  A sampled search estimates samples * N for phi and
+big_gamma, and samples * (ell * N + min(N, k^ell) + 1) for gamma.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
                        permutations, product, repeat, starmap)
@@ -78,6 +82,7 @@ from operator import add, attrgetter, mul, sub
 from typing import Optional, Union
 
 from .construct import Family
+from .cyclotomic import Magnitude
 from .errors import BudgetError, InternalError, ParameterError
 
 __all__ = [
@@ -159,7 +164,9 @@ class MeasureResult:
     that ``measure`` reports when ``f_complexity`` runs out of budget
     (``BudgetError.verified_lower_bound``); no search returns it.
     ``err_bound`` is the floating-point slack of the reported magnitude
-    (zero whenever the value is exact integer/rational arithmetic).
+    (zero whenever the value is exact integer/rational arithmetic); the
+    searches decide every comparison exactly, so it describes only the
+    displayed float.
     """
 
     name: str
@@ -634,136 +641,6 @@ def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
     return math.hypot(re, im)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(k: int) -> tuple[int, ...]:
-    """Phi_k's integer coefficients, low to high: x^k - 1 divided
-    exactly by Phi_d for every proper divisor d of k."""
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            div = _cyclotomic(d)  # monic
-            q = [0] * (len(poly) - len(div) + 1)
-            for i in reversed(range(len(q))):
-                q[i] = poly[i + len(div) - 1]
-                for j, c in enumerate(div):
-                    poly[i + j] -= q[i] * c
-            poly = q
-    return tuple(poly)
-
-
-def _reduce(poly: list[int]) -> list[int]:
-    """The coordinates of sum_j poly[j] zeta_k^j, k = len(poly), in the
-    basis 1, zeta, ..., zeta^(deg Phi_k - 1): the remainder mod Phi_k."""
-    k = len(poly)
-    phi_k = _cyclotomic(k)
-    deg = len(phi_k) - 1
-    poly = list(poly)
-    for m in reversed(range(deg, k)):
-        top = poly.pop()
-        for i in range(deg):
-            poly[m - deg + i] -= top * phi_k[i]
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _cos_fixed(k: int, bits: int) -> list[int]:
-    """2^bits * cos(2 pi j / k) for j < k, each within 2 units: pi by
-    Machin's formula, cos by its Taylor series, both in integers with 32
-    guard bits that absorb their truncation errors."""
-    one = 1 << (bits + 32)
-
-    def atan_inv(x: int) -> int:  # one * atan(1/x)
-        total, term, n = 0, one // x, 1
-        while term:
-            total += term // n if n % 4 == 1 else -(term // n)
-            term //= x * x
-            n += 2
-        return total
-
-    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
-    out = []
-    for j in range(k):
-        x = 2 * pi * min(j, k - j) // k  # the angle, in [0, pi]
-        total, term, i = one, one, 0
-        while term:
-            i += 2
-            term = term * x // one * x // one // (i * (i - 1))
-            total += -term if i % 4 == 2 else term
-        out.append(total >> 32)
-    return out
-
-
-def _sign(r: list[int], k: int) -> int:
-    """The sign of the real number sum_j r_j zeta_k^j, given by its
-    coordinates mod Phi_k: an integer when only r_0 is nonzero (always
-    for k in {3, 4, 6}); for k = 5, 4x = p + q sqrt(5); else fixed-point
-    evaluations of sum_j r_j cos(2 pi j / k) at doubling precision
-    until the value clears the 2 sum |r_j| units of its error.  Nonzero
-    coordinates are a nonzero number, so the loop ends."""
-    if not any(r[1:]):
-        return (r[0] > 0) - (r[0] < 0)
-    if k == 5:  # cos 72 = (sqrt5 - 1)/4, cos 144 = cos 216 = (-sqrt5 - 1)/4
-        p, q = 4 * r[0] - r[1] - r[2] - r[3], r[1] - r[2] - r[3]
-        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
-        if sp * sq >= 0:
-            return sp or sq
-        return sp if p * p > 5 * q * q else sq
-    slack, bits = 2 * sum(map(abs, r)), 64
-    while True:
-        v = sum(map(mul, r, _cos_fixed(k, bits)))
-        if abs(v) > slack:
-            return (v > 0) - (v < 0)
-        bits *= 2
-
-
-class _Mag:
-    """A k >= 3 magnitude |sum_j counts[j] zeta_k^j| that compares
-    exactly, with ints too.  The float ``f`` is within ``err`` of it and
-    decides whenever the gap exceeds both errors.  Otherwise the squares
-    decide: |z|^2 = sum_d A_d zeta^d with A_d = sum_i c_i c_(i+d mod k),
-    reduced mod Phi_k to unique integer coordinates, whose difference is
-    compared with zero by ``_sign``."""
-
-    __slots__ = ("f", "err", "counts", "_square")
-
-    def __init__(self, f: float, err: float, counts: tuple[int, ...]):
-        self.f, self.err, self.counts, self._square = f, err, counts, None
-
-    def square(self) -> list[int]:
-        if self._square is None:
-            c = self.counts
-            self._square = _reduce([sum(map(mul, c, c[d:] + c[:d]))
-                                    for d in range(len(c))])
-        return self._square
-
-    def _cmp(self, other) -> int:
-        if not isinstance(other, _Mag):  # an int n is |n * zeta^0|
-            other = _Mag(float(other), 0.0,
-                         (other,) + (0,) * (len(self.counts) - 1))
-        gap, slack = self.f - other.f, self.err + other.err
-        if abs(gap) > slack:
-            return 1 if gap > 0 else -1
-        return _sign(list(map(sub, self.square(), other.square())),
-                     len(self.counts))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-    __hash__ = None
-
-
 _xy = attrgetter("real", "imag")
 
 
@@ -812,7 +689,7 @@ def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
     within (L + 1)^2 * 2^-48 and a magnitude |Q[e] - Q[s]|, with its
     rounding, within (L + 1)^2 * 2^-46; err(L) is four times that, and
     also bounds the rounding of a cross product in ``_diameter``.  A
-    float gap beyond the errors decides a comparison, and ``_Mag``
+    float gap beyond the errors decides a comparison, and ``Magnitude``
     decides the others exactly.  Ties go to the smallest s, then e, then
     phi.
     """
@@ -846,11 +723,11 @@ def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
             for e, v in enumerate(vals, lo):
                 if v < thr:
                     continue
-                mag = _Mag(v, err, tuple(map(idx[s:e].count, range(k))))
+                mag = Magnitude(v, err, tuple(map(idx[s:e].count, range(k))))
                 if best is None:
-                    wins = floor is None or mag >= floor
+                    wins = floor is None or mag.compare(floor) >= 0
                 else:
-                    c = mag._cmp(best[3])
+                    c = mag.compare(best[3])
                     wins = c > 0 or (c == 0 and (s, e) < best[:2])
                 if wins:
                     best = s, e, phi, mag
@@ -888,16 +765,26 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     unity, over all bijective symbol relabelings per tuple position and
     all admissible (window, shifts, rows) choices.
 
-    Products of roots reduce to index sums mod k, accumulated as exact
-    integer counts; only the final magnitude uses floating point.  For
+    Products of roots reduce to index sums mod k, so a window is an
+    integer count vector c and its magnitude |sum_j c_j zeta_k^j|.  For
     k <= 2 every root is +/-1 (for k = 1 every term is 1), the value is
     an integer, and exact mode runs the phi search.  For k >= 3 exact
-    mode runs the lag-prefix engine over every window and relabeling.
-    Sampled mode reports a lower bound: per seeded draw (I, D) it draws
-    one relabeling per tuple position, the pinned kernel walks the
-    windows [0, e) of that relabeling's index sequence (for k <= 2 it
-    reads the pinned phi kernel), keeping the earliest largest, and the
-    best draw wins.
+    mode runs the lag-prefix engine over the rotation-class
+    representatives phi_j(0) = 0, (k-1)!^ell relabeling tuples, each
+    skipped when the hull diameter of its prefix points is clearly
+    below the best value so far.  Every comparison of magnitudes, of
+    windows, against the best so far and against the value cap, is
+    exact: a float decides only beyond its proven error, otherwise the
+    integer coordinates of |z|^2 mod Phi_k do (``Magnitude``).  All
+    members of a class tie exactly, and the representative is the
+    lex-smallest, so the witness is that of the search over all k!^ell
+    tuples.  The reported value is the float magnitude of the winning
+    window's counts, for display; ``err_bound`` bounds the error of
+    that float.  Sampled mode reports a lower bound: per seeded draw
+    (I, D) it draws one relabeling per tuple position among all k!, the
+    pinned kernel reads the windows [0, e) of that relabeling's index
+    sequence (for k <= 2 the pinned phi kernel), keeping the earliest
+    exact largest, and the best draw wins.
     """
     _require(ell, mode, samples)
     n, k = fam.length, fam.k

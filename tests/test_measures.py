@@ -7,7 +7,7 @@ import pytest
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError
-from prsfam import measures
+from prsfam import cyclotomic, measures
 from prsfam.measures import (
     MODE_EXACT,
     MODE_SAMPLED,
@@ -301,8 +301,8 @@ def test_sign_of_small_units(k, unit):
     # their coordinates grow: at k = 7, u^80 is about 1e-28 with
     # coordinates near 1e20, so the generic path doubles to 256 bits
     for n in range(0, 81, 5):
-        r = measures._reduce(_cyclic_power(unit, n))
-        assert measures._sign(r, k) == (-1)**n
+        r = cyclotomic.coordinates(_cyclic_power(unit, n))
+        assert cyclotomic.sign(r, k) == (-1)**n
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
@@ -311,26 +311,26 @@ def test_cos_fixed_within_two_units(bits):
     with localcontext() as ctx:
         ctx.prec = 100
         for k in range(3, 13):
-            table = measures._cos_fixed(k, bits)
+            table = cyclotomic.cos_fixed(k, bits)
             for j in range(k):
                 exact = oracle._decimal_cos(j, k) * 2**bits
                 assert abs(Decimal(table[j]) - exact) <= 2
 
 
-def test_mag_compares_exactly_where_floats_cannot():
+def test_magnitude_compares_exactly_where_floats_cannot():
     # an error bound this wide leaves every comparison to the exact path
     rng = random.Random(23)
     for k in range(3, 10):
         for _ in range(60):
             a, b = (tuple(rng.randrange(4) for _ in range(k))
                     for _ in range(2))
-            ma, mb = (measures._Mag(0.0, 1e9, c) for c in (a, b))
+            ma, mb = (cyclotomic.Magnitude(0.0, 1e9, c) for c in (a, b))
             ka, kb = oracle._exact_square(a), oracle._exact_square(b)
-            assert ma._cmp(mb) == (ka > kb) - (ka < kb)
+            assert ma.compare(mb) == (ka > kb) - (ka < kb)
             # a rotation and a reflection of the counts keep |z|
             for c in (a[1:] + a[:1], a[:1] + a[:0:-1]):
-                assert ma == measures._Mag(0.0, 1e9, c)
-    m = measures._Mag(0.0, 1e9, (3, 0, 0, 0, 0))
+                assert ma == cyclotomic.Magnitude(0.0, 1e9, c)
+    m = cyclotomic.Magnitude(0.0, 1e9, (3, 0, 0, 0, 0))
     assert m == 3 and 2 < m < 4 and not 3 < m
 
 
@@ -561,7 +561,7 @@ def test_lag_search_stops_on_value_cap(monkeypatch):
     # dual f1(13,5) at order 3: the full search calls the phi kernel
     # 112,684 times; largest window first, almost every lag tuple has a
     # window shorter than the value already found.
-    from prsfam import measures
+    from prsfam import cyclotomic, measures
     from prsfam.construct import dual
     real = measures._phi_windows
     calls = []

@@ -392,5 +392,5 @@ def test_sampled_big_gamma_matches_oracle(case, seed, samples):
        seed=_seeds, samples=_samples)
 @_sampled_examples([(Family(p=3, d=1, k=7, rows=((6, 0, 3, 6),)), 1),
                     (Family(p=3, d=1, k=7, rows=((1, 5, 2), (4, 4, 0))), 1)])
-def test_sampled_big_gamma_generic_alphabet_matches_oracle(case, seed, samples):
+def test_sampled_big_gamma_k7_matches_oracle(case, seed, samples):
     _check_sampled("big_gamma", case, seed, samples)
