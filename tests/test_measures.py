@@ -334,6 +334,24 @@ def test_magnitude_compares_exactly_where_floats_cannot():
     assert m == 3 and 2 < m < 4 and not 3 < m
 
 
+def test_diameter_matches_all_pairs():
+    # the prefix points of random walks on the k-th roots, with long
+    # straight runs and returns that put many points on hull edges
+    rng = random.Random(31)
+    for k in range(3, 9):
+        roots = [complex(math.cos(2 * math.pi * j / k),
+                         math.sin(2 * math.pi * j / k)) for j in range(k)]
+        for _ in range(40):
+            steps = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
+            steps = [c for c in steps for _ in range(rng.randint(1, 4))]
+            Q = [0j]
+            for c in steps:
+                Q.append(Q[-1] + roots[c])
+            tol = (len(steps) + 1)**2 * 2.0**-44
+            brute = max(abs(a - b) for a in Q for b in Q)
+            assert abs(measures._diameter(Q, tol) - brute) <= tol
+
+
 # --- sampled mode ------------------------------------------------------------
 
 
