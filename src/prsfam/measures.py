@@ -24,10 +24,10 @@ are the case T = 0, s = 0, e = N.  ``big_gamma`` for k <= 2 is phi,
 since relabeling {0, 1} only flips signs; for k >= 3 it takes one
 relabeling tuple per rotation class, skips those whose prefix points
 have a hull diameter clearly below the best value, walks the windows
-of the others, and compares magnitudes exactly (``_root_kernels``,
-``Magnitude``).  Positions with equal lags form a block, and inside
-a block I strictly increases with distinct row contents: the
-lex-smallest tuple of each class that permuting a block leaves equal.
+of the others, and compares magnitudes exactly (``roots``).  Positions
+with equal lags form a block, and inside a block I strictly increases
+with distinct row contents: the lex-smallest tuple of each class that
+permuting a block leaves equal.
 The search is serial; ``n_jobs`` is accepted and ignored.
 
 Largest window first.  Every window value of a length-L sequence has an
@@ -77,12 +77,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
-                       permutations, product, repeat, starmap)
-from operator import add, attrgetter, mul, sub
+                       permutations, product)
+from operator import add, mul
 from typing import Optional, Union
 
 from .construct import Family
-from .cyclotomic import Magnitude
+from . import roots
 from .errors import BudgetError, InternalError, ParameterError
 
 __all__ = [
@@ -641,121 +641,20 @@ def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
     return math.hypot(re, im)
 
 
-_xy = attrgetter("real", "imag")
-
-
-def _diameter(Q: list, tol: float) -> float:
-    """The largest distance between two points of Q, as the largest
-    between two points kept by Andrew's monotone chain.  A point leaves
-    the chain only on a computed cross product below -tol, a clear
-    right turn of the float points, so every vertex of their hull stays,
-    and with it the farthest pair; near-collinear points that stay only
-    cost time."""
-    pts = sorted(map(_xy, Q))
-    chain = []
-    for half in (pts, pts[::-1]):
-        part: list = []
-        for x, y in half:
-            while len(part) >= 2:
-                (ox, oy), (ax, ay) = part[-2], part[-1]
-                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= -tol:
-                    break
-                part.pop()
-            part.append((x, y))
-        chain += part[1:]  # each half starts where the other ends
-    hull = [complex(x, y) for x, y in chain]
-    return max(map(abs, starmap(sub, combinations(hull, 2))))
-
-
-def _root_kernels(k: int, ell: int, rng: Optional[random.Random] = None):
-    """Kernels of big_gamma.  For a relabeling tuple phi they build the
-    index sequence sum_j phi_j(x_j) mod k and its complex prefix points
-    Q[0..L]; the window [s, e) has magnitude |Q[e] - Q[s]|.
-
-    ``windows`` (exact, k >= 3) takes only the rotation-class
-    representatives, phi_j(0) = 0 for every j: adding c to phi_j turns
-    every term by zeta^c and leaves every magnitude unchanged, and the
-    representative is the lex-smallest map of its class.  It skips a
-    representative whose hull diameter of Q, the largest magnitude of
-    its windows, is clearly below the best value so far, and walks the
-    windows of the others.  ``pinned`` (sampled) walks one phi, drawn
-    from ``rng`` among all k! maps, from s = 0; for k <= 2 it gets +/-1
-    rows and reads the pinned phi kernel, since relabeling {0, 1} only
-    flips signs.
-
-    Floats stand for exact values within err(L) = (L + 1)^2 * 2^-44.
-    Each root is within 2^-48 of its value and each of the L prefix
-    additions rounds by at most L * 2^-53, so a coordinate of Q[n] is
-    within (L + 1)^2 * 2^-48 and a magnitude |Q[e] - Q[s]|, with its
-    rounding, within (L + 1)^2 * 2^-46; err(L) is four times that, and
-    also bounds the rounding of a cross product in ``_diameter``.  A
-    float gap beyond the errors decides a comparison, and ``Magnitude``
-    decides the others exactly.  Ties go to the smallest s, then e, then
-    phi.
-    """
+def _root_pinned(k: int, ell: int, rng: random.Random):
+    """The pinned big_gamma kernel: one relabeling tuple drawn from
+    ``rng`` among all k! maps per position, read from s = 0 by
+    ``roots.pinned``; for k <= 2 it gets +/-1 rows and reads the pinned
+    phi kernel, since relabeling {0, 1} only flips signs."""
     perms = list(permutations(range(k)))
-    roots = [complex(c, s) for c, s in zip(*_root_tables(k))]
-    n_reps = math.factorial(k - 1)  # perms[:n_reps] fix 0
-
-    def prefix(maps, seqs):
-        idx = [v % k for v in _combine(add, [list(map(m.__getitem__, seq))
-                                             for m, seq in zip(maps, seqs)])]
-        return idx, list(accumulate(map(roots.__getitem__, idx), initial=0j))
-
-    def walk(idx, Q, cut, starts, err, floor, best, phi):
-        """Offer the windows [s, e), s in ``starts``, of one relabeling
-        tuple whose windows reach at most ``cut`` (a float): a window
-        wins over ``best`` (s, e, phi, value) on a larger value or an
-        equal one with a smaller (s, e), and the first must reach
-        ``floor``."""
-        top = best[3] if best else floor
-        if top is not None and cut + err < top.f - top.err:
-            return best
-        # a window below cut - 2 err is below another of this phi
-        thr = cut - 2 * err
-        if top is not None:
-            thr = max(thr, top.f - top.err - err)
-        for s in starts:
-            lo = s + max(int(thr - err), 1)  # a magnitude is at most M
-            vals = list(map(abs, map(sub, Q[lo:], repeat(Q[s]))))
-            if not vals or max(vals) < thr:
-                continue
-            for e, v in enumerate(vals, lo):
-                if v < thr:
-                    continue
-                mag = Magnitude(v, err, tuple(map(idx[s:e].count, range(k))))
-                if best is None:
-                    wins = floor is None or mag.compare(floor) >= 0
-                else:
-                    c = mag.compare(best[3])
-                    wins = c > 0 or (c == 0 and (s, e) < best[:2])
-                if wins:
-                    best = s, e, phi, mag
-                    thr = max(thr, v - 2 * err)
-        return best
-
-    def windows(seqs, size: int, floor):
-        err, best = (size + 1)**2 * 2.0**-44, None
-        for phi in product(range(n_reps), repeat=ell):
-            idx, Q = prefix([perms[c] for c in phi], seqs)
-            best = walk(idx, Q, _diameter(Q, err), range(size), err, floor,
-                        best, phi)
-        if best is None:
-            return None
-        s, e, phi, mag = best
-        return mag, s, e, tuple(perms[c] for c in phi)
 
     def pinned(seqs, size: int, floor):
-        phi = tuple(rng.randrange(len(perms)) for _ in range(ell))
-        maps = tuple(perms[c] for c in phi)
+        maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
         if k <= 2:
             return _phi_pinned(seqs, size, floor)[:3] + (maps,)
-        idx, Q = prefix(maps, seqs)
-        best = walk(idx, Q, max(map(abs, Q)), range(1),
-                    (size + 1)**2 * 2.0**-44, floor, None, phi)
-        return None if best is None else (best[3], 0, best[1], maps)
+        return roots.pinned(maps, seqs, size, floor)
 
-    return windows, pinned
+    return pinned
 
 
 def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
@@ -775,7 +674,7 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     below the best value so far.  Every comparison of magnitudes, of
     windows, against the best so far and against the value cap, is
     exact: a float decides only beyond its proven error, otherwise the
-    integer coordinates of |z|^2 mod Phi_k do (``Magnitude``).  All
+    integer coordinates of |z|^2 mod Phi_k do (``roots.Magnitude``).  All
     members of a class tie exactly, and the representative is the
     lex-smallest, so the witness is that of the search over all k!^ell
     tuples.  The reported value is the float magnitude of the winning
@@ -791,14 +690,14 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     exact_mag = k <= 2
     err = 0.0 if exact_mag else ell * n * 2.0**-50
     what = f"order-{ell} root-relabeling correlation"
-    rng = random.Random(seed)  # the sampled draws and their relabelings
-    windows, pinned = _root_kernels(k, ell, rng)
     rows = fam.rows
     if exact_mag:  # every root is +/-1, for k = 1 every term is 1
         rows = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
     if mode == MODE_SAMPLED:
         _check_budget(samples * n, budget, what, mode)
-        best = _sampled_search(fam, [rows] * ell, ell, pinned, rng, samples)
+        rng = random.Random(seed)  # the sampled draws and their relabelings
+        best = _sampled_search(fam, [rows] * ell, ell,
+                               _root_pinned(k, ell, rng), rng, samples)
     elif exact_mag:
         # Relabeling {0, 1} only flips the sign of every term, so the
         # value is phi's and the identity, the lex-smallest map, is the
@@ -810,8 +709,8 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
         _check_budget(_lag_estimate(fam, ell, False, windows=True)
                       * math.factorial(k)**ell, budget, what)
         # an exact magnitude is at most M <= L
-        best = _lag_search(fam, [rows] * ell, ell, False, windows,
-                           lambda L: L)
+        best = _lag_search(fam, [rows] * ell, ell, False,
+                           roots.windows_kernel(k, ell), lambda L: L)
     if not exact_mag and best.value is not None:
         best.value = _magnitude(best.value.counts, *_root_tables(k))
     return _result(fam, "big_gamma", ell, mode, best, 0 if exact_mag else 0.0,

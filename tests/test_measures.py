@@ -7,7 +7,7 @@ import pytest
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError
-from prsfam import cyclotomic, measures
+from prsfam import measures, roots
 from prsfam.measures import (
     MODE_EXACT,
     MODE_SAMPLED,
@@ -301,8 +301,8 @@ def test_sign_of_small_units(k, unit):
     # their coordinates grow: at k = 7, u^80 is about 1e-28 with
     # coordinates near 1e20, so the generic path doubles to 256 bits
     for n in range(0, 81, 5):
-        r = cyclotomic.coordinates(_cyclic_power(unit, n))
-        assert cyclotomic.sign(r, k) == (-1)**n
+        r = roots.coordinates(_cyclic_power(unit, n))
+        assert roots.sign(r, k) == (-1)**n
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
@@ -311,7 +311,7 @@ def test_cos_fixed_within_two_units(bits):
     with localcontext() as ctx:
         ctx.prec = 100
         for k in range(3, 13):
-            table = cyclotomic.cos_fixed(k, bits)
+            table = roots.cos_fixed(k, bits)
             for j in range(k):
                 exact = oracle._decimal_cos(j, k) * 2**bits
                 assert abs(Decimal(table[j]) - exact) <= 2
@@ -324,13 +324,13 @@ def test_magnitude_compares_exactly_where_floats_cannot():
         for _ in range(60):
             a, b = (tuple(rng.randrange(4) for _ in range(k))
                     for _ in range(2))
-            ma, mb = (cyclotomic.Magnitude(0.0, 1e9, c) for c in (a, b))
+            ma, mb = (roots.Magnitude(0.0, 1e9, c) for c in (a, b))
             ka, kb = oracle._exact_square(a), oracle._exact_square(b)
             assert ma.compare(mb) == (ka > kb) - (ka < kb)
             # a rotation and a reflection of the counts keep |z|
             for c in (a[1:] + a[:1], a[:1] + a[:0:-1]):
-                assert ma == cyclotomic.Magnitude(0.0, 1e9, c)
-    m = cyclotomic.Magnitude(0.0, 1e9, (3, 0, 0, 0, 0))
+                assert ma == roots.Magnitude(0.0, 1e9, c)
+    m = roots.Magnitude(0.0, 1e9, (3, 0, 0, 0, 0))
     assert m == 3 and 2 < m < 4 and not 3 < m
 
 
@@ -339,17 +339,17 @@ def test_diameter_matches_all_pairs():
     # straight runs and returns that put many points on hull edges
     rng = random.Random(31)
     for k in range(3, 9):
-        roots = [complex(math.cos(2 * math.pi * j / k),
-                         math.sin(2 * math.pi * j / k)) for j in range(k)]
+        zeta = [complex(math.cos(2 * math.pi * j / k),
+                        math.sin(2 * math.pi * j / k)) for j in range(k)]
         for _ in range(40):
             steps = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
             steps = [c for c in steps for _ in range(rng.randint(1, 4))]
             Q = [0j]
             for c in steps:
-                Q.append(Q[-1] + roots[c])
+                Q.append(Q[-1] + zeta[c])
             tol = (len(steps) + 1)**2 * 2.0**-44
             brute = max(abs(a - b) for a in Q for b in Q)
-            assert abs(measures._diameter(Q, tol) - brute) <= tol
+            assert abs(roots.diameter(Q, tol) - brute) <= tol
 
 
 # --- sampled mode ------------------------------------------------------------
@@ -579,7 +579,7 @@ def test_lag_search_stops_on_value_cap(monkeypatch):
     # dual f1(13,5) at order 3: the full search calls the phi kernel
     # 112,684 times; largest window first, almost every lag tuple has a
     # window shorter than the value already found.
-    from prsfam import cyclotomic, measures
+    from prsfam import measures, roots
     from prsfam.construct import dual
     real = measures._phi_windows
     calls = []
