@@ -33,12 +33,12 @@ The search is serial; ``n_jobs`` is accepted and ignored.
 Largest window first.  Every window value of a length-L sequence has an
 a-priori cap: L for phi, L * max(k^ell - 1, 1) for the scaled gamma
 |k^ell * C - M|, and L for a k >= 3 big_gamma magnitude (at most M),
-compared exactly.  The search visits T by increasing
-T[-1], so L never increases, and stops at the first T whose cap is
-strictly below the best value found.  No skipped T can reach that
-value, every T that could tie it is still visited, and ties are decided
-by key, not by visit order, so values and witnesses are exactly those
-of the full search.
+compared exactly.  The search visits T by increasing T[-1], so L never
+increases, and stops at the first T whose cap is strictly below the
+best value found.  No skipped T can reach that value, every T that
+could tie it is still visited, and ties are decided by key, not by
+visit order, so values and witnesses are exactly those of the full
+search.
 
 Sampled modes.  A seeded draw (I, D) reads only the windows [0, M) of
 its shifted rows: the kernel case with s pinned at 0.
@@ -82,7 +82,6 @@ from operator import add, mul
 from typing import Optional, Union
 
 from .construct import Family
-from . import roots
 from .errors import BudgetError, InternalError, ParameterError
 
 __all__ = [
@@ -647,12 +646,16 @@ def _root_pinned(k: int, ell: int, rng: random.Random):
     ``roots.pinned``; for k <= 2 it gets +/-1 rows and reads the pinned
     phi kernel, since relabeling {0, 1} only flips signs."""
     perms = list(permutations(range(k)))
+    if k >= 3:
+        from . import roots  # see big_gamma
+        read = roots.pinned
+    else:
+        def read(maps, seqs, size, floor):
+            return _phi_pinned(seqs, size, floor)[:3] + (maps,)
 
     def pinned(seqs, size: int, floor):
         maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
-        if k <= 2:
-            return _phi_pinned(seqs, size, floor)[:3] + (maps,)
-        return roots.pinned(maps, seqs, size, floor)
+        return read(maps, seqs, size, floor)
 
     return pinned
 
@@ -708,6 +711,10 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     else:
         _check_budget(_lag_estimate(fam, ell, False, windows=True)
                       * math.factorial(k)**ell, budget, what)
+        # Imported here, not at the top, so that only the runs that read
+        # k >= 3 magnitudes compile the module: every other run keeps its
+        # former peak memory.
+        from . import roots
         # an exact magnitude is at most M <= L
         best = _lag_search(fam, [rows] * ell, ell, False,
                            roots.windows_kernel(k, ell), lambda L: L)
