@@ -25,7 +25,8 @@ from .construct import Family, dual_tag
 from .errors import BudgetError, ParameterError
 from .ff import _check_odd_prime, legendre
 from .measures import DEFAULT_BUDGET, MeasureResult
-from .poly import Poly, count_trace_zero_irreducibles, mobius, poly_gcd
+from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_trace_zero_irreducibles,
+                   mobius, poly_gcd)
 
 __all__ = [
     "BoundReport",
@@ -190,12 +191,17 @@ def fc_envelope_ksym(p: int, d: int) -> float:
     return (d / 2 - 1) * math.log2(p) - math.log2((d - 1) * math.log2(p))
 
 
+_CHUNK = 1024
+
+
 def weil_check(h: Poly, p: int) -> BoundReport:
     """Complete residue-symbol sum of a square-free polynomial checked
     against (deg h - 1) * sqrt(p); the comparison is exact (squared
     integer inequality), the report shows the float envelope.  The sum
     takes p steps and is refused with a ``BudgetError`` when p exceeds
-    ``DEFAULT_BUDGET``."""
+    ``DEFAULT_BUDGET``.  Values of h, ``_CHUNK`` at a time, are looked
+    up in a table of the squares mod p, or past ``DEFAULT_ENUM_BUDGET``,
+    where that table grows too large, go through Euler's criterion."""
     _check_odd_prime(p)
     if p > DEFAULT_BUDGET:
         raise BudgetError(
@@ -207,7 +213,20 @@ def weil_check(h: Poly, p: int) -> BoundReport:
         raise ParameterError("polynomial is over the wrong prime field")
     if poly_gcd(h, h.derivative()).degree != 0:
         raise ParameterError(f"{h} is not square-free over F_{p}")
-    total = sum(legendre(h.eval(n), p) for n in range(p))
+    tabulated = p <= DEFAULT_ENUM_BUDGET
+    if tabulated:
+        square = bytearray(p)
+        for x in range(1, (p + 1) // 2):
+            square[x * x % p] = 1
+    total = 0
+    for start in range(0, p, _CHUNK):
+        vals = h.values(range(start, min(start + _CHUNK, p)))
+        if tabulated:
+            # squares count +1, zeros 0 and the rest -1
+            total += (2 * sum(map(square.__getitem__, vals))
+                      + vals.count(0) - len(vals))
+        else:
+            total += sum(legendre(v, p) for v in vals)
     m = h.degree
     measured = abs(total)
     theoretical = (m - 1) * math.sqrt(p)

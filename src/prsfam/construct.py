@@ -12,10 +12,11 @@ Three builders are provided:
 * ``family_k_symbol`` -- order-k character rows of the minimal
   polynomials of trace-zero conjugacy representatives.
 
-All builders verify at build time that no row contains a zero symbol,
-check row distinctness exhaustively (recording the outcome, since it
-can genuinely fail at small parameters; see ``_record_distinctness``),
-then freeze the result.
+All builders share ``_symbol_rows``, which tabulates the symbol once
+over F_p^* and looks up each polynomial's values there.  They verify at
+build time that no value is zero, check row distinctness exhaustively
+(recording the outcome, since it can genuinely fail at small
+parameters; see ``_record_distinctness``), then freeze the result.
 """
 
 from __future__ import annotations
@@ -116,22 +117,24 @@ class Family:
         return len(set(self.rows)) == len(self.rows)
 
 
-def _encode_pm(value: int) -> int:
-    # value is a residue symbol in {-1, +1}
-    return 0 if value == 1 else 1
+def _pm_symbol(p: int):
+    """The binary row symbol of a nonzero residue mod p: 0 for a square
+    (residue symbol +1), 1 otherwise."""
+    return lambda m: 0 if legendre(m, p) == 1 else 1
 
 
-def _symbol_rows_from_polys(polys, p: int) -> tuple[tuple[int, ...], ...]:
+def _symbol_rows(polys, p: int, symbol) -> tuple[tuple[int, ...], ...]:
+    """One row symbol(f(n)), n = 1..p-1, per polynomial f: p - 1 calls
+    of ``symbol`` build a table, and each row looks up f's values."""
+    table = [None] + [symbol(m) for m in range(1, p)]
+    xs = range(1, p)
     rows = []
     for f in polys:
-        row = []
-        for n in range(1, p):
-            v = legendre(f.eval(n), p)
-            if v == 0:
-                raise InternalError(
-                    f"{f} vanished at {n}; irreducible inputs cannot")
-            row.append(_encode_pm(v))
-        rows.append(tuple(row))
+        vals = f.values(xs)
+        if 0 in vals:
+            raise InternalError(f"{f} vanished at {vals.index(0) + 1}; "
+                                f"irreducible inputs cannot")
+        rows.append(tuple(map(table.__getitem__, vals)))
     return tuple(rows)
 
 
@@ -222,8 +225,8 @@ def family_f1(p: int, d: int, base: Poly | None = None,
         base = _find_base_poly(p, d, budget)
     else:
         _validate_base(base, p, d)
-    rows = _symbol_rows_from_polys(
-        (scale_poly(base, i) for i in range(1, p)), p)
+    rows = _symbol_rows((scale_poly(base, i) for i in range(1, p)), p,
+                        _pm_symbol(p))
     return _record_distinctness(Family(
         p=p, d=d, k=2, rows=rows, construction="f1",
         params={"base": base.coeffs}))
@@ -250,26 +253,11 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
         _check_row_symbols(sum(_poly.mobius(d // t) * p**t
                                for t in range(1, d + 1) if d % t == 0) // d,
                            p, budget)
-        polys = _enumerate_all_irreducibles(p, d, budget=budget)
-    rows = _symbol_rows_from_polys(polys, p)
+        polys = _poly.enumerate_irreducibles(p, d, False, budget)
+    rows = _symbol_rows(polys, p, _pm_symbol(p))
     return _record_distinctness(Family(
         p=p, d=d, k=2, rows=rows, construction="f2",
         params={"trace_zero": trace_zero}))
-
-
-def _enumerate_all_irreducibles(p: int, d: int,
-                                budget: int | None = None) -> list[Poly]:
-    budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
-    if p**d > budget:
-        raise BudgetError(
-            f"enumeration needs {p**d} candidates, budget is {budget}",
-            estimate=p**d, budget=budget)
-    out = []
-    for rest in product(range(p), repeat=d):
-        f = Poly(tuple(reversed(rest)) + (1,), p)
-        if is_irreducible(f):
-            out.append(f)
-    return out
 
 
 def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
@@ -300,18 +288,8 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
             f"gcd(k, (p^d-1)/(p-1)) = gcd({k}, {subgroup}) = "
             f"{math.gcd(k, subgroup)} != 1")
     reps = conjugacy_representatives(p, d, trace_zero_only=True, budget=budget)
-    rows = []
-    for beta in reps:
-        f = minimal_polynomial(beta)
-        row = []
-        for n in range(1, p):
-            v = f.eval(n)
-            if v == 0:
-                raise InternalError(
-                    f"{f} vanished at {n}; irreducible inputs cannot")
-            row.append(char_k(v, k, p))
-        rows.append(tuple(row))
-    rows = tuple(rows)
+    rows = _symbol_rows(map(minimal_polynomial, reps), p,
+                        lambda m: char_k(m, k, p))
     expected = (p**d - p) // (d * p)
     if len(rows) != expected:
         raise InternalError(
@@ -331,11 +309,12 @@ def dual_tag(tag: str) -> str:
 
 def dual(fam: Family) -> Family:
     """Transpose: row n of the dual reads symbol n of every member.
-    Applying it twice returns the original family."""
+    Applying it twice returns the original family.  Records the dual's
+    own row distinctness."""
     rows = tuple(zip(*fam.rows))
-    return Family(p=fam.p, d=fam.d, k=fam.k, rows=rows,
-                  construction=dual_tag(fam.construction),
-                  params=dict(fam.params))
+    return _record_distinctness(Family(
+        p=fam.p, d=fam.d, k=fam.k, rows=rows,
+        construction=dual_tag(fam.construction), params=dict(fam.params)))
 
 
 _HEADER_RE = re.compile(

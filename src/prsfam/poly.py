@@ -6,11 +6,12 @@ canonical form never carries trailing zero coefficients, so equality and
 hashing are structural.
 
 On top of the ring operations this module provides the deterministic
-irreducibility test, enumeration and counting of monic irreducibles with
-vanishing second-highest coefficient (equivalently: root trace zero),
-minimal polynomials and conjugacy-class representatives of extension
-elements, the coefficient scaling f |-> i^deg(f) * f(X/i), and a
-square-freeness check for shifted products.
+irreducibility test, a product sieve for the monic irreducibles (all,
+or those with vanishing second-highest coefficient, equivalently root
+trace zero), counting of the latter, minimal polynomials and
+conjugacy-class representatives of extension elements, the coefficient
+scaling f |-> i^deg(f) * f(X/i), and a square-freeness check for
+shifted products.
 
 The p-th power map of F_p[x]/(f) is F_p-linear, because a^p = a for
 every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
@@ -25,7 +26,7 @@ at the field and construction layers.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "is_irreducible",
     "mobius",
     "count_trace_zero_irreducibles",
+    "enumerate_irreducibles",
     "enumerate_trace_zero_irreducibles",
     "minimal_polynomial",
     "conjugacy_representatives",
@@ -166,9 +168,15 @@ class Poly:
 
     def eval(self, n: int) -> int:
         """Horner evaluation at n, reduced mod p."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * n + c) % self.p
+        return self.values((n,))[0]
+
+    def values(self, xs: Sequence[int]) -> list[int]:
+        """Horner evaluation at every point of xs, reduced mod p: one
+        pass over the list per coefficient."""
+        p = self.p
+        acc = [self.coeffs[-1] if self.coeffs else 0] * len(xs)
+        for c in reversed(self.coeffs[:-1]):
+            acc = [(a * x + c) % p for a, x in zip(acc, xs)]
         return acc
 
     def derivative(self) -> "Poly":
@@ -346,33 +354,49 @@ def count_trace_zero_irreducibles(p: int, d: int) -> int:
     return total // d
 
 
-def _iter_monic_zero_second(p: int, d: int):
-    """Monic degree-d candidates with zero x^(d-1) coefficient, in
-    lexicographic order of the remaining coefficients (highest power
-    first, constant term last)."""
-    for rest in product(range(p), repeat=d - 1):
-        # rest = (coeff of x^(d-2), ..., coeff of x^0)
-        coeffs = [0] * (d + 1)
-        coeffs[d] = 1
-        for idx, c in enumerate(rest):
-            coeffs[d - 2 - idx] = c
-        yield Poly(coeffs, p)
-
-
-def enumerate_trace_zero_irreducibles(p: int, d: int,
-                                      budget: int | None = None) -> list[Poly]:
-    """All monic irreducible degree-d polynomials over F_p with zero
-    x^(d-1) coefficient, ordered lexicographically by coefficient tuple
-    (highest power first)."""
+def enumerate_irreducibles(p: int, d: int, trace_zero: bool = True,
+                           budget: int | None = None) -> list[Poly]:
+    """All monic irreducible degree-d polynomials over F_p (with zero
+    x^(d-1) coefficient under ``trace_zero``), in lexicographic order
+    (highest power first), by a product sieve: every g*h with g, h monic
+    and deg g = a <= d/2 is marked, and the rest kept.  Under
+    ``trace_zero`` h's x^(d-a-1) coefficient is -g_(a-1)."""
     if d < 2:
         raise ParameterError(f"extension degree must be >= 2, got {d}")
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
-    candidates = p ** (d - 1)
+    free = d - 1 if trace_zero else d
+    candidates = p**free
     if candidates > budget:
         raise BudgetError(
             f"enumeration needs {candidates} candidates, budget is {budget}",
             estimate=candidates, budget=budget)
-    return [f for f in _iter_monic_zero_second(p, d) if is_irreducible(f)]
+    # a candidate's index is its free coefficients read in base p
+    weights = [p**i for i in range(free)]
+    keep = bytearray(b"\x01") * candidates
+    for a in range(1, d // 2 + 1):
+        m = d - a - 1 if trace_zero else d - a  # free coefficients of h
+        for low in product(range(p), repeat=a):
+            g = low + (1,)
+            top = (-low[-1], 1) if trace_zero else (1,)
+            fixed = (Poly(g, p) * Poly((0,) * m + top, p)).coeffs
+            # sums[i] lists the x^i coefficient of g*h over every h
+            sums = [[c] for c in fixed[:free]]
+            for j in range(m):
+                gj = (0,) * j + g + (0,) * free  # g * x^j
+                sums = [[s + t * gj[i] for s in col for t in range(p)]
+                        for i, col in enumerate(sums)]
+            for idx in map(sum, zip(*([s % p * w for s in col]
+                                      for col, w in zip(sums, weights)))):
+                keep[idx] = 0
+    tail = (0, 1) if trace_zero else (1,)
+    return [Poly([n // w % p for w in weights] + list(tail), p)
+            for n in compress(range(candidates), keep)]
+
+
+def enumerate_trace_zero_irreducibles(p: int, d: int,
+                                      budget: int | None = None) -> list[Poly]:
+    """``enumerate_irreducibles`` with ``trace_zero``."""
+    return enumerate_irreducibles(p, d, True, budget)
 
 
 def minimal_polynomial(beta) -> Poly:

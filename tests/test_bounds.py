@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from prsfam import bounds
 from prsfam.bounds import (
     KIND_ASYMPTOTIC,
     KIND_ENVELOPE,
@@ -152,21 +153,57 @@ def test_weil_on_scaled_shifted_products():
     assert r.theoretical == pytest.approx(9 * math.sqrt(11))
 
 
-def test_weil_seeded_squarefree_suite():
-    rng = random.Random(99)
-    checked = 0
-    while checked < 60:
-        p = rng.choice([5, 7, 11, 13, 101])
+def _squarefree_cases(rng, primes, count, roots):
+    """``count`` seeded square-free polynomials of degree 1..6 over
+    primes drawn from ``primes``, times ``roots`` linear factors."""
+    cases = []
+    while len(cases) < count:
+        p = rng.choice(primes)
         d = rng.randint(1, 6)
         h = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)],
                  p)
-        if poly_gcd(h, h.derivative()).degree != 0:
-            continue
+        for _ in range(roots):
+            h = h * Poly((-rng.randrange(p), 1), p)
+        if poly_gcd(h, h.derivative()).degree == 0:
+            cases.append((h, p))
+    return cases
+
+
+def _literal_sum(h, p):
+    return sum(legendre(h.eval(n), p) for n in range(p))
+
+
+def test_weil_seeded_squarefree_suite():
+    rng = random.Random(99)
+    # small primes, then primes that span several evaluation chunks,
+    # then polynomials with roots in F_p
+    cases = (_squarefree_cases(rng, [5, 7, 11, 13, 101], 60, 0)
+             + _squarefree_cases(rng, [4099, 10007], 10, 0)
+             + _squarefree_cases(rng, [5, 13, 101, 4099, 10007], 20, 2))
+    for h, p in cases:
         r = weil_check(h, p)
         assert r.satisfied, (h, p, r.measured, r.theoretical)
         # independent recomputation of the sum
-        assert r.measured == abs(sum(legendre(h.eval(n), p) for n in range(p)))
-        checked += 1
+        assert r.measured == abs(_literal_sum(h, p))
+
+
+def test_weil_euler_branch_matches_literal_sum(monkeypatch):
+    # above the table limit each value goes through Euler's criterion
+    calls = []
+
+    def counted(a, p):
+        calls.append(a)
+        return legendre(a, p)
+
+    monkeypatch.setattr(bounds, "DEFAULT_ENUM_BUDGET", 100)
+    monkeypatch.setattr(bounds, "legendre", counted)
+    cases = _squarefree_cases(random.Random(3), [101, 4099], 10, 1)
+    for h, p in cases:
+        assert weil_check(h, p).measured == abs(_literal_sum(h, p))
+    assert len(calls) == sum(p for _, p in cases)
+    calls.clear()
+    weil_check(Poly((1, 0, 1), 97), 97)  # under the limit: the table
+    assert not calls
 
 
 # --- family verification -----------------------------------------------------

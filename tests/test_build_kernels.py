@@ -1,7 +1,7 @@
 """Differential tests of the build-path kernels against literal
 definitions: the linear Frobenius (irreducibility test, conjugates,
-orbit representatives), the f1 base search and the cached primality
-check behind the characters."""
+orbit representatives), the product sieve of the irreducibles, the f1
+base search and the cached primality check behind the characters."""
 
 import json
 import os
@@ -21,6 +21,7 @@ from prsfam.poly import (
     Poly,
     conjugacy_representatives,
     count_trace_zero_irreducibles,
+    enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
 )
@@ -51,6 +52,21 @@ def test_irreducible_matches_divisor_oracle(p, max_d):
                 s = rng.randrange(2, p)
                 scaled = Poly([c * s for c in f.coeffs], p)
                 assert is_irreducible(scaled) == expected, scaled
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("trace_zero", [True, False])
+def test_sieve_matches_divisor_oracle(p, d, trace_zero):
+    # every candidate in lexicographic order (highest power first),
+    # kept when it has no monic divisor of degree 1..d/2; p | d occurs
+    # at (2, 2), (2, 4), (3, 3) and (5, 5)
+    tail = (0, 1) if trace_zero else (1,)
+    expected = [f for f in (Poly(tuple(reversed(rest)) + tail, p)
+                            for rest in product(range(p),
+                                                repeat=d + 1 - len(tail)))
+                if oracle.irreducible_by_divisors(f)]
+    assert enumerate_irreducibles(p, d, trace_zero) == expected
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (13, 1), (3, 2), (7, 2),

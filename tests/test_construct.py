@@ -13,7 +13,7 @@ from prsfam.construct import (
     write_family,
 )
 from prsfam.errors import ParameterError, ParseError
-from prsfam.ff import legendre
+from prsfam.ff import char_k, legendre
 from prsfam.poly import (
     Poly,
     conjugacy_representatives,
@@ -192,6 +192,17 @@ def test_ksym_order_two_matches_residue_family(p, d):
         assert row == by_poly[minimal_polynomial(beta)]
 
 
+@pytest.mark.parametrize("p,d,k", [(7, 2, 3), (11, 2, 5), (13, 3, 4),
+                                   (29, 2, 7), (11, 3, 5)])
+def test_ksym_rows_are_literal_characters(p, d, k):
+    fam = family_k_symbol(p, d, k)
+    reps = conjugacy_representatives(p, d, trace_zero_only=True)
+    assert fam.rows == tuple(
+        tuple(char_k(minimal_polynomial(beta).eval(n), k, p)
+              for n in range(1, p))
+        for beta in reps)
+
+
 # --- dual --------------------------------------------------------------------
 
 
@@ -203,6 +214,15 @@ def test_dual_shapes_and_involution():
     assert dual(d) == fam
     one = Family(p=3, d=1, k=2, rows=((0, 1, 0),))
     assert dual(one).rows == ((0,), (1,), (0,))
+
+
+def test_dual_records_its_own_distinctness():
+    fam = family_f2(7, 3)  # two equal rows; the dual's rows are distinct
+    assert fam.params["distinct_rows"] is False
+    d = dual(fam)
+    assert d.distinct_rows()
+    assert d.params["distinct_rows"] is True
+    assert dual(d).params["distinct_rows"] is False
 
 
 def test_dual_hand_example():

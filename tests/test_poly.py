@@ -9,6 +9,7 @@ from prsfam.poly import (
     Poly,
     conjugacy_representatives,
     count_trace_zero_irreducibles,
+    enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
     is_squarefree_product,
@@ -49,6 +50,18 @@ def test_eval_examples():
     assert Poly((1, 0, 1), 3).eval(2) == 2  # 5 mod 3
     assert Poly((4, 2, 7), 11).eval(0) == 4  # constant term
     assert Poly((1, 0, 1), 3).eval(1) == 2
+
+
+def test_values_match_literal_sum():
+    rng = random.Random(5)
+    for p in (2, 3, 7, 101):
+        xs = [rng.randrange(-2 * p, 2 * p) for _ in range(20)] + list(range(p))
+        for d in range(-1, 6):
+            f = Poly([rng.randrange(p) for _ in range(d + 1)], p)
+            expected = [sum(c * x**i for i, c in enumerate(f.coeffs)) % p
+                        for x in xs]
+            assert f.values(xs) == expected
+            assert [f.eval(x) for x in xs] == expected
 
 
 def test_shifted():
@@ -161,6 +174,9 @@ def test_enumeration_budget():
     with pytest.raises(BudgetError) as exc:
         enumerate_trace_zero_irreducibles(101, 5, budget=1000)
     assert "budget" in str(exc.value)
+    assert exc.value.estimate == 101**4
+    with pytest.raises(BudgetError) as exc:
+        enumerate_irreducibles(101, 4, trace_zero=False, budget=1000)
     assert exc.value.estimate == 101**4
 
 
