@@ -1,17 +1,16 @@
 """Check that two source trees give byte-identical CLI results on the
 benchmark's job lists.
 
-Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N]
-                                    [--seed S] [--workload W ...]
+Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N] [--seed S]
 
 PARENT_SRC and CHANGE_SRC are directories that contain a ``prsfam``
 package (the ``src`` directory of two checkouts).  Every job of the
-workloads in ``perfbench/workloads.py`` (all three unless ``--workload``
-narrows them) runs as ``python -m prsfam.cli ...`` against each tree, in
-order, each tree in its own scratch directory, with ``{seed}`` set to
-``--seed``.  ``--jobs N`` replaces the ``--jobs`` value of every job
-that passes one.  Then every output file, and each job's exit code,
-stdout and stderr, is compared byte for byte.  Paths in the jobs are
+three workloads in ``perfbench/workloads.py`` runs as
+``python -m prsfam.cli ...`` against each tree, in order, each tree in
+its own scratch directory, with ``{seed}`` set to ``--seed``.
+``--jobs N`` replaces the ``--jobs`` value of every job that passes
+one.  Then every output file, and each job's exit code, stdout and
+stderr, is compared byte for byte.  Paths in the jobs are
 relative to the scratch directory, so messages that name a file agree.
 
 Prints one line per difference and a summary; exits 0 when everything
@@ -43,15 +42,14 @@ def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
     return argv
 
 
-def run_tree(src: Path, root: Path, workloads: list[str], seed: int,
-             jobs: int | None) -> None:
+def run_tree(src: Path, root: Path, seed: int, jobs: int | None) -> None:
     """Run the job lists against ``src`` with ``root`` as the working
     directory; each job leaves ``<workload>/<job>.{exit,out,err}``
     beside the files it writes."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for name in workloads:
+    for name, job_list in WORKLOADS.items():
         (root / name).mkdir(parents=True)
-        for job in WORKLOADS[name]:
+        for job in job_list:
             proc = subprocess.run(
                 [sys.executable, "-m", "prsfam.cli",
                  *job_argv(job, name, seed, jobs)],
@@ -77,18 +75,15 @@ def main(argv: list[str]) -> int:
                     help="replace the --jobs value of every job")
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the sampled measure jobs")
-    ap.add_argument("--workload", action="append", choices=list(WORKLOADS),
-                    help="workload to run (repeatable; default: all)")
     args = ap.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not (src / "prsfam" / "cli.py").is_file():
             ap.error(f"no prsfam package under {src}")
-    workloads = args.workload or list(WORKLOADS)
 
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         roots = [Path(tmp) / "parent", Path(tmp) / "change"]
         for src, root in zip((args.parent_src, args.change_src), roots):
-            run_tree(src.resolve(), root, workloads, args.seed, args.jobs)
+            run_tree(src.resolve(), root, args.seed, args.jobs)
         parent, change = files(roots[0]), files(roots[1])
 
     differ = 0
@@ -103,7 +98,7 @@ def main(argv: list[str]) -> int:
             continue
         differ += 1
     total = len(parent.keys() | change.keys())
-    print(f"{total} files compared ({', '.join(workloads)}; jobs "
+    print(f"{total} files compared ({', '.join(WORKLOADS)}; jobs "
           f"{args.jobs if args.jobs is not None else 'as listed'}, "
           f"seed {args.seed}): "
           + ("all identical" if not differ else f"{differ} differ"))
