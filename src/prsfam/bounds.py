@@ -25,8 +25,8 @@ from .construct import Family, dual_tag
 from .errors import BudgetError, ParameterError
 from .ff import _check_odd_prime, legendre
 from .measures import DEFAULT_BUDGET, MeasureResult
-from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_trace_zero_irreducibles,
-                   mobius, poly_gcd)
+from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
+                   count_trace_zero_irreducibles, poly_gcd)
 
 __all__ = [
     "BoundReport",
@@ -34,6 +34,7 @@ __all__ = [
     "KIND_ENVELOPE",
     "KIND_ASYMPTOTIC",
     "fc_lower_bound_from_dual",
+    "dual_orders",
     "phi_envelope",
     "gamma_envelope",
     "dual_gamma_circ_envelope",
@@ -114,6 +115,8 @@ def fc_lower_bound_from_dual(family_size: int, max_corr: Number,
         raise ParameterError("family size must be >= 2")
     if max_corr <= 0:
         raise ParameterError("max correlation must be positive")
+    if alphabet_k < 2:
+        raise ParameterError(f"alphabet size must be >= 2, got {alphabet_k}")
     if variant == "binary":
         t = _ceil_log_ratio(family_size, max_corr, 2)
     elif variant == "kary_logk":
@@ -247,11 +250,16 @@ def _index(measures: Sequence[MeasureResult]):
     return by_key
 
 
-def _floor_log(n: int, base: int) -> int:
-    t = 0
-    while base ** (t + 1) <= n:
-        t += 1
-    return t
+def dual_orders(fam: Family) -> int:
+    """The largest order i of the dual correlations the covering-
+    complexity lower bound reads: floor(log_b F) with b = max(k, 2), at
+    least 1, and 0 when F < 2."""
+    if fam.size < 2:
+        return 0
+    base, imax = max(fam.k, 2), 0
+    while base ** (imax + 1) <= fam.size:
+        imax += 1
+    return max(imax, 1)
 
 
 def verify_family(fam: Family, measures: Sequence[MeasureResult],
@@ -260,8 +268,8 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
 
     Requires, among ``measures``: the covering complexity of the family
     and, when F >= 2, the dual family's order-i correlations (binary:
-    the product correlation; k >= 3: the pattern deviation) for
-    i = 1 .. floor(log_2 F) (resp. log_k).  Additionally supplied
+    the product correlation; otherwise the pattern deviation) for
+    i = 1 .. ``dual_orders(fam)``.  Additionally supplied
     correlation measures of the family itself produce envelope reports.
     Raises ``ParameterError`` listing anything missing, or for a
     negative or non-finite ``c``.
@@ -283,8 +291,7 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
             expected = count_trace_zero_irreducibles(p, d)
             formula = "F = (1/d) * #(trace-zero degree-d elements)"
         elif tag == "f2":
-            expected = sum(mobius(t) * p ** (d // t)
-                           for t in range(1, d + 1) if d % t == 0) // d
+            expected = count_irreducibles(p, d)
             formula = "F = #(monic irreducible degree-d polynomials)"
         else:
             expected = (p**d - p) // (d * p)
@@ -333,13 +340,8 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
             note="k^C <= F"))
 
     # --- covering complexity vs dual correlations ---
-    if k == 2:
-        imax = _floor_log(f_size, 2) if f_size >= 2 else 0
-        dual_name = "phi"
-    else:
-        imax = _floor_log(f_size, k) if f_size >= 2 else 0
-        dual_name = "gamma"
-    imax = max(imax, 1) if f_size >= 2 else 0
+    imax = dual_orders(fam)
+    dual_name = "phi" if k == 2 else "gamma"
     dual_vals = []
     for i in range(1, imax + 1):
         r = by_key.get((dtag, dual_name, i))

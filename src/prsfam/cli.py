@@ -18,12 +18,13 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import IO, Sequence
 
 from . import __version__
-from .bounds import (BoundReport, KIND_EXACT, _check_scale, verify_family,
-                     weil_check)
+from .bounds import (BoundReport, KIND_EXACT, _check_scale, dual_orders,
+                     verify_family, weil_check)
 from .construct import (
     Family,
     dual,
@@ -163,10 +164,15 @@ def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
         raise ParameterError(f"unknown format {fmt!r}")
 
 
+@contextmanager
 def _open_sink(path: str | None):
+    """The report destination: stdout for None or "-", else the file,
+    closed on leaving the block."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _parse_poly(text: str, p: int) -> Poly:
@@ -276,8 +282,7 @@ def _cmd_measure(args) -> int:
         kwargs.update(mode=MODE_SAMPLED if args.mode == "sampled"
                       else MODE_EXACT,
                       seed=args.seed, samples=args.samples)
-    sink, close = _open_sink(args.out)
-    try:
+    with _open_sink(args.out) as sink:
         if name == "fc":
             try:
                 result = fn(fam, budget=args.budget)
@@ -293,9 +298,6 @@ def _cmd_measure(args) -> int:
         else:
             result = fn(fam, args.ell, **kwargs)
         emit_report([result], args.format, sink)
-    finally:
-        if close:
-            sink.close()
     return EXIT_OK
 
 
@@ -308,12 +310,7 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
         raise ParameterError(f"max order must be >= 0, got {max_order}")
     dl = dual(fam)
     measures = [f_complexity(fam, budget=budget)]
-    imax = 0
-    base = fam.k if fam.k >= 3 else 2
-    while base ** (imax + 1) <= fam.size:
-        imax += 1
-    imax = max(imax, 1) if fam.size >= 2 else 0
-    for i in range(1, imax + 1):
+    for i in range(1, dual_orders(fam) + 1):
         if fam.k == 2:
             measures.append(cross_correlation(dl, i, budget=budget))
         else:
@@ -333,12 +330,8 @@ def _cmd_verify(args) -> int:
     measures = compute_verify_measures(fam, max_order=args.max_order,
                                        budget=args.budget)
     reports = verify_family(fam, measures, c=args.c)
-    sink, close = _open_sink(args.out)
-    try:
+    with _open_sink(args.out) as sink:
         emit_report(reports, args.format, sink)
-    finally:
-        if close:
-            sink.close()
     violated = [r for r in reports if r.kind == KIND_EXACT and not r.satisfied]
     if violated:
         for r in violated:
@@ -350,12 +343,8 @@ def _cmd_verify(args) -> int:
 def _cmd_weil(args) -> int:
     h = _parse_poly(args.poly, args.p)
     report = weil_check(h, args.p)
-    sink, close = _open_sink(args.out)
-    try:
+    with _open_sink(args.out) as sink:
         emit_report([report], args.format, sink)
-    finally:
-        if close:
-            sink.close()
     return EXIT_OK
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import product
 from typing import IO, Mapping, Union
 
 from . import poly as _poly
 from .errors import BudgetError, InternalError, ParameterError, ParseError
-from .ff import char_k, is_prime, legendre
+from .ff import _check_odd_prime, char_k, is_prime, legendre
 from .poly import (
     Poly,
     conjugacy_representatives,
@@ -68,8 +67,8 @@ class Family:
     """Immutable family of sequences over a k-symbol alphabet.
 
     ``params`` carries builder metadata (base polynomial and the like)
-    and is excluded from equality; the family file format only records
-    the construction tag.
+    and is excluded from equality; the family file format records only
+    the construction tag and a false ``trace_zero``.
     """
 
     p: int
@@ -153,25 +152,24 @@ def _record_distinctness(fam: Family) -> Family:
     return fam
 
 
+def _f1_pattern(p: int, d: int) -> list[range]:
+    """The values an f1 base may take at x^(d-1), x^(d-2), ..., x^0:
+    zero, then two nonzero coefficients, then any."""
+    nonzero = range(1, p)
+    return [range(1), nonzero, nonzero] + [range(p)] * (d - 3)
+
+
 def _find_base_poly(p: int, d: int, budget: int) -> Poly:
     """Deterministic default base for family_f1: the lexicographically
-    first monic irreducible of degree d with zero x^(d-1) coefficient
-    and nonzero x^(d-2), x^(d-3) coefficients."""
-    tried = 0
-    nonzero = range(1, p)
-    for rest in product(nonzero, nonzero, *[range(p)] * (d - 3)):
-        # rest = (coeff of x^(d-2), ..., coeff of x^0)
-        tried += 1
-        if tried > budget:
-            raise ParameterError(
-                f"no valid base polynomial found within budget {budget}")
-        coeffs = [0] * (d + 1)
-        coeffs[d] = 1
-        for idx, c in enumerate(rest):
-            coeffs[d - 2 - idx] = c
-        f = Poly(coeffs, p)
-        if is_irreducible(f):
-            return f
+    first monic irreducible with the coefficient pattern of
+    ``_f1_pattern``, among its first ``budget`` candidates."""
+    pattern = _f1_pattern(p, d)
+    base = _poly.first_irreducible(pattern, p, budget)
+    if base is not None:
+        return base
+    if math.prod(map(len, pattern)) > budget:
+        raise ParameterError(
+            f"no valid base polynomial found within budget {budget}")
     raise ParameterError(
         f"no monic irreducible degree-{d} base with the required "
         f"coefficient pattern exists over F_{p}")
@@ -192,13 +190,11 @@ def _validate_base(base: Poly, p: int, d: int) -> None:
         raise ParameterError("base polynomial is over the wrong prime field")
     if base.degree != d or not base.is_monic:
         raise ParameterError(f"base must be monic of degree {d}, got {base}")
-    coeffs = base.coeffs
-    if coeffs[d - 1] != 0:
-        raise ParameterError("base must have zero x^(d-1) coefficient")
-    if coeffs[d - 2] == 0:
-        raise ParameterError("base must have nonzero x^(d-2) coefficient")
-    if coeffs[d - 3] == 0:
-        raise ParameterError("base must have nonzero x^(d-3) coefficient")
+    for j, allowed in enumerate(_f1_pattern(p, d), 1):
+        if base.coeffs[d - j] not in allowed:
+            kind = "zero" if len(allowed) == 1 else "nonzero"
+            raise ParameterError(
+                f"base must have {kind} x^(d-{j}) coefficient")
     if not is_irreducible(base):
         raise ParameterError(f"base {base} is reducible over F_{p}")
 
@@ -213,8 +209,7 @@ def family_f1(p: int, d: int, base: Poly | None = None,
     x^(d-2), x^(d-3) coefficients (searched deterministically when not
     given).
     """
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     if d < 5:
         raise ParameterError(f"degree must be >= 5, got {d}")
     if d % p == 0:
@@ -239,8 +234,7 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     polynomial order; row entries are the residue symbols at 1..p-1.
     The row count is known in closed form, so a family of more row
     symbols than the budget is refused before any enumeration."""
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     if d < 2:
         raise ParameterError(f"degree must be >= 2, got {d}")
     budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
@@ -249,10 +243,7 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
                            budget)
         polys = _poly.enumerate_trace_zero_irreducibles(p, d, budget=budget)
     else:
-        # Gauss's count of the monic irreducibles of degree d
-        _check_row_symbols(sum(_poly.mobius(d // t) * p**t
-                               for t in range(1, d + 1) if d % t == 0) // d,
-                           p, budget)
+        _check_row_symbols(_poly.count_irreducibles(p, d), p, budget)
         polys = _poly.enumerate_irreducibles(p, d, False, budget)
     rows = _symbol_rows(polys, p, _pm_symbol(p))
     return _record_distinctness(Family(
@@ -271,8 +262,7 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
     the correlation bound, not the construction itself; pass
     ``require_coprime=False`` to build the family without it.
     """
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     if not is_prime(d):
         raise ParameterError(f"degree must be prime, got {d}")
     if p == d:
@@ -318,15 +308,19 @@ def dual(fam: Family) -> Family:
 
 
 _HEADER_RE = re.compile(
-    r"^#PRSFAM v1 p=(\d+) d=(\d+) k=(\d+) N=(\d+) F=(\d+) construction=(\S+)$",
-    re.ASCII)
+    r"^#PRSFAM v1 p=(\d+) d=(\d+) k=(\d+) N=(\d+) F=(\d+) construction=(\S+)"
+    r"( trace_zero=false)?$", re.ASCII)
 
 
 def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
     """Write the text format: one header line, then F rows of N
-    space-separated symbols.  LF line endings, UTF-8."""
+    space-separated symbols.  LF line endings, UTF-8.  The header ends
+    in ``trace_zero=false`` for a family built without f2's trace-zero
+    restriction, and records nothing otherwise."""
     header = (f"{FILE_MAGIC} p={fam.p} d={fam.d} k={fam.k} "
               f"N={fam.length} F={fam.size} construction={fam.construction}")
+    if not fam.params.get("trace_zero", True):
+        header += " trace_zero=false"
     lines = [header]
     lines.extend(" ".join(str(s) for s in row) for row in fam.rows)
     text = "\n".join(lines) + "\n"
@@ -338,8 +332,9 @@ def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
 
 
 def read_family(source: Union[str, IO[str]]) -> Family:
-    """Parse a family file; the inverse of ``write_family``.  Symbols
-    are the ASCII digit strings that ``write_family`` writes."""
+    """Parse a family file; the inverse of ``write_family``, restoring
+    ``trace_zero=false`` into ``params``.  Symbols are the ASCII digit
+    strings that ``write_family`` writes."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -380,6 +375,7 @@ def read_family(source: Union[str, IO[str]]) -> Family:
                     f"symbol {s} out of range for alphabet size {k}", line=idx)
         rows.append(row)
     try:
-        return Family(p=p, d=d, k=k, rows=tuple(rows), construction=tag)
+        return Family(p=p, d=d, k=k, rows=tuple(rows), construction=tag,
+                      params={"trace_zero": False} if m.group(7) else {})
     except ParameterError as exc:
         raise ParseError(str(exc)) from None

@@ -9,8 +9,9 @@ independent runs agree bit for bit.
 
 Each field caches its p-power Frobenius as a d x d matrix over F_p
 (the map is F_p-linear; see ``poly``), so a conjugate costs one
-matrix-vector product, and the trace, norm, degree and minimal
-polynomial, which walk the conjugates, cost that much per step.
+matrix-vector product.  ``ExtElem.conjugates`` is the one walk of the
+Frobenius orbit; the trace, norm, degree and minimal polynomial read
+it.
 
 Every value is immutable and every operation is a pure function; values
 can be shared freely across threads.
@@ -19,6 +20,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import product
 from typing import Iterable, Union
 
@@ -29,6 +31,7 @@ from .poly import (
     _frobenius_columns,
     _mulmod,
     _prime_divisors,
+    first_irreducible,
     is_irreducible,
 )
 
@@ -142,14 +145,11 @@ def char_k(m: int, k: int, p: int) -> int:
 def _default_modulus(p: int, d: int) -> Poly:
     """Lexicographically smallest monic irreducible of degree d over
     F_p, comparing coefficient tuples highest power first."""
-    if d == 1:
-        return Poly((0, 1), p)
-    for rest in product(range(p), repeat=d):
-        # rest = (coeff of x^(d-1), ..., coeff of x^0)
-        f = Poly(tuple(reversed(rest)) + (1,), p)
-        if is_irreducible(f):
-            return f
-    raise InternalError(f"no irreducible polynomial of degree {d} over F_{p}")
+    f = first_irreducible([range(p)] * d, p)
+    if f is None:
+        raise InternalError(
+            f"no irreducible polynomial of degree {d} over F_{p}")
+    return f
 
 
 class FieldParams:
@@ -302,29 +302,30 @@ class ExtElem:
         return ExtElem(field, _apply_rows(
             field.frobenius_rows, self.coeffs, field.p))
 
+    def conjugates(self) -> list["ExtElem"]:
+        """self^(p^t) for t = 0..d-1; an element of degree t repeats
+        its t distinct conjugates d/t times."""
+        out = [self]
+        for _ in range(self.field.d - 1):
+            out.append(out[-1].frobenius())
+        return out
+
+    def base_value(self, what: str) -> int:
+        """The element as an integer of F_p; ``what`` names it in the
+        InternalError raised when it lies outside F_p."""
+        if any(self.coeffs[1:]):
+            raise InternalError(f"{what} escaped the base field")
+        return self.coeffs[0]
+
     def trace(self) -> int:
         """Sum of the d conjugates, landing in F_p."""
-        acc = self
-        conj = self
-        for _ in range(self.field.d - 1):
-            conj = conj.frobenius()
-            acc = acc + conj
-        if any(acc.coeffs[1:]):
-            raise InternalError("trace escaped the base field")
-        return acc.coeffs[0]
+        conj = self.conjugates()
+        return sum(conj[1:], conj[0]).base_value("trace")
 
     def norm(self) -> int:
         """Product of the d conjugates, landing in F_p (0 at 0)."""
-        if self.is_zero:
-            return 0
-        acc = self
-        conj = self
-        for _ in range(self.field.d - 1):
-            conj = conj.frobenius()
-            acc = acc * conj
-        if any(acc.coeffs[1:]):
-            raise InternalError("norm escaped the base field")
-        return acc.coeffs[0]
+        conj = self.conjugates()
+        return math.prod(conj[1:], start=conj[0]).base_value("norm")
 
     def quad_char(self) -> int:
         """Quadratic character of the extension field: the residue
@@ -332,13 +333,9 @@ class ExtElem:
         return legendre(self.norm(), self.field.p)
 
     def degree(self) -> int:
-        """Degree of the smallest subfield containing the element."""
-        t = 1
-        conj = self.frobenius()
-        while conj != self:
-            conj = conj.frobenius()
-            t += 1
-        return t
+        """Degree of the smallest subfield containing the element: the
+        number of its distinct conjugates."""
+        return len(set(self.conjugates()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtElem):

@@ -6,12 +6,12 @@ canonical form never carries trailing zero coefficients, so equality and
 hashing are structural.
 
 On top of the ring operations this module provides the deterministic
-irreducibility test, a product sieve for the monic irreducibles (all,
-or those with vanishing second-highest coefficient, equivalently root
-trace zero), counting of the latter, minimal polynomials and
-conjugacy-class representatives of extension elements, the coefficient
-scaling f |-> i^deg(f) * f(X/i), and a square-freeness check for
-shifted products.
+irreducibility test, the first irreducible of a coefficient pattern, a
+product sieve for the monic irreducibles (all, or those with vanishing
+second-highest coefficient, equivalently root trace zero), counting of
+both, minimal polynomials and conjugacy-class representatives of
+extension elements, the coefficient scaling f |-> i^deg(f) * f(X/i),
+and a square-freeness check for shifted products.
 
 The p-th power map of F_p[x]/(f) is F_p-linear, because a^p = a for
 every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
@@ -26,7 +26,8 @@ at the field and construction layers.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import compress, islice, product
+from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -37,6 +38,8 @@ __all__ = [
     "poly_gcd",
     "is_irreducible",
     "mobius",
+    "first_irreducible",
+    "count_irreducibles",
     "count_trace_zero_irreducibles",
     "enumerate_irreducibles",
     "enumerate_trace_zero_irreducibles",
@@ -313,20 +316,35 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def mobius(n: int) -> int:
+    """0 when a square above 1 divides n, else (-1)^(number of primes
+    dividing n): n is square-free exactly when it is the product of its
+    prime divisors."""
     if n < 1:
         raise ParameterError("mobius is defined for n >= 1")
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _prime_divisors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
+
+
+def first_irreducible(ranges: Sequence[Iterable[int]], p: int,
+                      budget: int | None = None) -> Poly | None:
+    """The first monic irreducible x^d + c_(d-1) x^(d-1) + ... + c_0,
+    d = len(ranges), with c_(d-1-i) drawn from ranges[i], in
+    lexicographic order (highest power first); None when none of the
+    candidates, or of the first ``budget`` of them, is irreducible."""
+    for rest in islice(product(*ranges), budget):
+        f = Poly(rest[::-1] + (1,), p)
+        if is_irreducible(f):
+            return f
+    return None
+
+
+def count_irreducibles(p: int, d: int) -> int:
+    """Number of monic irreducible degree-d polynomials over F_p, by
+    Gauss's formula (1/d) * sum over t | d of mobius(d/t) * p^t."""
+    if d < 1:
+        raise ParameterError(f"degree must be >= 1, got {d}")
+    return sum(mobius(d // t) * p**t
+               for t in range(1, d + 1) if d % t == 0) // d
 
 
 def count_trace_zero_irreducibles(p: int, d: int) -> int:
@@ -400,19 +418,15 @@ def enumerate_trace_zero_irreducibles(p: int, d: int,
 
 
 def minimal_polynomial(beta) -> Poly:
-    """Monic polynomial over F_p whose roots are the conjugate orbit
-    beta, beta^p, ..., applied until the orbit closes.
+    """Monic polynomial over F_p whose roots are the distinct conjugates
+    of beta.
 
     For beta generating the full extension the degree equals d; subfield
     elements yield their lower-degree minimal polynomial (the degree of
     the result tells which happened).
     """
     field = beta.field
-    orbit = [beta]
-    conj = beta.frobenius()
-    while conj != beta:
-        orbit.append(conj)
-        conj = conj.frobenius()
+    orbit = dict.fromkeys(beta.conjugates())
     # Expand prod (X - r) with coefficients in the extension field.
     coeffs = [field.one]
     for r in orbit:
@@ -421,13 +435,8 @@ def minimal_polynomial(beta) -> Poly:
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] - c * r
         coeffs = nxt
-    ints = []
-    for c in coeffs:
-        if any(c.coeffs[1:]):
-            raise InternalError(
-                "minimal polynomial coefficient escaped the base field")
-        ints.append(c.coeffs[0])
-    return Poly(ints, field.p)
+    return Poly([c.base_value("minimal polynomial coefficient")
+                 for c in coeffs], field.p)
 
 
 def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,

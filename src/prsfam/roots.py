@@ -6,11 +6,11 @@ A sum z = sum_j c_j zeta_k^j with integer counts c has
 Z[zeta_k].  Its remainder mod the cyclotomic polynomial Phi_k gives
 unique integer coordinates, so two squares are equal exactly when their
 coordinates are.  The sign of a nonzero difference is an integer sign
-for k in {3, 4, 6}, where every real element is rational, a sign test
-on p + q sqrt(5) for k = 5, and for any other k a fixed-point
-evaluation at a precision that doubles until the value clears its
-error.  ``Magnitude`` compares by a float first and falls back to these
-only when the float cannot decide.
+when only its rational coordinate is nonzero, as for every real element
+when k is in {3, 4, 6}, and otherwise a fixed-point evaluation at a
+precision that doubles until the value clears its error.
+``Magnitude`` compares by a float first and falls back to these only
+when the float cannot decide.
 
 The kernels read a relabeling tuple phi through the index sequence
 sum_j phi_j(x_j) mod k of the shifted rows and its complex prefix
@@ -96,18 +96,12 @@ def cos_fixed(k: int, bits: int) -> list[int]:
 def sign(r: list[int], k: int) -> int:
     """The sign of the real number sum_j r_j zeta_k^j, given by its
     coordinates mod Phi_k: an integer when only r_0 is nonzero (always
-    for k in {3, 4, 6}); for k = 5, 4x = p + q sqrt(5); else fixed-point
-    evaluations of sum_j r_j cos(2 pi j / k) at doubling precision
-    until the value clears the 2 sum |r_j| units of its error.  Nonzero
-    coordinates are a nonzero number, so the loop ends."""
+    for k in {3, 4, 6}); else fixed-point evaluations of
+    sum_j r_j cos(2 pi j / k) at doubling precision until the value
+    clears the 2 sum |r_j| units of its error.  Nonzero coordinates are
+    a nonzero number, so the loop ends."""
     if not any(r[1:]):
         return (r[0] > 0) - (r[0] < 0)
-    if k == 5:  # cos 72 = (sqrt5 - 1)/4, cos 144 = cos 216 = (-sqrt5 - 1)/4
-        p, q = 4 * r[0] - r[1] - r[2] - r[3], r[1] - r[2] - r[3]
-        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
-        if sp * sq >= 0:
-            return sp or sq
-        return sp if p * p > 5 * q * q else sq
     slack, bits = 2 * sum(map(abs, r)), 64
     while True:
         v = sum(map(mul, r, cos_fixed(k, bits)))

@@ -10,6 +10,7 @@ from prsfam.bounds import (
     KIND_ENVELOPE,
     KIND_EXACT,
     dual_gamma_circ_envelope,
+    dual_orders,
     fc_envelope_f1,
     fc_envelope_f2,
     fc_envelope_ksym,
@@ -19,10 +20,11 @@ from prsfam.bounds import (
     verify_family,
     weil_check,
 )
-from prsfam.construct import dual, family_f1, family_f2, family_k_symbol
+from prsfam.cli import compute_verify_measures
+from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import ParameterError
 from prsfam.ff import legendre
-from prsfam.measures import cross_correlation, f_complexity, gamma, gamma_circ
+from prsfam.measures import f_complexity
 from prsfam.poly import Poly, is_irreducible, poly_gcd
 
 
@@ -61,6 +63,20 @@ def test_fc_lower_bound_rejects_bad_inputs():
         fc_lower_bound_from_dual(1, 2, 2, "binary")
     with pytest.raises(ParameterError):
         fc_lower_bound_from_dual(16, 2, 2, "nope")
+    # a log base below 2 never reaches F: refused, for every variant
+    for k in (1, 0):
+        for variant in ("binary", "kary_logk", "kary_log2"):
+            with pytest.raises(ParameterError, match="alphabet size"):
+                fc_lower_bound_from_dual(4, 1, k, variant)
+
+
+@pytest.mark.parametrize("k, f_size, orders", [
+    (1, 1, 0), (1, 2, 1), (1, 9, 3), (2, 8, 3), (3, 8, 1), (3, 9, 2),
+    (5, 4, 1),
+])
+def test_dual_orders_read_base_max_k_2(k, f_size, orders):
+    fam = Family(p=3, d=1, k=k, rows=((0,),) * f_size)
+    assert dual_orders(fam) == orders
 
 
 # --- envelopes ---------------------------------------------------------------
@@ -209,31 +225,9 @@ def test_weil_euler_branch_matches_literal_sum(monkeypatch):
 # --- family verification -----------------------------------------------------
 
 
-def _measures_for(fam, orders=(1, 2)):
-    dl = dual(fam)
-    out = [f_complexity(fam)]
-    base = fam.k if fam.k >= 3 else 2
-    imax = 0
-    while base ** (imax + 1) <= fam.size:
-        imax += 1
-    imax = max(imax, 1) if fam.size >= 2 else 0
-    for i in range(1, imax + 1):
-        if fam.k == 2:
-            out.append(cross_correlation(dl, i))
-        else:
-            out.append(gamma(dl, i))
-    for ell in orders:
-        if fam.k == 2:
-            out.append(cross_correlation(fam, ell))
-        else:
-            out.append(gamma(fam, ell))
-            out.append(gamma_circ(dl, ell))
-    return out
-
-
 def test_verify_f2_all_exact_reports_satisfied():
     fam = family_f2(5, 3)
-    reports = verify_family(fam, _measures_for(fam))
+    reports = verify_family(fam, compute_verify_measures(fam))
     exact = [r for r in reports if r.kind == KIND_EXACT]
     assert exact and all(r.satisfied for r in exact)
     names = {r.name for r in reports}
@@ -243,14 +237,14 @@ def test_verify_f2_all_exact_reports_satisfied():
 
 def test_verify_f1_envelopes_with_default_constant():
     fam = family_f1(11, 5)
-    reports = verify_family(fam, _measures_for(fam))
+    reports = verify_family(fam, compute_verify_measures(fam))
     assert all(r.satisfied for r in reports if r.kind == KIND_EXACT)
     assert all(r.satisfied for r in reports if r.kind == KIND_ENVELOPE)
 
 
 def test_verify_ksym_reports():
     fam = family_k_symbol(13, 2, 3)
-    reports = verify_family(fam, _measures_for(fam))
+    reports = verify_family(fam, compute_verify_measures(fam))
     assert all(r.satisfied for r in reports if r.kind == KIND_EXACT)
     names = {r.name for r in reports}
     assert "family_size" in names
@@ -264,7 +258,7 @@ def test_verify_ksym_reports():
 def test_verify_size_identities_via_formula():
     # (p^d - p)/(dp) for the k-symbol family, exact
     fam = family_k_symbol(5, 3, 2)
-    reports = verify_family(fam, _measures_for(fam))
+    reports = verify_family(fam, compute_verify_measures(fam))
     size = next(r for r in reports if r.name == "family_size")
     assert size.measured == 8 and size.theoretical == (5**3 - 5) // 15
     assert size.satisfied
@@ -272,7 +266,7 @@ def test_verify_size_identities_via_formula():
 
 def test_verify_f2_without_trace_restriction_sizes():
     fam = family_f2(5, 2, trace_zero=False)
-    reports = verify_family(fam, _measures_for(fam))
+    reports = verify_family(fam, compute_verify_measures(fam))
     size = next(r for r in reports if r.name == "family_size")
     assert size.theoretical == 10 and size.satisfied
     assert not any(r.name == "family_size_leading_term" for r in reports)
@@ -292,7 +286,7 @@ def test_verify_missing_measures_listed():
 def test_verify_surfaces_envelope_violation():
     # a tiny scale constant must flag the envelope without failing exact
     fam = family_f2(5, 3)
-    reports = verify_family(fam, _measures_for(fam), c=1e-9)
+    reports = verify_family(fam, compute_verify_measures(fam), c=1e-9)
     env = [r for r in reports if r.kind == KIND_ENVELOPE]
     assert env and not any(r.satisfied for r in env)
     assert all(r.satisfied for r in reports if r.kind == KIND_EXACT)

@@ -183,6 +183,33 @@ def _cli_subprocess(args):
                           env=env, capture_output=True, text=True, timeout=60)
 
 
+def test_verify_unary_family_ends(tmp_path):
+    # k = 1 reads the dual orders in base 2, as k = 2 does
+    path = tmp_path / "unary.fam"
+    path.write_text("#PRSFAM v1 p=3 d=1 k=1 N=3 F=2 construction=external\n"
+                    "0 0 0\n0 0 0\n")
+    proc = _cli_subprocess(["verify", "--in", str(path)])
+    assert proc.returncode == EXIT_VIOLATED
+    assert "rows_distinct" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_f2_file_without_trace_zero(tmp_path):
+    path = str(tmp_path / "f2.fam")
+    proc = _cli_subprocess(["gen", "--construction", "f2", "--p", "7",
+                            "--d", "2", "--no-trace-zero", "--out", path])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().endswith(" F=21 construction=f2 "
+                                      "trace_zero=false\n")
+    proc = _cli_subprocess(["verify", "--in", path])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    reports = {r["name"]: r for r in json.loads(proc.stdout)}
+    assert reports["family_size"]["bound"] == "21"
+    assert reports["family_size"]["satisfied"] is True
+    assert "family_size_leading_term" not in reports
+
+
 @pytest.mark.parametrize("p", ["4", "6", "15"])
 def test_weil_composite_modulus_exits_cleanly(p):
     proc = _cli_subprocess(["weil", "--poly", "1,0,1", "--p", p])

@@ -251,6 +251,17 @@ def test_round_trip():
         assert read_family(buf) == fam
 
 
+def test_header_records_only_a_false_trace_zero():
+    for trace_zero in (True, False):
+        buf = io.StringIO()
+        write_family(family_f2(5, 2, trace_zero=trace_zero), buf)
+        header = buf.getvalue().splitlines()[0]
+        assert header.endswith("construction=f2" if trace_zero
+                               else "construction=f2 trace_zero=false")
+        buf.seek(0)
+        assert read_family(buf).params.get("trace_zero", True) == trace_zero
+
+
 def test_round_trip_via_path(tmp_path):
     fam = family_f2(5, 3)
     path = str(tmp_path / "fam.txt")

@@ -1,10 +1,14 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
+import oracle
 from prsfam.errors import DomainError, ParameterError
 from prsfam.ff import (
     FieldParams,
+    _default_modulus,
     char_k,
     is_prime,
     legendre,
@@ -98,6 +102,16 @@ def test_default_modulus_is_deterministic_and_valid():
         assert fld1.modulus.is_monic and fld1.modulus.degree == d
         assert is_irreducible(fld1.modulus)
     assert FieldParams(3, 2).modulus == Poly((1, 0, 1), 3)
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1),
+                                  (5, 2), (5, 3), (7, 2), (7, 3), (13, 3)])
+def test_default_modulus_is_first_irreducible_by_divisors(p, d):
+    # candidates in lexicographic order, highest power first
+    candidates = (Poly(rest[::-1] + (1,), p)
+                  for rest in product(range(p), repeat=d))
+    assert _default_modulus(p, d) == next(
+        filter(oracle.irreducible_by_divisors, candidates))
 
 
 def test_field_params_validation():
@@ -228,6 +242,26 @@ def test_trace_norm_match_minimal_polynomial_coefficients():
             mp = minimal_polynomial(a)
             assert mp.coeffs[d - 1] == -a.trace() % p
             assert mp.coeffs[0] == (-1) ** d * a.norm() % p
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (3, 6), (5, 4)])
+def test_degree_trace_norm_on_proper_subfields(p, d):
+    # literal conjugates a, a^p, a^(p^2), ... by repeated ** p
+    fld = FieldParams(p, d)
+    degrees = set()
+    for a in fld.elements():
+        conj = [a]
+        for _ in range(d):
+            conj.append(conj[-1] ** p)
+        t = next(t for t in range(1, d + 1) if conj[t] == a)
+        if t == d:
+            continue
+        degrees.add(t)
+        assert a.degree() == t
+        assert fld.elem(a.trace()) == sum(conj[1:d], conj[0])
+        assert fld.elem(a.norm()) == math.prod(conj[1:d], start=conj[0])
+        assert minimal_polynomial(a).degree == t
+    assert degrees == {t for t in range(1, d) if d % t == 0}
 
 
 # --- quadratic character of the extension ----------------------------------

@@ -8,6 +8,7 @@ from prsfam.ff import FieldParams
 from prsfam.poly import (
     Poly,
     conjugacy_representatives,
+    count_irreducibles,
     count_trace_zero_irreducibles,
     enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
@@ -127,6 +128,28 @@ def test_irreducibility_matches_trial_division(p):
 def test_mobius():
     assert [mobius(n) for n in range(1, 13)] == \
         [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_mobius_matches_its_defining_sum():
+    # mu(1) = 1 and, for n > 1, the sum of mu(t) over t | n is 0
+    n_max = 10**4
+    mu = [0, 1] + [0] * (n_max - 2)
+    for n in range(1, n_max):
+        for m in range(2 * n, n_max, n):
+            mu[m] -= mu[n]
+    assert [mobius(n) for n in range(1, n_max)] == mu[1:]
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (3, 6), (5, 2),
+                                  (5, 3), (5, 4), (7, 2), (7, 3), (13, 2)])
+def test_gauss_count_matches_enumeration(p, d):
+    assert count_irreducibles(p, d) == len(enumerate_irreducibles(p, d, False))
+
+
+def test_gauss_count_degree_one_and_refusal():
+    assert count_irreducibles(7, 1) == 7
+    with pytest.raises(ParameterError):
+        count_irreducibles(7, 0)
 
 
 def test_count_examples():

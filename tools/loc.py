@@ -1,0 +1,59 @@
+"""Count the lines of each ``src/prsfam`` module.
+
+Usage: python tools/loc.py
+
+Prints, per module and in total, the total line count and the code
+line count: the lines left after taking out blank lines, comment-only
+lines and docstrings (the string literal that opens a module, class or
+function body, found with ``ast``).
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prsfam"
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    out: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                out.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return out
+
+
+def code_lines(text: str) -> int:
+    """Lines holding a token other than a comment, outside docstrings."""
+    skip = docstring_lines(ast.parse(text))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                        tokenize.INDENT, tokenize.DEDENT,
+                        tokenize.ENDMARKER):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def main() -> None:
+    total = code = 0
+    print(f"{'module':16s} {'lines':>6s} {'code':>6s}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        n, c = len(text.splitlines()), code_lines(text)
+        total, code = total + n, code + c
+        print(f"{path.name:16s} {n:6d} {c:6d}")
+    print(f"{'total':16s} {total:6d} {code:6d}")
+
+
+if __name__ == "__main__":
+    main()
