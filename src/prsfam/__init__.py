@@ -57,7 +57,6 @@ from .poly import (
     count_trace_zero_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
-    is_squarefree_product,
     minimal_polynomial,
     mobius,
     poly_gcd,
@@ -76,7 +75,6 @@ __all__ = [
     "Poly", "poly_gcd", "is_irreducible", "mobius",
     "count_trace_zero_irreducibles", "enumerate_trace_zero_irreducibles",
     "minimal_polynomial", "conjugacy_representatives", "scale_poly",
-    "is_squarefree_product",
     # construct
     "Family", "family_f1", "family_f2", "family_k_symbol", "dual",
     "read_family", "write_family",

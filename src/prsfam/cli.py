@@ -274,11 +274,14 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    fam = read_family(args.in_path)
     name = args.measure
+    sampling = name in ("phi", "gamma", "biggamma")
+    if args.mode == "sampled" and not sampling:
+        raise ParameterError(f"{name} has no sampled mode")
+    fam = read_family(args.in_path)
     fn = _MEASURES[name]
     kwargs = {"budget": args.budget}
-    if name in ("phi", "gamma", "biggamma"):
+    if sampling:
         kwargs.update(mode=MODE_SAMPLED if args.mode == "sampled"
                       else MODE_EXACT,
                       seed=args.seed, samples=args.samples)

@@ -356,12 +356,13 @@ def read_family(source: Union[str, IO[str]]) -> Family:
         _check_tag(tag)
     except ParameterError as exc:
         raise ParseError(str(exc), line=1) from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(idx, ln) for idx, ln in enumerate(lines[1:], start=2)
+            if ln.strip()]
     if len(body) != f:
         raise ParseError(
             f"header says F={f} but file has {len(body)} rows", line=1)
     rows = []
-    for idx, ln in enumerate(body, start=2):
+    for idx, ln in body:
         tokens = ln.split()
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise ParseError(f"non-digit symbol in {ln!r}", line=idx)

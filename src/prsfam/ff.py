@@ -10,8 +10,7 @@ independent runs agree bit for bit.
 Each field caches its p-power Frobenius as a d x d matrix over F_p
 (the map is F_p-linear; see ``poly``), so a conjugate costs one
 matrix-vector product.  ``ExtElem.conjugates`` is the one walk of the
-Frobenius orbit; the trace, norm, degree and minimal polynomial read
-it.
+Frobenius orbit; the trace and the minimal polynomial read it.
 
 Every value is immutable and every operation is a pure function; values
 can be shared freely across threads.
@@ -20,8 +19,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import functools
-import math
-from itertools import product
 from typing import Iterable, Union
 
 from .errors import DomainError, InternalError, ParameterError
@@ -182,10 +179,6 @@ class FieldParams:
         self._mod_coeffs = modulus.coeffs
         self.frobenius_rows = tuple(zip(*_frobenius_columns(modulus)))
 
-    @property
-    def order(self) -> int:
-        return self.p**self.d
-
     def elem(self, value: Union[int, Iterable[int]]) -> "ExtElem":
         """Build an element from an integer (embedded constant) or a
         coordinate sequence of length <= d."""
@@ -206,17 +199,6 @@ class FieldParams:
     @property
     def one(self) -> "ExtElem":
         return self.elem(1)
-
-    def gen(self) -> "ExtElem":
-        """The basis element x (equals 0 when d = 1)."""
-        if self.d == 1:
-            return self.zero
-        return self.elem((0, 1))
-
-    def elements(self):
-        """All p^d elements, ordered by coordinate tuple."""
-        for coords in product(range(self.p), repeat=self.d):
-            yield ExtElem(self, coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldParams):
@@ -244,10 +226,6 @@ class ExtElem:
         if not isinstance(other, ExtElem) or self.field != other.field:
             raise ParameterError("operands belong to different fields")
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __add__(self, other: "ExtElem") -> "ExtElem":
         self._check_same(other)
         p = self.field.p
@@ -260,43 +238,17 @@ class ExtElem:
         return ExtElem(self.field, tuple(
             (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "ExtElem":
-        p = self.field.p
-        return ExtElem(self.field, tuple(-a % p for a in self.coeffs))
-
     def __mul__(self, other: "ExtElem") -> "ExtElem":
         self._check_same(other)
         field = self.field
         return ExtElem(field, tuple(_mulmod(
             self.coeffs, other.coeffs, field._mod_coeffs, field.p)))
 
-    def inv(self) -> "ExtElem":
-        """Multiplicative inverse via the group order."""
-        if self.is_zero:
-            raise DomainError("inverse of zero")
-        return self ** (self.field.order - 2)
-
-    def __truediv__(self, other: "ExtElem") -> "ExtElem":
-        self._check_same(other)
-        return self * other.inv()
-
-    def __pow__(self, e: int) -> "ExtElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        acc = self.field.one
-        base = self
-        while e > 0:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def frobenius(self) -> "ExtElem":
         """The p-power map; applying it d times is the identity.
 
         One product with the field's cached Frobenius matrix, which
-        equals ``self ** p`` because the map is F_p-linear.
+        equals the p-th power of self because the map is F_p-linear.
         """
         field = self.field
         return ExtElem(field, _apply_rows(
@@ -321,21 +273,6 @@ class ExtElem:
         """Sum of the d conjugates, landing in F_p."""
         conj = self.conjugates()
         return sum(conj[1:], conj[0]).base_value("trace")
-
-    def norm(self) -> int:
-        """Product of the d conjugates, landing in F_p (0 at 0)."""
-        conj = self.conjugates()
-        return math.prod(conj[1:], start=conj[0]).base_value("norm")
-
-    def quad_char(self) -> int:
-        """Quadratic character of the extension field: the residue
-        symbol of the norm."""
-        return legendre(self.norm(), self.field.p)
-
-    def degree(self) -> int:
-        """Degree of the smallest subfield containing the element: the
-        number of its distinct conjugates."""
-        return len(set(self.conjugates()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtElem):

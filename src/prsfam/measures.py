@@ -624,22 +624,6 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
 # k-symbol root-of-unity measure
 
 
-def _root_tables(k: int) -> tuple[list[float], list[float]]:
-    cos = [math.cos(2.0 * math.pi * j / k) for j in range(k)]
-    sin = [math.sin(2.0 * math.pi * j / k) for j in range(k)]
-    return cos, sin
-
-
-def _magnitude(counts: list[int], cos: list[float], sin: list[float]) -> float:
-    re = 0.0
-    im = 0.0
-    for j, c in enumerate(counts):
-        if c:
-            re += c * cos[j]
-            im += c * sin[j]
-    return math.hypot(re, im)
-
-
 def _root_pinned(k: int, ell: int, rng: random.Random):
     """The pinned big_gamma kernel: one relabeling tuple drawn from
     ``rng`` among all k! maps per position, read from s = 0 by
@@ -696,6 +680,11 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     rows = fam.rows
     if exact_mag:  # every root is +/-1, for k = 1 every term is 1
         rows = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
+    else:
+        # Imported here, not at the top, so that only the runs that read
+        # k >= 3 magnitudes compile the module: every other run keeps its
+        # former peak memory.
+        from . import roots
     if mode == MODE_SAMPLED:
         _check_budget(samples * n, budget, what, mode)
         rng = random.Random(seed)  # the sampled draws and their relabelings
@@ -711,15 +700,11 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     else:
         _check_budget(_lag_estimate(fam, ell, False, windows=True)
                       * math.factorial(k)**ell, budget, what)
-        # Imported here, not at the top, so that only the runs that read
-        # k >= 3 magnitudes compile the module: every other run keeps its
-        # former peak memory.
-        from . import roots
         # an exact magnitude is at most M <= L
         best = _lag_search(fam, [rows] * ell, ell, False,
                            roots.windows_kernel(k, ell), lambda L: L)
     if not exact_mag and best.value is not None:
-        best.value = _magnitude(best.value.counts, *_root_tables(k))
+        best.value = roots.magnitude(best.value.counts)
     return _result(fam, "big_gamma", ell, mode, best, 0 if exact_mag else 0.0,
                    field="root_maps", err=err)
 
@@ -790,7 +775,7 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
             counts[idx % k] += 1
         if k <= 2:
             return abs(counts[0] - (counts[1] if k == 2 else 0))
-        cos, sin = _root_tables(k)
-        return _magnitude(counts, cos, sin)
+        from . import roots  # see big_gamma
+        return roots.magnitude(counts)
 
     raise ParameterError(f"unknown measure name {result.name!r}")

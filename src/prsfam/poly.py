@@ -10,8 +10,8 @@ irreducibility test, the first irreducible of a coefficient pattern, a
 product sieve for the monic irreducibles (all, or those with vanishing
 second-highest coefficient, equivalently root trace zero), counting of
 both, minimal polynomials and conjugacy-class representatives of
-extension elements, the coefficient scaling f |-> i^deg(f) * f(X/i),
-and a square-freeness check for shifted products.
+extension elements, and the coefficient scaling
+f |-> i^deg(f) * f(X/i).
 
 The p-th power map of F_p[x]/(f) is F_p-linear, because a^p = a for
 every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
@@ -46,7 +46,6 @@ __all__ = [
     "minimal_polynomial",
     "conjugacy_representatives",
     "scale_poly",
-    "is_squarefree_product",
     "DEFAULT_ENUM_BUDGET",
 ]
 
@@ -193,19 +192,6 @@ class Poly:
             return self
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
         return Poly([c * inv for c in self.coeffs], self.p)
-
-    def shifted(self, s: int) -> "Poly":
-        """Return f(x + s) via a Taylor shift."""
-        s %= self.p
-        if s == 0 or self.is_zero:
-            return self
-        # Synthetic division by (x - (-s)) applied repeatedly.
-        out = list(self.coeffs)
-        p = self.p
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] = (out[j] + s * out[j + 1]) % p
-        return Poly(out, p)
 
 
 def _x(p: int) -> Poly:
@@ -494,17 +480,3 @@ def scale_poly(f: Poly, i: int) -> Poly:
         raise ParameterError("scale factor must be nonzero mod p")
     d = f.degree
     return Poly([c * pow(i, d - m, p) for m, c in enumerate(f.coeffs)], p)
-
-
-def is_squarefree_product(shifted: Sequence[tuple[Poly, int]]) -> bool:
-    """Whether the product of the shifted factors f_j(x + s_j) is
-    square-free, decided by gcd with the derivative."""
-    if not shifted:
-        raise ParameterError("need at least one factor")
-    p = shifted[0][0].p
-    h = Poly((1,), p)
-    for f, s in shifted:
-        if not f.is_monic:
-            raise ParameterError("factors must be monic")
-        h = h * f.shifted(s)
-    return poly_gcd(h, h.derivative()).degree == 0

@@ -1,5 +1,6 @@
 """Sums of k-th roots of unity for k >= 3: exact comparison of their
-magnitudes, and the big_gamma kernels built on it.
+magnitudes, their display float (``magnitude``), and the big_gamma
+kernels built on it.
 
 A sum z = sum_j c_j zeta_k^j with integer counts c has
 |z|^2 = sum_d A_d zeta^d, A_d = sum_i c_i c_(i+d mod k), an element of
@@ -181,6 +182,19 @@ def diameter(Q: list, tol: float) -> float:
 def _roots(k: int) -> list[complex]:
     return [complex(math.cos(2.0 * math.pi * j / k),
                     math.sin(2.0 * math.pi * j / k)) for j in range(k)]
+
+
+def magnitude(counts) -> float:
+    """|sum_j counts[j] zeta_k^j|, k = len(counts), as a float: the
+    display value of a k >= 3 big_gamma window."""
+    roots = _roots(len(counts))
+    re = 0.0
+    im = 0.0
+    for j, c in enumerate(counts):
+        if c:
+            re += c * roots[j].real
+            im += c * roots[j].imag
+    return math.hypot(re, im)
 
 
 def _prefix(maps, seqs, size: int):

@@ -18,11 +18,12 @@ it replays their seeded draws and evaluates every window of each drawn
 
 For k >= 3 the big_gamma functions decide every comparison of window
 magnitudes exactly (``_exact_square``) and report the float
-``measures._magnitude`` of the winning window's counts for display.
+``roots.magnitude`` of the winning window's counts for display.
 
 The kernel references at the end use no precomputed map: irreducibility
-is trial division by every monic candidate divisor, and conjugates are
-literal p-th powers.
+is trial division by every monic candidate divisor, a power is repeated
+multiplication, conjugates are literal p-th powers, and a shift
+f(x + s) is the expanded sum of c_i (x + s)^i.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
 from prsfam.ff import FieldParams
-from prsfam.measures import _magnitude, _root_tables
 from prsfam.poly import Poly
+from prsfam.roots import magnitude
 
 
 def f_complexity(fam):
@@ -166,7 +167,7 @@ def _root_window(fam, I, D, m, phi_):
     """The window's root-sum magnitude from a count vector built afresh,
     as (key, value): the integer |c_0 - c_1| twice for k <= 2, else
     the ``_exact_square`` key and the display float of
-    ``measures._magnitude``."""
+    ``roots.magnitude``."""
     k = fam.k
     counts = [0] * k
     for t in range(m):
@@ -175,7 +176,7 @@ def _root_window(fam, I, D, m, phi_):
     if k <= 2:
         v = abs(counts[0] - (counts[1] if k == 2 else 0))
         return v, v
-    return _exact_square(tuple(counts)), _magnitude(counts, *_root_tables(k))
+    return _exact_square(tuple(counts)), magnitude(counts)
 
 
 def phi(fam, ell, circ=False):
@@ -293,23 +294,54 @@ def irreducible_by_divisors(f):
     return True
 
 
+def field_elements(field):
+    """Every element of the field, ordered by coordinate tuple."""
+    return [field.elem(coords)
+            for coords in product(range(field.p), repeat=field.d)]
+
+
+def power(a, e):
+    """a^e for e >= 0, as e multiplications of the field's one by a."""
+    acc = a.field.one
+    for _ in range(e):
+        acc = acc * a
+    return acc
+
+
+def conjugates(a):
+    """The distinct conjugates a, a^p, a^(p^2), ... of a, each the
+    literal p-th power of the one before."""
+    p = a.field.p
+    orbit = [a]
+    conj = power(a, p)
+    while conj != a:
+        orbit.append(conj)
+        conj = power(conj, p)
+    return orbit
+
+
+def shifted(f, s):
+    """f(x + s), expanded as the sum of c_i (x + s)^i."""
+    p = f.p
+    out, term = Poly((), p), Poly((1,), p)
+    for c in f.coeffs:
+        out = out + Poly((c,), p) * term
+        term = term * Poly((s, 1), p)
+    return out
+
+
 def conjugacy_representatives(p, d, trace_zero_only):
     """Coordinate tuples of the lexicographically first element of each
-    conjugate orbit of degree exactly d, in lexicographic order.  Each
-    conjugate is a literal ``** p``, and the trace is the sum of the
-    orbit's elements."""
+    conjugate orbit of degree exactly d, in lexicographic order.  The
+    orbit is ``conjugates``, and the trace is the sum of its
+    elements."""
     field = FieldParams(p, d)
     seen = set()
     reps = []
     for coords in product(range(p), repeat=d):
         if coords in seen:
             continue
-        alpha = field.elem(coords)
-        orbit = [alpha]
-        conj = alpha ** p
-        while conj != alpha:
-            orbit.append(conj)
-            conj = conj ** p
+        orbit = conjugates(field.elem(coords))
         seen.update(c.coeffs for c in orbit)
         if len(orbit) != d:
             continue

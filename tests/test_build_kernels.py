@@ -76,7 +76,7 @@ def test_frobenius_is_pth_power(p, d):
     rng = random.Random(p * 100 + d)
     for _ in range(40):
         a = fld.elem([rng.randrange(p) for _ in range(d)])
-        assert a.frobenius() == a ** p
+        assert a.frobenius() == oracle.power(a, p)
 
 
 # p in 3..13 with d in 2..4 is covered in test_poly.py; these add p = 2,

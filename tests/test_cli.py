@@ -21,7 +21,13 @@ from prsfam.cli import (
 )
 from prsfam.construct import read_family
 from prsfam.errors import BudgetError, ParameterError
-from prsfam.measures import cross_correlation, gamma
+from prsfam.measures import (
+    CorrelationSpec,
+    MeasureResult,
+    cross_correlation,
+    evaluate_witness,
+    gamma,
+)
 from prsfam.construct import family_f2, family_k_symbol
 from prsfam.poly import Poly
 
@@ -261,6 +267,66 @@ def test_measure_rejects_empty_sample_count(tmp_path, capsys, measure,
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("measure", ["fc", "phi0", "gamma0"])
+def test_measure_without_sampled_mode_exits_2(tmp_path, capsys, measure):
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
+    assert run(["measure", "--in", src, "--measure", measure, "--mode",
+                "sampled"]) == EXIT_PARAM
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{measure} has no sampled mode" in out.err
+
+
+def test_measure_sampled_big_gamma_k3(tmp_path):
+    # the sampled k >= 3 path reads the display float after the search
+    src = str(tmp_path / "ks.fam")
+    out = str(tmp_path / "bg.json")
+    assert run(["gen", "--construction", "ksym", "--p", "7", "--d", "2",
+                "--k", "3", "--out", src]) == EXIT_OK
+    assert run(["measure", "--in", src, "--measure", "biggamma", "--mode",
+                "sampled", "--ell", "2", "--out", out]) == EXIT_OK
+    with open(out, encoding="utf-8") as fh:
+        (rec,) = json.load(fh)
+    assert rec["mode"] == "sampled-lower-bound"
+    w = rec["witness"]
+    spec = CorrelationSpec(ell=2, window=w["M"], shifts=tuple(w["D"]),
+                           rows=tuple(w["I"]),
+                           root_maps=tuple(map(tuple, w["maps"])))
+    res = MeasureResult(rec["name"], 2, float(rec["value"]), rec["mode"],
+                        spec)
+    assert evaluate_witness(read_family(src), res) == res.value
+
+
+_GEN = {"f2": ["--construction", "f2", "--p", "7", "--d", "2"],
+        "ksym": ["--construction", "ksym", "--p", "7", "--d", "2",
+                 "--k", "3"]}
+_RUN_AND_LIST_ROOTS = ("import sys\nfrom prsfam.cli import main\n"
+                       "print(main(sys.argv[1:]), 'prsfam.roots' in sys.modules)")
+
+
+@pytest.mark.parametrize("family, args, loads", [
+    ("f2", ["verify"], False),
+    ("f2", ["measure", "--measure", "phi", "--ell", "2"], False),
+    ("f2", ["measure", "--measure", "biggamma", "--ell", "2"], False),
+    ("f2", ["measure", "--measure", "biggamma", "--ell", "2",
+            "--mode", "sampled"], False),
+    ("ksym", ["measure", "--measure", "biggamma", "--ell", "1"], True),
+], ids=["verify", "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
+def test_binary_runs_do_not_import_roots(tmp_path, family, args, loads):
+    # only k >= 3 magnitudes need prsfam.roots; importing it costs peak
+    # memory on every other run
+    src = str(tmp_path / "fam.txt")
+    assert run(["gen", *_GEN[family], "--out", src]) == EXIT_OK
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_ROOTS, *args, "--in", src,
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == f"0 {loads}\n", proc.stderr
+
+
 def test_verify_rejects_negative_max_order(tmp_path, capsys):
     src = str(tmp_path / "fam.txt")
     run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
@@ -293,6 +359,7 @@ def test_gen_row_symbol_budget(tmp_path, capsys):
 
 
 _HEADER = b"#PRSFAM v1 p=3 d=1 k=2 N=2 F=1 construction=external\n"
+_AFTER_BLANKS = _HEADER + b"\n \n\n0 +1\n"  # the bad row is line 5
 
 
 @pytest.mark.parametrize("body", [
@@ -302,6 +369,7 @@ _HEADER = b"#PRSFAM v1 p=3 d=1 k=2 N=2 F=1 construction=external\n"
     _HEADER + "0 \u0661\n".encode(),              # Arabic-Indic digit one
     _HEADER + b"0 0_1\n",                         # digit separator
     _HEADER.replace(b"p=3", "p=\u0663".encode()) + b"0 1\n",
+    _AFTER_BLANKS,
 ])
 @pytest.mark.parametrize("command", ["measure", "verify", "dual"])
 def test_malformed_family_file_exits_2(tmp_path, capsys, body, command):
@@ -315,6 +383,8 @@ def test_malformed_family_file_exits_2(tmp_path, capsys, body, command):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: line") or "UTF-8" in out.err
+    if body == _AFTER_BLANKS:
+        assert out.err.startswith("error: line 5: ")
     assert not (tmp_path / "out.fam").exists()
 
 

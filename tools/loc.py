@@ -1,11 +1,13 @@
-"""Count the lines of each ``src/prsfam`` module.
+"""Count the lines of each ``src/prsfam`` module, and of ``tests/``.
 
 Usage: python tools/loc.py
 
 Prints, per module and in total, the total line count and the code
 line count: the lines left after taking out blank lines, comment-only
 lines and docstrings (the string literal that opens a module, class or
-function body, found with ``ast``).
+function body, found with ``ast``).  A last line gives the same two
+totals over ``tests/*.py``, so a change shows whether lines only moved
+from the package into the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prsfam"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "prsfam"
+TESTS = ROOT / "tests"
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -44,15 +48,22 @@ def code_lines(text: str) -> int:
     return len(lines - skip)
 
 
+def counts(path: Path) -> tuple[int, int]:
+    """The total and the code line count of one file."""
+    text = path.read_text(encoding="utf-8")
+    return len(text.splitlines()), code_lines(text)
+
+
 def main() -> None:
-    total = code = 0
+    rows = [(path.name, *counts(path))
+            for path in sorted(PACKAGE.glob("*.py"))]
+    tests = [counts(path) for path in TESTS.glob("*.py")]
+    rows += [("total", sum(r[1] for r in rows), sum(r[2] for r in rows)),
+             ("tests/ total", sum(n for n, _ in tests),
+              sum(c for _, c in tests))]
     print(f"{'module':16s} {'lines':>6s} {'code':>6s}")
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        n, c = len(text.splitlines()), code_lines(text)
-        total, code = total + n, code + c
-        print(f"{path.name:16s} {n:6d} {c:6d}")
-    print(f"{'total':16s} {total:6d} {code:6d}")
+    for name, n, c in rows:
+        print(f"{name:16s} {n:6d} {c:6d}")
 
 
 if __name__ == "__main__":
