@@ -238,6 +238,87 @@ def test_degree_trace_norm_on_proper_subfields(p, d):
     assert degrees == {t for t in range(1, d) if d % t == 0}
 
 
+# --- norm and quadratic character of the extension -------------------------
+
+
+def _norm(a):
+    """N(a), the product of the d conjugates from the field's Frobenius
+    matrix, as an integer of F_p."""
+    conj = a.conjugates()
+    return math.prod(conj[1:], start=conj[0]).base_value("norm")
+
+
+def _quad_char(a):
+    """The quadratic character of F_{p^d}: the residue symbol of N(a)."""
+    return legendre(_norm(a), a.field.p)
+
+
+def test_norm_examples():
+    f9 = FieldParams(3, 2)
+    assert _norm(f9.elem((0, 1))) == 1  # x * x^3 = -x^2 = 1
+    for p, d in SMALL_FIELDS:
+        fld = FieldParams(p, d)
+        for c in range(p):
+            assert _norm(fld.elem(c)) == pow(c, d, p)
+    fld = FieldParams(5, 3)
+    rng = random.Random(2)
+    for _ in range(20):
+        a = fld.elem([rng.randrange(5) for _ in range(3)])
+        b = fld.elem([rng.randrange(5) for _ in range(3)])
+        assert _norm(a * b) == _norm(a) * _norm(b) % 5
+
+
+def test_norm_is_conjugate_power():
+    # the Frobenius-matrix conjugates multiply to a^((p^d - 1)/(p - 1)),
+    # the power taken by literal multiplication
+    fld = FieldParams(7, 2)
+    e = (7**2 - 1) // (7 - 1)
+    for a in oracle.field_elements(fld):
+        if a == fld.zero:
+            continue
+        assert fld.elem(_norm(a)) == oracle.power(a, e)
+
+
+def test_quad_char_examples():
+    f9 = FieldParams(3, 2)
+    assert _quad_char(f9.zero) == 0
+    assert _quad_char(f9.elem((0, 1))) == 1  # norm 1
+    rng = random.Random(3)
+    fld = FieldParams(7, 2)
+    for _ in range(30):
+        g = fld.elem([rng.randrange(7) for _ in range(2)])
+        if g != fld.zero:
+            assert _quad_char(g * g) == 1
+    # the residue symbol of a minimal polynomial's value at n is the
+    # character of n - a: mp_a(n) is the product of n - a^(p^t)
+    for p, d in [(7, 2), (5, 3)]:
+        fld = FieldParams(p, d)
+        for a in oracle.field_elements(fld):
+            if len(oracle.conjugates(a)) != d:
+                continue
+            mp = minimal_polynomial(a)
+            for n in range(p):
+                assert legendre(mp.eval(n), p) == _quad_char(fld.elem(n) - a)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4),
+                                 (7, 2), (7, 3), (11, 2), (13, 2), (31, 1),
+                                 (3, 3), (5, 3)])
+def test_quad_char_square_count(p, d):
+    # exactly (p^d - 1)/2 nonzero elements have character +1
+    fld = FieldParams(p, d)
+    plus = sum(1 for a in oracle.field_elements(fld) if _quad_char(a) == 1)
+    assert plus == (p**d - 1) // 2
+
+
+def test_quad_char_multiplicative():
+    fld = FieldParams(5, 2)
+    elems = [a for a in oracle.field_elements(fld) if a != fld.zero]
+    for a in elems:
+        for b in elems:
+            assert _quad_char(a * b) == _quad_char(a) * _quad_char(b)
+
+
 # --- order-k character -------------------------------------------------------
 
 

@@ -65,6 +65,18 @@ def test_values_match_literal_sum():
             assert [f.eval(x) for x in xs] == expected
 
 
+def test_shifted():
+    # the literal expansion of f(x + s) that the Weil-bound tests use
+    rng = random.Random(0)
+    for _ in range(30):
+        p = rng.choice([3, 5, 7])
+        f = Poly([rng.randrange(p) for _ in range(rng.randint(1, 6))], p)
+        s = rng.randrange(p)
+        g = oracle.shifted(f, s)
+        for n in range(p):
+            assert g.eval(n) == f.eval((n + s) % p)
+
+
 def test_gcd():
     p = 7
     f = Poly((1, 0, 1), p) * Poly((2, 1), p)
