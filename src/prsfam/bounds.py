@@ -19,14 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .construct import Family, dual_tag
-from .errors import BudgetError, ParameterError
+from .errors import DEFAULT_BUDGET, BudgetError, ParameterError
 from .ff import _check_odd_prime, legendre
-from .measures import DEFAULT_BUDGET, MeasureResult
 from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
                    count_trace_zero_irreducibles, poly_gcd)
+
+if TYPE_CHECKING:  # `weil` runs this module without building or measuring
+    from .construct import Family
+    from .measures import MeasureResult
 
 __all__ = [
     "BoundReport",
@@ -274,6 +276,8 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     Raises ``ParameterError`` listing anything missing, or for a
     negative or non-finite ``c``.
     """
+    from .construct import dual_tag
+
     _check_scale(c)
     tag = fam.construction
     dtag = dual_tag(tag)

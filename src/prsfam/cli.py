@@ -6,49 +6,41 @@ family file), ``measure`` (evaluate one measure, emit the result),
 residue-symbol sum check for one polynomial).
 
 Exit codes: 0 success, 2 parameter/parse errors, 3 budget errors,
-4 when ``verify`` finds a violated exact inequality.  Output is
-deterministic for fixed inputs; ``--jobs`` is accepted and changes
-nothing, since every search is serial.  Exact rationals are serialized
-as "num/den" strings so nothing passes through floating point.
+4 when ``verify`` finds a violated exact inequality.  An option given
+where the command does not read it is a parameter error, not ignored:
+``--samples`` and ``--seed`` outside ``--mode sampled``, ``--ell`` with
+``fc``, and each ``gen`` option with a construction it does not apply
+to.  Output is deterministic for fixed inputs; ``--jobs`` is accepted
+and changes nothing, since every search is serial.  Exact rationals are
+serialized as "num/den" strings so nothing passes through floating
+point.
+
+Each command imports only the modules it runs (``_COMMAND_MODULES``):
+every call is a fresh interpreter, which compiles what it imports, so
+``--version`` and ``--help`` load no construction or measure code and
+``weil`` loads no measure code.  The names a handler uses are bound in
+this module on first use, by ``_bind`` or by attribute access from
+outside, and a name already bound there is kept.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 from . import __version__
-from .bounds import (BoundReport, KIND_EXACT, _check_scale, dual_orders,
-                     verify_family, weil_check)
-from .construct import (
-    Family,
-    dual,
-    family_f1,
-    family_f2,
-    family_k_symbol,
-    read_family,
-    write_family,
-)
 from .errors import BudgetError, Error, InternalError, ParameterError
-from .measures import (
-    MODE_EXACT,
-    MODE_SAMPLED,
-    MODE_VERIFIED_LB,
-    MeasureResult,
-    PatternWitness,
-    big_gamma,
-    cross_correlation,
-    cross_correlation_circ,
-    f_complexity,
-    gamma,
-    gamma_circ,
-)
-from .poly import Poly
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .construct import Family
+    from .measures import MeasureResult
+    from .poly import Poly
 
 __all__ = ["main", "emit_report"]
 
@@ -57,14 +49,72 @@ EXIT_PARAM = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
-_MEASURES = {
-    "fc": f_complexity,
-    "phi": cross_correlation,
-    "phi0": cross_correlation_circ,
-    "gamma": gamma,
-    "gamma0": gamma_circ,
-    "biggamma": big_gamma,
+# The names the handlers look up in this module, by owning module.
+_NAMES = {
+    "construct": ("dual", "family_f1", "family_f2", "family_k_symbol",
+                  "read_family", "write_family"),
+    "measures": ("MODE_EXACT", "MODE_SAMPLED", "MODE_VERIFIED_LB",
+                 "cross_correlation", "f_complexity", "gamma", "gamma_circ"),
+    "bounds": ("KIND_EXACT", "_check_scale", "dual_orders", "verify_family",
+               "weil_check"),
+    "poly": ("Poly",),
 }
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
+_OWNER["_MEASURES"] = "measures"
+
+# The modules each command's handler runs.
+_COMMAND_MODULES = {
+    "gen": ("construct", "poly"),
+    "dual": ("construct",),
+    "measure": ("construct", "measures"),
+    "verify": ("construct", "measures", "bounds"),
+    "weil": ("bounds", "poly"),
+}
+
+# --measure choice -> its function in ``measures``, as ``_MEASURES`` holds
+# it once that module is loaded.
+_MEASURE_FUNCTIONS = {
+    "fc": "f_complexity",
+    "phi": "cross_correlation",
+    "phi0": "cross_correlation_circ",
+    "gamma": "gamma",
+    "gamma0": "gamma_circ",
+    "biggamma": "big_gamma",
+}
+
+# gen options read by one construction only.
+_GEN_OPTION_OWNER = {"k": "ksym", "allow_noncoprime": "ksym", "base": "f1",
+                     "no_trace_zero": "f2"}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind the names the handlers use from them
+    here.  A name already bound is kept, so a wrapper installed from
+    outside before ``main`` runs (perfbench's tracer) stays in place."""
+    names = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            names.setdefault(name, getattr(mod, name))
+        if module == "measures":
+            names.setdefault("_MEASURES", {
+                choice: getattr(mod, fn)
+                for choice, fn in _MEASURE_FUNCTIONS.items()})
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
+
+def _is(obj, module: str, cls: str) -> bool:
+    """``isinstance(obj, <module>.<cls>)`` without importing ``module``:
+    while it is not loaded, no instance of its classes exists."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, cls))
 
 
 def _value_str(v) -> str:
@@ -76,7 +126,7 @@ def _value_str(v) -> str:
 def _witness_dict(w):
     if w is None:
         return None
-    if isinstance(w, PatternWitness):
+    if _is(w, "measures", "PatternWitness"):
         return {"positions": list(w.positions), "pattern": list(w.pattern)}
     out = {"M": w.window, "D": list(w.shifts), "I": list(w.rows)}
     if w.pattern is not None:
@@ -115,9 +165,9 @@ def _bound_dict(r: BoundReport) -> dict:
 
 
 def _to_dict(r) -> dict:
-    if isinstance(r, MeasureResult):
+    if _is(r, "measures", "MeasureResult"):
         return _measure_dict(r)
-    if isinstance(r, BoundReport):
+    if _is(r, "bounds", "BoundReport"):
         return _bound_dict(r)
     if isinstance(r, dict):
         return r
@@ -142,6 +192,8 @@ def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
         json.dump(dicts, sink, indent=2)
         sink.write("\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.DictWriter(sink, fieldnames=_CSV_FIELDS,
                                 extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
@@ -197,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["f1", "f2", "ksym"])
     gen.add_argument("--p", type=int, required=True, help="odd prime")
     gen.add_argument("--d", type=int, required=True, help="polynomial degree")
-    gen.add_argument("--k", type=int, default=2,
+    gen.add_argument("--k", type=int,
                      help="alphabet size (ksym only; default 2)")
     gen.add_argument("--base", type=str, default=None,
                      help="f1 base polynomial, comma-separated coefficients "
                           "constant-first (default: deterministic search)")
-    gen.add_argument("--no-trace-zero", action="store_true",
+    gen.add_argument("--no-trace-zero", action="store_true", default=None,
                      help="f2 only: drop the zero second-highest-"
                           "coefficient restriction")
-    gen.add_argument("--allow-noncoprime", action="store_true",
+    gen.add_argument("--allow-noncoprime", action="store_true", default=None,
                      help="ksym only: build even when gcd(k,(p^d-1)/(p-1))>1")
     gen.add_argument("--budget", type=int, default=None)
     gen.add_argument("--out", required=True)
@@ -216,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     meas = sub.add_parser("measure", help="evaluate one measure")
     meas.add_argument("--in", dest="in_path", required=True)
-    meas.add_argument("--measure", required=True, choices=sorted(_MEASURES))
-    meas.add_argument("--ell", type=int, default=1, help="order (default 1)")
+    meas.add_argument("--measure", required=True,
+                      choices=sorted(_MEASURE_FUNCTIONS))
+    meas.add_argument("--ell", type=int, help="order (default 1)")
     meas.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    meas.add_argument("--samples", type=int, default=1000)
-    meas.add_argument("--seed", type=int, default=0)
+    meas.add_argument("--samples", type=int)
+    meas.add_argument("--seed", type=int)
     meas.add_argument("--budget", type=int, default=None)
     meas.add_argument("--jobs", type=int, default=1,
                       help="accepted and ignored: searches are serial")
@@ -252,7 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _refuse(args, dest: str, where: str) -> None:
+    """Refuse an option given where the command does not read it, which
+    would otherwise look as if it had taken effect."""
+    if getattr(args, dest) is not None:
+        raise ParameterError(
+            f"--{dest.replace('_', '-')} applies only to {where}")
+
+
 def _cmd_gen(args) -> int:
+    for dest, construction in _GEN_OPTION_OWNER.items():
+        if args.construction != construction:
+            _refuse(args, dest, f"--construction {construction}")
     if args.construction == "f1":
         base = None if args.base is None else _parse_poly(args.base, args.p)
         fam = family_f1(args.p, args.d, base=base, budget=args.budget)
@@ -260,7 +324,8 @@ def _cmd_gen(args) -> int:
         fam = family_f2(args.p, args.d, trace_zero=not args.no_trace_zero,
                         budget=args.budget)
     else:
-        fam = family_k_symbol(args.p, args.d, args.k,
+        k = 2 if args.k is None else args.k
+        fam = family_k_symbol(args.p, args.d, k,
                               require_coprime=not args.allow_noncoprime,
                               budget=args.budget)
     write_family(fam, args.out)
@@ -278,13 +343,19 @@ def _cmd_measure(args) -> int:
     sampling = name in ("phi", "gamma", "biggamma")
     if args.mode == "sampled" and not sampling:
         raise ParameterError(f"{name} has no sampled mode")
+    if args.mode != "sampled":
+        _refuse(args, "samples", "--mode sampled")
+        _refuse(args, "seed", "--mode sampled")
+    if name == "fc":
+        _refuse(args, "ell", "measures other than fc")
     fam = read_family(args.in_path)
     fn = _MEASURES[name]
     kwargs = {"budget": args.budget}
     if sampling:
         kwargs.update(mode=MODE_SAMPLED if args.mode == "sampled"
                       else MODE_EXACT,
-                      seed=args.seed, samples=args.samples)
+                      seed=0 if args.seed is None else args.seed,
+                      samples=1000 if args.samples is None else args.samples)
     with _open_sink(args.out) as sink:
         if name == "fc":
             try:
@@ -299,7 +370,7 @@ def _cmd_measure(args) -> int:
                     }], args.format, sink)
                 raise
         else:
-            result = fn(fam, args.ell, **kwargs)
+            result = fn(fam, 1 if args.ell is None else args.ell, **kwargs)
         emit_report([result], args.format, sink)
     return EXIT_OK
 
@@ -311,6 +382,7 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
     order-1..max_order correlations of the family for the envelopes."""
     if max_order < 0:
         raise ParameterError(f"max order must be >= 0, got {max_order}")
+    _bind("construct", "measures", "bounds")
     dl = dual(fam)
     measures = [f_complexity(fam, budget=budget)]
     for i in range(1, dual_orders(fam) + 1):
@@ -367,6 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    _bind(*_COMMAND_MODULES[args.command])
     try:
         return _HANDLERS[args.command](args)
     except BudgetError as exc:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget
+that ``BudgetError`` enforces."""
+
+# Loop-count cap for exact searches; sized so ell <= 3, N <= 32, F <= 12
+# always runs.
+DEFAULT_BUDGET = 10**9
 
 
 class Error(Exception):

@@ -82,7 +82,7 @@ from operator import add, mul
 from typing import Optional, Union
 
 from .construct import Family
-from .errors import BudgetError, InternalError, ParameterError
+from .errors import DEFAULT_BUDGET, BudgetError, InternalError, ParameterError
 
 __all__ = [
     "CorrelationSpec",
@@ -97,10 +97,6 @@ __all__ = [
     "evaluate_witness",
     "DEFAULT_BUDGET",
 ]
-
-# Loop-count cap for exact searches; sized so ell <= 3, N <= 32, F <= 12
-# always runs.
-DEFAULT_BUDGET = 10**9
 
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled-lower-bound"

@@ -278,6 +278,41 @@ def test_measure_without_sampled_mode_exits_2(tmp_path, capsys, measure):
     assert f"{measure} has no sampled mode" in out.err
 
 
+@pytest.mark.parametrize("option, args", [
+    ("--samples", ["measure", "--measure", "phi", "--ell", "1",
+                   "--samples", "0", "--seed", "3"]),
+    ("--samples", ["measure", "--measure", "gamma", "--mode", "exact",
+                   "--samples", "10"]),
+    ("--seed", ["measure", "--measure", "biggamma", "--seed", "0"]),
+    ("--ell", ["measure", "--measure", "fc", "--ell", "7"]),
+    ("--ell", ["measure", "--measure", "fc", "--ell", "1"]),
+    ("--k", ["gen", "--construction", "f2", "--k", "3"]),
+    ("--k", ["gen", "--construction", "f1", "--k", "0"]),
+    ("--allow-noncoprime", ["gen", "--construction", "f2",
+                            "--allow-noncoprime"]),
+    ("--base", ["gen", "--construction", "f2", "--base", "1,0,1"]),
+    ("--base", ["gen", "--construction", "ksym", "--base", "1,0,1"]),
+    ("--no-trace-zero", ["gen", "--construction", "f1", "--no-trace-zero"]),
+    ("--no-trace-zero", ["gen", "--construction", "ksym",
+                         "--no-trace-zero"]),
+], ids=["phi-samples-seed", "gamma-samples", "biggamma-seed", "fc-ell",
+        "fc-ell-default-value", "f2-k", "f1-k", "f2-allow-noncoprime",
+        "f2-base", "ksym-base", "f1-no-trace-zero", "ksym-no-trace-zero"])
+def test_options_the_command_does_not_read_exit_2(tmp_path, capsys, option,
+                                                  args):
+    # a value equal to the default, or falsy, counts as given too
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "2", "--out", src])
+    capsys.readouterr()
+    where = ["--in", src] if args[0] == "measure" else ["--p", "5", "--d", "2"]
+    out = tmp_path / "out.txt"
+    assert run([*args, *where, "--out", str(out)]) == EXIT_PARAM
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} applies only to ")
+    assert not out.exists()
+
+
 def test_measure_sampled_big_gamma_k3(tmp_path):
     # the sampled k >= 3 path reads the display float after the search
     src = str(tmp_path / "ks.fam")
@@ -301,30 +336,50 @@ def test_measure_sampled_big_gamma_k3(tmp_path):
 _GEN = {"f2": ["--construction", "f2", "--p", "7", "--d", "2"],
         "ksym": ["--construction", "ksym", "--p", "7", "--d", "2",
                  "--k", "3"]}
-_RUN_AND_LIST_ROOTS = ("import sys\nfrom prsfam.cli import main\n"
-                       "print(main(sys.argv[1:]), 'prsfam.roots' in sys.modules)")
+_RUN_AND_LIST_MODULES = (
+    "import sys\nfrom prsfam.cli import main\ncode = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('prsfam')))")
+_PARSE = {"prsfam", "prsfam.cli", "prsfam.errors"}
+_BUILD = _PARSE | {"prsfam.construct", "prsfam.poly", "prsfam.ff"}
+_MEASURE = _BUILD | {"prsfam.measures"}
 
 
-@pytest.mark.parametrize("family, args, loads", [
-    ("f2", ["verify"], False),
-    ("f2", ["measure", "--measure", "phi", "--ell", "2"], False),
-    ("f2", ["measure", "--measure", "biggamma", "--ell", "2"], False),
-    ("f2", ["measure", "--measure", "biggamma", "--ell", "2",
-            "--mode", "sampled"], False),
-    ("ksym", ["measure", "--measure", "biggamma", "--ell", "1"], True),
-], ids=["verify", "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
-def test_binary_runs_do_not_import_roots(tmp_path, family, args, loads):
-    # only k >= 3 magnitudes need prsfam.roots; importing it costs peak
-    # memory on every other run
-    src = str(tmp_path / "fam.txt")
-    assert run(["gen", *_GEN[family], "--out", src]) == EXIT_OK
+@pytest.mark.parametrize("family, args, code, modules", [
+    (None, ["--version"], EXIT_OK, _PARSE),
+    (None, ["measure", "--help"], EXIT_OK, _PARSE),
+    (None, ["measure"], EXIT_PARAM, _PARSE),
+    (None, ["gen", *_GEN["f2"], "--out", "{out}"], EXIT_OK, _BUILD),
+    ("f2", ["dual", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _BUILD),
+    (None, ["weil", "--poly", "1,1,1", "--p", "7", "--out", "{out}"], EXIT_OK,
+     _PARSE | {"prsfam.bounds", "prsfam.poly", "prsfam.ff"}),
+    ("f2", ["verify", "--in", "{fam}", "--out", "{out}"], EXIT_OK,
+     _MEASURE | {"prsfam.bounds"}),
+    ("f2", ["measure", "--measure", "phi", "--ell", "2", "--in", "{fam}",
+            "--out", "{out}"], EXIT_OK, _MEASURE),
+    ("f2", ["measure", "--measure", "biggamma", "--ell", "2", "--in", "{fam}",
+            "--out", "{out}"], EXIT_OK, _MEASURE),
+    ("f2", ["measure", "--measure", "biggamma", "--ell", "2", "--mode",
+            "sampled", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _MEASURE),
+    ("ksym", ["measure", "--measure", "biggamma", "--ell", "1", "--in",
+              "{fam}", "--out", "{out}"], EXIT_OK,
+     _MEASURE | {"prsfam.roots"}),
+], ids=["version", "help", "usage-error", "gen", "dual", "weil", "verify",
+        "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
+def test_command_module_sets(tmp_path, family, args, code, modules):
+    # every call is a fresh interpreter that compiles what it imports, so
+    # a command loads only the modules it runs; only k >= 3 magnitudes
+    # need prsfam.roots, which also costs peak memory
+    fam = str(tmp_path / "fam.txt")
+    if family is not None:
+        assert run(["gen", *_GEN[family], "--out", fam]) == EXIT_OK
+    argv = [a.format(fam=fam, out=str(tmp_path / "out.txt")) for a in args]
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_ROOTS, *args, "--in", src,
-         "--out", str(tmp_path / "report.json")],
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.stdout == f"0 {loads}\n", proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last == " ".join([str(code), *sorted(modules)]), proc.stderr
 
 
 def test_verify_rejects_negative_max_order(tmp_path, capsys):

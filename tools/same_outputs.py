@@ -1,5 +1,5 @@
 """Check that two source trees give byte-identical CLI results on the
-benchmark's job lists.
+benchmark's job lists and on the invocations that need no input file.
 
 Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N] [--seed S]
 
@@ -9,9 +9,11 @@ three workloads in ``perfbench/workloads.py`` runs as
 ``python -m prsfam.cli ...`` against each tree, in order, each tree in
 its own scratch directory, with ``{seed}`` set to ``--seed``.
 ``--jobs N`` replaces the ``--jobs`` value of every job that passes
-one.  Then every output file, and each job's exit code, stdout and
-stderr, is compared byte for byte.  Paths in the jobs are
-relative to the scratch directory, so messages that name a file agree.
+one.  The invocations in ``NO_INPUT`` (``--version``, the help texts
+and one usage error) run the same way, under ``no-input/``.  Then every
+output file, and each job's exit code, stdout and stderr, is compared
+byte for byte.  Paths in the jobs are relative to the scratch
+directory, so messages that name a file agree.
 
 Prints one line per difference and a summary; exits 0 when everything
 is identical and 1 otherwise.  Neither tree is written to.
@@ -33,6 +35,15 @@ sys.path.insert(0, str(REPO / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 JOB_TIMEOUT_S = 600
+COMMANDS = ("gen", "dual", "measure", "verify", "weil")
+
+# Argument parsing and its output paths, which the job lists never reach.
+NO_INPUT = {
+    "version": ["--version"],
+    "help": ["--help"],
+    **{f"{command}-help": [command, "--help"] for command in COMMANDS},
+    "measure-usage-error": ["measure"],
+}
 
 
 def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
@@ -45,20 +56,25 @@ def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
 def run_tree(src: Path, root: Path, seed: int, jobs: int | None) -> None:
     """Run the job lists against ``src`` with ``root`` as the working
     directory; each job leaves ``<workload>/<job>.{exit,out,err}``
-    beside the files it writes."""
+    beside the files it writes, and each ``NO_INPUT`` invocation
+    ``no-input/<name>.{exit,out,err}``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+    def run(argv: list[str], base: Path) -> None:
+        proc = subprocess.run([sys.executable, "-m", "prsfam.cli", *argv],
+                              cwd=root, env=env, capture_output=True,
+                              timeout=JOB_TIMEOUT_S)
+        base.with_suffix(".exit").write_text(f"{proc.returncode}\n")
+        base.with_suffix(".out").write_bytes(proc.stdout)
+        base.with_suffix(".err").write_bytes(proc.stderr)
+
     for name, job_list in WORKLOADS.items():
         (root / name).mkdir(parents=True)
         for job in job_list:
-            proc = subprocess.run(
-                [sys.executable, "-m", "prsfam.cli",
-                 *job_argv(job, name, seed, jobs)],
-                cwd=root, env=env, capture_output=True,
-                timeout=JOB_TIMEOUT_S)
-            base = root / name / job.id
-            base.with_suffix(".exit").write_text(f"{proc.returncode}\n")
-            base.with_suffix(".out").write_bytes(proc.stdout)
-            base.with_suffix(".err").write_bytes(proc.stderr)
+            run(job_argv(job, name, seed, jobs), root / name / job.id)
+    (root / "no-input").mkdir()
+    for name, argv in NO_INPUT.items():
+        run(argv, root / "no-input" / name)
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -98,7 +114,7 @@ def main(argv: list[str]) -> int:
             continue
         differ += 1
     total = len(parent.keys() | change.keys())
-    print(f"{total} files compared ({', '.join(WORKLOADS)}; jobs "
+    print(f"{total} files compared ({', '.join(WORKLOADS)}, no-input; jobs "
           f"{args.jobs if args.jobs is not None else 'as listed'}, "
           f"seed {args.seed}): "
           + ("all identical" if not differ else f"{differ} differ"))
