@@ -441,6 +441,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     _bind(*_COMMAND_MODULES[args.command])
     try:
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 0:
+            raise ParameterError(f"--budget must be >= 0, got {budget}")
         return _HANDLERS[args.command](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -40,6 +40,18 @@ could tie it is still visited, and ties are decided by key, not by
 visit order, so values and witnesses are exactly those of the full
 search.
 
+Per-tuple cap.  A phi or gamma kernel first bounds every window of its
+sequence in one C-level pass, and returns None without walking when the
+bound is strictly below the best value so far (the floor).  phi: with a
+terms +1 and b terms -1, |P[e] - P[s]| <= max(a, b) = (L + |S|) / 2, S
+the whole sum.  gamma: a code that occurs C times gives every window at
+most max((k^ell - 1) * C, L), as k^ell * C_w - M <= (k^ell - 1) * C_w
+and M - k^ell * C_w <= L.  Both hold for every reading and for k <= 2
+big_gamma.  They are at least L/2 and L, so the pass runs only when the
+floor exceeds that.  The stop is strict: every tuple that could tie is
+walked and offered, so values, witnesses and draw streams are those of
+the full walk.
+
 Sampled modes.  A seeded draw (I, D) reads only the windows [0, M) of
 its shifted rows: the kernel case with s pinned at 0.
 ``_sampled_search`` offers each admissible draw of ``_sampled_draws``
@@ -61,7 +73,7 @@ the full search, the sum over T of (canonical I count) * L, times k^ell
 for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
 (k!)^ell, the walk of every window and relabeling, which bounds the
 (k-1)!^ell * (L + 1 + L(L+1)/2) steps of its rotation-class search.
-``_lag_estimate`` gives its closed form.  The stop above only removes
+``_lag_estimate`` gives its closed form.  Both stops above only remove
 steps, so the estimate is an upper bound on the steps taken, usually a
 loose one.  A sampled search estimates samples * N for phi and
 big_gamma, and samples * (ell * N + min(N, k^ell) + 1) for gamma.
@@ -365,7 +377,9 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
     kernel gets the shifted rows of one (I, T), L and the best value so
     far, and returns None below that value, else (value, s, e, extra)
-    for its best window [s, e): the key (I, s + T, e - s, extra).
+    for its best window [s, e): the key (I, s + T, e - s, extra).  It
+    may return None before its walk when its per-tuple cap is strictly
+    below that value; a tuple whose cap ties it is walked and offered.
 
     ``cap(L)`` bounds every window value of a length-L sequence.  The
     lag tuples are visited by increasing T[-1], so L never increases,
@@ -419,7 +433,9 @@ def _sampled_search(fam: Family, rows_at, ell: int, kernel,
     at 0.  The kernel takes the arguments of a ``_lag_search`` kernel
     and returns None below the best value so far, else
     (value, 0, e, extra) for its best window [0, e), ties going to the
-    earliest e: the key (I, D, e, extra).
+    earliest e: the key (I, D, e, extra).  The per-tuple cap may stop a
+    draw before its walk, as in ``_lag_search``; big_gamma draws the
+    relabeling first, so the random stream is unchanged.
     """
     best = _Best()
     for I, D, size in _sampled_draws(fam, ell, rng, samples):
@@ -436,10 +452,25 @@ def _sampled_search(fam: Family, rows_at, ell: int, kernel,
 # binary product correlation
 
 
+def _phi_capped(seqs, size: int, floor):
+    """The product of the shifted rows, or None when its per-tuple cap
+    (L + |S|) / 2, S the whole sum, is strictly below ``floor``.  The cap
+    is at least L/2, so it is taken only when 2 * floor > L."""
+    terms = _combine(mul, seqs)
+    if floor is not None and 2 * floor > size:
+        terms = list(terms)
+        if size + abs(sum(terms)) < 2 * floor:
+            return None
+    return terms
+
+
 def _phi_windows(seqs, size: int, floor):
     """|P[e] - P[s]| peaks at max P - min P; s is the earlier of the two
     first extremes and e the other."""
-    P = list(accumulate(_combine(mul, seqs), initial=0))
+    terms = _phi_capped(seqs, size, floor)
+    if terms is None:
+        return None
+    P = list(accumulate(terms, initial=0))
     hi, lo = max(P), min(P)
     if floor is not None and hi - lo < floor:
         return None
@@ -453,8 +484,13 @@ def _phi_full(seqs, size: int, floor):
 
 def _phi_pinned(seqs, size: int, floor):
     """Windows [0, e): max |P[e]| over e >= 1, at the earliest e."""
-    P = [abs(v) for v in accumulate(_combine(mul, seqs))]  # |P[1..L]|
+    terms = _phi_capped(seqs, size, floor)
+    if terms is None:
+        return None
+    P = [abs(v) for v in accumulate(terms)]  # |P[1..L]|
     value = max(P)
+    if floor is not None and value < floor:
+        return None
     return value, 0, P.index(value) + 1, ()
 
 
@@ -508,6 +544,29 @@ def _pattern(code: int, k: int, ell: int) -> tuple[int, ...]:
     return tuple((code // k**(ell - 1 - j)) % k for j in range(ell))
 
 
+def _occurrences(codes, kl: int) -> dict[int, list]:
+    """The gamma walk: per code, [C, max A, its t, min A, its t].
+
+    Q_W[n] = kl * C_W[n] - n falls by 1 per step and rises by kl - 1 at
+    each occurrence of W, so its maxima sit at 0 or just after an
+    occurrence and its minima at an occurrence or at L.  With
+    A_j = kl * j - t_j for the j-th occurrence t_j:
+    max Q = max(0, max A + kl - 1), min Q = min(min A, kl * C - L)."""
+    stats: dict[int, list] = {}
+    for t, c in enumerate(codes):
+        st = stats.get(c)
+        if st is None:
+            stats[c] = [1, -t, t, -t, t]
+            continue
+        a = kl * st[0] - t
+        st[0] += 1
+        if a > st[1]:
+            st[1], st[2] = a, t
+        elif a < st[3]:
+            st[3], st[4] = a, t
+    return stats
+
+
 def _gamma_kernel(k: int, ell: int):
     """The kernel over pattern codes sum_j W_j k^(ell-1-j), whose order
     is the lex order of the patterns; the shifted rows arrive
@@ -517,23 +576,14 @@ def _gamma_kernel(k: int, ell: int):
     kl = k**ell
 
     def kernel(seqs, size: int, floor, reading: str = "windows"):
-        # Q_W[n] = kl * C_W[n] - n falls by 1 per step and rises by kl - 1
-        # at each occurrence of W, so its maxima sit at 0 or just after
-        # an occurrence and its minima at an occurrence or at L.  With
-        # A_j = kl * j - t_j for the j-th occurrence t_j:
-        # max Q = max(0, max A + kl - 1), min Q = min(min A, kl * C - L).
-        stats: dict[int, list] = {}  # code -> [C, max A, its t, min A, its t]
-        for t, c in enumerate(_combine(add, seqs)):
-            st = stats.get(c)
-            if st is None:
-                stats[c] = [1, -t, t, -t, t]
-                continue
-            a = kl * st[0] - t
-            st[0] += 1
-            if a > st[1]:
-                st[1], st[2] = a, t
-            elif a < st[3]:
-                st[3], st[4] = a, t
+        codes = _combine(add, seqs)
+        if floor is not None and floor > size:
+            # the per-tuple cap max((kl - 1) * C, L), C the largest count
+            # of a code; it is at least L, so it is taken only when floor > L
+            codes = list(codes)
+            if max((kl - 1) * max(Counter(codes).values()), size) < floor:
+                return None
+        stats = _occurrences(codes, kl)
         best = None  # (-value, s, e, code)
         if len(stats) < kl:  # an absent pattern: Q falls from 0 to -L
             best = (-size, 0, size, next(c for c in count() if c not in stats))
@@ -631,7 +681,8 @@ def _root_pinned(k: int, ell: int, rng: random.Random):
         read = roots.pinned
     else:
         def read(maps, seqs, size, floor):
-            return _phi_pinned(seqs, size, floor)[:3] + (maps,)
+            found = _phi_pinned(seqs, size, floor)
+            return None if found is None else found[:3] + (maps,)
 
     def pinned(seqs, size: int, floor):
         maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))

@@ -382,6 +382,30 @@ def test_command_module_sets(tmp_path, family, args, code, modules):
     assert last == " ".join([str(code), *sorted(modules)]), proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--construction", "f2", "--p", "5", "--d", "2"],
+    ["measure", "--measure", "phi"],
+    ["measure", "--measure", "fc"],
+    ["verify"],
+], ids=["gen", "measure-phi", "measure-fc", "verify"])
+def test_negative_budget_exits_2_and_zero_refuses(tmp_path, capsys, args):
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "5", "--d", "2", "--out", src])
+    capsys.readouterr()
+    where = [] if args[0] == "gen" else ["--in", src]
+    out = tmp_path / "out.txt"
+    assert run([*args, *where, "--budget", "-5", "--out", str(out)]) \
+        == EXIT_PARAM
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be >= 0, got -5\n"
+    assert not out.exists()
+    # a zero budget is a budget, and every command refuses under it
+    assert run([*args, *where, "--budget", "0", "--out", str(out)]) \
+        == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_verify_rejects_negative_max_order(tmp_path, capsys):
     src = str(tmp_path / "fam.txt")
     run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])

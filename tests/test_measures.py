@@ -1,9 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError
@@ -133,58 +137,157 @@ def test_phi_empty_admissible_space():
     assert r.value == 0 and r.witness is None
 
 
+def _assert_floor_contract(kernel, seqs, size: int, cap: int):
+    """Under a floor up to its value a kernel answers as with no floor;
+    under a higher floor, up to and past the per-tuple cap, it answers
+    None."""
+    found = kernel(seqs, size, None)
+    assert found[0] <= cap
+    for floor in range(found[0] + 1):
+        assert kernel(seqs, size, floor) == found
+    for floor in range(found[0] + 1, cap + 2):
+        assert kernel(seqs, size, floor) is None
+
+
+def _phi_cap(terms) -> int:
+    # with a terms +1 and b terms -1 no window sum exceeds max(a, b)
+    return max(terms.count(1), terms.count(-1))
+
+
+def _gamma_cap(k: int, ell: int, rows) -> int:
+    # a pattern seen C times in all: at most max((k^ell - 1) * C, L)
+    patterns = list(zip(*rows))
+    return max((k**ell - 1) * max(Counter(patterns).values()), len(patterns))
+
+
 def test_phi_monotone_window_against_naive():
+    # the pinned kernel reads the windows [0, e), the windows kernel every
+    # [s, e): the largest |sum|, then the smallest s, then e
+    from prsfam.measures import _phi_pinned, _phi_windows
     rng = random.Random(12)
-    for _ in range(20):
+    cases = [[(1,)], [(-1,), (1,)],  # L = 1
+             [(1,) * 5], [(1,) * 4] * 3,  # constant rows, k = 1 big_gamma
+             [(1, -1, 1, -1, 1)] * 2,  # duplicate rows
+             [(-1, 1, -1, -1, 1, -1)] * 2]
+    while len(cases) < 80:
         fam = random_family(rng, max_f=3, max_n=7)
         pmr = fam.pm_rows()
         n = fam.length
-        ell = rng.randint(1, 2)
-        ids = list(range(fam.size))
+        ell = rng.randint(1, 3)
         I = tuple(rng.randrange(fam.size) for _ in range(ell))
         D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
         # skip inadmissible draws
         bad = any(fam.rows[I[a]] == fam.rows[I[b]] and D[a] == D[b]
                   for a in range(ell) for b in range(a + 1, ell))
-        if bad:
-            continue
-        mmax = n - D[-1]
-        naive = 0
-        for m in range(1, mmax + 1):
-            s = 0
-            for t in range(m):
-                term = 1
-                for j in range(ell):
-                    term *= pmr[I[j]][t + D[j]]
-                s += term
-            naive = max(naive, abs(s))
-        from prsfam.measures import _phi_pinned
-        slices = [pmr[I[j]][D[j]:D[j] + mmax] for j in range(ell)]
-        assert _phi_pinned(slices, mmax, None)[0] == naive
+        if not bad:
+            cases.append([pmr[I[j]][D[j]:n - D[-1] + D[j]]
+                          for j in range(ell)])
+    for slices in cases:
+        size = len(slices[0])
+        terms = [math.prod(col) for col in zip(*slices)]
+        pinned = windows = None
+        for s in range(size):
+            for e in range(s + 1, size + 1):
+                value = abs(sum(terms[s:e]))
+                if windows is None or value > windows[0]:
+                    windows = (value, s, e, ())
+                if s == 0 and (pinned is None or value > pinned[0]):
+                    pinned = (value, 0, e, ())
+        assert _phi_pinned(slices, size, None) == pinned
+        assert _phi_windows(slices, size, None) == windows
+        for kernel in (_phi_pinned, _phi_windows):
+            _assert_floor_contract(kernel, slices, size, _phi_cap(terms))
 
 
-def test_gamma_pinned_kernel_against_naive():
-    # the sampled reading of the gamma kernel: windows [0, e) only, the
-    # largest |k^ell * C_W(e) - e|, then the earliest e, then the smallest W
+def _check_gamma_reading(reading: str) -> None:
+    """One reading of the gamma kernel against its definition: the
+    largest |k^ell * C_W - M| over its windows [s, e), then the smallest
+    s, then e, then W; and the floor contract under the per-tuple cap.
+    The cases include L = 1, k = 1, constant and duplicate rows."""
     from prsfam.measures import _gamma_kernel
     rng = random.Random(21)
-    cases = [(2, 1, [(0, 0, 1, 1, 1, 1)])]  # max Q ties minus min Q
+    cases = [(2, 1, [(0, 0, 1, 1, 1, 1)]),  # max Q ties minus min Q
+             (3, 1, [(2,)]), (3, 2, [(1,), (0,)]), (1, 2, [(0, 0, 0)] * 2),
+             (2, 2, [(1, 1, 1, 1)] * 2), (3, 1, [(0, 0, 0, 0, 0)]),
+             (3, 2, [(0, 2, 1, 2, 0)] * 2), (4, 3, [(3,) * 6] * 3)]
     for _ in range(300):
         k, ell, n = rng.randint(1, 4), rng.randint(1, 2), rng.randint(1, 8)
         cases.append((k, ell, [tuple(rng.randrange(k) for _ in range(n))
                                for _ in range(ell)]))
     for k, ell, rows in cases:
         n, kl = len(rows[0]), k**ell
-        naive = None  # the first (e, W) in order with the largest value
-        for e in range(1, n + 1):
+        spans = {"windows": [(s, e) for s in range(n)
+                             for e in range(s + 1, n + 1)],
+                 "pinned": [(0, e) for e in range(1, n + 1)],
+                 "full": [(0, n)]}[reading]
+        naive = None  # the first (s, e, W) in order with the largest value
+        for s, e in spans:
             for w in product(range(k), repeat=ell):
-                count = sum(1 for t in range(e)
+                count = sum(1 for t in range(s, e)
                             if all(r[t] == w[j] for j, r in enumerate(rows)))
-                if naive is None or abs(kl * count - e) > naive[0]:
-                    naive = (abs(kl * count - e), 0, e, w)
+                if naive is None or abs(kl * count - (e - s)) > naive[0]:
+                    naive = (abs(kl * count - (e - s)), s, e, w)
         scaled = [tuple(x * k**(ell - 1 - j) for x in r)
                   for j, r in enumerate(rows)]
-        assert _gamma_kernel(k, ell)(scaled, n, None, "pinned") == naive
+        kernel = partial(_gamma_kernel(k, ell), reading=reading)
+        assert kernel(scaled, n, None) == naive
+        _assert_floor_contract(kernel, scaled, n, _gamma_cap(k, ell, rows))
+
+
+def test_gamma_pinned_kernel_against_naive():
+    # the sampled reading of the gamma kernel: windows [0, e) only
+    _check_gamma_reading("pinned")
+
+
+@pytest.mark.parametrize("reading", ["windows", "full"])
+def test_gamma_kernel_readings_against_naive(reading):
+    _check_gamma_reading(reading)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 3), ell=st.integers(1, 3), data=st.data())
+def test_literal_maxima_never_exceed_the_per_tuple_caps(k, ell, data):
+    n = data.draw(st.integers(1, 8), label="L")
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * n),
+                              min_size=ell, max_size=ell), label="rows")
+    kl = k**ell
+    spans = [(s, e) for s in range(n) for e in range(s + 1, n + 1)]
+
+    def deviation(s, e, w):
+        count = sum(1 for t in range(s, e)
+                    if all(r[t] == w[j] for j, r in enumerate(rows)))
+        return abs(kl * count - (e - s))
+
+    literal = max(deviation(s, e, w) for s, e in spans
+                  for w in product(range(k), repeat=ell))
+    assert literal <= _gamma_cap(k, ell, rows)
+    terms = [math.prod(1 - 2 * (x % 2) for x in col) for col in zip(*rows)]
+    assert (max(abs(sum(terms[s:e])) for s, e in spans)
+            <= _phi_cap(terms))
+
+
+def test_per_tuple_cap_skips_walks(monkeypatch):
+    # the per-tuple caps stop most kernel calls before their walk: the
+    # phi walk is its prefix sum, the gamma walk its occurrence pass
+    import itertools
+    from prsfam.construct import dual
+    walks = {"accumulate": 0, "_occurrences": 0}
+
+    def counted(name, real):
+        def walk(*args, **kwargs):
+            walks[name] += 1
+            return real(*args, **kwargs)
+        return walk
+
+    monkeypatch.setattr(measures, "accumulate",
+                        counted("accumulate", itertools.accumulate))
+    monkeypatch.setattr(measures, "_occurrences",
+                        counted("_occurrences", measures._occurrences))
+    r = cross_correlation(dual(family_f1(13, 5)), 3)
+    assert r.value == 12 and walks["accumulate"] < 50  # of 220 kernel calls
+    r = gamma(dual(family_k_symbol(13, 2, 3)), 2)
+    assert r.value == Fraction(8, 3)
+    assert walks["_occurrences"] < 250  # of 492 kernel calls
 
 
 # --- pattern deviation -------------------------------------------------------

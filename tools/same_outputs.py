@@ -1,5 +1,6 @@
 """Check that two source trees give byte-identical CLI results on the
-benchmark's job lists and on the invocations that need no input file.
+benchmark's job lists, on every measure and mode, and on the
+invocations that need no input file.
 
 Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N] [--seed S]
 
@@ -8,9 +9,13 @@ package (the ``src`` directory of two checkouts).  Every job of the
 three workloads in ``perfbench/workloads.py`` runs as
 ``python -m prsfam.cli ...`` against each tree, in order, each tree in
 its own scratch directory, with ``{seed}`` set to ``--seed``.
-``--jobs N`` replaces the ``--jobs`` value of every job that passes
-one.  The invocations in ``NO_INPUT`` (``--version``, the help texts
-and one usage error) run the same way, under ``no-input/``.  Then every
+``MEASURE_JOBS`` run the same way, under ``measures/``: every measure,
+exact and sampled where it has a sampled mode, on one binary and one
+k = 3 family, so each search kernel is compared, sampled ``biggamma``
+on k = 2 among them, which no job list runs.  ``--jobs N`` replaces the
+``--jobs`` value of every job that passes one.  The invocations in
+``NO_INPUT`` (``--version``, the help texts and one usage error) run
+the same way, under ``no-input/``.  Then every
 output file, and each job's exit code, stdout and stderr, is compared
 byte for byte.  Paths in the jobs are relative to the scratch
 directory, so messages that name a file agree.
@@ -32,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(REPO / "perfbench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Job, gen, measure  # noqa: E402
 
 JOB_TIMEOUT_S = 600
 COMMANDS = ("gen", "dual", "measure", "verify", "weil")
@@ -44,6 +49,26 @@ NO_INPUT = {
     **{f"{command}-help": [command, "--help"] for command in COMMANDS},
     "measure-usage-error": ["measure"],
 }
+
+
+def _measure_jobs() -> list[Job]:
+    jobs = [gen("f2_13_2", "f2", 13, 2),
+            gen("ksym_13_2_3", "ksym", 13, 2, k=3)]
+    for tag, ell, names in (
+            ("f2_13_2", 3, ("phi", "phi0", "gamma", "gamma0", "biggamma")),
+            ("ksym_13_2_3", 2, ("gamma", "gamma0", "biggamma"))):
+        job_id = f"measure-{tag}-fc"
+        jobs.append(Job(job_id, ("measure", "--in", f"{{dir}}/{tag}.fam",
+                                 "--measure", "fc",
+                                 "--out", f"{{dir}}/{job_id}.json")))
+        for name in names:
+            jobs.append(measure(tag, name, ell, 1))
+            if not name.endswith("0"):  # the zero-shift measures are exact
+                jobs.append(measure(tag, name, ell, 1, samples=2000))
+    return jobs
+
+
+MEASURE_JOBS = _measure_jobs()
 
 
 def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
@@ -68,7 +93,7 @@ def run_tree(src: Path, root: Path, seed: int, jobs: int | None) -> None:
         base.with_suffix(".out").write_bytes(proc.stdout)
         base.with_suffix(".err").write_bytes(proc.stderr)
 
-    for name, job_list in WORKLOADS.items():
+    for name, job_list in {**WORKLOADS, "measures": MEASURE_JOBS}.items():
         (root / name).mkdir(parents=True)
         for job in job_list:
             run(job_argv(job, name, seed, jobs), root / name / job.id)
@@ -114,9 +139,9 @@ def main(argv: list[str]) -> int:
             continue
         differ += 1
     total = len(parent.keys() | change.keys())
-    print(f"{total} files compared ({', '.join(WORKLOADS)}, no-input; jobs "
-          f"{args.jobs if args.jobs is not None else 'as listed'}, "
-          f"seed {args.seed}): "
+    jobs = args.jobs if args.jobs is not None else "as listed"
+    print(f"{total} files compared ({', '.join(WORKLOADS)}, measures, "
+          f"no-input; jobs {jobs}, seed {args.seed}): "
           + ("all identical" if not differ else f"{differ} differ"))
     return 1 if differ else 0
 
