@@ -54,7 +54,8 @@ _NAMES = {
     "construct": ("dual", "family_f1", "family_f2", "family_k_symbol",
                   "read_family", "write_family"),
     "measures": ("MODE_EXACT", "MODE_SAMPLED", "MODE_VERIFIED_LB",
-                 "cross_correlation", "f_complexity", "gamma", "gamma_circ"),
+                 "MeasureResult", "cross_correlation", "f_complexity",
+                 "gamma", "gamma_circ"),
     "bounds": ("KIND_EXACT", "_check_scale", "dual_orders", "verify_family",
                "weil_check"),
     "poly": ("Poly",),
@@ -169,8 +170,6 @@ def _to_dict(r) -> dict:
         return _measure_dict(r)
     if _is(r, "bounds", "BoundReport"):
         return _bound_dict(r)
-    if isinstance(r, dict):
-        return r
     raise ParameterError(f"cannot serialize result of type {type(r)!r}")
 
 
@@ -362,12 +361,10 @@ def _cmd_measure(args) -> int:
                 result = fn(fam, budget=args.budget)
             except BudgetError as exc:
                 if exc.verified_lower_bound is not None:
-                    emit_report([{
-                        "name": "f_complexity", "order": 0,
-                        "value": str(exc.verified_lower_bound),
-                        "mode": MODE_VERIFIED_LB, "subject": fam.construction,
-                        "witness": None, "err_bound": "0.0",
-                    }], args.format, sink)
+                    emit_report([MeasureResult(
+                        "f_complexity", 0, exc.verified_lower_bound,
+                        MODE_VERIFIED_LB, None, subject=fam.construction)],
+                        args.format, sink)
                 raise
         else:
             result = fn(fam, 1 if args.ell is None else args.ell, **kwargs)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import IO, Mapping, Union
 
 from . import poly as _poly
-from .errors import BudgetError, InternalError, ParameterError, ParseError
+from .errors import (BudgetError, InternalError, ParameterError, ParseError,
+                     work_budget)
 from .ff import _check_odd_prime, char_k, is_prime, legendre
 from .poly import (
     Poly,
@@ -214,7 +215,7 @@ def family_f1(p: int, d: int, base: Poly | None = None,
         raise ParameterError(f"degree must be >= 5, got {d}")
     if d % p == 0:
         raise ParameterError(f"p={p} must not divide d={d}")
-    budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
+    budget = work_budget(budget, _poly.DEFAULT_ENUM_BUDGET)
     _check_row_symbols(p - 1, p, budget)
     if base is None:
         base = _find_base_poly(p, d, budget)
@@ -237,7 +238,7 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     _check_odd_prime(p)
     if d < 2:
         raise ParameterError(f"degree must be >= 2, got {d}")
-    budget = _poly.DEFAULT_ENUM_BUDGET if budget is None else budget
+    budget = work_budget(budget, _poly.DEFAULT_ENUM_BUDGET)
     if trace_zero:
         _check_row_symbols(_poly.count_trace_zero_irreducibles(p, d), p,
                            budget)

@@ -46,3 +46,13 @@ class ParseError(Error, ValueError):
 
 class InternalError(Error):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def work_budget(budget, default: int) -> int:
+    """The budget a call runs under: ``default`` for None; a negative
+    budget is refused, while 0 is a budget that refuses any work."""
+    if budget is None:
+        return default
+    if budget < 0:
+        raise ParameterError(f"budget must be >= 0, got {budget}")
+    return budget

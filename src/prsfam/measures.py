@@ -52,15 +52,15 @@ floor exceeds that.  The stop is strict: every tuple that could tie is
 walked and offered, so values, witnesses and draw streams are those of
 the full walk.
 
-Sampled modes.  A seeded draw (I, D) reads only the windows [0, M) of
-its shifted rows: the kernel case with s pinned at 0.
-``_sampled_search`` offers each admissible draw of ``_sampled_draws``
-to a pinned reading of the measure's kernel, which keeps the kernel
-protocol of ``_lag_search``: phi takes max |P[e]| over e >= 1 from its
-prefix array; gamma reads the windows kernel's occurrence statistics at
-s = 0, the larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma
-walks the windows from s = 0 of one relabeling tuple, drawn after each
-admissible draw.
+One search.  Every correlation measure runs ``_search``: one budget
+check, then ``_lag_search``, or in sampled mode each admissible seeded
+draw (I, D) of ``_sampled_draws``.  Every kernel takes
+(seqs, size, floor, reading) and reads every window ("windows"), the
+full window ("full") or, for a draw, only the windows [0, M) of its
+shifted rows ("pinned"): phi takes max |P[e]| over e >= 1 from its
+prefix array; gamma reads its occurrence statistics at s = 0, the
+larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma draws one
+relabeling tuple per draw and walks its windows from s = 0.
 
 Ties go to the lexicographically smallest (I, D, M, pattern or
 relabeling) witness (inside one (I, T): smallest s, then e, then W;
@@ -86,7 +86,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
                        permutations, product)
@@ -94,7 +93,8 @@ from operator import add, mul
 from typing import Optional, Union
 
 from .construct import Family
-from .errors import DEFAULT_BUDGET, BudgetError, InternalError, ParameterError
+from .errors import (DEFAULT_BUDGET, BudgetError, InternalError,
+                     ParameterError, work_budget)
 
 __all__ = [
     "CorrelationSpec",
@@ -145,10 +145,16 @@ class CorrelationSpec:
                 if fam.rows[i[a] - 1] == fam.rows[i[b] - 1] and d[a] == d[b]:
                     raise ParameterError(
                         "equal rows must carry distinct shifts")
-        if self.pattern is not None and len(self.pattern) != ell:
-            raise ParameterError("pattern length must equal ell")
-        if self.root_maps is not None and len(self.root_maps) != ell:
-            raise ParameterError("one root relabeling per tuple position")
+        symbols = range(fam.k)
+        if self.pattern is not None and (
+                len(self.pattern) != ell
+                or not all(w in symbols for w in self.pattern)):
+            raise ParameterError("pattern must be ell symbols in 0..k-1")
+        if self.root_maps is not None and (
+                len(self.root_maps) != ell
+                or any(sorted(m) != list(symbols) for m in self.root_maps)):
+            raise ParameterError(
+                "one root relabeling of 0..k-1 per tuple position")
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,8 @@ def _admissible(ids: list[int], I: tuple[int, ...], D: tuple[int, ...]) -> bool:
 
 
 def _check_budget(estimate: int, budget: Optional[int], what: str,
-                  mode: str = MODE_EXACT) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
+                  mode: str) -> None:
+    budget = work_budget(budget, DEFAULT_BUDGET)
     if estimate > budget:
         kind = "sampled" if mode == MODE_SAMPLED else "exact"
         raise BudgetError(
@@ -279,7 +285,7 @@ def f_complexity(fam: Family, budget: Optional[int] = None) -> MeasureResult:
     last fully certified level.
     """
     n, f, k = fam.length, fam.size, fam.k
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = work_budget(budget, DEFAULT_BUDGET)
     if k == 1:
         return MeasureResult("f_complexity", 0, n, MODE_EXACT, None,
                              subject=fam.construction)
@@ -371,25 +377,27 @@ def _lag_estimate(fam: Family, ell: int, circ: bool,
 
 
 def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
-                cap) -> _Best:
+                cap: int) -> _Best:
     """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
 
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
-    kernel gets the shifted rows of one (I, T), L and the best value so
-    far, and returns None below that value, else (value, s, e, extra)
-    for its best window [s, e): the key (I, s + T, e - s, extra).  It
-    may return None before its walk when its per-tuple cap is strictly
-    below that value; a tuple whose cap ties it is walked and offered.
+    kernel gets the shifted rows of one (I, T), L, the best value so far
+    and "windows" ("full" when ``circ``), and returns None below that
+    value, else (value, s, e, extra) for its best window [s, e): the key
+    (I, s + T, e - s, extra).  It may return None before its walk when
+    its per-tuple cap is strictly below that value; a tuple whose cap
+    ties it is walked and offered.
 
-    ``cap(L)`` bounds every window value of a length-L sequence.  The
+    ``cap * L`` bounds every window value of a length-L sequence.  The
     lag tuples are visited by increasing T[-1], so L never increases,
-    and the search stops at the first T with cap(L) < best value: no
+    and the search stops at the first T with cap * L < best value: no
     later T can reach that value, let alone beat it.  The stop is
     strict, so every tie is still offered to ``_Best``, which keeps the
     lex-smallest key whatever the visit order; values and witnesses are
     those of the full search.
     """
     n = fam.length
+    reading = "full" if circ else "windows"
     plans = sorted(_lag_plans(ell, n, circ), key=lambda plan: plan[0][-1])
     blocks = _canonical_blocks(_content_ids(fam),
                                {b for _, sizes in plans for b in sizes})
@@ -398,13 +406,13 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     best = _Best()
     for T, sizes in plans:
         size = n - T[-1]
-        if best.value is not None and cap(size) < best.value:
+        if best.value is not None and cap * size < best.value:
             break
         cols = [shifted[j][t] for j, t in enumerate(T)]
         for parts in product(*(blocks[b] for b in sizes)):
             I = tuple(chain.from_iterable(parts))
             found = kernel([cols[j][i] for j, i in enumerate(I)], size,
-                           best.value)
+                           best.value, reading)
             if found is not None:
                 value, s, e, extra = found
                 best.offer(value, (I, tuple(s + t for t in T), e - s, extra))
@@ -424,24 +432,29 @@ def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
             yield I, D, n - D[-1]
 
 
-def _sampled_search(fam: Family, rows_at, ell: int, kernel,
-                    rng: random.Random, samples: int) -> _Best:
-    """Maximize a pinned ``kernel`` over the draws of ``_sampled_draws``.
+def _search(fam: Family, rows_at, ell: int, mode: str, kernel, cap: int,
+            estimate: int, budget: Optional[int], what: str,
+            rng: Optional[random.Random] = None, samples: int = 0,
+            circ: bool = False) -> _Best:
+    """Every correlation search: the budget check of ``estimate``, then
+    ``_lag_search``, or in sampled mode the "pinned" reading of
+    ``kernel`` over the draws of ``_sampled_draws``.
 
     A draw (I, D, L) reads only the windows [0, M) of its shifted rows
-    ``rows_at[j][I[j]][D[j]:]``: the engine's kernel case with s pinned
-    at 0.  The kernel takes the arguments of a ``_lag_search`` kernel
-    and returns None below the best value so far, else
-    (value, 0, e, extra) for its best window [0, e), ties going to the
-    earliest e: the key (I, D, e, extra).  The per-tuple cap may stop a
-    draw before its walk, as in ``_lag_search``; big_gamma draws the
+    ``rows_at[j][I[j]][D[j]:]``.  The kernel returns None below the best
+    value so far, else (value, 0, e, extra) for its best window [0, e),
+    ties going to the earliest e: the key (I, D, e, extra).  The
+    per-tuple cap may stop a draw before its walk; big_gamma draws the
     relabeling first, so the random stream is unchanged.
     """
+    _check_budget(estimate, budget, what, mode)
+    if mode == MODE_EXACT:
+        return _lag_search(fam, rows_at, ell, circ, kernel, cap)
     best = _Best()
     for I, D, size in _sampled_draws(fam, ell, rng, samples):
         found = kernel([rows[i][d:d + size]
                         for rows, i, d in zip(rows_at, I, D)], size,
-                       best.value)
+                       best.value, "pinned")
         if found is not None:
             value, _, e, extra = found
             best.offer(value, (I, D, e, extra))
@@ -452,53 +465,30 @@ def _sampled_search(fam: Family, rows_at, ell: int, kernel,
 # binary product correlation
 
 
-def _phi_capped(seqs, size: int, floor):
-    """The product of the shifted rows, or None when its per-tuple cap
-    (L + |S|) / 2, S the whole sum, is strictly below ``floor``.  The cap
-    is at least L/2, so it is taken only when 2 * floor > L."""
+def _phi_kernel(seqs, size: int, floor, reading: str):
+    """The prefix array P of the product of the shifted rows.  Every
+    window: |P[e] - P[s]| peaks at max P - min P, s the earlier of the
+    two first extremes, e the other; "pinned": max |P[e]|, e >= 1, at
+    the earliest e; "full": |P[L]|.  It returns None before its walk
+    when the per-tuple cap (L + |S|) / 2, S = P[L], is strictly below
+    ``floor``, taken only when 2 * floor > L: the cap is at least L/2."""
     terms = _combine(mul, seqs)
     if floor is not None and 2 * floor > size:
         terms = list(terms)
         if size + abs(sum(terms)) < 2 * floor:
             return None
-    return terms
-
-
-def _phi_windows(seqs, size: int, floor):
-    """|P[e] - P[s]| peaks at max P - min P; s is the earlier of the two
-    first extremes and e the other."""
-    terms = _phi_capped(seqs, size, floor)
-    if terms is None:
-        return None
-    P = list(accumulate(terms, initial=0))
-    hi, lo = max(P), min(P)
-    if floor is not None and hi - lo < floor:
-        return None
-    a, b = P.index(hi), P.index(lo)
-    return hi - lo, min(a, b), max(a, b), ()
-
-
-def _phi_full(seqs, size: int, floor):
-    return abs(sum(_combine(mul, seqs))), 0, size, ()
-
-
-def _phi_pinned(seqs, size: int, floor):
-    """Windows [0, e): max |P[e]| over e >= 1, at the earliest e."""
-    terms = _phi_capped(seqs, size, floor)
-    if terms is None:
-        return None
+    if reading == "windows":
+        P = list(accumulate(terms, initial=0))
+        hi, lo = max(P), min(P)
+        if floor is not None and hi - lo < floor:
+            return None
+        a, b = P.index(hi), P.index(lo)
+        return hi - lo, min(a, b), max(a, b), ()
     P = [abs(v) for v in accumulate(terms)]  # |P[1..L]|
-    value = max(P)
+    value = max(P) if reading == "pinned" else P[-1]
     if floor is not None and value < floor:
         return None
-    return value, 0, P.index(value) + 1, ()
-
-
-def _phi_search(fam: Family, pm, ell: int, budget: Optional[int], what: str,
-                circ: bool = False) -> _Best:
-    _check_budget(_lag_estimate(fam, ell, circ), budget, what)
-    return _lag_search(fam, [pm] * ell, ell, circ,
-                       _phi_full if circ else _phi_windows, lambda L: L)
+    return value, 0, P.index(value) + 1 if reading == "pinned" else size, ()
 
 
 def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -508,18 +498,16 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     (window, shifts, rows) choices of a binary family.
 
     Exact mode runs the lag-prefix search.  Sampled mode reports a lower
-    bound of the maximum: per seeded draw (I, D) the pinned kernel
-    ``_phi_pinned`` reads the prefix array of the shifted rows' product
+    bound of the maximum: per seeded draw (I, D) the pinned reading of
+    ``_phi_kernel`` reads the prefix array of the shifted rows' product
     from 0, max |P[e]| at the earliest e, and the best draw wins.
     """
     _require(ell, mode, samples)
-    pm, what = fam.pm_rows(), f"order-{ell} correlation"
-    if mode == MODE_EXACT:
-        best = _phi_search(fam, pm, ell, budget, what)
-    else:
-        _check_budget(samples * fam.length, budget, what, mode)
-        best = _sampled_search(fam, [pm] * ell, ell, _phi_pinned,
-                               random.Random(seed), samples)
+    estimate = (_lag_estimate(fam, ell, False) if mode == MODE_EXACT
+                else samples * fam.length)
+    best = _search(fam, [fam.pm_rows()] * ell, ell, mode, _phi_kernel, 1,
+                   estimate, budget, f"order-{ell} correlation",
+                   random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
 
 
@@ -531,8 +519,9 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require(ell)
-    best = _phi_search(fam, fam.pm_rows(), ell, budget,
-                       f"order-{ell} zero-shift correlation", circ=True)
+    best = _search(fam, [fam.pm_rows()] * ell, ell, MODE_EXACT, _phi_kernel,
+                   1, _lag_estimate(fam, ell, True), budget,
+                   f"order-{ell} zero-shift correlation", circ=True)
     return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
 
 
@@ -575,7 +564,7 @@ def _gamma_kernel(k: int, ell: int):
     draw ("pinned"), or for the full window [0, L) ("full")."""
     kl = k**ell
 
-    def kernel(seqs, size: int, floor, reading: str = "windows"):
+    def kernel(seqs, size: int, floor, reading: str):
         codes = _combine(add, seqs)
         if floor is not None and floor > size:
             # the per-tuple cap max((kl - 1) * C, L), C the largest count
@@ -610,29 +599,24 @@ def _gamma_kernel(k: int, ell: int):
     return kernel
 
 
-def _gamma_search(fam: Family, ell: int, budget: Optional[int], what: str,
-                  mode: str = MODE_EXACT, seed: int = 0, samples: int = 0,
-                  circ: bool = False) -> _Best:
-    k, kl = fam.k, fam.k**ell
-    if mode == MODE_SAMPLED:
-        # a pinned draw combines ell rows of length <= N, then reads the
-        # statistics of at most min(N, k^ell) codes and one absent one
-        n = fam.length
-        _check_budget(samples * (ell * n + min(n, kl) + 1), budget, what,
-                      mode)
-    else:
-        _check_budget(_lag_estimate(fam, ell, circ) * kl, budget, what)
+def _gamma(fam: Family, name: str, ell: int, mode: str,
+           budget: Optional[int], seed: int = 0, samples: int = 0,
+           circ: bool = False) -> MeasureResult:
+    """gamma, or gamma_circ when ``circ``: the rows pre-scaled for the
+    kernel, its value cap and the estimate of the search."""
+    k, kl, n = fam.k, fam.k**ell, fam.length
+    # a pinned draw combines ell rows of length <= N, then reads the
+    # statistics of at most min(N, k^ell) codes and one absent one
+    estimate = (samples * (ell * n + min(n, kl) + 1) if mode == MODE_SAMPLED
+                else _lag_estimate(fam, ell, circ) * kl)
     rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
                for j in range(ell)]
-    kernel = _gamma_kernel(k, ell)
-    if mode == MODE_SAMPLED:
-        return _sampled_search(fam, rows_at, ell,
-                               partial(kernel, reading="pinned"),
-                               random.Random(seed), samples)
+    what = f"order-{ell} {'zero-shift ' if circ else ''}pattern deviation"
     # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
-    return _lag_search(fam, rows_at, ell, circ,
-                       partial(kernel, reading="full") if circ else kernel,
-                       lambda L: L * max(kl - 1, 1))
+    best = _search(fam, rows_at, ell, mode, _gamma_kernel(k, ell),
+                   max(kl - 1, 1), estimate, budget, what,
+                   random.Random(seed), samples, circ)
+    return _result(fam, name, ell, mode, best, Fraction(0), kl, "pattern")
 
 
 def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -648,10 +632,7 @@ def gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     O(L + k^ell), and the best draw wins.
     """
     _require(ell, mode, samples)
-    best = _gamma_search(fam, ell, budget, f"order-{ell} pattern deviation",
-                         mode, seed, samples)
-    return _result(fam, "gamma", ell, mode, best, Fraction(0), fam.k**ell,
-                   "pattern")
+    return _gamma(fam, "gamma", ell, mode, budget, seed, samples)
 
 
 def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
@@ -659,41 +640,46 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
     """Pattern-count deviation restricted to the full window and all
     shifts zero, maximized over row tuples and patterns."""
     _require(ell)
-    best = _gamma_search(fam, ell, budget,
-                         f"order-{ell} zero-shift pattern deviation",
-                         circ=True)
-    return _result(fam, "gamma_circ", ell, MODE_EXACT, best, Fraction(0),
-                   fam.k**ell, "pattern")
+    return _gamma(fam, "gamma_circ", ell, MODE_EXACT, budget, circ=True)
 
 
 # ---------------------------------------------------------------------------
 # k-symbol root-of-unity measure
 
 
-def _root_pinned(k: int, ell: int, rng: random.Random):
-    """The pinned big_gamma kernel: one relabeling tuple drawn from
-    ``rng`` among all k! maps per position, read from s = 0 by
-    ``roots.pinned``; for k <= 2 it gets +/-1 rows and reads the pinned
-    phi kernel, since relabeling {0, 1} only flips signs."""
+def _relabel_kernel(k: int, ell: int, rng: random.Random):
+    """The big_gamma kernel.  "pinned" first draws a relabeling tuple
+    from ``rng``, one of all k! maps per position.  For k <= 2 it reads
+    ``_phi_kernel`` of the +/-1 rows, as relabeling {0, 1} only flips
+    signs, with the drawn tuple or else the identity, the lex-smallest,
+    as witness; for k >= 3, ``roots.windows_kernel`` or ``roots.pinned``."""
     perms = list(permutations(range(k)))
+    identity = (perms[0],) * ell
     if k >= 3:
-        from . import roots  # see big_gamma
-        read = roots.pinned
-    else:
-        def read(maps, seqs, size, floor):
-            found = _phi_pinned(seqs, size, floor)
-            return None if found is None else found[:3] + (maps,)
+        # Imported here, not at the top, so that only the runs that read
+        # k >= 3 magnitudes compile the module: every other run keeps its
+        # former peak memory.
+        from . import roots
+        windows = roots.windows_kernel(k, ell)
 
-    def pinned(seqs, size: int, floor):
-        maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
-        return read(maps, seqs, size, floor)
+    def kernel(seqs, size: int, floor, reading: str):
+        if reading == "pinned":
+            maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
+            if k >= 3:
+                return roots.pinned(maps, seqs, size, floor)
+        elif k >= 3:
+            return windows(seqs, size, floor)
+        else:
+            maps = identity
+        found = _phi_kernel(seqs, size, floor, reading)
+        return None if found is None else found[:3] + (maps,)
 
-    return pinned
+    return kernel
 
 
-def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
-              mode: str = MODE_EXACT, *, seed: int = 0, samples: int = 1000,
-              n_jobs: int = 1) -> MeasureResult:
+def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
+              budget: Optional[int] = None, seed: int = 0,
+              samples: int = 1000, n_jobs: int = 1) -> MeasureResult:
     """Maximum absolute windowed sum of products of k-th roots of
     unity, over all bijective symbol relabelings per tuple position and
     all admissible (window, shifts, rows) choices.
@@ -721,39 +707,29 @@ def big_gamma(fam: Family, ell: int, budget: Optional[int] = None,
     """
     _require(ell, mode, samples)
     n, k = fam.length, fam.k
-    exact_mag = k <= 2
-    err = 0.0 if exact_mag else ell * n * 2.0**-50
-    what = f"order-{ell} root-relabeling correlation"
-    rows = fam.rows
-    if exact_mag:  # every root is +/-1, for k = 1 every term is 1
-        rows = fam.pm_rows() if k == 2 else ((1,) * n,) * fam.size
-    else:
-        # Imported here, not at the top, so that only the runs that read
-        # k >= 3 magnitudes compile the module: every other run keeps its
-        # former peak memory.
-        from . import roots
     if mode == MODE_SAMPLED:
-        _check_budget(samples * n, budget, what, mode)
-        rng = random.Random(seed)  # the sampled draws and their relabelings
-        best = _sampled_search(fam, [rows] * ell, ell,
-                               _root_pinned(k, ell, rng), rng, samples)
-    elif exact_mag:
-        # Relabeling {0, 1} only flips the sign of every term, so the
-        # value is phi's and the identity, the lex-smallest map, is the
-        # witness.
-        best = _phi_search(fam, rows, ell, budget, what)
-        if best.key is not None:
-            best.key = best.key[:3] + ((tuple(range(k)),) * ell,)
+        estimate = samples * n
+    elif k <= 2:
+        estimate = _lag_estimate(fam, ell, False)
     else:
-        _check_budget(_lag_estimate(fam, ell, False, windows=True)
-                      * math.factorial(k)**ell, budget, what)
-        # an exact magnitude is at most M <= L
-        best = _lag_search(fam, [rows] * ell, ell, False,
-                           roots.windows_kernel(k, ell), lambda L: L)
-    if not exact_mag and best.value is not None:
+        estimate = (_lag_estimate(fam, ell, False, windows=True)
+                    * math.factorial(k)**ell)
+    # for k <= 2 every root is +/-1, for k = 1 every term is 1
+    rows = (fam.rows if k >= 3 else fam.pm_rows() if k == 2
+            else ((1,) * n,) * fam.size)
+    rng = random.Random(seed)  # the sampled draws and their relabelings
+    # an exact magnitude is at most M <= L
+    best = _search(fam, [rows] * ell, ell, mode, _relabel_kernel(k, ell, rng),
+                   1, estimate, budget,
+                   f"order-{ell} root-relabeling correlation", rng, samples)
+    if k <= 2:
+        return _result(fam, "big_gamma", ell, mode, best, 0,
+                       field="root_maps")
+    from . import roots  # see _relabel_kernel
+    if best.value is not None:
         best.value = roots.magnitude(best.value.counts)
-    return _result(fam, "big_gamma", ell, mode, best, 0 if exact_mag else 0.0,
-                   field="root_maps", err=err)
+    return _result(fam, "big_gamma", ell, mode, best, 0.0, field="root_maps",
+                   err=ell * n * 2.0**-50)
 
 
 # ---------------------------------------------------------------------------
@@ -795,16 +771,18 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
     sel = [fam.rows[i - 1] for i in w.rows]
 
     if result.name in ("phi", "phi_circ"):
-        pm = [[1 - 2 * s for s in row] for row in sel]
+        pm = fam.pm_rows()  # refuses a family that is not binary
         total = 0
         for n_ in range(m):
             term = 1
             for j in range(ell):
-                term *= pm[j][n_ + w.shifts[j]]
+                term *= pm[w.rows[j] - 1][n_ + w.shifts[j]]
             total += term
         return abs(total)
 
     if result.name in ("gamma", "gamma_circ"):
+        if w.pattern is None:
+            raise ParameterError("a pattern deviation witness needs W")
         count = 0
         for n_ in range(m):
             if all(sel[j][n_ + w.shifts[j]] == w.pattern[j]
@@ -814,6 +792,8 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
         return abs(Fraction(count) - Fraction(m, kl))
 
     if result.name == "big_gamma":
+        if w.root_maps is None:
+            raise ParameterError("a root-relabeling witness needs its maps")
         k = fam.k
         counts = [0] * k
         for n_ in range(m):
@@ -822,7 +802,7 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
             counts[idx % k] += 1
         if k <= 2:
             return abs(counts[0] - (counts[1] if k == 2 else 0))
-        from . import roots  # see big_gamma
+        from . import roots  # see _relabel_kernel
         return roots.magnitude(counts)
 
     raise ParameterError(f"unknown measure name {result.name!r}")

@@ -31,7 +31,8 @@ from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, DomainError, InternalError, ParameterError
+from .errors import (BudgetError, DomainError, InternalError, ParameterError,
+                     work_budget)
 
 __all__ = [
     "Poly",
@@ -367,7 +368,7 @@ def enumerate_irreducibles(p: int, d: int, trace_zero: bool = True,
     ``trace_zero`` h's x^(d-a-1) coefficient is -g_(a-1)."""
     if d < 2:
         raise ParameterError(f"extension degree must be >= 2, got {d}")
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
+    budget = work_budget(budget, DEFAULT_ENUM_BUDGET)
     free = d - 1 if trace_zero else d
     candidates = p**free
     if candidates > budget:
@@ -443,7 +444,7 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     """
     from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
 
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
+    budget = work_budget(budget, DEFAULT_ENUM_BUDGET)
     if p**d > budget:
         raise BudgetError(
             f"orbit enumeration needs {p**d} elements, budget is {budget}",

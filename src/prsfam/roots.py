@@ -268,8 +268,8 @@ def windows_kernel(k: int, ell: int):
 
 def pinned(maps, seqs, size: int, floor):
     """The sampled big_gamma kernel for one relabeling tuple: the
-    windows [0, e), the earliest of the exact largest, as the
-    ``_sampled_search`` protocol asks."""
+    windows [0, e), the earliest of the exact largest, as the "pinned"
+    reading of ``measures._search`` asks."""
     idx, Q, err = _prefix(maps, seqs, size)
     best = _walk(len(maps[0]), idx, Q, err, max(map(abs, Q)), range(1),
                  floor, None, maps)

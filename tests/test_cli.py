@@ -138,6 +138,27 @@ def test_measure_fc_budget_reports_lower_bound(tmp_path, capsys):
     assert rec["mode"] == "verified-lower-bound"
 
 
+@pytest.mark.parametrize("fmt, record", [
+    ("json", '[\n  {\n    "name": "f_complexity",\n    "order": 0,\n'
+             '    "value": "1",\n    "mode": "verified-lower-bound",\n'
+             '    "subject": "f2",\n    "witness": null,\n'
+             '    "err_bound": "0.0"\n  }\n]\n'),
+    ("csv", "name,order,value,mode,subject,witness,bound,satisfied,kind,"
+            "ratio,note\nf_complexity,0,1,verified-lower-bound,f2,,,,,,\n"),
+    ("text", "f_complexity order=0 value=1 (verified-lower-bound)\n"),
+])
+def test_measure_fc_lower_bound_record_bytes(tmp_path, capsys, fmt, record):
+    # the budget passes level 1 (96 steps) and stops before level 2
+    src = str(tmp_path / "fam.txt")
+    run(["gen", "--construction", "f2", "--p", "13", "--d", "2", "--out", src])
+    assert run(["measure", "--in", src, "--measure", "fc", "--budget", "100",
+                "--format", fmt]) == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.out == record
+    assert out.err == ("budget exceeded: certifying level 2 needs ~1056 "
+                       "more steps (budget 100); value >= 1 is certified\n")
+
+
 def test_verify_subcommand(tmp_path, capsys):
     src = str(tmp_path / "fam.txt")
     run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])
@@ -550,6 +571,12 @@ def test_parse_error_exit(tmp_path, capsys):
 def test_emit_report_rejects_empty():
     with pytest.raises(ParameterError):
         emit_report([], "json", io.StringIO())
+
+
+def test_emit_report_rejects_raw_dicts():
+    with pytest.raises(ParameterError, match="cannot serialize"):
+        emit_report([{"name": "f_complexity", "order": 0}], "json",
+                    io.StringIO())
 
 
 def test_emit_report_round_trip():

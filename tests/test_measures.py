@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError
-from prsfam import measures, roots
+from prsfam import measures, poly, roots
 from prsfam.measures import (
     MODE_EXACT,
     MODE_SAMPLED,
     CorrelationSpec,
+    MeasureResult,
     PatternWitness,
     big_gamma,
     cross_correlation,
@@ -160,10 +162,13 @@ def _gamma_cap(k: int, ell: int, rows) -> int:
     return max((k**ell - 1) * max(Counter(patterns).values()), len(patterns))
 
 
-def test_phi_monotone_window_against_naive():
-    # the pinned kernel reads the windows [0, e), the windows kernel every
-    # [s, e): the largest |sum|, then the smallest s, then e
-    from prsfam.measures import _phi_pinned, _phi_windows
+def _check_phi_reading(reading: str) -> None:
+    """One reading of the phi kernel against its definition: the
+    largest |sum| over its windows [s, e), then the smallest s, then e;
+    and the floor contract under the per-tuple cap.  The cases include
+    L = 1, constant rows (as k = 1 big_gamma reads them), duplicate rows
+    and orders up to 3."""
+    from prsfam.measures import _phi_kernel
     rng = random.Random(12)
     cases = [[(1,)], [(-1,), (1,)],  # L = 1
              [(1,) * 5], [(1,) * 4] * 3,  # constant rows, k = 1 big_gamma
@@ -185,18 +190,22 @@ def test_phi_monotone_window_against_naive():
     for slices in cases:
         size = len(slices[0])
         terms = [math.prod(col) for col in zip(*slices)]
-        pinned = windows = None
-        for s in range(size):
-            for e in range(s + 1, size + 1):
-                value = abs(sum(terms[s:e]))
-                if windows is None or value > windows[0]:
-                    windows = (value, s, e, ())
-                if s == 0 and (pinned is None or value > pinned[0]):
-                    pinned = (value, 0, e, ())
-        assert _phi_pinned(slices, size, None) == pinned
-        assert _phi_windows(slices, size, None) == windows
-        for kernel in (_phi_pinned, _phi_windows):
-            _assert_floor_contract(kernel, slices, size, _phi_cap(terms))
+        spans = {"windows": [(s, e) for s in range(size)
+                             for e in range(s + 1, size + 1)],
+                 "pinned": [(0, e) for e in range(1, size + 1)],
+                 "full": [(0, size)]}[reading]
+        naive = None  # the first (s, e) in order with the largest value
+        for s, e in spans:
+            if naive is None or abs(sum(terms[s:e])) > naive[0]:
+                naive = (abs(sum(terms[s:e])), s, e, ())
+        kernel = partial(_phi_kernel, reading=reading)
+        assert kernel(slices, size, None) == naive
+        _assert_floor_contract(kernel, slices, size, _phi_cap(terms))
+
+
+@pytest.mark.parametrize("reading", ["windows", "pinned", "full"])
+def test_phi_kernel_readings_against_naive(reading):
+    _check_phi_reading(reading)
 
 
 def _check_gamma_reading(reading: str) -> None:
@@ -482,6 +491,14 @@ def test_sampled_gamma_and_big_gamma():
         assert s.value <= big_gamma(fam, 1).value + 1e-12
 
 
+@pytest.mark.parametrize("measure", [cross_correlation, gamma, big_gamma])
+def test_sampled_measures_take_mode_positionally(measure):
+    fam = family_f2(5, 2)
+    r = measure(fam, 1, MODE_SAMPLED, seed=3, samples=50)
+    assert r.mode == MODE_SAMPLED
+    assert r == measure(fam, 1, mode=MODE_SAMPLED, seed=3, samples=50)
+
+
 def test_sampled_is_seed_deterministic():
     fam = family_f2(11, 2)
     a = cross_correlation(fam, 2, mode=MODE_SAMPLED, seed=5, samples=100)
@@ -502,6 +519,32 @@ def test_budget_refusal_names_estimate():
         gamma(family_k_symbol(13, 2, 3), 3, budget=1000)
     with pytest.raises(BudgetError):
         big_gamma(family_k_symbol(13, 2, 3), 2, budget=1000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: f_complexity(family_f2(5, 2), budget=b),
+    lambda b: cross_correlation(family_f2(5, 2), 1, budget=b),
+    lambda b: cross_correlation(family_f2(5, 2), 1, MODE_SAMPLED, budget=b),
+    lambda b: cross_correlation_circ(family_f2(5, 2), 1, budget=b),
+    lambda b: gamma(family_f2(5, 2), 1, budget=b),
+    lambda b: gamma(family_f2(5, 2), 1, MODE_SAMPLED, budget=b),
+    lambda b: gamma_circ(family_f2(5, 2), 1, budget=b),
+    lambda b: big_gamma(family_k_symbol(7, 2, 3), 1, budget=b),
+    lambda b: big_gamma(family_f2(5, 2), 1, MODE_SAMPLED, budget=b),
+    lambda b: family_f1(11, 5, budget=b),
+    lambda b: family_f2(5, 2, budget=b),
+    lambda b: family_k_symbol(7, 2, 3, budget=b),
+    lambda b: poly.enumerate_irreducibles(5, 2, budget=b),
+    lambda b: poly.conjugacy_representatives(5, 2, True, budget=b),
+], ids=["fc", "phi", "phi-sampled", "phi0", "gamma", "gamma-sampled",
+        "gamma0", "biggamma", "biggamma-sampled", "f1", "f2", "ksym",
+        "enumerate_irreducibles", "conjugacy_representatives"])
+def test_negative_budget_is_refused_and_zero_is_a_budget(call):
+    with pytest.raises(ParameterError, match="budget must be >= 0, got -5"):
+        call(-5)
+    with pytest.raises(BudgetError) as exc:
+        call(0)
+    assert exc.value.estimate > 0 and exc.value.budget == 0
 
 
 def test_default_budget_covers_reference_sizes():
@@ -558,6 +601,23 @@ def test_capacity_bound_on_constructed_families():
     for fam in fams:
         c = f_complexity(fam).value
         assert fam.k**c <= fam.size
+
+
+def test_evaluate_witness_refuses_a_witness_that_does_not_fit():
+    fam = family_k_symbol(7, 2, 3)
+    g, bg = gamma(fam, 1), big_gamma(fam, 1)
+    spec = CorrelationSpec(ell=1, window=4, shifts=(0,), rows=(1,))
+    bad = [MeasureResult("phi", 1, 4, MODE_EXACT, spec),  # no +/-1 view
+           replace(g, witness=replace(g.witness, pattern=None)),
+           replace(g, witness=replace(g.witness, pattern=(3,))),
+           replace(bg, witness=replace(bg.witness, root_maps=None)),
+           replace(bg, witness=replace(bg.witness, root_maps=((0, 0, 0),))),
+           replace(bg, witness=replace(bg.witness, root_maps=((0, 1),)))]
+    assert evaluate_witness(fam, g) == g.value
+    assert evaluate_witness(fam, bg) == bg.value
+    for result in bad:
+        with pytest.raises(ParameterError):
+            evaluate_witness(fam, result)
 
 
 def test_witness_validate_rejects_malformed_specs():
@@ -684,14 +744,14 @@ def test_lag_search_stops_on_value_cap(monkeypatch):
     # window shorter than the value already found.
     from prsfam import measures, roots
     from prsfam.construct import dual
-    real = measures._phi_windows
+    real = measures._phi_kernel
     calls = []
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(measures, "_phi_windows", counted)
+    monkeypatch.setattr(measures, "_phi_kernel", counted)
     r = cross_correlation(dual(family_f1(13, 5)), 3)
     assert len(calls) < 5000
     assert r.value == 12

@@ -12,7 +12,11 @@ its own scratch directory, with ``{seed}`` set to ``--seed``.
 ``MEASURE_JOBS`` run the same way, under ``measures/``: every measure,
 exact and sampled where it has a sampled mode, on one binary and one
 k = 3 family, so each search kernel is compared, sampled ``biggamma``
-on k = 2 among them, which no job list runs.  ``--jobs N`` replaces the
+on k = 2 among them, which no job list runs.  Every correlation measure
+and mode also runs under ``--budget 0`` on both families, so every
+estimate and refusal is compared, and ``fc`` on the binary family under
+a budget that stops it after level 1, so its ``verified-lower-bound``
+record is compared too.  ``--jobs N`` replaces the
 ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
@@ -51,20 +55,34 @@ NO_INPUT = {
 }
 
 
+def _with_budget(job: Job, budget: int) -> Job:
+    """``job`` under ``--budget``, writing its own output file."""
+    job_id = f"{job.id}-budget{budget}"
+    return Job(job_id, job.argv[:-2] + ("--budget", str(budget), "--out",
+                                         f"{{dir}}/{job_id}.json"))
+
+
 def _measure_jobs() -> list[Job]:
     jobs = [gen("f2_13_2", "f2", 13, 2),
             gen("ksym_13_2_3", "ksym", 13, 2, k=3)]
     for tag, ell, names in (
             ("f2_13_2", 3, ("phi", "phi0", "gamma", "gamma0", "biggamma")),
             ("ksym_13_2_3", 2, ("gamma", "gamma0", "biggamma"))):
-        job_id = f"measure-{tag}-fc"
-        jobs.append(Job(job_id, ("measure", "--in", f"{{dir}}/{tag}.fam",
-                                 "--measure", "fc",
-                                 "--out", f"{{dir}}/{job_id}.json")))
-        for name in names:
-            jobs.append(measure(tag, name, ell, 1))
+        fc = Job(f"measure-{tag}-fc", ("measure", "--in", f"{{dir}}/{tag}.fam",
+                                       "--measure", "fc", "--out",
+                                       f"{{dir}}/measure-{tag}-fc.json"))
+        jobs.append(fc)
+        if tag == "f2_13_2":
+            # fc certifies level 1 in 96 steps; level 2 needs 1,056 more
+            jobs.append(_with_budget(fc, 100))
+        for name in ("phi", "phi0", "gamma", "gamma0", "biggamma"):
+            runs = [measure(tag, name, ell, 1)]
             if not name.endswith("0"):  # the zero-shift measures are exact
-                jobs.append(measure(tag, name, ell, 1, samples=2000))
+                runs.append(measure(tag, name, ell, 1, samples=2000))
+            if name in names:
+                jobs += runs
+            # phi on k = 3 compares which refusal comes first
+            jobs += [_with_budget(job, 0) for job in runs]
     return jobs
 
 
