@@ -53,13 +53,13 @@ walked and offered, so values, witnesses and draw streams are those of
 the full walk.
 
 One search.  Every correlation measure runs ``_search``: one budget
-check, then ``_lag_search``, or in sampled mode each admissible seeded
-draw (I, D) of ``_sampled_draws``.  Every kernel takes
-(seqs, size, floor, reading) and reads every window ("windows"), the
-full window ("full") or, for a draw, only the windows [0, M) of its
-shifted rows ("pinned"): phi takes max |P[e]| over e >= 1 from its
-prefix array; gamma reads its occurrence statistics at s = 0, the
-larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma draws one
+check, then the kernel is built and ``_lag_search`` runs, or in sampled
+mode each admissible seeded draw (I, D) of ``_sampled_draws``.  Every
+kernel takes (seqs, size, floor, reading) and reads every window
+("windows"), the full window ("full") or, for a draw, only the windows
+[0, M) of its shifted rows ("pinned"): phi takes max |P[e]| over e >= 1
+from its prefix array; gamma reads its occurrence statistics at s = 0,
+the larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma draws one
 relabeling tuple per draw and walks its windows from s = 0.
 
 Ties go to the lexicographically smallest (I, D, M, pattern or
@@ -432,13 +432,14 @@ def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
             yield I, D, n - D[-1]
 
 
-def _search(fam: Family, rows_at, ell: int, mode: str, kernel, cap: int,
-            estimate: int, budget: Optional[int], what: str,
+def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
+            cap: int, estimate: int, budget: Optional[int], what: str,
             rng: Optional[random.Random] = None, samples: int = 0,
             circ: bool = False) -> _Best:
     """Every correlation search: the budget check of ``estimate``, then
-    ``_lag_search``, or in sampled mode the "pinned" reading of
-    ``kernel`` over the draws of ``_sampled_draws``.
+    ``make_kernel()``, so a refusal builds nothing, and ``_lag_search``,
+    or in sampled mode the "pinned" reading of the kernel over the
+    draws of ``_sampled_draws``.
 
     A draw (I, D, L) reads only the windows [0, M) of its shifted rows
     ``rows_at[j][I[j]][D[j]:]``.  The kernel returns None below the best
@@ -449,8 +450,8 @@ def _search(fam: Family, rows_at, ell: int, mode: str, kernel, cap: int,
     """
     _check_budget(estimate, budget, what, mode)
     if mode == MODE_EXACT:
-        return _lag_search(fam, rows_at, ell, circ, kernel, cap)
-    best = _Best()
+        return _lag_search(fam, rows_at, ell, circ, make_kernel(), cap)
+    best, kernel = _Best(), make_kernel()
     for I, D, size in _sampled_draws(fam, ell, rng, samples):
         found = kernel([rows[i][d:d + size]
                         for rows, i, d in zip(rows_at, I, D)], size,
@@ -484,11 +485,15 @@ def _phi_kernel(seqs, size: int, floor, reading: str):
             return None
         a, b = P.index(hi), P.index(lo)
         return hi - lo, min(a, b), max(a, b), ()
-    P = [abs(v) for v in accumulate(terms)]  # |P[1..L]|
-    value = max(P) if reading == "pinned" else P[-1]
+    if reading == "full":
+        value, e = abs(sum(terms)), size
+    else:
+        P = [abs(v) for v in accumulate(terms)]  # |P[1..L]|
+        value = max(P)
+        e = P.index(value) + 1
     if floor is not None and value < floor:
         return None
-    return value, 0, P.index(value) + 1 if reading == "pinned" else size, ()
+    return value, 0, e, ()
 
 
 def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -505,8 +510,8 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     _require(ell, mode, samples)
     estimate = (_lag_estimate(fam, ell, False) if mode == MODE_EXACT
                 else samples * fam.length)
-    best = _search(fam, [fam.pm_rows()] * ell, ell, mode, _phi_kernel, 1,
-                   estimate, budget, f"order-{ell} correlation",
+    best = _search(fam, [fam.pm_rows()] * ell, ell, mode, lambda: _phi_kernel,
+                   1, estimate, budget, f"order-{ell} correlation",
                    random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
 
@@ -519,9 +524,9 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require(ell)
-    best = _search(fam, [fam.pm_rows()] * ell, ell, MODE_EXACT, _phi_kernel,
-                   1, _lag_estimate(fam, ell, True), budget,
-                   f"order-{ell} zero-shift correlation", circ=True)
+    best = _search(fam, [fam.pm_rows()] * ell, ell, MODE_EXACT,
+                   lambda: _phi_kernel, 1, _lag_estimate(fam, ell, True),
+                   budget, f"order-{ell} zero-shift correlation", circ=True)
     return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
 
 
@@ -613,7 +618,7 @@ def _gamma(fam: Family, name: str, ell: int, mode: str,
                for j in range(ell)]
     what = f"order-{ell} {'zero-shift ' if circ else ''}pattern deviation"
     # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
-    best = _search(fam, rows_at, ell, mode, _gamma_kernel(k, ell),
+    best = _search(fam, rows_at, ell, mode, lambda: _gamma_kernel(k, ell),
                    max(kl - 1, 1), estimate, budget, what,
                    random.Random(seed), samples, circ)
     return _result(fam, name, ell, mode, best, Fraction(0), kl, "pattern")
@@ -647,30 +652,26 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
 # k-symbol root-of-unity measure
 
 
-def _relabel_kernel(k: int, ell: int, rng: random.Random):
-    """The big_gamma kernel.  "pinned" first draws a relabeling tuple
-    from ``rng``, one of all k! maps per position.  For k <= 2 it reads
-    ``_phi_kernel`` of the +/-1 rows, as relabeling {0, 1} only flips
-    signs, with the drawn tuple or else the identity, the lex-smallest,
-    as witness; for k >= 3, ``roots.windows_kernel`` or ``roots.pinned``."""
-    perms = list(permutations(range(k)))
-    identity = (perms[0],) * ell
+def _relabel_kernel(k: int, ell: int, mode: str, rng: random.Random):
+    """The big_gamma kernel, chosen once.  A sampled one first draws a
+    relabeling tuple, one of all k! maps per position.  For k <= 2 it
+    reads ``_phi_kernel`` of the +/-1 rows, as relabeling {0, 1} only
+    flips signs, with the drawn tuple or else the identity as witness;
+    for k >= 3, ``roots.windows_kernel`` or ``roots.pinned``."""
+    perms = list(permutations(range(k))) if mode == MODE_SAMPLED else ()
+    identity = (tuple(range(k)),) * ell
+
+    def draw():
+        return tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
     if k >= 3:
-        # Imported here, not at the top, so that only the runs that read
-        # k >= 3 magnitudes compile the module: every other run keeps its
-        # former peak memory.
-        from . import roots
-        windows = roots.windows_kernel(k, ell)
+        from . import roots  # only k >= 3 runs compile it (peak memory)
+        if mode == MODE_EXACT:
+            return roots.windows_kernel(k, ell)
+        return lambda seqs, size, floor, _: roots.pinned(draw(), seqs, size,
+                                                         floor)
 
     def kernel(seqs, size: int, floor, reading: str):
-        if reading == "pinned":
-            maps = tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
-            if k >= 3:
-                return roots.pinned(maps, seqs, size, floor)
-        elif k >= 3:
-            return windows(seqs, size, floor)
-        else:
-            maps = identity
+        maps = draw() if perms else identity
         found = _phi_kernel(seqs, size, floor, reading)
         return None if found is None else found[:3] + (maps,)
 
@@ -719,9 +720,10 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
             else ((1,) * n,) * fam.size)
     rng = random.Random(seed)  # the sampled draws and their relabelings
     # an exact magnitude is at most M <= L
-    best = _search(fam, [rows] * ell, ell, mode, _relabel_kernel(k, ell, rng),
-                   1, estimate, budget,
-                   f"order-{ell} root-relabeling correlation", rng, samples)
+    best = _search(fam, [rows] * ell, ell, mode,
+                   lambda: _relabel_kernel(k, ell, mode, rng), 1, estimate,
+                   budget, f"order-{ell} root-relabeling correlation", rng,
+                   samples)
     if k <= 2:
         return _result(fam, "big_gamma", ell, mode, best, 0,
                        field="root_maps")

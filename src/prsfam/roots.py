@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import (accumulate, combinations, permutations, product,
-                       repeat, starmap)
+from itertools import (accumulate, combinations, islice, permutations,
+                       product, repeat, starmap)
 from operator import attrgetter, mul, sub
 
 
@@ -250,9 +250,9 @@ def windows_kernel(k: int, ell: int):
     whose prefix points have a hull diameter, the largest magnitude of
     its windows, clearly below the best value so far, and walks the
     windows of the others."""
-    reps = list(permutations(range(k)))[:math.factorial(k - 1)]
+    reps = list(islice(permutations(range(k)), math.factorial(k - 1)))
 
-    def windows(seqs, size: int, floor):
+    def windows(seqs, size: int, floor, reading: str = "windows"):
         best = None
         for phi in product(range(len(reps)), repeat=ell):
             idx, Q, err = _prefix([reps[c] for c in phi], seqs, size)

@@ -547,6 +547,21 @@ def test_negative_budget_is_refused_and_zero_is_a_budget(call):
     assert exc.value.estimate > 0 and exc.value.budget == 0
 
 
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_SAMPLED])
+def test_big_gamma_refuses_before_building_its_kernel(mode, monkeypatch):
+    # k = 11: one list of all k! = 39,916,800 relabelings would take GBs
+    def built(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(measures, "permutations", built)
+    monkeypatch.setattr(roots, "windows_kernel", built)
+    fam = family_k_symbol(23, 2, 11)
+    with pytest.raises(BudgetError) as exc:
+        big_gamma(fam, 1, mode, budget=0)
+    assert exc.value.estimate == (1000 * 22 if mode == MODE_SAMPLED
+                                  else 111088454400)
+
+
 def test_default_budget_covers_reference_sizes():
     # ell <= 3, N <= 32, F <= 12 must pass the estimate check
     import math
