@@ -44,6 +44,7 @@ __all__ = [
     "fc_envelope_f2",
     "fc_envelope_ksym",
     "weil_check",
+    "verify_plan",
     "verify_family",
 ]
 
@@ -264,6 +265,63 @@ def dual_orders(fam: Family) -> int:
     return max(imax, 1)
 
 
+def _correlation(fam: Family) -> str:
+    """The correlation measure of ``fam``'s alphabet: phi for a binary
+    family, gamma otherwise.  The lower bound reads it on the dual."""
+    return "phi" if fam.k == 2 else "gamma"
+
+
+_PHI_ENVELOPE = ("phi_envelope", "phi", False, phi_envelope, ("p", "d"),
+                 "phi_ell <= c * d * ell * sqrt(p) * ln p")
+
+# What ``verify`` reports on each construction: the correlation its
+# envelopes are stated for, the asymptotic covering-complexity envelope
+# and its note, and each correlation envelope as (report, the measure it
+# reads, whether on the dual, its bound, the parameters listed before ell
+# and c, note).  An envelope applies only to a family whose correlation
+# (``_correlation``) is its construction's; one on the dual correlation
+# the lower bound reads takes that bound's orders.
+_REPORTS = {
+    "f1": ("phi", fc_envelope_f1,
+           "(1/2) log2(p/d^2), vanishing terms dropped", (
+               ("dual_phi_envelope", "phi", True, phi_envelope, ("p", "d"),
+                "dual family phi_ell <= c * d * ell * sqrt(p) * ln p"),
+               _PHI_ENVELOPE)),
+    "f2": ("phi", fc_envelope_f2,
+           "(1/2) log2(p^d/d^2), vanishing terms dropped", (_PHI_ENVELOPE,)),
+    "ksym": ("gamma", fc_envelope_ksym,
+             "(d/2 - 1) log2 p - log2((d-1) log2 p); negative "
+             "values clamp to 0 for comparison", (
+                 ("gamma_envelope", "gamma", False, gamma_envelope, ("p",),
+                  "gamma_ell <= c * ell * sqrt(p) * ln p"),
+                 ("dual_gamma_circ_envelope", "gamma_circ", True,
+                  dual_gamma_circ_envelope, ("p", "d"),
+                  "zero-shift gamma of the dual vs "
+                  "c * ((ell p - 1) p^(d/2) + p)/(d p)"))),
+}
+
+
+def _envelopes(fam: Family) -> tuple:
+    """The correlation envelopes of ``_REPORTS`` that apply to ``fam``."""
+    entry = _REPORTS.get(fam.construction)
+    return entry[3] if entry and entry[0] == _correlation(fam) else ()
+
+
+def verify_plan(fam: Family, max_order: int) -> list[tuple[str, bool, int]]:
+    """The correlation measures ``verify`` takes besides the covering
+    complexity, as (measure, on the dual, order): the dual correlations
+    of orders 1..``dual_orders(fam)`` the lower bound reads, then at each
+    order 1..``max_order`` the measures the applicable envelopes read.
+    Raises ``ParameterError`` for a negative ``max_order``."""
+    if max_order < 0:
+        raise ParameterError(f"max order must be >= 0, got {max_order}")
+    lower = (_correlation(fam), True)
+    reads = [(read, on_dual) for _, read, on_dual, *_ in _envelopes(fam)
+             if (read, on_dual) != lower]
+    return ([(*lower, i) for i in range(1, dual_orders(fam) + 1)]
+            + [(*m, ell) for ell in range(1, max_order + 1) for m in reads])
+
+
 def verify_family(fam: Family, measures: Sequence[MeasureResult],
                   c: float = 10.0) -> list[BoundReport]:
     """Build one report per applicable bound for a constructed family.
@@ -271,8 +329,9 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     Requires, among ``measures``: the covering complexity of the family
     and, when F >= 2, the dual family's order-i correlations (binary:
     the product correlation; otherwise the pattern deviation) for
-    i = 1 .. ``dual_orders(fam)``.  Additionally supplied
-    correlation measures of the family itself produce envelope reports.
+    i = 1 .. ``dual_orders(fam)``.  Each supplied measure that an
+    applicable envelope of ``_REPORTS`` reads produces that envelope's
+    report; ``verify_plan`` lists the ones ``verify`` supplies.
     Raises ``ParameterError`` listing anything missing, or for a
     negative or non-finite ``c``.
     """
@@ -345,7 +404,7 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
 
     # --- covering complexity vs dual correlations ---
     imax = dual_orders(fam)
-    dual_name = "phi" if k == 2 else "gamma"
+    dual_name = _correlation(fam)
     dual_vals = []
     for i in range(1, imax + 1):
         r = by_key.get((dtag, dual_name, i))
@@ -390,57 +449,27 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
                              "not asserted"))
 
     # --- scale-constant envelopes for supplied correlation measures ---
+    envelopes, known = _envelopes(fam), {"p": p, "d": d}
     for m in measures:
-        if m.name == "phi" and m.subject == tag and tag in ("f1", "f2"):
-            theo = phi_envelope(p, d, m.order, c)
+        for name, read, on_dual, bound, listed, note in envelopes:
+            if (m.name, m.subject) != (read, dtag if on_dual else tag):
+                continue
+            params = {key: known[key] for key in listed}
+            theo = bound(*params.values(), m.order, c)
             reports.append(BoundReport(
-                name="phi_envelope", kind=KIND_ENVELOPE,
-                params={"p": p, "d": d, "ell": m.order, "c": c},
-                theoretical=theo, measured=m.value,
+                name=name, kind=KIND_ENVELOPE,
+                params={**params, "ell": m.order, "c": c}, theoretical=theo,
+                # phi is an integer and shows as one, a pattern deviation
+                # as its float
+                measured=(m.value if isinstance(m.value, int)
+                          else float(m.value)),
                 satisfied=float(m.value) <= theo,
-                ratio=_ratio(m.value, theo),
-                note="phi_ell <= c * d * ell * sqrt(p) * ln p"))
-        elif m.name == "phi" and m.subject == dtag and tag == "f1":
-            theo = phi_envelope(p, d, m.order, c)
-            reports.append(BoundReport(
-                name="dual_phi_envelope", kind=KIND_ENVELOPE,
-                params={"p": p, "d": d, "ell": m.order, "c": c},
-                theoretical=theo, measured=m.value,
-                satisfied=float(m.value) <= theo,
-                ratio=_ratio(m.value, theo),
-                note="dual family phi_ell <= c * d * ell * sqrt(p) * ln p"))
-        elif m.name == "gamma" and m.subject == tag and tag == "ksym":
-            theo = gamma_envelope(p, m.order, c)
-            reports.append(BoundReport(
-                name="gamma_envelope", kind=KIND_ENVELOPE,
-                params={"p": p, "ell": m.order, "c": c},
-                theoretical=theo, measured=float(m.value),
-                satisfied=float(m.value) <= theo,
-                ratio=_ratio(m.value, theo),
-                note="gamma_ell <= c * ell * sqrt(p) * ln p"))
-        elif m.name == "gamma_circ" and m.subject == dtag and tag == "ksym":
-            theo = dual_gamma_circ_envelope(p, d, m.order, c)
-            reports.append(BoundReport(
-                name="dual_gamma_circ_envelope", kind=KIND_ENVELOPE,
-                params={"p": p, "d": d, "ell": m.order, "c": c},
-                theoretical=theo, measured=float(m.value),
-                satisfied=float(m.value) <= theo,
-                ratio=_ratio(m.value, theo),
-                note="zero-shift gamma of the dual vs "
-                     "c * ((ell p - 1) p^(d/2) + p)/(d p)"))
+                ratio=_ratio(m.value, theo), note=note))
 
-    # --- asymptotic covering-complexity envelopes ---
-    if fc is not None and tag in ("f1", "f2", "ksym"):
-        if tag == "f1":
-            theo = fc_envelope_f1(p, d)
-            note = "(1/2) log2(p/d^2), vanishing terms dropped"
-        elif tag == "f2":
-            theo = fc_envelope_f2(p, d)
-            note = "(1/2) log2(p^d/d^2), vanishing terms dropped"
-        else:
-            theo = fc_envelope_ksym(p, d)
-            note = "(d/2 - 1) log2 p - log2((d-1) log2 p); negative " \
-                   "values clamp to 0 for comparison"
+    # --- asymptotic covering-complexity envelope ---
+    if tag in _REPORTS:
+        _, bound, note, _ = _REPORTS[tag]
+        theo = bound(p, d)
         clamped = max(theo, 0.0)
         reports.append(BoundReport(
             name="fc_asymptotic", kind=KIND_ASYMPTOTIC,

@@ -56,7 +56,7 @@ _NAMES = {
     "measures": ("MODE_EXACT", "MODE_SAMPLED", "MODE_VERIFIED_LB",
                  "MeasureResult", "cross_correlation", "f_complexity",
                  "gamma", "gamma_circ"),
-    "bounds": ("KIND_EXACT", "_check_scale", "dual_orders", "verify_family",
+    "bounds": ("KIND_EXACT", "_check_scale", "verify_family", "verify_plan",
                "weil_check"),
     "poly": ("Poly",),
 }
@@ -374,25 +374,18 @@ def _cmd_measure(args) -> int:
 
 def compute_verify_measures(fam: Family, max_order: int = 2,
                             budget: int | None = None) -> list[MeasureResult]:
-    """The measure set ``verify`` feeds to ``verify_family``: covering
-    complexity, the dual correlations the lower bound needs, and
-    order-1..max_order correlations of the family for the envelopes."""
-    if max_order < 0:
-        raise ParameterError(f"max order must be >= 0, got {max_order}")
+    """The measures ``verify`` feeds to ``verify_family``: the covering
+    complexity, then each (measure, on the dual, order) of
+    ``bounds.verify_plan``.  Each is called through its name in this
+    module, where perfbench's tracer wraps it."""
     _bind("construct", "measures", "bounds")
+    plan = verify_plan(fam, max_order)
     dl = dual(fam)
     measures = [f_complexity(fam, budget=budget)]
-    for i in range(1, dual_orders(fam) + 1):
-        if fam.k == 2:
-            measures.append(cross_correlation(dl, i, budget=budget))
-        else:
-            measures.append(gamma(dl, i, budget=budget))
-    for ell in range(1, max_order + 1):
-        if fam.k == 2:
-            measures.append(cross_correlation(fam, ell, budget=budget))
-        else:
-            measures.append(gamma(fam, ell, budget=budget))
-            measures.append(gamma_circ(dl, ell, budget=budget))
+    for name, on_dual, order in plan:
+        # the other measures are named as their functions
+        fn = cross_correlation if name == "phi" else globals()[name]
+        measures.append(fn(dl if on_dual else fam, order, budget=budget))
     return measures
 
 

@@ -14,9 +14,8 @@ Three builders are provided:
 
 All builders share ``_symbol_rows``, which tabulates the symbol once
 over F_p^* and looks up each polynomial's values there.  They verify at
-build time that no value is zero, check row distinctness exhaustively
-(recording the outcome, since it can genuinely fail at small
-parameters; see ``_record_distinctness``), then freeze the result.
+build time that no value is zero, then freeze the result.  Rows may
+repeat at small parameters (``Family.distinct_rows``).
 """
 
 from __future__ import annotations
@@ -114,6 +113,12 @@ class Family:
         return tuple(tuple(1 - 2 * s for s in row) for row in self.rows)
 
     def distinct_rows(self) -> bool:
+        """Whether the rows are pairwise distinct.  The supporting
+        character-sum argument needs p large against the degree (roughly
+        p > (2d-1)^2), and below that range equal rows can genuinely
+        occur: over F_7 the trace-zero irreducible cubics x^3+2 and
+        x^3+5 give the same residue-symbol row.  So the builders do not
+        refuse them, and ``verify`` reports a violation."""
         return len(set(self.rows)) == len(self.rows)
 
 
@@ -136,21 +141,6 @@ def _symbol_rows(polys, p: int, symbol) -> tuple[tuple[int, ...], ...]:
                                 f"irreducible inputs cannot")
         rows.append(tuple(map(table.__getitem__, vals)))
     return tuple(rows)
-
-
-def _record_distinctness(fam: Family) -> Family:
-    """Exhaustive build-time distinctness check, stored in
-    params["distinct_rows"].
-
-    The supporting character-sum argument needs p large against the
-    degree (roughly p > (2d-1)^2), and below that range equal rows can
-    genuinely occur: over F_7 the trace-zero irreducible cubics x^3+2
-    and x^3+5 give the same residue-symbol row.  Builders therefore
-    record the outcome in params["distinct_rows"] instead of refusing;
-    the bound verifier reports a violation.
-    """
-    fam.params["distinct_rows"] = fam.distinct_rows()
-    return fam
 
 
 def _f1_pattern(p: int, d: int) -> list[range]:
@@ -223,9 +213,8 @@ def family_f1(p: int, d: int, base: Poly | None = None,
         _validate_base(base, p, d)
     rows = _symbol_rows((scale_poly(base, i) for i in range(1, p)), p,
                         _pm_symbol(p))
-    return _record_distinctness(Family(
-        p=p, d=d, k=2, rows=rows, construction="f1",
-        params={"base": base.coeffs}))
+    return Family(p=p, d=d, k=2, rows=rows, construction="f1",
+                  params={"base": base.coeffs})
 
 
 def family_f2(p: int, d: int, trace_zero: bool = True,
@@ -247,9 +236,8 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
         _check_row_symbols(_poly.count_irreducibles(p, d), p, budget)
         polys = _poly.enumerate_irreducibles(p, d, False, budget)
     rows = _symbol_rows(polys, p, _pm_symbol(p))
-    return _record_distinctness(Family(
-        p=p, d=d, k=2, rows=rows, construction="f2",
-        params={"trace_zero": trace_zero}))
+    return Family(p=p, d=d, k=2, rows=rows, construction="f2",
+                  params={"trace_zero": trace_zero})
 
 
 def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
@@ -285,9 +273,7 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
     if len(rows) != expected:
         raise InternalError(
             f"family size {len(rows)} != (p^d-p)/(dp) = {expected}")
-    return _record_distinctness(Family(
-        p=p, d=d, k=k, rows=rows, construction="ksym",
-        params={"require_coprime": require_coprime}))
+    return Family(p=p, d=d, k=k, rows=rows, construction="ksym")
 
 
 def dual_tag(tag: str) -> str:
@@ -300,12 +286,10 @@ def dual_tag(tag: str) -> str:
 
 def dual(fam: Family) -> Family:
     """Transpose: row n of the dual reads symbol n of every member.
-    Applying it twice returns the original family.  Records the dual's
-    own row distinctness."""
-    rows = tuple(zip(*fam.rows))
-    return _record_distinctness(Family(
-        p=fam.p, d=fam.d, k=fam.k, rows=rows,
-        construction=dual_tag(fam.construction), params=dict(fam.params)))
+    Applying it twice returns the original family."""
+    return Family(p=fam.p, d=fam.d, k=fam.k, rows=tuple(zip(*fam.rows)),
+                  construction=dual_tag(fam.construction),
+                  params=dict(fam.params))
 
 
 _HEADER_RE = re.compile(

@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
-                       permutations, product)
+                       product)
 from operator import add, mul
 from typing import Optional, Union
 
@@ -652,17 +652,26 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
 # k-symbol root-of-unity measure
 
 
+def _permutation(k: int, index: int) -> tuple[int, ...]:
+    """The ``index``-th permutation of range(k) in the lexicographic
+    order of ``itertools.permutations``: ``index`` in factorial base."""
+    pool = list(range(k))
+    return tuple(pool.pop(index // math.factorial(r) % (r + 1))
+                 for r in range(k - 1, -1, -1))
+
+
 def _relabel_kernel(k: int, ell: int, mode: str, rng: random.Random):
     """The big_gamma kernel, chosen once.  A sampled one first draws a
-    relabeling tuple, one of all k! maps per position.  For k <= 2 it
-    reads ``_phi_kernel`` of the +/-1 rows, as relabeling {0, 1} only
-    flips signs, with the drawn tuple or else the identity as witness;
-    for k >= 3, ``roots.windows_kernel`` or ``roots.pinned``."""
-    perms = list(permutations(range(k))) if mode == MODE_SAMPLED else ()
+    relabeling tuple, one of all k! maps per position, by its index.
+    For k <= 2 it reads ``_phi_kernel`` of the +/-1 rows, as
+    relabeling {0, 1} only flips signs, with the drawn tuple or else the
+    identity as witness; for k >= 3, ``roots.windows_kernel`` or
+    ``roots.pinned``."""
     identity = (tuple(range(k)),) * ell
 
     def draw():
-        return tuple(perms[rng.randrange(len(perms))] for _ in range(ell))
+        return tuple(_permutation(k, rng.randrange(math.factorial(k)))
+                     for _ in range(ell))
     if k >= 3:
         from . import roots  # only k >= 3 runs compile it (peak memory)
         if mode == MODE_EXACT:
@@ -671,7 +680,7 @@ def _relabel_kernel(k: int, ell: int, mode: str, rng: random.Random):
                                                          floor)
 
     def kernel(seqs, size: int, floor, reading: str):
-        maps = draw() if perms else identity
+        maps = draw() if mode == MODE_SAMPLED else identity
         found = _phi_kernel(seqs, size, floor, reading)
         return None if found is None else found[:3] + (maps,)
 
@@ -746,13 +755,17 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
     count deviation, or root-sum magnitude directly from the stated
     (M, D, I, pattern) tuple.  For the covering complexity it checks
     that no row realizes the uncovered specification (value = pattern
-    size - 1), or re-derives the a-priori cap when the search exhausted
-    every level.
+    size - 1).  Without a witness, the covering complexity is N only for
+    k = 1 or all k^N rows, and a correlation is 0 only when sampled or
+    when ell > C * N (ell > C at zero shift), C distinct rows; other
+    such records, and an order not the witness's, raise
+    ``ParameterError``.
     """
     w = result.witness
     if result.name == "f_complexity":
         if w is None:
-            # only reached when every level passes (or k = 1)
+            if fam.k > 1 and len(set(fam.rows)) != fam.k**fam.length:
+                raise ParameterError("the record needs its uncovered pattern")
             return fam.length
         if len(w.positions) != len(w.pattern):
             raise InternalError("witness positions/pattern lengths differ")
@@ -767,7 +780,15 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
         return len(w.positions) - 1
 
     if w is None:
-        return result.value  # empty admissible space; nothing to re-run
+        # the ell positions need distinct (row content, shift) pairs
+        shifts = 1 if result.name.endswith("_circ") else fam.length
+        if result.mode != MODE_SAMPLED and result.order <= len(
+                set(fam.rows)) * shifts:
+            raise ParameterError("the record needs its witness: its "
+                                 "admissible space is not empty")
+        return 0
+    if w.ell != result.order:
+        raise ParameterError("the witness is of another order")
     w.validate(fam)
     ell, m = w.ell, w.window
     sel = [fam.rows[i - 1] for i in w.rows]

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import (accumulate, combinations, islice, permutations,
-                       product, repeat, starmap)
+from itertools import accumulate, combinations, product, repeat, starmap
 from operator import attrgetter, mul, sub
+
+from .measures import _permutation
 
 
 @lru_cache(maxsize=None)
@@ -249,8 +250,9 @@ def windows_kernel(k: int, ell: int):
     witness is that of all k!^ell tuples.  It skips a representative
     whose prefix points have a hull diameter, the largest magnitude of
     its windows, clearly below the best value so far, and walks the
-    windows of the others."""
-    reps = list(islice(permutations(range(k)), math.factorial(k - 1)))
+    windows of the others.  The representatives are the first (k-1)!
+    maps in lex order."""
+    reps = [_permutation(k, i) for i in range(math.factorial(k - 1))]
 
     def windows(seqs, size: int, floor, reading: str = "windows"):
         best = None

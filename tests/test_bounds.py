@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +24,13 @@ from prsfam.bounds import (
     gamma_envelope,
     phi_envelope,
     verify_family,
+    verify_plan,
     weil_check,
 )
+from prsfam import cli
 from prsfam.cli import compute_verify_measures
-from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
+from prsfam.construct import (Family, dual, family_f1, family_f2,
+                              family_k_symbol, write_family)
 from prsfam.errors import ParameterError
 from prsfam.ff import legendre
 from prsfam.measures import f_complexity
@@ -291,3 +299,75 @@ def test_verify_surfaces_envelope_violation():
     env = [r for r in reports if r.kind == KIND_ENVELOPE]
     assert env and not any(r.satisfied for r in env)
     assert all(r.satisfied for r in reports if r.kind == KIND_EXACT)
+
+
+# --- the measures verify takes ----------------------------------------------
+
+
+@pytest.mark.parametrize("build, plan", [
+    (lambda: family_f2(13, 2),
+     [("phi", True, 1), ("phi", True, 2), ("phi", False, 1),
+      ("phi", False, 2)]),
+    (lambda: family_f1(11, 5),
+     [("phi", True, 1), ("phi", True, 2), ("phi", True, 3),
+      ("phi", False, 1), ("phi", False, 2)]),
+    (lambda: family_k_symbol(13, 2, 3),
+     [("gamma", True, 1), ("gamma", False, 1), ("gamma_circ", True, 1),
+      ("gamma", False, 2), ("gamma_circ", True, 2)]),
+], ids=["f2(13,2)", "f1(11,5)", "ksym(13,2,3)"])
+def test_verify_plan_lists_the_measures_in_order(build, plan):
+    fam = build()
+    assert verify_plan(fam, 2) == plan
+    measures = compute_verify_measures(fam)
+    assert [m.name for m in measures] == ["f_complexity"] + [
+        name for name, _, _ in plan]
+    assert [m.order for m in measures[1:]] == [order for *_, order in plan]
+
+
+def test_verify_plan_refuses_a_negative_order():
+    with pytest.raises(ParameterError, match="max order must be >= 0"):
+        verify_plan(family_f2(5, 2), -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_k_symbol(5, 3, 2),
+    lambda: dual(family_f2(13, 2)),
+    lambda: Family(p=13, d=2, k=2, rows=family_f2(13, 2).rows),
+], ids=["ksym(5,3,2)", "dual f2(13,2)", "external"])
+def test_verify_takes_no_correlation_no_report_reads(build, monkeypatch):
+    # no envelope applies to these families, so only the lower bound's
+    # dual correlations are taken
+    fam = build()
+    subjects = []
+    for name in ("cross_correlation", "gamma", "gamma_circ"):
+        def record(f, ell, *, fn=getattr(cli, name), **kwargs):
+            subjects.append(f)
+            return fn(f, ell, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    measures = compute_verify_measures(fam, max_order=3)
+    assert len(subjects) == len(measures) - 1 == bounds.dual_orders(fam)
+    assert not any(f is fam for f in subjects)
+    verify_family(fam, measures)
+
+
+def test_traced_verify_spans_each_planned_measure(tmp_path):
+    """perfbench/tracer.py wraps the measure names ``cli`` calls; a
+    traced verify must record one measure span per measure it takes."""
+    repo = Path(__file__).resolve().parent.parent
+    fam = family_k_symbol(13, 2, 3)
+    write_family(fam, str(tmp_path / "k.fam"))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "tracer.py"), str(spans),
+         "verify-ksym", "verify", "--in", str(tmp_path / "k.fam"),
+         "--out", str(tmp_path / "v.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = [span[1] for span in json.loads(spans.read_text())["spans"]
+             if span[1].startswith("measures.")]
+    assert len(names) == 1 + len(verify_plan(fam, 2))
+    assert names == ["measures.f_complexity"] + [
+        "measures.gamma", "measures.gamma", "measures.gamma_circ"] + [
+        "measures.gamma", "measures.gamma_circ"]

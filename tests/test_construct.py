@@ -132,17 +132,16 @@ def test_f2_without_trace_restriction():
 def test_f2_duplicate_row_counterexample():
     # x^3+2 and x^3+5 over F_7 are distinct irreducible trace-zero
     # cubics whose values differ pointwise by the squares 2 and 4, so
-    # their residue-symbol rows coincide; the builder records this
-    # rather than refusing
+    # their residue-symbol rows coincide; the builder keeps both rather
+    # than refusing
     fam = family_f2(7, 3)
     assert fam.size == 16  # one row per polynomial, duplicates included
     assert not fam.distinct_rows()
-    assert fam.params["distinct_rows"] is False
     a = tuple(0 if legendre(n**3 + 2, 7) == 1 else 1 for n in range(1, 7))
     b = tuple(0 if legendre(n**3 + 5, 7) == 1 else 1 for n in range(1, 7))
     assert a == b and fam.rows.count(a) == 2
     for p, d in [(3, 2), (5, 2), (7, 2), (5, 3), (11, 2), (13, 2)]:
-        assert family_f2(p, d).params["distinct_rows"] is True
+        assert family_f2(p, d).distinct_rows()
 
 
 # --- k-symbol family ---------------------------------------------------------
@@ -216,13 +215,15 @@ def test_dual_shapes_and_involution():
     assert dual(one).rows == ((0,), (1,), (0,))
 
 
-def test_dual_records_its_own_distinctness():
+def test_dual_has_its_own_distinctness():
     fam = family_f2(7, 3)  # two equal rows; the dual's rows are distinct
-    assert fam.params["distinct_rows"] is False
+    assert not fam.distinct_rows()
     d = dual(fam)
     assert d.distinct_rows()
-    assert d.params["distinct_rows"] is True
-    assert dual(d).params["distinct_rows"] is False
+    assert not dual(d).distinct_rows()
+    # builders and dual record no build-time flags
+    assert "distinct_rows" not in d.params
+    assert family_k_symbol(13, 2, 3).params == {}
 
 
 def test_dual_hand_example():

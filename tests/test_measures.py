@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -553,13 +554,31 @@ def test_big_gamma_refuses_before_building_its_kernel(mode, monkeypatch):
     def built(*args):
         raise AssertionError("built before the budget check")
 
-    monkeypatch.setattr(measures, "permutations", built)
+    monkeypatch.setattr(measures, "_permutation", built)
     monkeypatch.setattr(roots, "windows_kernel", built)
     fam = family_k_symbol(23, 2, 11)
     with pytest.raises(BudgetError) as exc:
         big_gamma(fam, 1, mode, budget=0)
     assert exc.value.estimate == (1000 * 22 if mode == MODE_SAMPLED
                                   else 111088454400)
+
+
+def test_sampled_big_gamma_lists_no_relabelings(monkeypatch):
+    # each draw decodes its index, so k = 11 lists none of the k! maps
+    def listed(*args):
+        raise AssertionError("listed the relabelings")
+
+    for module in (measures, roots, itertools):
+        monkeypatch.setattr(module, "permutations", listed, raising=False)
+    r = big_gamma(family_k_symbol(23, 2, 11), 1, MODE_SAMPLED, samples=50)
+    assert r.mode == MODE_SAMPLED and r.witness is not None
+
+
+def test_permutation_decoder_is_lex_order():
+    for k in range(1, 7):
+        listed = list(itertools.permutations(range(k)))
+        assert [measures._permutation(k, i)
+                for i in range(len(listed))] == listed
 
 
 def test_default_budget_covers_reference_sizes():
@@ -633,6 +652,30 @@ def test_evaluate_witness_refuses_a_witness_that_does_not_fit():
     for result in bad:
         with pytest.raises(ParameterError):
             evaluate_witness(fam, result)
+
+
+def test_evaluate_witness_takes_no_witness_only_for_a_full_certificate():
+    fam = family_f2(13, 2)  # f-complexity 1; phi of order 1 is 12
+    phi = cross_correlation(fam, 1)
+    bad = [MeasureResult("f_complexity", 0, 12, MODE_EXACT, None),
+           MeasureResult("phi", 1, 999, MODE_EXACT, None),
+           MeasureResult("gamma_circ", 6, 0, MODE_EXACT, None),
+           replace(phi, order=2)]  # the witness is of order 1
+    for result in bad:
+        with pytest.raises(ParameterError):
+            evaluate_witness(fam, result)
+    assert evaluate_witness(fam, phi) == phi.value
+    # a sampled record with no admissible draw certifies only 0
+    assert evaluate_witness(fam, replace(phi, value=5, witness=None,
+                                         mode=MODE_SAMPLED)) == 0
+    # empty admissible spaces: ell > C * N, and ell > C at zero shift
+    one = Family(p=3, d=1, k=2, rows=((0,),))
+    for result in (cross_correlation(one, 2), gamma(one, 2),
+                   big_gamma(one, 2)):
+        assert result.witness is None and evaluate_witness(one, result) == 0
+    assert evaluate_witness(fam, gamma_circ(fam, 7)) == 0  # C = 6
+    full = Family(p=3, d=1, k=2, rows=((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert evaluate_witness(full, f_complexity(full)) == 2
 
 
 def test_witness_validate_rejects_malformed_specs():

@@ -16,7 +16,9 @@ on k = 2 among them, which no job list runs.  Every correlation measure
 and mode also runs under ``--budget 0`` on both families, so every
 estimate and refusal is compared, and ``fc`` on the binary family under
 a budget that stops it after level 1, so its ``verified-lower-bound``
-record is compared too.  ``--jobs N`` replaces the
+record is compared too.  ``verify`` also runs on ksym(5,3,2) and on
+the dual of f2(13,2), whose reports read none of their own
+correlations.  ``--jobs N`` replaces the
 ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
@@ -41,7 +43,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(REPO / "perfbench"))
 
-from workloads import WORKLOADS, Job, gen, measure  # noqa: E402
+from workloads import (WORKLOADS, Job, dual, gen, measure,  # noqa: E402
+                       verify)
 
 JOB_TIMEOUT_S = 600
 COMMANDS = ("gen", "dual", "measure", "verify", "weil")
@@ -83,6 +86,8 @@ def _measure_jobs() -> list[Job]:
                 jobs += runs
             # phi on k = 3 compares which refusal comes first
             jobs += [_with_budget(job, 0) for job in runs]
+    jobs += [gen("ksym_5_3_2", "ksym", 5, 3, k=2), verify("ksym_5_3_2", 1),
+             dual("f2_13_2"), verify("dual_f2_13_2", 1)]
     return jobs
 
 
