@@ -17,18 +17,21 @@ Three kinds of report are produced:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .errors import DEFAULT_BUDGET, BudgetError, ParameterError
+from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, BudgetError,
+                     ParameterError, Record)
 from .ff import _check_odd_prime, legendre
 from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
                    count_trace_zero_irreducibles, poly_gcd)
 
 if TYPE_CHECKING:  # `weil` runs this module without building or measuring
+    from typing import Optional, Sequence, Union
+
     from .construct import Family
     from .measures import MeasureResult
+
+    Number = Union[int, float, Fraction]
 
 __all__ = [
     "BoundReport",
@@ -52,12 +55,12 @@ KIND_EXACT = "exact"
 KIND_ENVELOPE = "envelope"
 KIND_ASYMPTOTIC = "asymptotic"
 
-Number = Union[int, float, Fraction]
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One comparison of a measured value against a theoretical one.
+class BoundReport(Record):
+    """One comparison of a measured value against a theoretical one: the
+    report's name, its kind, the parameters it was evaluated at, the
+    theoretical and measured values (int, float or Fraction), whether
+    the bound holds, the ratio and a note.
 
     ``satisfied`` means measured <= theoretical for upper bounds and
     measured >= theoretical for lower bounds, compared exactly whenever
@@ -65,14 +68,11 @@ class BoundReport:
     that is meaningful.
     """
 
-    name: str
-    kind: str
-    params: dict = field(compare=False)
-    theoretical: Number = 0
-    measured: Number = 0
-    satisfied: bool = True
-    ratio: Optional[float] = None
-    note: str = ""
+    __match_args__ = __slots__ = ("name", "kind", "params", "theoretical",
+                                  "measured", "satisfied", "ratio", "note")
+    _defaults = {"theoretical": 0, "measured": 0, "satisfied": True,
+                 "ratio": None, "note": ""}
+    _uncompared = ("params",)
 
 
 def _ratio(measured: Number, theoretical: Number) -> Optional[float]:
@@ -332,8 +332,10 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     i = 1 .. ``dual_orders(fam)``.  Each supplied measure that an
     applicable envelope of ``_REPORTS`` reads produces that envelope's
     report; ``verify_plan`` lists the ones ``verify`` supplies.
-    Raises ``ParameterError`` listing anything missing, or for a
-    negative or non-finite ``c``.
+    Raises ``ParameterError`` listing anything missing, for a negative
+    or non-finite ``c``, or for an f1, f2 or ksym family whose header no
+    builder emits (p not an odd prime, N != p - 1, d < 2, or p^d at or
+    past 2^1024).
     """
     from .construct import dual_tag
 
@@ -346,6 +348,13 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
 
     # --- structural identities (computed here, always available) ---
     if tag in ("f1", "f2", "ksym"):
+        # refuse a header no builder emits: each writes rows of p - 1
+        # symbols at d >= 2, and the counts below, read as floats, need
+        # p^d < 2^1024, far past any field a builder can enumerate
+        _check_odd_prime(p)
+        if n_len != p - 1 or not 2 <= d < 1024 / math.log2(p):
+            raise ParameterError(f"no {tag} builder emits p={p} d={d} "
+                                 f"N={n_len}")
         trace_zero = fam.params.get("trace_zero", True)
         if tag == "f1":
             expected = p - 1

@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-from typing import IO, TYPE_CHECKING, Sequence
 
 from . import __version__
-from .errors import BudgetError, Error, InternalError, ParameterError
+from .errors import (TYPE_CHECKING, BudgetError, Error, InternalError,
+                     ParameterError)
 
 if TYPE_CHECKING:
+    from typing import IO, Sequence
+
     from .bounds import BoundReport
     from .construct import Family
     from .measures import MeasureResult
@@ -150,6 +150,8 @@ def _measure_dict(r: MeasureResult) -> dict:
 
 
 def _bound_dict(r: BoundReport) -> dict:
+    from fractions import Fraction  # loaded already by ``bounds``
+
     return {
         "name": r.name,
         "order": r.params.get("ell"),
@@ -184,6 +186,8 @@ def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
     with a header row.  Text: one aligned human-readable line each.
     Deterministic for deterministic inputs.
     """
+    import json
+
     if not results:
         raise ParameterError("nothing to report")
     dicts = [_to_dict(r) for r in results]

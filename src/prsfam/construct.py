@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import IO, Mapping, Union
 
 from . import poly as _poly
-from .errors import (BudgetError, InternalError, ParameterError, ParseError,
-                     work_budget)
+from .errors import (TYPE_CHECKING, BudgetError, InternalError,
+                     ParameterError, ParseError, Record, work_budget)
 from .ff import _check_odd_prime, char_k, is_prime, legendre
 from .poly import (
     Poly,
@@ -36,6 +34,9 @@ from .poly import (
     minimal_polynomial,
     scale_poly,
 )
+
+if TYPE_CHECKING:
+    from typing import IO, Union
 
 __all__ = [
     "Family",
@@ -62,23 +63,23 @@ def _check_tag(tag: str) -> None:
         raise ParameterError(f"unknown construction tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class Family:
-    """Immutable family of sequences over a k-symbol alphabet.
+class Family(Record):
+    """Immutable family of sequences over a k-symbol alphabet: prime p,
+    degree d, alphabet size k, the rows as tuples of symbols, and the
+    construction tag.
 
     ``params`` carries builder metadata (base polynomial and the like)
-    and is excluded from equality; the family file format records only
-    the construction tag and a false ``trace_zero``.
+    and is excluded from equality and repr; the family file format
+    records only the construction tag and a false ``trace_zero``.
     """
 
-    p: int
-    d: int
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-    construction: str = "external"
-    params: Mapping = field(default_factory=dict, compare=False, repr=False)
+    __match_args__ = __slots__ = ("p", "d", "k", "rows", "construction",
+                                  "params")
+    _defaults = {"construction": "external", "params": dict}
+    _uncompared = _unshown = ("params",)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         _check_tag(self.construction)
         if self.k < 1:
             raise ParameterError(f"alphabet size must be >= 1, got {self.k}")

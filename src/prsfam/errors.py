@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the work budget
-that ``BudgetError`` enforces."""
+"""Exception types shared across the package, the work budget that
+``BudgetError`` enforces, and ``Record``, the base of the package's
+immutable value classes."""
+
+# True only under a type checker, which reads every module's guarded
+# imports; defined here so that no module imports ``typing`` at run time.
+TYPE_CHECKING = False
 
 # Loop-count cap for exact searches; sized so ell <= 3, N <= 32, F <= 12
 # always runs.
@@ -56,3 +61,62 @@ def work_budget(budget, default: int) -> int:
     if budget < 0:
         raise ParameterError(f"budget must be >= 0, got {budget}")
     return budget
+
+
+class Record:
+    """An immutable value: the base of ``Family``, the three measure
+    records and ``BoundReport``.  It does for them what
+    ``@dataclass(frozen=True)`` did, without importing ``dataclasses``
+    (and through it ``inspect``), which cost every command start-up.
+
+    A subclass names its fields, in constructor order, in ``__slots__``
+    (and ``__match_args__``), and maps the trailing optional ones to
+    their defaults in ``_defaults``; a class given as a default is
+    called for a fresh value per instance.  Construction takes the
+    fields by position or keyword.  ``==`` and ``hash`` read the fields
+    not in ``_uncompared``, and ``repr`` shows those not in
+    ``_unshown``.  Assigning or deleting an attribute raises
+    ``AttributeError``; copies and pickles are rebuilt through the
+    constructor, since ``__setattr__`` blocks the default slot restore.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _uncompared = _unshown = ()
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self.__slots__, self._defaults
+        values = dict(zip(names, args), **kwargs)
+        if (len(values) < len(args) + len(kwargs)
+                or values.keys() | defaults.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__}() takes fields {names}")
+        for name in names:
+            if name not in values:
+                value = defaults[name]
+                values[name] = value() if isinstance(value, type) else value
+            object.__setattr__(self, name, values[name])
+
+    def _values(self, skip=()) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__ if n not in skip)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        skip = self._uncompared
+        return self._values(skip) == other._values(skip)
+
+    def __hash__(self):
+        return hash(self._values(self._uncompared))
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__
+                 if n not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -19,9 +19,8 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Union
 
-from .errors import DomainError, InternalError, ParameterError
+from .errors import TYPE_CHECKING, DomainError, InternalError, ParameterError
 from .poly import (
     Poly,
     _apply_rows,
@@ -31,6 +30,9 @@ from .poly import (
     first_irreducible,
     is_irreducible,
 )
+
+if TYPE_CHECKING:
+    from typing import Iterable, Union
 
 __all__ = [
     "is_prime",

@@ -84,17 +84,20 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations,
                        combinations_with_replacement, count, groupby,
                        product)
 from operator import add, mul
-from typing import Optional, Union
 
 from .construct import Family
-from .errors import (DEFAULT_BUDGET, BudgetError, InternalError,
-                     ParameterError, work_budget)
+from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, BudgetError,
+                     InternalError, ParameterError, Record, work_budget)
+
+if TYPE_CHECKING:
+    from typing import Optional, Union
+
+    Value = Union[int, Fraction, float]
 
 __all__ = [
     "CorrelationSpec",
@@ -114,21 +117,16 @@ MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled-lower-bound"
 MODE_VERIFIED_LB = "verified-lower-bound"
 
-Value = Union[int, Fraction, float]
 
-
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """A correlation witness: order, window length M, shifts D, row
+class CorrelationSpec(Record):
+    """A correlation witness: order ell, window length M, shifts D, row
     indices I (1-based), and for the k-symbol measures the pattern W or
-    the root relabelings."""
+    the root relabelings (one permutation of 0..k-1 per position), each
+    None where it does not apply.  Tuples of ints throughout."""
 
-    ell: int
-    window: int
-    shifts: tuple[int, ...]
-    rows: tuple[int, ...]
-    pattern: Optional[tuple[int, ...]] = None
-    root_maps: Optional[tuple[tuple[int, ...], ...]] = None
+    __match_args__ = __slots__ = ("ell", "window", "shifts", "rows",
+                                  "pattern", "root_maps")
+    _defaults = {"pattern": None, "root_maps": None}
 
     def validate(self, fam: Family) -> None:
         ell, m, d, i = self.ell, self.window, self.shifts, self.rows
@@ -157,18 +155,19 @@ class CorrelationSpec:
                 "one root relabeling of 0..k-1 per tuple position")
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(Record):
     """An uncovered specification: positions (1-based, increasing) and
-    the symbol pattern no family row realizes there."""
+    the symbol pattern no family row realizes there, as int tuples."""
 
-    positions: tuple[int, ...]
-    pattern: tuple[int, ...]
+    __match_args__ = __slots__ = ("positions", "pattern")
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    """A measure value with its certificate.
+class MeasureResult(Record):
+    """A measure value with its certificate: the measure's name, its
+    order (0 for ``f_complexity``), the value (an int, Fraction or
+    float), the mode, the witness (a ``CorrelationSpec``,
+    ``PatternWitness`` or None), the subject's construction tag, and
+    ``err_bound``.
 
     ``witness`` re-evaluates to ``value`` exactly (``evaluate_witness``);
     it is ``None`` when the value comes from an a-priori cap or an empty
@@ -182,13 +181,9 @@ class MeasureResult:
     displayed float.
     """
 
-    name: str
-    order: int
-    value: Value
-    mode: str
-    witness: Union[CorrelationSpec, PatternWitness, None]
-    subject: str = "external"
-    err_bound: float = 0.0
+    __match_args__ = __slots__ = ("name", "order", "value", "mode",
+                                  "witness", "subject", "err_bound")
+    _defaults = {"subject": "external", "err_bound": 0.0}
 
 
 class _Best:

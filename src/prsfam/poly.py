@@ -29,10 +29,12 @@ from __future__ import annotations
 from itertools import compress, islice, product
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
 
-from .errors import (BudgetError, DomainError, InternalError, ParameterError,
-                     work_budget)
+from .errors import (TYPE_CHECKING, BudgetError, DomainError, InternalError,
+                     ParameterError, work_budget)
+
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 __all__ = [
     "Poly",

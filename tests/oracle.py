@@ -20,6 +20,12 @@ For k >= 3 the big_gamma functions decide every comparison of window
 magnitudes exactly (``_exact_square``) and report the float
 ``roots.magnitude`` of the winning window's counts for display.
 
+The ``@dataclass(frozen=True)`` twins of the five record classes
+(``Family``, ``CorrelationSpec``, ``PatternWitness``, ``MeasureResult``
+and ``BoundReport``) are the classes as they were declared before they
+became ``prsfam.errors.Record`` subclasses, without ``Family``'s
+validation; ``test_records`` checks each class against its twin.
+
 The kernel references at the end use no precomputed map: irreducibility
 is trial division by every monic candidate divisor, a power is repeated
 multiplication, conjugates are literal p-th powers, and a shift
@@ -31,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -352,3 +359,55 @@ def conjugacy_representatives(p, d, trace_zero_only):
             continue
         reps.append(coords)
     return reps
+
+
+# --- dataclass twins of the record classes ---------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    p: int
+    d: int
+    k: int
+    rows: tuple
+    construction: str = "external"
+    params: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class CorrelationSpec:
+    ell: int
+    window: int
+    shifts: tuple
+    rows: tuple
+    pattern: tuple | None = None
+    root_maps: tuple | None = None
+
+
+@dataclass(frozen=True)
+class PatternWitness:
+    positions: tuple
+    pattern: tuple
+
+
+@dataclass(frozen=True)
+class MeasureResult:
+    name: str
+    order: int
+    value: object
+    mode: str
+    witness: object
+    subject: str = "external"
+    err_bound: float = 0.0
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    name: str
+    kind: str
+    params: dict = field(compare=False)
+    theoretical: object = 0
+    measured: object = 0
+    satisfied: bool = True
+    ratio: float | None = None
+    note: str = ""

@@ -221,6 +221,30 @@ def test_verify_unary_family_ends(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("header", [
+    "p=5 d=99999999999999999999 k=2 N=4 F=3 construction=f2",
+    "p=5 d=99999999999999999999 k=2 N=4 F=3 construction=ksym",
+    "p=5 d=100000 k=2 N=4 F=3 construction=f2",
+    "p=5 d=100000 k=2 N=4 F=3 construction=ksym",
+    "p=5 d=0 k=2 N=4 F=3 construction=ksym",
+    f"p={10**400 + 1} d=2 k=2 N=4 F=3 construction=f1",
+    f"p={10**400 + 1} d=2 k=2 N=4 F=3 construction=f2",
+    f"p={10**400 + 1} d=2 k=2 N=4 F=3 construction=ksym",
+    "p=13 d=999 k=2 N=4 F=3 construction=f2",
+    f"p=5 d={10**400} k=2 N=4 F=3 construction=f1",
+], ids=["f2-d1e20", "ksym-d1e20", "f2-d1e5", "ksym-d1e5", "ksym-d0",
+        "f1-p1e400", "f2-p1e400", "ksym-p1e400", "f2-p13-d999", "f1-d1e400"])
+def test_verify_refuses_a_header_no_builder_emits(tmp_path, header):
+    # the family-size identities read p and d from the header; these
+    # hung (d = 10^20) or ended in a traceback
+    path = tmp_path / "bad.fam"
+    path.write_text(f"#PRSFAM v1 {header}\n0 1 1 0\n1 1 0 0\n0 0 1 1\n")
+    proc = _cli_subprocess(["verify", "--in", str(path)])
+    assert proc.returncode == EXIT_PARAM, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_f2_file_without_trace_zero(tmp_path):
     path = str(tmp_path / "f2.fam")
     proc = _cli_subprocess(["gen", "--construction", "f2", "--p", "7",
@@ -357,12 +381,18 @@ def test_measure_sampled_big_gamma_k3(tmp_path):
 _GEN = {"f2": ["--construction", "f2", "--p", "7", "--d", "2"],
         "ksym": ["--construction", "ksym", "--p", "7", "--d", "2",
                  "--k", "3"]}
+# The package's modules, and the stdlib modules a command should load
+# only where it uses them: ``json`` and ``fractions`` to write a report,
+# never ``dataclasses``, ``inspect`` (which ``dataclasses`` imports) or
+# ``typing``.
 _RUN_AND_LIST_MODULES = (
     "import sys\nfrom prsfam.cli import main\ncode = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('prsfam')))")
+    "print(code, *sorted(m for m in sys.modules if m.startswith('prsfam')\n"
+    "    or m in ('dataclasses', 'inspect', 'json', 'fractions', 'typing')))")
 _PARSE = {"prsfam", "prsfam.cli", "prsfam.errors"}
 _BUILD = _PARSE | {"prsfam.construct", "prsfam.poly", "prsfam.ff"}
-_MEASURE = _BUILD | {"prsfam.measures"}
+_REPORT = {"json", "fractions"}
+_MEASURE = _BUILD | _REPORT | {"prsfam.measures"}
 
 
 @pytest.mark.parametrize("family, args, code, modules", [
@@ -372,7 +402,7 @@ _MEASURE = _BUILD | {"prsfam.measures"}
     (None, ["gen", *_GEN["f2"], "--out", "{out}"], EXIT_OK, _BUILD),
     ("f2", ["dual", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _BUILD),
     (None, ["weil", "--poly", "1,1,1", "--p", "7", "--out", "{out}"], EXIT_OK,
-     _PARSE | {"prsfam.bounds", "prsfam.poly", "prsfam.ff"}),
+     _PARSE | _REPORT | {"prsfam.bounds", "prsfam.poly", "prsfam.ff"}),
     ("f2", ["verify", "--in", "{fam}", "--out", "{out}"], EXIT_OK,
      _MEASURE | {"prsfam.bounds"}),
     ("f2", ["measure", "--measure", "phi", "--ell", "2", "--in", "{fam}",
@@ -389,7 +419,8 @@ _MEASURE = _BUILD | {"prsfam.measures"}
 def test_command_module_sets(tmp_path, family, args, code, modules):
     # every call is a fresh interpreter that compiles what it imports, so
     # a command loads only the modules it runs; only k >= 3 magnitudes
-    # need prsfam.roots, which also costs peak memory
+    # need prsfam.roots, which also costs peak memory.  -S: no site hook
+    # (a .pth file) loads ``typing`` or the others before the command
     fam = str(tmp_path / "fam.txt")
     if family is not None:
         assert run(["gen", *_GEN[family], "--out", fam]) == EXIT_OK
@@ -397,7 +428,7 @@ def test_command_module_sets(tmp_path, family, args, code, modules):
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+        [sys.executable, "-S", "-c", _RUN_AND_LIST_MODULES, *argv],
         env=env, capture_output=True, text=True, timeout=60)
     last = proc.stdout.splitlines()[-1]
     assert last == " ".join([str(code), *sorted(modules)]), proc.stderr

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -30,7 +29,7 @@ from prsfam.measures import (
 )
 
 import oracle
-from _util import random_family
+from _util import random_family, replace
 
 
 def fam_pm(rows_pm, k=2):

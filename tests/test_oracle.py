@@ -5,7 +5,6 @@ order; and the sampled modes against the oracle's replay of their
 draws."""
 
 import random
-from dataclasses import replace
 from math import comb, factorial
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from _util import random_family
+from _util import random_family, replace
 from prsfam import measures
 from prsfam.construct import Family, family_k_symbol
 from prsfam.measures import (
