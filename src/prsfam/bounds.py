@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, BudgetError,
-                     ParameterError, Record)
-from .ff import _check_odd_prime, legendre
+from .errors import TYPE_CHECKING, ParameterError, Record, check_budget
+from .ff import _buildable, _check_odd_prime, legendre
 from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
                    count_trace_zero_irreducibles, poly_gcd)
 
@@ -209,10 +208,7 @@ def weil_check(h: Poly, p: int) -> BoundReport:
     up in a table of the squares mod p, or past ``DEFAULT_ENUM_BUDGET``,
     where that table grows too large, go through Euler's criterion."""
     _check_odd_prime(p)
-    if p > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"the complete sum needs {p} steps, budget is {DEFAULT_BUDGET}",
-            estimate=p, budget=DEFAULT_BUDGET)
+    check_budget(p, None, "the complete sum")
     if h.degree < 1:
         raise ParameterError("need a nonconstant polynomial")
     if h.p != p:
@@ -349,10 +345,8 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     # --- structural identities (computed here, always available) ---
     if tag in ("f1", "f2", "ksym"):
         # refuse a header no builder emits: each writes rows of p - 1
-        # symbols at d >= 2, and the counts below, read as floats, need
-        # p^d < 2^1024, far past any field a builder can enumerate
-        _check_odd_prime(p)
-        if n_len != p - 1 or not 2 <= d < 1024 / math.log2(p):
+        # symbols over a field ``_buildable`` admits
+        if n_len != p - 1 or not _buildable(p, d):
             raise ParameterError(f"no {tag} builder emits p={p} d={d} "
                                  f"N={n_len}")
         trace_zero = fam.params.get("trace_zero", True)

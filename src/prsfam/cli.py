@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from contextlib import contextmanager
 
 from . import __version__
 from .errors import (TYPE_CHECKING, BudgetError, Error, InternalError,
@@ -219,15 +218,15 @@ def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
         raise ParameterError(f"unknown format {fmt!r}")
 
 
-@contextmanager
-def _open_sink(path: str | None):
-    """The report destination: stdout for None or "-", else the file,
-    closed on leaving the block."""
-    if path is None or path == "-":
-        yield sys.stdout
+def _emit(results: Sequence, args) -> None:
+    """Write the report to stdout for ``--out`` None or "-", else to the
+    file; called once the results exist, so a refusal leaves the file
+    as it was."""
+    if args.out is None or args.out == "-":
+        emit_report(results, args.format, sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            emit_report(results, args.format, fh)
 
 
 def _parse_poly(text: str, p: int) -> Poly:
@@ -359,20 +358,16 @@ def _cmd_measure(args) -> int:
                       else MODE_EXACT,
                       seed=0 if args.seed is None else args.seed,
                       samples=1000 if args.samples is None else args.samples)
-    with _open_sink(args.out) as sink:
-        if name == "fc":
-            try:
-                result = fn(fam, budget=args.budget)
-            except BudgetError as exc:
-                if exc.verified_lower_bound is not None:
-                    emit_report([MeasureResult(
-                        "f_complexity", 0, exc.verified_lower_bound,
-                        MODE_VERIFIED_LB, None, subject=fam.construction)],
-                        args.format, sink)
-                raise
-        else:
-            result = fn(fam, 1 if args.ell is None else args.ell, **kwargs)
-        emit_report([result], args.format, sink)
+    order = () if name == "fc" else (1 if args.ell is None else args.ell,)
+    try:
+        result = fn(fam, *order, **kwargs)
+    except BudgetError as exc:
+        if exc.verified_lower_bound is not None:  # fc's certified level
+            _emit([MeasureResult(
+                "f_complexity", 0, exc.verified_lower_bound,
+                MODE_VERIFIED_LB, None, subject=fam.construction)], args)
+        raise
+    _emit([result], args)
     return EXIT_OK
 
 
@@ -399,8 +394,7 @@ def _cmd_verify(args) -> int:
     measures = compute_verify_measures(fam, max_order=args.max_order,
                                        budget=args.budget)
     reports = verify_family(fam, measures, c=args.c)
-    with _open_sink(args.out) as sink:
-        emit_report(reports, args.format, sink)
+    _emit(reports, args)
     violated = [r for r in reports if r.kind == KIND_EXACT and not r.satisfied]
     if violated:
         for r in violated:
@@ -411,9 +405,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weil(args) -> int:
     h = _parse_poly(args.poly, args.p)
-    report = weil_check(h, args.p)
-    with _open_sink(args.out) as sink:
-        emit_report([report], args.format, sink)
+    _emit([weil_check(h, args.p)], args)
     return EXIT_OK
 
 

@@ -24,9 +24,9 @@ import math
 import re
 
 from . import poly as _poly
-from .errors import (TYPE_CHECKING, BudgetError, InternalError,
-                     ParameterError, ParseError, Record, work_budget)
-from .ff import _check_odd_prime, char_k, is_prime, legendre
+from .errors import (TYPE_CHECKING, InternalError, ParameterError,
+                     ParseError, Record, check_budget)
+from .ff import _buildable, char_k, is_prime, legendre
 from .poly import (
     Poly,
     conjugacy_representatives,
@@ -154,27 +154,22 @@ def _f1_pattern(p: int, d: int) -> list[range]:
 def _find_base_poly(p: int, d: int, budget: int) -> Poly:
     """Deterministic default base for family_f1: the lexicographically
     first monic irreducible with the coefficient pattern of
-    ``_f1_pattern``, among its first ``budget`` candidates."""
+    ``_f1_pattern``, among its first ``budget`` candidates; a search
+    that stops at the budget is refused with ``BudgetError``."""
     pattern = _f1_pattern(p, d)
     base = _poly.first_irreducible(pattern, p, budget)
-    if base is not None:
-        return base
-    if math.prod(map(len, pattern)) > budget:
+    if base is None:
+        check_budget(math.prod(map(len, pattern)), budget, "the base search")
         raise ParameterError(
-            f"no valid base polynomial found within budget {budget}")
-    raise ParameterError(
-        f"no monic irreducible degree-{d} base with the required "
-        f"coefficient pattern exists over F_{p}")
+            f"no monic irreducible degree-{d} base with the required "
+            f"coefficient pattern exists over F_{p}")
+    return base
 
 
-def _check_row_symbols(rows: int, p: int, budget: int) -> None:
-    """Refuse, before any enumeration, a binary family of ``rows`` rows
-    of p - 1 symbols when that symbol count exceeds the budget."""
-    symbols = rows * (p - 1)
-    if symbols > budget:
-        raise BudgetError(
-            f"the family has {rows} rows of {p - 1} symbols, {symbols} in "
-            f"all; budget is {budget}", estimate=symbols, budget=budget)
+def _check_field(p: int, d: int) -> None:
+    if not _buildable(p, d):
+        raise ParameterError(f"need an odd prime p, d >= 2 and "
+                             f"p^d < 2^1024, got p={p} d={d}")
 
 
 def _validate_base(base: Poly, p: int, d: int) -> None:
@@ -201,13 +196,15 @@ def family_f1(p: int, d: int, base: Poly | None = None,
     x^(d-2), x^(d-3) coefficients (searched deterministically when not
     given).
     """
-    _check_odd_prime(p)
+    _check_field(p, d)
     if d < 5:
         raise ParameterError(f"degree must be >= 5, got {d}")
     if d % p == 0:
         raise ParameterError(f"p={p} must not divide d={d}")
-    budget = work_budget(budget, _poly.DEFAULT_ENUM_BUDGET)
-    _check_row_symbols(p - 1, p, budget)
+    symbols = (p - 1)**2
+    budget = check_budget(symbols, budget, f"building {p - 1} rows of "
+                          f"{p - 1} symbols, {symbols} in all,",
+                          _poly.DEFAULT_ENUM_BUDGET)
     if base is None:
         base = _find_base_poly(p, d, budget)
     else:
@@ -225,16 +222,16 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     polynomial order; row entries are the residue symbols at 1..p-1.
     The row count is known in closed form, so a family of more row
     symbols than the budget is refused before any enumeration."""
-    _check_odd_prime(p)
-    if d < 2:
-        raise ParameterError(f"degree must be >= 2, got {d}")
-    budget = work_budget(budget, _poly.DEFAULT_ENUM_BUDGET)
+    _check_field(p, d)
+    size = (_poly.count_trace_zero_irreducibles if trace_zero
+            else _poly.count_irreducibles)(p, d)
+    symbols = size * (p - 1)
+    budget = check_budget(symbols, budget, f"building {size} rows of "
+                          f"{p - 1} symbols, {symbols} in all,",
+                          _poly.DEFAULT_ENUM_BUDGET)
     if trace_zero:
-        _check_row_symbols(_poly.count_trace_zero_irreducibles(p, d), p,
-                           budget)
         polys = _poly.enumerate_trace_zero_irreducibles(p, d, budget=budget)
     else:
-        _check_row_symbols(_poly.count_irreducibles(p, d), p, budget)
         polys = _poly.enumerate_irreducibles(p, d, False, budget)
     rows = _symbol_rows(polys, p, _pm_symbol(p))
     return Family(p=p, d=d, k=2, rows=rows, construction="f2",
@@ -252,7 +249,7 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
     the correlation bound, not the construction itself; pass
     ``require_coprime=False`` to build the family without it.
     """
-    _check_odd_prime(p)
+    _check_field(p, d)
     if not is_prime(d):
         raise ParameterError(f"degree must be prime, got {d}")
     if p == d:
@@ -336,7 +333,10 @@ def read_family(source: Union[str, IO[str]]) -> Family:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ParseError(f"malformed header {lines[0]!r}", line=1)
-    p, d, k, n, f = (int(m.group(i)) for i in range(1, 6))
+    try:
+        p, d, k, n, f = (int(m.group(i)) for i in range(1, 6))
+    except ValueError:  # past the int-to-str digit limit
+        raise ParseError("header number too long to read", line=1) from None
     tag = m.group(6)
     try:
         _check_tag(tag)

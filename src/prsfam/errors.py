@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the work budget that
-``BudgetError`` enforces, and ``Record``, the base of the package's
-immutable value classes."""
+"""Exception types shared across the package, ``check_budget``, the
+one owner of the work budget that ``BudgetError`` enforces, and
+``Record``, the base of the package's immutable value classes."""
 
 # True only under a type checker, which reads every module's guarded
 # imports; defined here so that no module imports ``typing`` at run time.
@@ -53,13 +53,22 @@ class InternalError(Error):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-def work_budget(budget, default: int) -> int:
-    """The budget a call runs under: ``default`` for None; a negative
-    budget is refused, while 0 is a budget that refuses any work."""
+def check_budget(estimate: int, budget, what: str,
+                 default: int = DEFAULT_BUDGET,
+                 verified_lower_bound=None) -> int:
+    """The one budget decision: resolve ``budget`` (``default`` for
+    None; a negative one is a ``ParameterError``, 0 refuses any work),
+    refuse ``what`` when its ``estimate`` exceeds it, and return it."""
     if budget is None:
-        return default
-    if budget < 0:
+        budget = default
+    elif budget < 0:
         raise ParameterError(f"budget must be >= 0, got {budget}")
+    if estimate > budget:
+        certified = ("" if verified_lower_bound is None else
+                     f"; value >= {verified_lower_bound} is certified")
+        raise BudgetError(f"{what} needs an estimated {estimate} loop steps, "
+                          f"budget is {budget}{certified}", estimate, budget,
+                          verified_lower_bound)
     return budget
 
 

@@ -19,6 +19,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import math
 
 from .errors import TYPE_CHECKING, DomainError, InternalError, ParameterError
 from .poly import (
@@ -88,6 +89,13 @@ def is_prime(n: int) -> bool:
 def _check_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise ParameterError(f"p must be an odd prime >= 3, got {p}")
+
+
+def _buildable(p: int, d: int) -> bool:
+    """Whether a builder emits a family over F_(p^d): p an odd prime,
+    d >= 2 and d * log2 p < 1024, so ``verify``'s p^d-sized counts fit
+    a float.  The builders refuse, and ``verify`` rejects, the rest."""
+    return p >= 3 and is_prime(p) and 2 <= d < 1024 / math.log2(p)
 
 
 def legendre(a: int, p: int) -> int:

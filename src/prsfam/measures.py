@@ -85,14 +85,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import (accumulate, chain, combinations,
-                       combinations_with_replacement, count, groupby,
-                       product)
+from itertools import accumulate, chain, combinations, count, product
 from operator import add, mul
 
 from .construct import Family
-from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, BudgetError,
-                     InternalError, ParameterError, Record, work_budget)
+from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, InternalError,
+                     ParameterError, Record, check_budget)
 
 if TYPE_CHECKING:
     from typing import Optional, Union
@@ -222,16 +220,6 @@ def _admissible(ids: list[int], I: tuple[int, ...], D: tuple[int, ...]) -> bool:
     return True
 
 
-def _check_budget(estimate: int, budget: Optional[int], what: str,
-                  mode: str) -> None:
-    budget = work_budget(budget, DEFAULT_BUDGET)
-    if estimate > budget:
-        kind = "sampled" if mode == MODE_SAMPLED else "exact"
-        raise BudgetError(
-            f"{kind} {what} needs an estimated {estimate} loop steps, "
-            f"budget is {budget}", estimate=estimate, budget=budget)
-
-
 def _require(ell: int, mode: str = MODE_EXACT, samples: int = 1) -> None:
     if not isinstance(ell, int) or ell < 1:
         raise ParameterError(f"order must be an integer >= 1, got {ell}")
@@ -280,21 +268,16 @@ def f_complexity(fam: Family, budget: Optional[int] = None) -> MeasureResult:
     last fully certified level.
     """
     n, f, k = fam.length, fam.size, fam.k
-    budget = work_budget(budget, DEFAULT_BUDGET)
+    budget = check_budget(0, budget, "f_complexity")  # resolves it
     if k == 1:
         return MeasureResult("f_complexity", 0, n, MODE_EXACT, None,
                              subject=fam.construction)
     spent = 0
     for j in range(1, n + 1):
         full_scan = k**j <= f
-        level_cost = (math.comb(n, j) if full_scan else 1) * (f * j + k**j)
-        if spent + level_cost > budget:
-            raise BudgetError(
-                f"certifying level {j} needs ~{level_cost} more steps "
-                f"(budget {budget}); value >= {j - 1} is certified",
-                estimate=spent + level_cost, budget=budget,
-                verified_lower_bound=j - 1)
-        spent += level_cost
+        spent += (math.comb(n, j) if full_scan else 1) * (f * j + k**j)
+        check_budget(spent, budget, f"certifying level {j}",
+                     verified_lower_bound=j - 1)
         for positions in combinations(range(n), j):
             realized = {tuple(row[q] for q in positions) for row in fam.rows}
             if len(realized) == k**j:
@@ -321,15 +304,27 @@ def _combine(op, seqs):
     return it
 
 
-def _lag_plans(ell: int, n: int, circ: bool) -> list:
-    """Each lag tuple T with T[-1] < n (only T = 0 when ``circ``) and the
-    sizes of its tied-lag blocks."""
-    if circ:
-        lags = [(0,) * ell]
-    else:
-        lags = [(0,) + rest for rest in
-                combinations_with_replacement(range(n), ell - 1)]
-    return [(T, [len(list(g)) for _, g in groupby(T)]) for T in lags]
+def _lag_plans(ell: int, n: int, circ: bool, most: int) -> list:
+    """Each lag tuple T = (0, ...), non-decreasing with T[-1] < n (only
+    T = 0 when ``circ``), whose tied-lag blocks fit the ``most``
+    distinct row contents, as no other T has an admissible row tuple,
+    with its block sizes, in no set order.  A partial T takes only
+    blocks the lags above can complete: at most one plan per estimated
+    step."""
+    top = 1 if circ else n
+    plans, partial = [], [((), [])]
+    while partial:
+        T, sizes = partial.pop()
+        left = ell - len(T)
+        if not left:
+            plans.append((T, sizes))
+            continue
+        for u in range(T[-1] + 1, top) if T else (0,):
+            # the lags above u hold at most most * (top - 1 - u) positions
+            for b in range(max(1, left - most * (top - 1 - u)),
+                           min(left, most) + 1):
+                partial.append((T + (u,) * b, sizes + [b]))
+    return plans
 
 
 def _canonical_blocks(ids: list[int], sizes) -> dict:
@@ -357,14 +352,17 @@ def _lag_estimate(fam: Family, ell: int, circ: bool,
     C(N+1, r+1)) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
     """
     n, w = fam.length, int(windows)
+    classes = Counter(fam.rows).values()
+    if ell > len(classes) * (1 if circ else n):
+        return 0  # no admissible tuple: the search returns 0
     e = [1] + [0] * ell
-    for m in Counter(fam.rows).values():
+    for m in classes:
         for b in range(ell, 0, -1):
             e[b] += e[b - 1] * m
     if circ:
         return e[ell] * n
     total, power = 0, [1] + [0] * ell
-    for r in range(1, ell + 1):
+    for r in range(1, min(ell, n) + 1):  # C(N, r) = 0 past N
         power = [sum(power[i] * e[j - i] for i in range(j))
                  for j in range(ell + 1)]
         total += math.comb(n + w, r + w) * power[ell]
@@ -391,11 +389,11 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     lex-smallest key whatever the visit order; values and witnesses are
     those of the full search.
     """
-    n = fam.length
+    n, ids = fam.length, _content_ids(fam)
     reading = "full" if circ else "windows"
-    plans = sorted(_lag_plans(ell, n, circ), key=lambda plan: plan[0][-1])
-    blocks = _canonical_blocks(_content_ids(fam),
-                               {b for _, sizes in plans for b in sizes})
+    plans = sorted(_lag_plans(ell, n, circ, max(ids) + 1),
+                   key=lambda plan: (plan[0][-1], plan[0]))
+    blocks = _canonical_blocks(ids, {b for _, sizes in plans for b in sizes})
     shifted = [{t: [row[t:] for row in rows_at[j]]
                 for t in {T[j] for T, _ in plans}} for j in range(ell)]
     best = _Best()
@@ -443,7 +441,8 @@ def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
     per-tuple cap may stop a draw before its walk; big_gamma draws the
     relabeling first, so the random stream is unchanged.
     """
-    _check_budget(estimate, budget, what, mode)
+    kind = "sampled" if mode == MODE_SAMPLED else "exact"
+    check_budget(estimate, budget, f"{kind} {what}")
     if mode == MODE_EXACT:
         return _lag_search(fam, rows_at, ell, circ, make_kernel(), cap)
     best, kernel = _Best(), make_kernel()

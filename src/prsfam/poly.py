@@ -30,8 +30,8 @@ from itertools import compress, islice, product
 from math import prod
 from operator import mul
 
-from .errors import (TYPE_CHECKING, BudgetError, DomainError, InternalError,
-                     ParameterError, work_budget)
+from .errors import (TYPE_CHECKING, DomainError, InternalError,
+                     ParameterError, check_budget)
 
 if TYPE_CHECKING:
     from typing import Iterable, Sequence
@@ -370,13 +370,9 @@ def enumerate_irreducibles(p: int, d: int, trace_zero: bool = True,
     ``trace_zero`` h's x^(d-a-1) coefficient is -g_(a-1)."""
     if d < 2:
         raise ParameterError(f"extension degree must be >= 2, got {d}")
-    budget = work_budget(budget, DEFAULT_ENUM_BUDGET)
     free = d - 1 if trace_zero else d
     candidates = p**free
-    if candidates > budget:
-        raise BudgetError(
-            f"enumeration needs {candidates} candidates, budget is {budget}",
-            estimate=candidates, budget=budget)
+    check_budget(candidates, budget, "enumeration", DEFAULT_ENUM_BUDGET)
     # a candidate's index is its free coefficients read in base p
     weights = [p**i for i in range(free)]
     keep = bytearray(b"\x01") * candidates
@@ -446,11 +442,7 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     """
     from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
 
-    budget = work_budget(budget, DEFAULT_ENUM_BUDGET)
-    if p**d > budget:
-        raise BudgetError(
-            f"orbit enumeration needs {p**d} elements, budget is {budget}",
-            estimate=p**d, budget=budget)
+    check_budget(p**d, budget, "orbit enumeration", DEFAULT_ENUM_BUDGET)
     field = FieldParams(p, d)
     rows = field.frobenius_rows
     basis_traces = [field.elem((0,) * i + (1,)).trace() for i in range(d)]

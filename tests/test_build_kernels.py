@@ -15,7 +15,7 @@ import pytest
 
 import oracle
 from prsfam.construct import _find_base_poly
-from prsfam.errors import ParameterError
+from prsfam.errors import BudgetError, ParameterError
 from prsfam.ff import FieldParams, char_k, legendre
 from prsfam.poly import (
     Poly,
@@ -109,7 +109,7 @@ def test_find_base_poly_matches_filter_and_budget(p, d):
     base, tried = _base_by_filter(p, d)
     assert base is not None
     assert _find_base_poly(p, d, budget=tried) == base
-    with pytest.raises(ParameterError):
+    with pytest.raises(BudgetError):
         _find_base_poly(p, d, budget=tried - 1)
 
 

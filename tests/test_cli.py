@@ -155,8 +155,9 @@ def test_measure_fc_lower_bound_record_bytes(tmp_path, capsys, fmt, record):
                 "--format", fmt]) == EXIT_BUDGET
     out = capsys.readouterr()
     assert out.out == record
-    assert out.err == ("budget exceeded: certifying level 2 needs ~1056 "
-                       "more steps (budget 100); value >= 1 is certified\n")
+    assert out.err == ("budget exceeded: certifying level 2 needs an "
+                       "estimated 1152 loop steps, budget is 100; "
+                       "value >= 1 is certified\n")
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -202,12 +203,20 @@ def test_weil_subcommand(capsys):
     assert run(["weil", "--poly", "1,2,1", "--p", "5"]) == EXIT_PARAM
 
 
-def _cli_subprocess(args):
-    # in a subprocess, so a hang fails on the timeout instead of stalling
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _cli_subprocess(args, timeout=60):
+    # in a subprocess, so a hang fails on the timeout and a runaway
+    # allocation on a 2 GiB address-space cap, instead of stalling
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-m", "prsfam.cli", *args],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=_cap_memory)
 
 
 def test_verify_unary_family_ends(tmp_path):
@@ -243,6 +252,42 @@ def test_verify_refuses_a_header_no_builder_emits(tmp_path, header):
     assert proc.returncode == EXIT_PARAM, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["f2", "--p", "5", "--d", "99999999999999999999"],
+    ["f2", "--p", "5", "--d", "100000"],
+    ["ksym", "--p", "5", "--d", "1000003"],
+    ["f1", "--p", "5", "--d", "99999999999999999999"],
+], ids=["f2-d1e20", "f2-d1e5", "ksym-d1000003", "f1-d1e20"])
+def test_gen_refuses_a_field_no_builder_emits(tmp_path, args):
+    # the headers verify refuses: these hung in the trace-zero count or
+    # ended in a traceback while the refusal was formatted
+    out = tmp_path / "x.fam"
+    proc = _cli_subprocess(["gen", "--construction", *args,
+                            "--out", str(out)], timeout=2)
+    assert proc.returncode == EXIT_PARAM, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order, value", [
+    (["72"], "1"), (["73"], "0"), (["100"], "0"),
+    (["300", "--budget", "0"], "0"),
+], ids=["72", "73", "100", "300-budget0"])
+def test_order_past_the_admissible_space_ends(tmp_path, order, value):
+    # f2(13,2) has C = 6 distinct rows of N = 12: order 72 admits one lag
+    # tuple and no order past C * N any; listing every lag tuple, or the
+    # estimate's terms past N, ran out of memory or time
+    src = str(tmp_path / "f2.fam")
+    run(["gen", "--construction", "f2", "--p", "13", "--d", "2", "--out", src])
+    proc = _cli_subprocess(["measure", "--in", src, "--measure", "phi",
+                            "--ell", *order], timeout=2)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rec = json.loads(proc.stdout)[0]
+    assert rec["value"] == value
+    assert (rec["witness"] is None) == (value == "0")
 
 
 def test_verify_f2_file_without_trace_zero(tmp_path):
@@ -478,6 +523,39 @@ def test_verify_rejects_bad_envelope_constant(tmp_path, capsys, c):
     assert "envelope constant" in out.err
 
 
+def test_f1_base_search_out_of_budget_exits_3(tmp_path, capsys):
+    # f1(3,7): the first base is the 9th candidate of 324
+    out = str(tmp_path / "f1.fam")
+    args = ["gen", "--construction", "f1", "--p", "3", "--d", "7",
+            "--out", out]
+    assert run(args + ["--budget", "8"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: the base search needs an estimated 324 loop "
+        "steps, budget is 8\n")
+    assert not os.path.exists(out)
+    assert run(args + ["--budget", "9"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--in", "{f2}", "--ell", "3", "--budget", "10"], EXIT_BUDGET),
+    (["--in", "{ksym}"], EXIT_PARAM),
+], ids=["budget", "parameter"])
+def test_refused_measure_leaves_its_out_file(tmp_path, capsys, args, code):
+    paths = {"f2": str(tmp_path / "f2.fam"), "ksym": str(tmp_path / "k.fam")}
+    run(["gen", "--construction", "f2", "--p", "13", "--d", "2",
+         "--out", paths["f2"]])
+    run(["gen", "--construction", "ksym", "--p", "13", "--d", "2",
+         "--k", "3", "--out", paths["ksym"]])
+    out = tmp_path / "r.json"
+    assert run(["measure", "--in", paths["f2"], "--measure", "phi",
+                "--ell", "2", "--out", str(out)]) == EXIT_OK
+    before = out.read_bytes()
+    assert run(["measure", "--measure", "phi",
+                *[a.format(**paths) for a in args],
+                "--out", str(out)]) == code
+    assert out.read_bytes() == before
+
+
 def test_gen_row_symbol_budget(tmp_path, capsys):
     # f1(13,5) has 12 rows of 12 symbols
     out = str(tmp_path / "f1.fam")
@@ -500,6 +578,8 @@ _AFTER_BLANKS = _HEADER + b"\n \n\n0 +1\n"  # the bad row is line 5
     _HEADER + "0 \u0661\n".encode(),              # Arabic-Indic digit one
     _HEADER + b"0 0_1\n",                         # digit separator
     _HEADER.replace(b"p=3", "p=\u0663".encode()) + b"0 1\n",
+    pytest.param(_HEADER.replace(b"d=1", b"d=" + b"9" * 5001) + b"0 1\n",
+                 id="d-past-the-int-digit-limit"),
     _AFTER_BLANKS,
 ])
 @pytest.mark.parametrize("command", ["measure", "verify", "dual"])

@@ -754,6 +754,27 @@ def test_lag_estimates_bound_literal_work():
                         <= _estimate(big_gamma, fam, ell))
 
 
+def test_lag_plans_are_the_fitting_lag_tuples():
+    # only lag tuples whose tied blocks fit the C distinct row contents
+    # are listed, so there are at most as many plans as estimated steps
+    rng = random.Random(23)
+    fams = [random_family(rng, max_f=5, max_n=7, k=k, min_n=1)
+            for k in (1, 2, 2, 3) for _ in range(4)]
+    for fam in fams:
+        n, most = fam.length, len(set(fam.rows))
+        for ell, circ in product((1, 2, 3, 4, 5), (False, True)):
+            plans = measures._lag_plans(ell, n, circ, most)
+            lags = ([(0,) * ell] if circ else
+                    [(0,) + rest for rest in combinations_with_replacement(
+                        range(n), ell - 1)])
+            fitting = [(T, [T.count(t) for t in sorted(set(T))])
+                       for T in lags if max(Counter(T).values()) <= most]
+            assert sorted(plans) == fitting
+            measure = cross_correlation_circ if circ else cross_correlation
+            if fam.k == 2:
+                assert len(plans) <= _estimate(measure, fam, ell)
+
+
 def test_sampled_gamma_estimate_bounds_literal_work():
     # a pinned draw combines ell rows of length L, reads the statistics
     # of each distinct code and looks for one absent pattern

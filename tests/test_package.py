@@ -25,3 +25,19 @@ def test_public_names_resolve_lazily_to_their_owners():
     assert set(prsfam.__all__) <= namespace.keys()
     with pytest.raises(AttributeError, match="no_such_name"):
         package.no_such_name
+
+
+def test_budget_error_is_raised_only_by_its_owner():
+    # every refusal goes through errors.check_budget: no other module
+    # builds a BudgetError
+    import ast
+    from pathlib import Path
+
+    sites = []
+    for path in sorted(Path(prsfam.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "BudgetError"):
+                sites.append(path.name)
+    assert sites == ["errors.py"]
