@@ -53,14 +53,22 @@ walked and offered, so values, witnesses and draw streams are those of
 the full walk.
 
 One search.  Every correlation measure runs ``_search``: one budget
-check, then the kernel is built and ``_lag_search`` runs, or in sampled
-mode each admissible seeded draw (I, D) of ``_sampled_draws``.  Every
-kernel takes (seqs, size, floor, reading) and reads every window
-("windows"), the full window ("full") or, for a draw, only the windows
-[0, M) of its shifted rows ("pinned"): phi takes max |P[e]| over e >= 1
-from its prefix array; gamma reads its occurrence statistics at s = 0,
-the larger of max Q_W and -min Q_W, in O(L + k^ell); big_gamma draws one
-relabeling tuple per draw and walks its windows from s = 0.
+check, the empty result when ell > C * N (ell > C at zero shift, C
+distinct rows), then the rows and the kernel are built and
+``_lag_search`` runs, or in sampled mode each admissible seeded draw
+(I, D) of ``_sampled_draws``.  A draw takes each index as
+``randrange(n)`` does, calling ``getrandbits(n.bit_length())`` until it
+is below n, so the stream is that of ``randrange``, and is admissible
+when its ell pairs (row content, shift) are distinct, one set.  A draw
+of window length L with cap * L strictly below the best value (the caps
+below) is skipped before its rows are sliced; big_gamma draws its
+relabeling first.  Every kernel takes (seqs, size, floor, reading) and
+reads every window ("windows"), the full window ("full") or, for a
+draw, only the windows [0, M) of its shifted rows ("pinned"): phi takes
+max |P[e]| over e >= 1 from its prefix array; gamma reads its
+occurrence statistics at s = 0, the larger of max Q_W and -min Q_W, in
+O(L + k^ell); big_gamma draws one relabeling tuple per draw and walks
+its windows from s = 0.
 
 Ties go to the lexicographically smallest (I, D, M, pattern or
 relabeling) witness (inside one (I, T): smallest s, then e, then W;
@@ -75,8 +83,11 @@ for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
 (k-1)!^ell * (L + 1 + L(L+1)/2) steps of its rotation-class search.
 ``_lag_estimate`` gives its closed form.  Both stops above only remove
 steps, so the estimate is an upper bound on the steps taken, usually a
-loose one.  A sampled search estimates samples * N for phi and
-big_gamma, and samples * (ell * N + min(N, k^ell) + 1) for gamma.
+loose one.  A sampled search counts the 2 ell indices of every sample
+and the work of a pinned draw: samples * (2 ell + (ell + 1) * N) for
+phi, samples * (2 ell + ell * N + min(N, k^ell) + 1) for gamma, and
+samples * (3 ell + (ell + 1) * N) for big_gamma, with its ell
+relabelings.
 """
 
 from __future__ import annotations
@@ -85,7 +96,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, count, product
+from functools import partial
+from itertools import (accumulate, chain, combinations, count, islice,
+                       product)
 from operator import add, mul
 
 from .construct import Family
@@ -209,15 +222,11 @@ def _content_ids(fam: Family) -> list[int]:
     return out
 
 
-def _admissible(ids: list[int], I: tuple[int, ...], D: tuple[int, ...]) -> bool:
-    ell = len(I)
-    for a in range(ell):
-        ia = ids[I[a]]
-        da = D[a]
-        for b in range(a + 1, ell):
-            if ids[I[b]] == ia and D[b] == da:
-                return False
-    return True
+def _empty(fam: Family, ell: int, circ: bool) -> bool:
+    """Whether no (I, D) is admissible: the ell positions need distinct
+    (row content, shift) pairs, C * N of them (C at zero shift), C the
+    number of distinct rows."""
+    return ell > len(set(fam.rows)) * (1 if circ else fam.length)
 
 
 def _require(ell: int, mode: str = MODE_EXACT, samples: int = 1) -> None:
@@ -352,9 +361,9 @@ def _lag_estimate(fam: Family, ell: int, circ: bool,
     C(N+1, r+1)) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
     """
     n, w = fam.length, int(windows)
+    if _empty(fam, ell, circ):
+        return 0  # the search returns 0
     classes = Counter(fam.rows).values()
-    if ell > len(classes) * (1 if circ else n):
-        return 0  # no admissible tuple: the search returns 0
     e = [1] + [0] * ell
     for m in classes:
         for b in range(ell, 0, -1):
@@ -412,16 +421,28 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     return best
 
 
+def _indices(rng: random.Random, n: int):
+    """Endless seeded indices in range(n), each drawn as
+    ``rng.randrange(n)`` draws it: getrandbits(n.bit_length()), again
+    while it is n or more, so the words taken are exactly those of
+    ``randrange``.  Lazy: a word is taken only when an index is asked for."""
+    return filter(n.__gt__, iter(partial(rng.getrandbits, n.bit_length()),
+                                 None))
+
+
 def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
     """The sampled modes' seeded draws: (I, D, L) for each admissible
-    draw, the window starting at D[0].  Lazy, so a caller may draw more
-    from ``rng`` between items without changing the sequence."""
-    n, f = fam.length, fam.size
-    ids = _content_ids(fam)
+    draw, the window starting at D[0].  Per sample, I is ell indices
+    below F and D the sorted ell indices below N that follow it; the
+    draw is admissible when its ell (row content, shift) pairs are
+    distinct.  Lazy, so a caller may draw more from ``rng`` between
+    items without changing the sequence."""
+    n, ids = fam.length, _content_ids(fam)
+    rows, shifts = _indices(rng, fam.size), _indices(rng, n)
     for _ in range(samples):
-        I = tuple(rng.randrange(f) for _ in range(ell))
-        D = tuple(sorted(rng.randrange(n) for _ in range(ell)))
-        if _admissible(ids, I, D):
+        I = tuple(islice(rows, ell))
+        D = tuple(sorted(islice(shifts, ell)))
+        if len(set(zip(map(ids.__getitem__, I), D))) == ell:
             yield I, D, n - D[-1]
 
 
@@ -429,24 +450,32 @@ def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
             cap: int, estimate: int, budget: Optional[int], what: str,
             rng: Optional[random.Random] = None, samples: int = 0,
             circ: bool = False) -> _Best:
-    """Every correlation search: the budget check of ``estimate``, then
-    ``make_kernel()``, so a refusal builds nothing, and ``_lag_search``,
-    or in sampled mode the "pinned" reading of the kernel over the
-    draws of ``_sampled_draws``.
+    """Every correlation search: the budget check of ``estimate``, the
+    empty result when no (I, D) is admissible, then the rows as read at
+    each tuple position j, ``rows_at(j)``, and the kernel are built, so
+    a refusal builds nothing, and ``_lag_search`` runs, or in sampled
+    mode the "pinned" reading of a kernel over ``_sampled_draws``.
 
     A draw (I, D, L) reads only the windows [0, M) of its shifted rows
-    ``rows_at[j][I[j]][D[j]:]``.  The kernel returns None below the best
+    ``rows_at(j)[I[j]][D[j]:]``.  The kernel returns None below the best
     value so far, else (value, 0, e, extra) for its best window [0, e),
-    ties going to the earliest e: the key (I, D, e, extra).  The
-    per-tuple cap may stop a draw before its walk; big_gamma draws the
-    relabeling first, so the random stream is unchanged.
+    ties going to the earliest e: the key (I, D, e, extra).  A kernel is
+    made per draw (big_gamma's draws its relabeling), then a draw with
+    ``cap * L`` strictly below the best value is skipped unsliced; ties
+    are still read, so values, witnesses and the stream are unchanged.
     """
     kind = "sampled" if mode == MODE_SAMPLED else "exact"
     check_budget(estimate, budget, f"{kind} {what}")
+    best = _Best()
+    if _empty(fam, ell, circ):  # so no sampled draw is admissible either
+        return best
+    rows_at = list(map(rows_at, range(ell)))
     if mode == MODE_EXACT:
         return _lag_search(fam, rows_at, ell, circ, make_kernel(), cap)
-    best, kernel = _Best(), make_kernel()
     for I, D, size in _sampled_draws(fam, ell, rng, samples):
+        kernel = make_kernel()
+        if best.value is not None and cap * size < best.value:
+            continue
         found = kernel([rows[i][d:d + size]
                         for rows, i, d in zip(rows_at, I, D)], size,
                        best.value, "pinned")
@@ -503,8 +532,11 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     """
     _require(ell, mode, samples)
     estimate = (_lag_estimate(fam, ell, False) if mode == MODE_EXACT
-                else samples * fam.length)
-    best = _search(fam, [fam.pm_rows()] * ell, ell, mode, lambda: _phi_kernel,
+                # a sample draws 2 ell indices; a pinned draw combines ell
+                # rows of length <= N, then reads their prefix array
+                else samples * (2 * ell + (ell + 1) * fam.length))
+    pm = fam.pm_rows()
+    best = _search(fam, lambda j: pm, ell, mode, lambda: _phi_kernel,
                    1, estimate, budget, f"order-{ell} correlation",
                    random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
@@ -518,7 +550,8 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require(ell)
-    best = _search(fam, [fam.pm_rows()] * ell, ell, MODE_EXACT,
+    pm = fam.pm_rows()
+    best = _search(fam, lambda j: pm, ell, MODE_EXACT,
                    lambda: _phi_kernel, 1, _lag_estimate(fam, ell, True),
                    budget, f"order-{ell} zero-shift correlation", circ=True)
     return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
@@ -604,17 +637,19 @@ def _gamma(fam: Family, name: str, ell: int, mode: str,
     """gamma, or gamma_circ when ``circ``: the rows pre-scaled for the
     kernel, its value cap and the estimate of the search."""
     k, kl, n = fam.k, fam.k**ell, fam.length
-    # a pinned draw combines ell rows of length <= N, then reads the
-    # statistics of at most min(N, k^ell) codes and one absent one
-    estimate = (samples * (ell * n + min(n, kl) + 1) if mode == MODE_SAMPLED
+    # a sample draws 2 ell indices; a pinned draw combines ell rows of
+    # length <= N, then reads the statistics of at most min(N, k^ell)
+    # codes and one absent one
+    estimate = (samples * (2 * ell + ell * n + min(n, kl) + 1)
+                if mode == MODE_SAMPLED
                 else _lag_estimate(fam, ell, circ) * kl)
-    rows_at = [[tuple(s * k**(ell - 1 - j) for s in row) for row in fam.rows]
-               for j in range(ell)]
     what = f"order-{ell} {'zero-shift ' if circ else ''}pattern deviation"
+    kernel = _gamma_kernel(k, ell)
     # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
-    best = _search(fam, rows_at, ell, mode, lambda: _gamma_kernel(k, ell),
-                   max(kl - 1, 1), estimate, budget, what,
-                   random.Random(seed), samples, circ)
+    best = _search(fam, lambda j: [tuple(s * k**(ell - 1 - j) for s in row)
+                                   for row in fam.rows],
+                   ell, mode, lambda: kernel, max(kl - 1, 1), estimate,
+                   budget, what, random.Random(seed), samples, circ)
     return _result(fam, name, ell, mode, best, Fraction(0), kl, "pattern")
 
 
@@ -654,31 +689,31 @@ def _permutation(k: int, index: int) -> tuple[int, ...]:
                  for r in range(k - 1, -1, -1))
 
 
-def _relabel_kernel(k: int, ell: int, mode: str, rng: random.Random):
-    """The big_gamma kernel, chosen once.  A sampled one first draws a
-    relabeling tuple, one of all k! maps per position, by its index.
-    For k <= 2 it reads ``_phi_kernel`` of the +/-1 rows, as
-    relabeling {0, 1} only flips signs, with the drawn tuple or else the
-    identity as witness; for k >= 3, ``roots.windows_kernel`` or
-    ``roots.pinned``."""
-    identity = (tuple(range(k)),) * ell
+def _signed_kernel(maps, seqs, size: int, floor, reading: str):
+    """big_gamma for k <= 2: ``_phi_kernel`` of the +/-1 rows, as
+    relabeling {0, 1} only flips signs, with ``maps`` as witness."""
+    found = _phi_kernel(seqs, size, floor, reading)
+    return None if found is None else found[:3] + (maps,)
 
-    def draw():
-        return tuple(_permutation(k, rng.randrange(math.factorial(k)))
-                     for _ in range(ell))
+
+def _relabel_kernels(k: int, ell: int, mode: str, rng: random.Random):
+    """The big_gamma kernels, one per ``next``, built from the first on,
+    so a refusal builds nothing.  An exact search takes one:
+    ``roots.windows_kernel``, or for k <= 2 the signed kernel with the
+    identity.  A sampled search takes one per admissible draw, which
+    draws its relabeling tuple, one of all k! maps per position, by its
+    index: ``roots.pinned`` of it, or for k <= 2 the signed kernel."""
     if k >= 3:
         from . import roots  # only k >= 3 runs compile it (peak memory)
-        if mode == MODE_EXACT:
-            return roots.windows_kernel(k, ell)
-        return lambda seqs, size, floor, _: roots.pinned(draw(), seqs, size,
-                                                         floor)
-
-    def kernel(seqs, size: int, floor, reading: str):
-        maps = draw() if mode == MODE_SAMPLED else identity
-        found = _phi_kernel(seqs, size, floor, reading)
-        return None if found is None else found[:3] + (maps,)
-
-    return kernel
+    if mode == MODE_EXACT:
+        yield (roots.windows_kernel(k, ell) if k >= 3
+               else partial(_signed_kernel, (tuple(range(k)),) * ell))
+        return
+    read = roots.pinned if k >= 3 else _signed_kernel
+    indices = _indices(rng, math.factorial(k))
+    while True:
+        yield partial(read, tuple(_permutation(k, i)
+                                  for i in islice(indices, ell)))
 
 
 def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
@@ -712,7 +747,10 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     _require(ell, mode, samples)
     n, k = fam.length, fam.k
     if mode == MODE_SAMPLED:
-        estimate = samples * n
+        # the sampled phi estimate and the ell relabeling indices of a
+        # draw; a pinned k >= 3 draw also combines ell rows, then walks
+        # its prefix points
+        estimate = samples * (3 * ell + (ell + 1) * n)
     elif k <= 2:
         estimate = _lag_estimate(fam, ell, False)
     else:
@@ -723,14 +761,14 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
             else ((1,) * n,) * fam.size)
     rng = random.Random(seed)  # the sampled draws and their relabelings
     # an exact magnitude is at most M <= L
-    best = _search(fam, [rows] * ell, ell, mode,
-                   lambda: _relabel_kernel(k, ell, mode, rng), 1, estimate,
-                   budget, f"order-{ell} root-relabeling correlation", rng,
-                   samples)
+    kernels = _relabel_kernels(k, ell, mode, rng)
+    best = _search(fam, lambda j: rows, ell, mode, lambda: next(kernels), 1,
+                   estimate, budget,
+                   f"order-{ell} root-relabeling correlation", rng, samples)
     if k <= 2:
         return _result(fam, "big_gamma", ell, mode, best, 0,
                        field="root_maps")
-    from . import roots  # see _relabel_kernel
+    from . import roots  # see _relabel_kernels
     if best.value is not None:
         best.value = roots.magnitude(best.value.counts)
     return _result(fam, "big_gamma", ell, mode, best, 0.0, field="root_maps",
@@ -774,10 +812,8 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
         return len(w.positions) - 1
 
     if w is None:
-        # the ell positions need distinct (row content, shift) pairs
-        shifts = 1 if result.name.endswith("_circ") else fam.length
-        if result.mode != MODE_SAMPLED and result.order <= len(
-                set(fam.rows)) * shifts:
+        if result.mode != MODE_SAMPLED and not _empty(
+                fam, result.order, result.name.endswith("_circ")):
             raise ParameterError("the record needs its witness: its "
                                  "admissible space is not empty")
         return 0
@@ -819,7 +855,7 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
             counts[idx % k] += 1
         if k <= 2:
             return abs(counts[0] - (counts[1] if k == 2 else 0))
-        from . import roots  # see _relabel_kernel
+        from . import roots  # see _relabel_kernels
         return roots.magnitude(counts)
 
     raise ParameterError(f"unknown measure name {result.name!r}")

@@ -268,7 +268,7 @@ def windows_kernel(k: int, ell: int):
     return windows
 
 
-def pinned(maps, seqs, size: int, floor):
+def pinned(maps, seqs, size: int, floor, reading: str = "pinned"):
     """The sampled big_gamma kernel for one relabeling tuple: the
     windows [0, e), the earliest of the exact largest, as the "pinned"
     reading of ``measures._search`` asks."""

@@ -112,8 +112,9 @@ def test_measure_budget_exit(tmp_path, capsys):
 
 
 def test_sampled_gamma_high_order_fits_default_budget(tmp_path, capsys):
-    # a pinned draw costs ell*N + min(N, k^ell) + 1 steps: 10,000 draws at
-    # order 6 on ksym(31,2,5) estimate 2,110,000 (samples * N * k^ell was
+    # a sample draws 2*ell indices and a pinned draw costs
+    # ell*N + min(N, k^ell) + 1 steps: 10,000 draws at order 6 on
+    # ksym(31,2,5) estimate 2,230,000 (samples * N * k^ell was
     # 4,687,500,000, over the default budget)
     src = str(tmp_path / "ks.txt")
     run(["gen", "--construction", "ksym", "--p", "31", "--d", "2",
@@ -123,8 +124,8 @@ def test_sampled_gamma_high_order_fits_default_budget(tmp_path, capsys):
     assert run(args) == EXIT_OK
     assert json.loads(capsys.readouterr().out)[0]["mode"] == \
         "sampled-lower-bound"
-    assert run(args + ["--budget", "2109999"]) == EXIT_BUDGET
-    assert "sampled order-6 pattern deviation needs an estimated 2110000" \
+    assert run(args + ["--budget", "2229999"]) == EXIT_BUDGET
+    assert "sampled order-6 pattern deviation needs an estimated 2230000" \
         in capsys.readouterr().err
 
 
@@ -272,17 +273,19 @@ def test_gen_refuses_a_field_no_builder_emits(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("order, value", [
-    (["72"], "1"), (["73"], "0"), (["100"], "0"),
-    (["300", "--budget", "0"], "0"),
-], ids=["72", "73", "100", "300-budget0"])
-def test_order_past_the_admissible_space_ends(tmp_path, order, value):
+@pytest.mark.parametrize("name, order, value", [
+    ("phi", ["72"], "1"), ("phi", ["73"], "0"), ("phi", ["100"], "0"),
+    ("phi", ["300", "--budget", "0"], "0"),
+    ("gamma", ["20000"], "0"), ("gamma0", ["20000"], "0"),
+], ids=["72", "73", "100", "300-budget0", "gamma-20000", "gamma0-20000"])
+def test_order_past_the_admissible_space_ends(tmp_path, name, order, value):
     # f2(13,2) has C = 6 distinct rows of N = 12: order 72 admits one lag
-    # tuple and no order past C * N any; listing every lag tuple, or the
-    # estimate's terms past N, ran out of memory or time
+    # tuple and no order past C * N any; listing every lag tuple, the
+    # estimate's terms past N, or scaling ell copies of the rows for
+    # gamma ran out of memory or time
     src = str(tmp_path / "f2.fam")
     run(["gen", "--construction", "f2", "--p", "13", "--d", "2", "--out", src])
-    proc = _cli_subprocess(["measure", "--in", src, "--measure", "phi",
+    proc = _cli_subprocess(["measure", "--in", src, "--measure", name,
                             "--ell", *order], timeout=2)
     assert proc.returncode == EXIT_OK, proc.stderr
     rec = json.loads(proc.stdout)[0]

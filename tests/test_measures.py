@@ -558,8 +558,10 @@ def test_big_gamma_refuses_before_building_its_kernel(mode, monkeypatch):
     fam = family_k_symbol(23, 2, 11)
     with pytest.raises(BudgetError) as exc:
         big_gamma(fam, 1, mode, budget=0)
-    assert exc.value.estimate == (1000 * 22 if mode == MODE_SAMPLED
-                                  else 111088454400)
+    # sampled: per sample 2 ell indices and ell relabelings, and the
+    # pinned read of ell rows of length N = 22
+    assert exc.value.estimate == (1000 * (3 + 2 * 22)
+                                  if mode == MODE_SAMPLED else 111088454400)
 
 
 def test_sampled_big_gamma_lists_no_relabelings(monkeypatch):
@@ -776,24 +778,112 @@ def test_lag_plans_are_the_fitting_lag_tuples():
 
 
 def test_sampled_gamma_estimate_bounds_literal_work():
-    # a pinned draw combines ell rows of length L, reads the statistics
-    # of each distinct code and looks for one absent pattern
+    # every sample draws 2 ell indices, admissible or not; a pinned phi
+    # draw combines ell rows of length L and reads L prefix sums, a gamma
+    # draw reads the statistics of each distinct code and looks for one
+    # absent pattern, and a big_gamma draw also draws ell relabelings
     rng = random.Random(29)
-    for k in (2, 3, 4, 5):
+    for k in (1, 2, 2, 3, 4, 5):
         for _ in range(4):
             fam = random_family(rng, max_f=4, max_n=9, k=k, min_n=1)
             for ell in (1, 2, 3, 6):
                 seed, samples = rng.randrange(10**6), rng.randint(1, 40)
-                work = 0
+                work = {"phi": 0, "gamma": 0, "big_gamma": 0}
                 for I, D, size in measures._sampled_draws(
                         fam, ell, random.Random(seed), samples):
                     codes = {tuple(fam.rows[i][d + t] for i, d in zip(I, D))
                              for t in range(size)}
-                    work += ell * size + len(codes) + 1
-                with pytest.raises(BudgetError) as exc:
-                    gamma(fam, ell, mode=MODE_SAMPLED, seed=seed,
-                          samples=samples, budget=0)
-                assert work <= exc.value.estimate
+                    work["phi"] += (ell + 1) * size
+                    work["gamma"] += ell * size + len(codes) + 1
+                    work["big_gamma"] += ell + (ell + 1) * size
+                measured = {"gamma": gamma, "big_gamma": big_gamma}
+                if k == 2:
+                    measured["phi"] = cross_correlation
+                for name, measure in measured.items():
+                    with pytest.raises(BudgetError) as exc:
+                        measure(fam, ell, mode=MODE_SAMPLED, seed=seed,
+                                samples=samples, budget=0)
+                    assert (samples * 2 * ell + work[name]
+                            <= exc.value.estimate)
+
+
+@pytest.mark.parametrize("size, length", list(product(
+    (1, 2, 3, 15, 16, 17, 30, 31, 32), repeat=2)))
+def test_sampled_draws_are_the_randrange_stream(size, length):
+    # per sample, ell randrange(F) draws then ell randrange(N) draws,
+    # sorted; an item is yielded only after its own draws are taken
+    rng = random.Random(size * 100 + length)
+    fam = Family(p=3, d=1, k=2, rows=tuple(
+        tuple(rng.randrange(2) for _ in range(length)) for _ in range(size)))
+    for ell in (1, 2, 3, 4):
+        seed, samples = rng.randrange(10**6), 25
+        drawn = random.Random(seed)
+        draws = measures._sampled_draws(fam, ell, drawn, samples)
+        replay = random.Random(seed)
+        for _ in range(samples):
+            I = tuple(replay.randrange(size) for _ in range(ell))
+            D = tuple(sorted(replay.randrange(length) for _ in range(ell)))
+            if oracle._admissible(fam, I, D):
+                assert next(draws) == (I, D, length - D[-1])
+                assert drawn.getstate() == replay.getstate()
+        assert next(draws, None) is None
+        assert drawn.getstate() == replay.getstate()
+
+
+def _sampled_skip_cases():
+    rng = random.Random(41)
+    return ([(family_f2(13, 2), 3), (family_f2(13, 2), 2)]
+            + [(random_family(rng, max_f=6, max_n=10, k=2, min_f=3,
+                              min_n=6), 2) for _ in range(2)]
+            + [(random_family(rng, max_f=6, max_n=10, k=3, min_f=3,
+                              min_n=6), 1) for _ in range(2)])
+
+
+@pytest.mark.parametrize("name", ["phi", "gamma", "big_gamma"])
+def test_sampled_value_cap_skip_changes_nothing(name, monkeypatch):
+    # with hundreds of draws the best value settles, and a draw whose
+    # window length L gives cap * L below it is skipped unread; big_gamma
+    # still draws that draw's relabeling, so later draws are unchanged
+    measure, field = {"phi": (cross_correlation, None),
+                      "gamma": (gamma, "pattern"),
+                      "big_gamma": (big_gamma, "root_maps")}[name]
+    real_phi, real_gamma = measures._phi_kernel, measures._gamma_kernel
+    real_permutation = measures._permutation
+    read, relabeled = [], []
+
+    def phi_kernel(*args):
+        read.append(None)
+        return real_phi(*args)
+
+    def gamma_kernel(*args):
+        kernel = real_gamma(*args)
+        return lambda *a: (read.append(None), kernel(*a))[1]
+
+    def permutation(*args):
+        relabeled.append(None)
+        return real_permutation(*args)
+
+    monkeypatch.setattr(measures, "_phi_kernel", phi_kernel)
+    monkeypatch.setattr(measures, "_gamma_kernel", gamma_kernel)
+    monkeypatch.setattr(measures, "_permutation", permutation)
+    for (fam, ell), samples in zip(_sampled_skip_cases(),
+                                   (3000, 500, 1500, 800, 1000, 600)):
+        if fam.k != 2 and name != "gamma":
+            continue
+        read.clear()
+        relabeled.clear()
+        r = measure(fam, ell, mode=MODE_SAMPLED, seed=samples, samples=samples)
+        admissible = sum(1 for _ in measures._sampled_draws(
+            fam, ell, random.Random(samples), samples))
+        if name == "big_gamma":  # its relabelings take from the same stream
+            admissible = len(relabeled) // ell
+        assert len(read) < admissible
+        v, key = oracle.sampled(name, fam, ell, samples, samples)
+        assert r.value == v
+        I, D, m = key[:3]
+        assert r.witness == CorrelationSpec(
+            ell=ell, window=m, shifts=D, rows=tuple(i + 1 for i in I),
+            **({field: key[-1]} if field else {}))
 
 
 def test_refusal_names_the_mode():

@@ -2,13 +2,18 @@
 benchmark's job lists, on every measure and mode, and on the
 invocations that need no input file.
 
-Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N] [--seed S]
+Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--jobs N]
+                                     [--seed S [--seed S ...]]
 
 PARENT_SRC and CHANGE_SRC are directories that contain a ``prsfam``
 package (the ``src`` directory of two checkouts).  Every job of the
 three workloads in ``perfbench/workloads.py`` runs as
 ``python -m prsfam.cli ...`` against each tree, in order, each tree in
-its own scratch directory, with ``{seed}`` set to ``--seed``.
+its own scratch directory, with ``{seed}`` set to the first ``--seed``
+(1 when none is given).  For each further ``--seed``, only the jobs that
+read the seed, the sampled measure jobs, run again, under
+``seed<S>/<workload>/``, on copies of the family files of the first
+run.
 ``MEASURE_JOBS`` run the same way, under ``measures/``: every measure,
 exact and sampled where it has a sampled mode, on one binary and one
 k = 3 family, so each search kernel is compared, sampled ``biggamma``
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,11 +107,13 @@ def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
     return argv
 
 
-def run_tree(src: Path, root: Path, seed: int, jobs: int | None) -> None:
+def run_tree(src: Path, root: Path, seeds: list[int],
+             jobs: int | None) -> None:
     """Run the job lists against ``src`` with ``root`` as the working
     directory; each job leaves ``<workload>/<job>.{exit,out,err}``
-    beside the files it writes, and each ``NO_INPUT`` invocation
-    ``no-input/<name>.{exit,out,err}``."""
+    beside the files it writes, each ``NO_INPUT`` invocation
+    ``no-input/<name>.{exit,out,err}``, and each job that reads a
+    further seed S ``seed<S>/<workload>/<job>.{exit,out,err}``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
     def run(argv: list[str], base: Path) -> None:
@@ -116,13 +124,26 @@ def run_tree(src: Path, root: Path, seed: int, jobs: int | None) -> None:
         base.with_suffix(".out").write_bytes(proc.stdout)
         base.with_suffix(".err").write_bytes(proc.stderr)
 
-    for name, job_list in {**WORKLOADS, "measures": MEASURE_JOBS}.items():
+    job_lists = {**WORKLOADS, "measures": MEASURE_JOBS}
+    for name, job_list in job_lists.items():
         (root / name).mkdir(parents=True)
         for job in job_list:
-            run(job_argv(job, name, seed, jobs), root / name / job.id)
+            run(job_argv(job, name, seeds[0], jobs), root / name / job.id)
     (root / "no-input").mkdir()
     for name, argv in NO_INPUT.items():
         run(argv, root / "no-input" / name)
+    for seed in seeds[1:]:
+        for name, job_list in job_lists.items():
+            reading = [job for job in job_list if "{seed}" in job.argv]
+            if not reading:
+                continue
+            work_dir = f"seed{seed}/{name}"
+            (root / work_dir).mkdir(parents=True)
+            for fam in (root / name).glob("*.fam"):
+                shutil.copy(fam, root / work_dir)
+            for job in reading:
+                run(job_argv(job, work_dir, seed, jobs),
+                    root / work_dir / job.id)
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -137,9 +158,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("change_src", type=Path)
     ap.add_argument("--jobs", type=int, default=None,
                     help="replace the --jobs value of every job")
-    ap.add_argument("--seed", type=int, default=1,
-                    help="seed of the sampled measure jobs")
+    ap.add_argument("--seed", type=int, action="append",
+                    help="a seed of the sampled measure jobs (repeatable; "
+                         "default 1)")
     args = ap.parse_args(argv)
+    seeds = args.seed or [1]
     for src in (args.parent_src, args.change_src):
         if not (src / "prsfam" / "cli.py").is_file():
             ap.error(f"no prsfam package under {src}")
@@ -147,7 +170,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         roots = [Path(tmp) / "parent", Path(tmp) / "change"]
         for src, root in zip((args.parent_src, args.change_src), roots):
-            run_tree(src.resolve(), root, args.seed, args.jobs)
+            run_tree(src.resolve(), root, seeds, args.jobs)
         parent, change = files(roots[0]), files(roots[1])
 
     differ = 0
@@ -164,7 +187,8 @@ def main(argv: list[str]) -> int:
     total = len(parent.keys() | change.keys())
     jobs = args.jobs if args.jobs is not None else "as listed"
     print(f"{total} files compared ({', '.join(WORKLOADS)}, measures, "
-          f"no-input; jobs {jobs}, seed {args.seed}): "
+          f"no-input; jobs {jobs}, seed{'s' * (len(seeds) > 1)} "
+          f"{', '.join(map(str, seeds))}): "
           + ("all identical" if not differ else f"{differ} differ"))
     return 1 if differ else 0
 
