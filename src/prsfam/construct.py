@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 
 from . import poly as _poly
 from .errors import (TYPE_CHECKING, InternalError, ParameterError,
@@ -83,18 +84,24 @@ class Family(Record):
         _check_tag(self.construction)
         if self.k < 1:
             raise ParameterError(f"alphabet size must be >= 1, got {self.k}")
-        if not self.rows:
+        rows = self.rows
+        if type(rows) is not tuple or set(map(type, rows)) - {tuple}:
+            raise ParameterError("rows must be a tuple of tuples")
+        if not rows:
             raise ParameterError("a family needs at least one row")
-        n = len(self.rows[0])
+        n = len(rows[0])
         if n < 1:
             raise ParameterError("rows must be nonempty")
-        for r in self.rows:
-            if len(r) != n:
-                raise ParameterError("rows must all have the same length")
-            for s in r:
-                if not 0 <= s < self.k:
-                    raise ParameterError(
-                        f"symbol {s} out of range for alphabet size {self.k}")
+        if set(map(len, rows)) != {n}:
+            raise ParameterError("rows must all have the same length")
+        # C-level passes over the symbols: their types, then their values
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            raise ParameterError("symbols must be ints")
+        symbols = set().union(*rows)
+        lo, hi = min(symbols), max(symbols)
+        if lo < 0 or hi >= self.k:
+            raise ParameterError(f"symbol {lo if lo < 0 else hi} out of "
+                                 f"range for alphabet size {self.k}")
 
     @property
     def size(self) -> int:

@@ -8,9 +8,9 @@ used by the order-k character are chosen deterministically, so
 independent runs agree bit for bit.
 
 Each field caches its p-power Frobenius as a d x d matrix over F_p
-(the map is F_p-linear; see ``poly``), so a conjugate costs one
-matrix-vector product.  ``ExtElem.conjugates`` is the one walk of the
-Frobenius orbit; the trace and the minimal polynomial read it.
+(the map is F_p-linear; see ``poly``).  ``FieldParams`` and
+``ExtElem`` only hold values: the arithmetic on coordinate tuples, and
+``poly._orbit``, the one walk of a Frobenius orbit, live in ``poly``.
 
 Every value is immutable and every operation is a pure function; values
 can be shared freely across threads.
@@ -21,19 +21,11 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import TYPE_CHECKING, DomainError, InternalError, ParameterError
-from .poly import (
-    Poly,
-    _apply_rows,
-    _frobenius_columns,
-    _mulmod,
-    _prime_divisors,
-    first_irreducible,
-    is_irreducible,
-)
-
-if TYPE_CHECKING:
-    from typing import Iterable, Union
+from .errors import DomainError, InternalError, ParameterError, Record
+# ``is_irreducible`` is not called here; it stays importable from
+# ``ff`` because perfbench's tracer wraps ``ff.is_irreducible`` by name.
+from .poly import (Poly, _frobenius_columns, _prime_divisors,
+                   first_irreducible, is_irreducible)
 
 __all__ = [
     "is_prime",
@@ -160,137 +152,39 @@ def _default_modulus(p: int, d: int) -> Poly:
 
 
 class FieldParams:
-    """Arithmetic context for F_{p^d}: odd prime p, degree d >= 1, and a
-    monic irreducible modulus defining the extension.
+    """The field F_{p^d} for an odd prime p and a degree d >= 1, in the
+    polynomial basis of ``_default_modulus(p, d)``.
 
     ``frobenius_rows`` is the p-power map as a matrix acting on
     coordinate tuples: its column i holds (x^i)^p mod the modulus.
     """
 
-    __slots__ = ("p", "d", "modulus", "_mod_coeffs", "frobenius_rows")
+    __slots__ = ("p", "d", "modulus", "frobenius_rows")
 
-    def __init__(self, p: int, d: int, modulus: Poly | None = None):
+    def __init__(self, p: int, d: int):
         _check_odd_prime(p)
         if d < 1:
             raise ParameterError(f"extension degree must be >= 1, got {d}")
-        if modulus is None:
-            modulus = _default_modulus(p, d)
-        else:
-            if modulus.p != p:
-                raise ParameterError("modulus is over the wrong prime field")
-            if modulus.degree != d or not modulus.is_monic:
-                raise ParameterError(
-                    f"modulus must be monic of degree {d}, got {modulus}")
-            if not is_irreducible(modulus):
-                raise ParameterError(f"modulus {modulus} is reducible")
         self.p = p
         self.d = d
-        self.modulus = modulus
-        self._mod_coeffs = modulus.coeffs
-        self.frobenius_rows = tuple(zip(*_frobenius_columns(modulus)))
-
-    def elem(self, value: Union[int, Iterable[int]]) -> "ExtElem":
-        """Build an element from an integer (embedded constant) or a
-        coordinate sequence of length <= d."""
-        if isinstance(value, int):
-            coords = (value % self.p,) + (0,) * (self.d - 1)
-        else:
-            cs = [c % self.p for c in value]
-            if len(cs) > self.d:
-                raise ParameterError(
-                    f"too many coordinates for degree-{self.d} extension")
-            coords = tuple(cs) + (0,) * (self.d - len(cs))
-        return ExtElem(self, coords)
-
-    @property
-    def zero(self) -> "ExtElem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "ExtElem":
-        return self.elem(1)
+        self.modulus = _default_modulus(p, d)
+        self.frobenius_rows = tuple(zip(*_frobenius_columns(self.modulus)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldParams):
             return NotImplemented
-        return (self.p, self.d, self._mod_coeffs) == (
-            other.p, other.d, other._mod_coeffs)
+        return (self.p, self.d) == (other.p, other.d)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.d, self._mod_coeffs))
+        return hash((self.p, self.d))
 
     def __repr__(self) -> str:
-        return f"FieldParams(p={self.p}, d={self.d}, modulus={self.modulus})"
+        return f"FieldParams(p={self.p}, d={self.d})"
 
 
-class ExtElem:
-    """Element of F_{p^d} as a coordinate tuple in the power basis."""
+class ExtElem(Record):
+    """Element of F_{p^d}: its field and its coordinate tuple in the
+    power basis.  It carries no arithmetic; ``poly`` computes on the
+    coordinate tuples."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldParams, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _check_same(self, other: "ExtElem") -> None:
-        if not isinstance(other, ExtElem) or self.field != other.field:
-            raise ParameterError("operands belong to different fields")
-
-    def __add__(self, other: "ExtElem") -> "ExtElem":
-        self._check_same(other)
-        p = self.field.p
-        return ExtElem(self.field, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ExtElem") -> "ExtElem":
-        self._check_same(other)
-        p = self.field.p
-        return ExtElem(self.field, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "ExtElem") -> "ExtElem":
-        self._check_same(other)
-        field = self.field
-        return ExtElem(field, tuple(_mulmod(
-            self.coeffs, other.coeffs, field._mod_coeffs, field.p)))
-
-    def frobenius(self) -> "ExtElem":
-        """The p-power map; applying it d times is the identity.
-
-        One product with the field's cached Frobenius matrix, which
-        equals the p-th power of self because the map is F_p-linear.
-        """
-        field = self.field
-        return ExtElem(field, _apply_rows(
-            field.frobenius_rows, self.coeffs, field.p))
-
-    def conjugates(self) -> list["ExtElem"]:
-        """self^(p^t) for t = 0..d-1; an element of degree t repeats
-        its t distinct conjugates d/t times."""
-        out = [self]
-        for _ in range(self.field.d - 1):
-            out.append(out[-1].frobenius())
-        return out
-
-    def base_value(self, what: str) -> int:
-        """The element as an integer of F_p; ``what`` names it in the
-        InternalError raised when it lies outside F_p."""
-        if any(self.coeffs[1:]):
-            raise InternalError(f"{what} escaped the base field")
-        return self.coeffs[0]
-
-    def trace(self) -> int:
-        """Sum of the d conjugates, landing in F_p."""
-        conj = self.conjugates()
-        return sum(conj[1:], conj[0]).base_value("trace")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtElem):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.field.p, self.field.d))
-
-    def __repr__(self) -> str:
-        return f"ExtElem{self.coeffs}"
+    __match_args__ = __slots__ = ("field", "coeffs")

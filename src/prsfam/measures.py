@@ -805,6 +805,8 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
             raise InternalError("witness positions must strictly increase")
         if not all(1 <= q <= fam.length for q in w.positions):
             raise InternalError("witness positions out of range")
+        if not all(s in range(fam.k) for s in w.pattern):
+            raise ParameterError("pattern must be symbols in 0..k-1")
         for row in fam.rows:
             if all(row[q - 1] == s for q, s in zip(w.positions, w.pattern)):
                 raise InternalError(

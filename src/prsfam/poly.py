@@ -19,6 +19,9 @@ every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
 whose column i is (x^i)^p mod f; every later p-th power (the powers
 x^(p^t) of the irreducibility test, the conjugates of an extension
 element) is one matrix-vector product instead of a square-and-multiply.
+``_orbit`` is the one walk of a Frobenius orbit: the representatives,
+their basis traces and their minimal polynomials all read it, on
+coordinate tuples multiplied by ``_mulmod``.
 
 Functions taking a prime ``p`` trust the caller; primality is validated
 at the field and construction layers.
@@ -259,6 +262,21 @@ def _apply_rows(rows: Sequence[Sequence[int]], v: Sequence[int],
     return tuple(sum(map(mul, r, v)) % p for r in rows)
 
 
+def _orbit(rows: Sequence[Sequence[int]], v: Sequence[int],
+           p: int) -> list[tuple[int, ...]]:
+    """The distinct conjugates v, v^p, v^(p^2), ... of the coordinate
+    tuple v, from the Frobenius matrix with these rows: the one walk of
+    a Frobenius orbit.  The map is a bijection, so the walk ends when
+    it returns to v."""
+    v = tuple(v)
+    orbit = [v]
+    conj = _apply_rows(rows, v, p)
+    while conj != v:
+        orbit.append(conj)
+        conj = _apply_rows(rows, conj, p)
+    return orbit
+
+
 def _prime_divisors(n: int) -> list[int]:
     out = []
     f = 2
@@ -404,24 +422,26 @@ def enumerate_trace_zero_irreducibles(p: int, d: int,
 
 def minimal_polynomial(beta) -> Poly:
     """Monic polynomial over F_p whose roots are the distinct conjugates
-    of beta.
+    of beta, an ``ff.ExtElem``.
 
     For beta generating the full extension the degree equals d; subfield
     elements yield their lower-degree minimal polynomial (the degree of
-    the result tells which happened).
+    the result tells which happened).  The product of X - r over the
+    orbit is expanded on coordinate tuples; each coefficient must land
+    in F_p.
     """
     field = beta.field
-    orbit = dict.fromkeys(beta.conjugates())
-    # Expand prod (X - r) with coefficients in the extension field.
-    coeffs = [field.one]
-    for r in orbit:
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * r
-        coeffs = nxt
-    return Poly([c.base_value("minimal polynomial coefficient")
-                 for c in coeffs], field.p)
+    p, f, d = field.p, field.modulus.coeffs, field.d
+    zero = (0,) * d
+    coeffs = [(1,) + zero[1:]]  # coeffs[i] multiplies X^i
+    for r in _orbit(field.frobenius_rows, beta.coeffs, p):
+        scaled = [_mulmod(c, r, f, p) for c in coeffs] + [zero]
+        coeffs = [tuple((a - b) % p for a, b in zip(u, w))
+                  for u, w in zip([zero] + coeffs, scaled)]
+    if any(any(c[1:]) for c in coeffs):
+        raise InternalError("minimal polynomial coefficient escaped the "
+                            "base field")
+    return Poly([c[0] for c in coeffs], p)
 
 
 def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
@@ -434,18 +454,22 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     biject with the monic irreducible degree-d polynomials (trace-zero
     ones under the filter) via ``minimal_polynomial``.
 
-    Orbits are walked on coordinate tuples with the field's Frobenius
-    matrix.  The trace is an F_p-linear functional, constant on each
-    orbit, so under the filter an element is tested first (one dot
-    product with the traces of the basis) and a nonzero trace skips it
-    without walking its orbit.
+    Orbits are walked by ``_orbit``.  The trace is an F_p-linear
+    functional, constant on each orbit, so under the filter an element
+    is tested first (one dot product with the traces of the basis) and
+    a nonzero trace skips it without walking its orbit.  A basis
+    vector's trace sums its d conjugates: d / |orbit| times the sum of
+    its orbit, whose rational coordinates carry it.
     """
     from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
 
     check_budget(p**d, budget, "orbit enumeration", DEFAULT_ENUM_BUDGET)
     field = FieldParams(p, d)
     rows = field.frobenius_rows
-    basis_traces = [field.elem((0,) * i + (1,)).trace() for i in range(d)]
+    basis_traces = []
+    for i in range(d):
+        orbit = _orbit(rows, (0,) * i + (1,) + (0,) * (d - 1 - i), p)
+        basis_traces.append(d // len(orbit) * sum(c[0] for c in orbit) % p)
     seen: set[tuple[int, ...]] = set()
     reps = []
     for coords in product(range(p), repeat=d):
@@ -453,12 +477,8 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
             continue
         if coords in seen:
             continue
-        orbit = {coords}
-        conj = _apply_rows(rows, coords, p)
-        while conj not in orbit:
-            orbit.add(conj)
-            conj = _apply_rows(rows, conj, p)
-        seen |= orbit
+        orbit = _orbit(rows, coords, p)
+        seen.update(orbit)
         if len(orbit) == d:
             reps.append(ExtElem(field, coords))
     return reps

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, combinations, product, repeat, starmap
+from itertools import (accumulate, combinations, islice, permutations,
+                       product, repeat, starmap)
 from operator import attrgetter, mul, sub
-
-from .measures import _permutation
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +250,8 @@ def windows_kernel(k: int, ell: int):
     whose prefix points have a hull diameter, the largest magnitude of
     its windows, clearly below the best value so far, and walks the
     windows of the others.  The representatives are the first (k-1)!
-    maps in lex order."""
-    reps = [_permutation(k, i) for i in range(math.factorial(k - 1))]
+    maps in lex order, those of ``itertools.permutations``."""
+    reps = list(islice(permutations(range(k)), math.factorial(k - 1)))
 
     def windows(seqs, size: int, floor, reading: str = "windows"):
         best = None

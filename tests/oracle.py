@@ -27,9 +27,11 @@ became ``prsfam.errors.Record`` subclasses, without ``Family``'s
 validation; ``test_records`` checks each class against its twin.
 
 The kernel references at the end use no precomputed map: irreducibility
-is trial division by every monic candidate divisor, a power is repeated
-multiplication, conjugates are literal p-th powers, and a shift
-f(x + s) is the expanded sum of c_i (x + s)^i.
+is trial division by every monic candidate divisor; extension elements
+are coordinate tuples, and their product is the ``Poly`` product
+reduced mod the field's modulus; a power is repeated multiplication,
+conjugates are literal p-th powers, and a shift f(x + s) is the
+expanded sum of c_i (x + s)^i.
 """
 
 from __future__ import annotations
@@ -302,28 +304,60 @@ def irreducible_by_divisors(f):
 
 
 def field_elements(field):
-    """Every element of the field, ordered by coordinate tuple."""
-    return [field.elem(coords)
-            for coords in product(range(field.p), repeat=field.d)]
+    """Every element of the field as a coordinate tuple, in order."""
+    return list(product(range(field.p), repeat=field.d))
 
 
-def power(a, e):
-    """a^e for e >= 0, as e multiplications of the field's one by a."""
-    acc = a.field.one
-    for _ in range(e):
-        acc = acc * a
+def const(field, c):
+    """The coordinate tuple of c in F_p, embedded in the field."""
+    return (c % field.p,) + (0,) * (field.d - 1)
+
+
+def add(field, a, b):
+    return tuple((x + y) % field.p for x, y in zip(a, b))
+
+
+def sub(field, a, b):
+    return tuple((x - y) % field.p for x, y in zip(a, b))
+
+
+def mul(field, a, b):
+    """a * b on coordinate tuples: the ``Poly`` product, then the
+    remainder mod the field's modulus, padded to d coordinates."""
+    r = (Poly(a, field.p) * Poly(b, field.p)) % field.modulus
+    return r.coeffs + (0,) * (field.d - len(r.coeffs))
+
+
+def total(field, elems):
+    """The sum of the elements, added one by one to the field's zero."""
+    acc = const(field, 0)
+    for a in elems:
+        acc = add(field, acc, a)
     return acc
 
 
-def conjugates(a):
+def prod(field, elems):
+    """The product of the elements, multiplied one by one into the
+    field's one."""
+    acc = const(field, 1)
+    for a in elems:
+        acc = mul(field, acc, a)
+    return acc
+
+
+def power(field, a, e):
+    """a^e for e >= 0, as e multiplications of the field's one by a."""
+    return prod(field, [a] * e)
+
+
+def conjugates(field, a):
     """The distinct conjugates a, a^p, a^(p^2), ... of a, each the
     literal p-th power of the one before."""
-    p = a.field.p
     orbit = [a]
-    conj = power(a, p)
+    conj = power(field, a, field.p)
     while conj != a:
         orbit.append(conj)
-        conj = power(conj, p)
+        conj = power(field, conj, field.p)
     return orbit
 
 
@@ -348,14 +382,11 @@ def conjugacy_representatives(p, d, trace_zero_only):
     for coords in product(range(p), repeat=d):
         if coords in seen:
             continue
-        orbit = conjugates(field.elem(coords))
-        seen.update(c.coeffs for c in orbit)
+        orbit = conjugates(field, coords)
+        seen.update(orbit)
         if len(orbit) != d:
             continue
-        trace = field.zero
-        for c in orbit:
-            trace = trace + c
-        if trace_zero_only and trace != field.zero:
+        if trace_zero_only and any(total(field, orbit)):
             continue
         reps.append(coords)
     return reps

@@ -1,7 +1,8 @@
 """Differential tests of the build-path kernels against literal
 definitions: the linear Frobenius (irreducibility test, conjugates,
-orbit representatives), the product sieve of the irreducibles, the f1
-base search and the cached primality check behind the characters."""
+orbit representatives), the product mod the modulus, the product
+sieve of the irreducibles, the f1 base search and the cached primality
+check behind the characters."""
 
 import json
 import os
@@ -19,6 +20,9 @@ from prsfam.errors import BudgetError, ParameterError
 from prsfam.ff import FieldParams, char_k, legendre
 from prsfam.poly import (
     Poly,
+    _apply_rows,
+    _mulmod,
+    _orbit,
     conjugacy_representatives,
     count_trace_zero_irreducibles,
     enumerate_irreducibles,
@@ -75,8 +79,33 @@ def test_frobenius_is_pth_power(p, d):
     fld = FieldParams(p, d)
     rng = random.Random(p * 100 + d)
     for _ in range(40):
-        a = fld.elem([rng.randrange(p) for _ in range(d)])
-        assert a.frobenius() == oracle.power(a, p)
+        a = tuple(rng.randrange(p) for _ in range(d))
+        assert _apply_rows(fld.frobenius_rows, a, p) == \
+            oracle.power(fld, a, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_mulmod_matches_poly_product(p, d):
+    # any monic modulus, irreducible or not; zero vectors included
+    rng = random.Random(p * 10 + d)
+    zero = (0,) * d
+    for _ in range(60):
+        f = Poly([rng.randrange(p) for _ in range(d)] + [1], p)
+        a, b = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(2))
+        for x, y in ((a, b), (zero, b), (a, zero), (zero, zero)):
+            r = ((Poly(x, p) * Poly(y, p)) % f).coeffs
+            assert _mulmod(x, y, f.coeffs, p) == list(r) + [0] * (d - len(r))
+
+
+@pytest.mark.parametrize("p,d", FIELD_GRID + [(3, 1), (13, 1), (3, 6)])
+def test_orbit_matches_literal_conjugates(p, d):
+    fld = FieldParams(p, d)
+    elems = oracle.field_elements(fld)
+    if len(elems) > 400:
+        elems = random.Random(p * 100 + d).sample(elems, 400)
+    for a in elems:
+        assert _orbit(fld.frobenius_rows, a, p) == oracle.conjugates(fld, a)
 
 
 # p in 3..13 with d in 2..4 is covered in test_poly.py; these add p = 2,

@@ -39,6 +39,18 @@ def test_family_validation():
         Family(p=3, d=1, k=2, rows=((0, 1),), construction="bogus")
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 1, 0], [1, 1, 0, 0]],   # lists: unhashable rows
+    ((0, 1, 1, 0), [1, 1, 0, 0]),
+    [(0, 1, 1, 0), (1, 1, 0, 0)],
+    ((0, 1, 1.0, 0),),              # a float that passes the range check
+    ((0, True, 1, 0),),             # and a bool
+])
+def test_family_refuses_rows_that_are_not_int_tuples(rows):
+    with pytest.raises(ParameterError):
+        Family(p=5, d=2, k=2, rows=rows)
+
+
 def test_pm_view():
     fam = Family(p=3, d=1, k=2, rows=((0, 1, 0),))
     assert fam.pm_rows() == ((1, -1, 1),)

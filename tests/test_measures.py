@@ -655,6 +655,20 @@ def test_evaluate_witness_refuses_a_witness_that_does_not_fit():
             evaluate_witness(fam, result)
 
 
+@pytest.mark.parametrize("symbol", [7, -1])
+def test_evaluate_witness_refuses_an_uncovered_pattern_outside_the_alphabet(
+        symbol):
+    # no row holds a symbol outside 0..k-1, so such a pattern would
+    # certify C = 0 on f2(13,2), whose f-complexity is 1
+    fam = family_f2(13, 2)
+    fc = f_complexity(fam)
+    assert fc.value == 1 and evaluate_witness(fam, fc) == 1
+    forged = MeasureResult("f_complexity", 0, 0, MODE_EXACT,
+                           PatternWitness((1,), (symbol,)), subject="f2")
+    with pytest.raises(ParameterError):
+        evaluate_witness(fam, forged)
+
+
 def test_evaluate_witness_takes_no_witness_only_for_a_full_certificate():
     fam = family_f2(13, 2)  # f-complexity 1; phi of order 1 is 12
     phi = cross_correlation(fam, 1)

@@ -1,4 +1,8 @@
 import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +35,6 @@ def test_budget_error_is_raised_only_by_its_owner():
     # every refusal goes through errors.check_budget: no other module
     # builds a BudgetError
     import ast
-    from pathlib import Path
 
     sites = []
     for path in sorted(Path(prsfam.__file__).parent.glob("*.py")):
@@ -41,3 +44,14 @@ def test_budget_error_is_raised_only_by_its_owner():
                     and node.func.id == "BudgetError"):
                 sites.append(path.name)
     assert sites == ["errors.py"]
+
+
+def test_roots_imports_no_other_package_module():
+    # measures imports roots lazily, for k >= 3 big_gamma; roots takes
+    # nothing back, so importing it alone loads no measures
+    code = ("import sys, prsfam.roots; print(*sorted("
+            "m for m in sys.modules if m.startswith('prsfam')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(prsfam.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["prsfam", "prsfam.roots"], proc.stderr

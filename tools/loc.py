@@ -8,22 +8,37 @@ and docstrings: the string literal that opens a module, class or
 function body, found with ``ast``) and the size in bytes.  A line gives
 the same totals over ``tests/*.py``, so a change shows whether lines
 only moved from the package into the tests.  The last line gives the
-bytes of ``construct.py`` and ``measures.py`` together: perfbench's
-runner compiles those two from source (through ``gate.py``), so their
-size moves its ``peak_rss_mb``.
+bytes of the package modules that perfbench's runner compiles from
+source through ``gate.py``, whose size moves its ``peak_rss_mb``.  The
+set is found by importing ``gate`` in a fresh interpreter that writes
+no bytecode, as the runner does.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prsfam"
 TESTS = ROOT / "tests"
-RUNNER_COMPILED = ("construct.py", "measures.py")
+LIST_GATE_MODULES = ("import sys; sys.path[:0] = sys.argv[1:]; import gate; "
+                     "print(*sorted(m.__file__ for n, m in sys.modules.items()"
+                     " if n.split('.')[0] == 'prsfam'))")
+
+
+def runner_compiled() -> list[str]:
+    """The file names of the package modules that importing
+    ``perfbench/gate.py`` loads."""
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", LIST_GATE_MODULES,
+         str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, check=True).stdout
+    return [Path(f).name for f in out.split()]
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -67,13 +82,14 @@ def main() -> None:
     rows = [(path.name, *counts(path))
             for path in sorted(PACKAGE.glob("*.py"))]
     tests = [("", *counts(path)) for path in TESTS.glob("*.py")]
-    compiled = [r for r in rows if r[0] in RUNNER_COMPILED]
+    names = runner_compiled()
+    compiled = [r for r in rows if r[0] in names]
     rows += [total("total", rows), total("tests/ total", tests)]
     print(f"{'module':16s} {'lines':>6s} {'code':>6s} {'bytes':>7s}")
     for name, n, c, b in rows:
         print(f"{name:16s} {n:6d} {c:6d} {b:7d}")
-    print(f"{' + '.join(RUNNER_COMPILED)} bytes: "
-          f"{total('', compiled)[3]}")
+    print(f"perfbench runner compiles {' + '.join(names)}: "
+          f"{total('', compiled)[3]} bytes")
 
 
 if __name__ == "__main__":
