@@ -2,20 +2,13 @@
 
 A family is F rows of length N over the alphabet {0, ..., k-1}.  Binary
 families use k = 2 with symbol 0 standing for +1 and symbol 1 for -1.
-Three builders are provided:
-
-* ``family_f1``  -- residue-symbol rows of the scaled polynomials
-  i^d * f(x/i) of a fixed irreducible base polynomial, one row per
-  nonzero scale factor i;
-* ``family_f2``  -- residue-symbol rows of every monic irreducible
-  degree-d polynomial with zero second-highest coefficient;
-* ``family_k_symbol`` -- order-k character rows of the minimal
-  polynomials of trace-zero conjugacy representatives.
-
-All builders share ``_symbol_rows``, which tabulates the symbol once
-over F_p^* and looks up each polynomial's values there.  They verify at
-build time that no value is zero, then freeze the result.  Rows may
-repeat at small parameters (``Family.distinct_rows``).
+The builders: ``family_f1`` (residue-symbol rows of the scalings
+i^d * f(x/i) of one irreducible f), ``family_f2`` (those of the monic
+irreducibles with zero x^(d-1) coefficient) and ``family_k_symbol``
+(order-k character rows of the minimal polynomials of trace-zero
+conjugacy representatives).  All share ``_symbol_rows``, which reads
+each row from a table of the symbol over F_p^*; no value may be zero.
+Rows may repeat at small parameters (``Family.distinct_rows``).
 """
 
 from __future__ import annotations
@@ -137,17 +130,25 @@ def _pm_symbol(p: int):
 
 
 def _symbol_rows(polys, p: int, symbol) -> tuple[tuple[int, ...], ...]:
-    """One row symbol(f(n)), n = 1..p-1, per polynomial f: p - 1 calls
-    of ``symbol`` build a table, and each row looks up f's values."""
+    """One row symbol(f(n)), n = 1..p-1, per polynomial f.  p - 1 calls
+    of ``symbol`` fill a table, doubled so index v + c reads v + c mod p:
+    f(n) = s(n) + c for f's stem s (f less its constant c), and s is
+    evaluated once per run of rows sharing it, as f2's do."""
     table = [None] + [symbol(m) for m in range(1, p)]
+    table += table
     xs = range(1, p)
     rows = []
+    stem = None
     for f in polys:
-        vals = f.values(xs)
-        if 0 in vals:
-            raise InternalError(f"{f} vanished at {vals.index(0) + 1}; "
+        c = f.coeffs[0]
+        if f.coeffs[1:] != stem:
+            stem = f.coeffs[1:]
+            vals = Poly((0,) + stem, p).values(xs)
+        row = tuple(map(table[c:].__getitem__, vals))
+        if None in row:
+            raise InternalError(f"{f} vanished at {row.index(None) + 1}; "
                                 f"irreducible inputs cannot")
-        rows.append(tuple(map(table.__getitem__, vals)))
+        rows.append(row)
     return tuple(rows)
 
 
@@ -297,6 +298,14 @@ def dual(fam: Family) -> Family:
                   params=dict(fam.params))
 
 
+class _Names(dict):
+    """str(s), made once per symbol s."""
+
+    def __missing__(self, s):
+        self[s] = name = str(s)
+        return name
+
+
 _HEADER_RE = re.compile(
     r"^#PRSFAM v1 p=(\d+) d=(\d+) k=(\d+) N=(\d+) F=(\d+) construction=(\S+)"
     r"( trace_zero=false)?$", re.ASCII)
@@ -311,8 +320,9 @@ def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
               f"N={fam.length} F={fam.size} construction={fam.construction}")
     if not fam.params.get("trace_zero", True):
         header += " trace_zero=false"
+    names = _Names()
     lines = [header]
-    lines.extend(" ".join(str(s) for s in row) for row in fam.rows)
+    lines.extend(" ".join(map(names.__getitem__, row)) for row in fam.rows)
     text = "\n".join(lines) + "\n"
     if isinstance(sink, str):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
@@ -323,8 +333,9 @@ def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
 
 def read_family(source: Union[str, IO[str]]) -> Family:
     """Parse a family file; the inverse of ``write_family``, restoring
-    ``trace_zero=false`` into ``params``.  Symbols are the ASCII digit
-    strings that ``write_family`` writes."""
+    ``trace_zero=false`` into ``params``.  Symbols are looked up in a
+    table of how ``write_family`` spells them; a row with any other
+    token is checked per token."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -354,19 +365,26 @@ def read_family(source: Union[str, IO[str]]) -> Family:
     if len(body) != f:
         raise ParseError(
             f"header says F={f} but file has {len(body)} rows", line=1)
+    names = {str(s): s for s in range(min(k, 1024))}  # k may be huge
     rows = []
     for idx, ln in body:
         tokens = ln.split()
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise ParseError(f"non-digit symbol in {ln!r}", line=idx)
-        row = tuple(int(tok) for tok in tokens)
+        row = tuple(map(names.get, tokens))
+        named = None not in row
+        if not named:
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ParseError(f"non-digit symbol in {ln!r}", line=idx)
+            try:
+                row = tuple(map(int, tokens))
+            except ValueError:  # past the int-to-str digit limit
+                raise ParseError("symbol too long to read", line=idx) from None
         if len(row) != n:
             raise ParseError(
                 f"row has {len(row)} symbols, header says N={n}", line=idx)
-        for s in row:
-            if not 0 <= s < k:
-                raise ParseError(
-                    f"symbol {s} out of range for alphabet size {k}", line=idx)
+        if not named and max(row) >= k:
+            s = next(s for s in row if s >= k)
+            raise ParseError(f"symbol {s} out of range for alphabet size "
+                             f"{k}", line=idx)
         rows.append(row)
     try:
         return Family(p=p, d=d, k=k, rows=tuple(rows), construction=tag,

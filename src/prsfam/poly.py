@@ -1,30 +1,19 @@
 """Polynomial algebra over prime fields F_p.
 
-Polynomials are dense, immutable coefficient tuples indexed by degree
-(constant term first); the zero polynomial has an empty tuple.  The
-canonical form never carries trailing zero coefficients, so equality and
-hashing are structural.
+Polynomials are dense, immutable coefficient tuples, constant term
+first and without trailing zeros, so equality and hashing are
+structural.  Beyond the ring operations: irreducibility, a product
+sieve and counts of the monic irreducibles, minimal polynomials and
+conjugacy representatives of extension elements, and scaling.
 
-On top of the ring operations this module provides the deterministic
-irreducibility test, the first irreducible of a coefficient pattern, a
-product sieve for the monic irreducibles (all, or those with vanishing
-second-highest coefficient, equivalently root trace zero), counting of
-both, minimal polynomials and conjugacy-class representatives of
-extension elements, and the coefficient scaling
-f |-> i^deg(f) * f(X/i).
+The p-th power map of F_p[x]/(f) is F_p-linear, so
+``_frobenius_columns`` builds it once per modulus as a d x d matrix and
+every later p-th power is one matrix-vector product.  ``_orbit`` is the
+one walk of a Frobenius orbit; the trace-zero representatives are found
+on the trace's kernel alone.
 
-The p-th power map of F_p[x]/(f) is F_p-linear, because a^p = a for
-every a in F_p and (u + v)^p = u^p + v^p in characteristic p.  So
-``_frobenius_columns`` computes it once per modulus as a d x d matrix,
-whose column i is (x^i)^p mod f; every later p-th power (the powers
-x^(p^t) of the irreducibility test, the conjugates of an extension
-element) is one matrix-vector product instead of a square-and-multiply.
-``_orbit`` is the one walk of a Frobenius orbit: the representatives,
-their basis traces and their minimal polynomials all read it, on
-coordinate tuples multiplied by ``_mulmod``.
-
-Functions taking a prime ``p`` trust the caller; primality is validated
-at the field and construction layers.
+Functions taking a prime ``p`` trust the caller; the field and
+construction layers check it.
 """
 
 from __future__ import annotations
@@ -108,9 +97,6 @@ class Poly:
             a[i] -= c
         return Poly(a, self.p)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], self.p)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_field(other)
         if self.is_zero or other.is_zero:
@@ -144,9 +130,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -198,10 +181,6 @@ class Poly:
             return self
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
         return Poly([c * inv for c in self.coeffs], self.p)
-
-
-def _x(p: int) -> Poly:
-    return Poly((0, 1), p)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -314,7 +293,7 @@ def is_irreducible(f: Poly) -> bool:
         powers.append(_apply_rows(rows, powers[-1], p))
     if powers[n] != powers[0]:
         return False
-    x = _x(p)
+    x = Poly((0, 1), p)
     for q in _prime_divisors(n):
         g = poly_gcd(Poly(powers[n // q], p) - x, f)
         if g.degree != 0:
@@ -447,19 +426,17 @@ def minimal_polynomial(beta) -> Poly:
 def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
                               budget: int | None = None) -> list:
     """One representative per conjugate orbit of elements of degree
-    exactly d, optionally restricted to trace zero.
+    exactly d, optionally of trace zero: the orbit's lexicographically
+    smallest coordinate tuple, listed in that order.  They biject with
+    the monic irreducible degree-d polynomials (of trace zero under the
+    filter) via ``minimal_polynomial``.
 
-    The representative is the lexicographically smallest coordinate
-    tuple in its orbit and the list is ordered by those tuples.  These
-    biject with the monic irreducible degree-d polynomials (trace-zero
-    ones under the filter) via ``minimal_polynomial``.
-
-    Orbits are walked by ``_orbit``.  The trace is an F_p-linear
-    functional, constant on each orbit, so under the filter an element
-    is tested first (one dot product with the traces of the basis) and
-    a nonzero trace skips it without walking its orbit.  A basis
-    vector's trace sums its d conjugates: d / |orbit| times the sum of
-    its orbit, whose rational coordinates carry it.
+    The trace is a nonzero linear form, constant on orbits, so the
+    filter scans only its kernel: with j the last coordinate of nonzero
+    basis trace, c_j is solved from c_0..c_(j-1) and the other d - 1
+    coordinates run in lexicographic order, which inserting c_j keeps.
+    A basis vector's trace is d / |orbit| times the sum of its orbit's
+    rational coordinates.
     """
     from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
 
@@ -470,11 +447,16 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     for i in range(d):
         orbit = _orbit(rows, (0,) * i + (1,) + (0,) * (d - 1 - i), p)
         basis_traces.append(d // len(orbit) * sum(c[0] for c in orbit) % p)
+    if trace_zero_only:
+        j = max(i for i, t in enumerate(basis_traces) if t)
+        head, scale = basis_traces[:j], pow(-basis_traces[j], -1, p)
+        candidates = (rest[:j] + (sum(map(mul, rest, head)) * scale % p,)
+                      + rest[j:] for rest in product(range(p), repeat=d - 1))
+    else:
+        candidates = product(range(p), repeat=d)
     seen: set[tuple[int, ...]] = set()
     reps = []
-    for coords in product(range(p), repeat=d):
-        if trace_zero_only and sum(map(mul, coords, basis_traces)) % p:
-            continue
+    for coords in candidates:
         if coords in seen:
             continue
         orbit = _orbit(rows, coords, p)

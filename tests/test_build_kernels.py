@@ -1,8 +1,8 @@
 """Differential tests of the build-path kernels against literal
 definitions: the linear Frobenius (irreducibility test, conjugates,
 orbit representatives), the product mod the modulus, the product
-sieve of the irreducibles, the f1 base search and the cached primality
-check behind the characters."""
+sieve of the irreducibles, the rows read from the symbol table, the f1
+base search and the cached primality check behind the characters."""
 
 import json
 import os
@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import oracle
-from prsfam.construct import _find_base_poly
-from prsfam.errors import BudgetError, ParameterError
+from prsfam.construct import _find_base_poly, _pm_symbol, _symbol_rows
+from prsfam.errors import BudgetError, InternalError, ParameterError
 from prsfam.ff import FieldParams, char_k, legendre
 from prsfam.poly import (
     Poly,
@@ -28,12 +28,16 @@ from prsfam.poly import (
     enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
+    scale_poly,
 )
 
 REPO = Path(__file__).resolve().parent.parent
 
+# The last coordinate of nonzero basis trace is j = 0 for the binomial
+# moduli, j = d - 1 for most others, and j = 5 at (3, 7), whose x^6
+# coordinate is free on the trace-zero hyperplane; p | d at (3, 6), (5, 5).
 FIELD_GRID = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (5, 4),
-              (7, 2), (7, 3), (11, 2), (11, 3)]
+              (7, 2), (7, 3), (11, 2), (11, 3), (3, 7), (3, 6), (5, 5)]
 
 
 @pytest.mark.parametrize("p,d", FIELD_GRID)
@@ -98,7 +102,7 @@ def test_mulmod_matches_poly_product(p, d):
             assert _mulmod(x, y, f.coeffs, p) == list(r) + [0] * (d - len(r))
 
 
-@pytest.mark.parametrize("p,d", FIELD_GRID + [(3, 1), (13, 1), (3, 6)])
+@pytest.mark.parametrize("p,d", FIELD_GRID + [(3, 1), (13, 1)])
 def test_orbit_matches_literal_conjugates(p, d):
     fld = FieldParams(p, d)
     elems = oracle.field_elements(fld)
@@ -106,6 +110,63 @@ def test_orbit_matches_literal_conjugates(p, d):
         elems = random.Random(p * 100 + d).sample(elems, 400)
     for a in elems:
         assert _orbit(fld.frobenius_rows, a, p) == oracle.conjugates(fld, a)
+
+
+def _literal_row(f, p, symbol):
+    """symbol(f(n)) for n = 1..p-1, each value summed term by term;
+    the first zero of f raises as ``_symbol_rows`` does."""
+    row = []
+    for n in range(1, p):
+        v = sum(c * n**i for i, c in enumerate(f.coeffs)) % p
+        if v == 0:
+            raise InternalError(f"{f} vanished at {n}; "
+                                f"irreducible inputs cannot")
+        row.append(symbol(v))
+    return tuple(row)
+
+
+def _stem_runs(p, d, rng, trace_zero):
+    """Random monic degree-d polynomials without a zero in 1..p-1, in
+    runs of up to four that share every coefficient but the constant."""
+    polys = []
+    while len(polys) < 24:
+        stem = [rng.randrange(p) for _ in range(d - 1)] + [1]
+        if trace_zero:
+            stem[-2] = 0
+        for c in sorted(rng.sample(range(p), min(p, 4))):
+            f = Poly([c] + stem, p)
+            if 0 not in f.values(range(1, p)):
+                polys.append(f)
+    return polys
+
+
+@pytest.mark.parametrize("p,d,family", [
+    (13, 5, "f1"), (31, 7, "f1"), (7, 3, "f2"), (13, 2, "f2"),
+    (31, 3, "f2"), (13, 3, "f2-all"), (7, 3, "ksym3"), (31, 3, "ksym5"),
+    (61, 2, "ksym4")])
+def test_symbol_rows_match_literal_evaluation(p, d, family):
+    rng = random.Random(p * 100 + d)
+    if family.startswith("ksym"):
+        k = int(family[4:])
+        symbol = lambda m: char_k(m, k, p)  # noqa: E731
+    else:
+        symbol = _pm_symbol(p)
+    if family == "f1":
+        base = _find_base_poly(p, d, 10**6)
+        polys = [scale_poly(base, i) for i in range(1, p)]
+    else:
+        polys = _stem_runs(p, d, rng, trace_zero=family != "f2-all")
+    assert _symbol_rows(polys, p, symbol) == \
+        tuple(_literal_row(f, p, symbol) for f in polys)
+    # a reducible polynomial with a zero, after a rootless one of its stem
+    f = polys[-1]
+    root = rng.randrange(1, p)
+    g = Poly([f.coeffs[0] - f.eval(root)] + list(f.coeffs[1:]), p)
+    with pytest.raises(InternalError) as expected:
+        _literal_row(g, p, symbol)
+    with pytest.raises(InternalError) as got:
+        _symbol_rows(polys + [g], p, symbol)
+    assert str(got.value) == str(expected.value)
 
 
 # p in 3..13 with d in 2..4 is covered in test_poly.py; these add p = 2,

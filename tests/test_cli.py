@@ -583,6 +583,8 @@ _AFTER_BLANKS = _HEADER + b"\n \n\n0 +1\n"  # the bad row is line 5
     _HEADER.replace(b"p=3", "p=\u0663".encode()) + b"0 1\n",
     pytest.param(_HEADER.replace(b"d=1", b"d=" + b"9" * 5001) + b"0 1\n",
                  id="d-past-the-int-digit-limit"),
+    pytest.param(_HEADER + b"0 " + b"1" * 5001 + b"\n",
+                 id="symbol-past-the-int-digit-limit"),
     _AFTER_BLANKS,
 ])
 @pytest.mark.parametrize("command", ["measure", "verify", "dual"])
@@ -599,6 +601,7 @@ def test_malformed_family_file_exits_2(tmp_path, capsys, body, command):
     assert out.err.startswith("error: line") or "UTF-8" in out.err
     if body == _AFTER_BLANKS:
         assert out.err.startswith("error: line 5: ")
+    assert len(out.err) < 200  # no symbol is printed whole
     assert not (tmp_path / "out.fam").exists()
 
 

@@ -264,6 +264,22 @@ def test_round_trip():
         assert read_family(buf) == fam
 
 
+def test_round_trip_of_two_digit_symbols():
+    fam = family_k_symbol(23, 2, 11)
+    assert 10 in set().union(*fam.rows)
+    buf = io.StringIO()
+    write_family(fam, buf)
+    buf.seek(0)
+    assert read_family(buf) == fam
+
+    header = "#PRSFAM v1 p=23 d=2 k=11 N=4 F=1 construction=external\n"
+    # a symbol spelled otherwise than write_family spells it still reads
+    assert read_family(io.StringIO(header + "01 1 10 010\n")).rows == \
+        ((1, 1, 10, 10),)
+    with pytest.raises(ParseError, match="line 2: symbol 12 out of range"):
+        read_family(io.StringIO(header + "3 12 11 0\n"))
+
+
 def test_header_records_only_a_false_trace_zero():
     for trace_zero in (True, False):
         buf = io.StringIO()

@@ -23,7 +23,11 @@ estimate and refusal is compared, and ``fc`` on the binary family under
 a budget that stops it after level 1, so its ``verified-lower-bound``
 record is compared too.  ``verify`` also runs on ksym(5,3,2) and on
 the dual of f2(13,2), whose reports read none of their own
-correlations.  ``--jobs N`` replaces the
+correlations.  ``BUILD_JOBS`` run under ``builds/``: builds that no job list
+reaches, f2(13,3) without the trace-zero restriction, ksym(3,7,2),
+whose trace-zero coordinates are not all solved from the lower ones,
+and ksym(23,2,11), whose two-digit symbols go through a ``dual`` and a
+``measure``.  ``--jobs N`` replaces the
 ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
@@ -99,6 +103,16 @@ def _measure_jobs() -> list[Job]:
 
 MEASURE_JOBS = _measure_jobs()
 
+BUILD_JOBS = [
+    Job("gen-f2all_13_3", ("gen", "--construction", "f2", "--p", "13",
+                           "--d", "3", "--no-trace-zero",
+                           "--out", "{dir}/f2all_13_3.fam")),
+    gen("ksym_3_7_2", "ksym", 3, 7, k=2),
+    gen("ksym_23_2_11", "ksym", 23, 2, k=11),
+    dual("ksym_23_2_11"),
+    measure("ksym_23_2_11", "gamma", 1, 1),
+]
+
 
 def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
     argv = job.expand(work_dir, seed)
@@ -124,7 +138,7 @@ def run_tree(src: Path, root: Path, seeds: list[int],
         base.with_suffix(".out").write_bytes(proc.stdout)
         base.with_suffix(".err").write_bytes(proc.stderr)
 
-    job_lists = {**WORKLOADS, "measures": MEASURE_JOBS}
+    job_lists = {**WORKLOADS, "measures": MEASURE_JOBS, "builds": BUILD_JOBS}
     for name, job_list in job_lists.items():
         (root / name).mkdir(parents=True)
         for job in job_list:
@@ -187,7 +201,7 @@ def main(argv: list[str]) -> int:
     total = len(parent.keys() | change.keys())
     jobs = args.jobs if args.jobs is not None else "as listed"
     print(f"{total} files compared ({', '.join(WORKLOADS)}, measures, "
-          f"no-input; jobs {jobs}, seed{'s' * (len(seeds) > 1)} "
+          f"builds, no-input; jobs {jobs}, seed{'s' * (len(seeds) > 1)} "
           f"{', '.join(map(str, seeds))}): "
           + ("all identical" if not differ else f"{differ} differ"))
     return 1 if differ else 0
