@@ -242,13 +242,6 @@ def weil_check(h: Poly, p: int) -> BoundReport:
              "decided by exact squared comparison")
 
 
-def _index(measures: Sequence[MeasureResult]):
-    by_key: dict[tuple[str, str, int], MeasureResult] = {}
-    for m in measures:
-        by_key.setdefault((m.subject, m.name, m.order), m)
-    return by_key
-
-
 def dual_orders(fam: Family) -> int:
     """The largest order i of the dual correlations the covering-
     complexity lower bound reads: floor(log_b F) with b = max(k, 2), at
@@ -304,17 +297,20 @@ def _envelopes(fam: Family) -> tuple:
 
 
 def verify_plan(fam: Family, max_order: int) -> list[tuple[str, bool, int]]:
-    """The correlation measures ``verify`` takes besides the covering
-    complexity, as (measure, on the dual, order): the dual correlations
-    of orders 1..``dual_orders(fam)`` the lower bound reads, then at each
-    order 1..``max_order`` the measures the applicable envelopes read.
-    Raises ``ParameterError`` for a negative ``max_order``."""
+    """Every measure ``verify`` takes, in the order it takes them, as
+    (measure, on the dual, order): the covering complexity (order 0),
+    the dual correlations of orders 1..``dual_orders(fam)`` the lower
+    bound reads, then at each order 1..``max_order`` the measures the
+    applicable envelopes read.  ``verify_plan(fam, 0)`` is what
+    ``verify_family`` requires.  Raises ``ParameterError`` for a
+    negative ``max_order``."""
     if max_order < 0:
         raise ParameterError(f"max order must be >= 0, got {max_order}")
     lower = (_correlation(fam), True)
     reads = [(read, on_dual) for _, read, on_dual, *_ in _envelopes(fam)
              if (read, on_dual) != lower]
-    return ([(*lower, i) for i in range(1, dual_orders(fam) + 1)]
+    return ([("f_complexity", False, 0)]
+            + [(*lower, i) for i in range(1, dual_orders(fam) + 1)]
             + [(*m, ell) for ell in range(1, max_order + 1) for m in reads])
 
 
@@ -322,9 +318,10 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
                   c: float = 10.0) -> list[BoundReport]:
     """Build one report per applicable bound for a constructed family.
 
-    Requires, among ``measures``: the covering complexity of the family
-    and, when F >= 2, the dual family's order-i correlations (binary:
-    the product correlation; otherwise the pattern deviation) for
+    Requires, among ``measures``, a record of each entry of
+    ``verify_plan(fam, 0)``: the covering complexity of the family and,
+    when F >= 2, the dual family's order-i correlations (binary: the
+    product correlation; otherwise the pattern deviation) for
     i = 1 .. ``dual_orders(fam)``.  Each supplied measure that an
     applicable envelope of ``_REPORTS`` reads produces that envelope's
     report; ``verify_plan`` lists the ones ``verify`` supplies.
@@ -339,7 +336,6 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     tag = fam.construction
     dtag = dual_tag(tag)
     p, d, k, f_size, n_len = fam.p, fam.d, fam.k, fam.size, fam.length
-    by_key = _index(measures)
     reports: list[BoundReport] = []
 
     # --- structural identities (computed here, always available) ---
@@ -390,66 +386,58 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
         satisfied=distinct, ratio=None,
         note="all rows pairwise distinct"))
 
-    # --- capacity bound k^C <= F ---
-    missing: list[str] = []
-    fc = by_key.get((tag, "f_complexity", 0))
-    if fc is None:
-        missing.append("f_complexity on the family")
-    else:
-        cval = fc.value
-        reports.append(BoundReport(
-            name="fc_capacity", kind=KIND_EXACT,
-            params={"k": k, "C": cval},
-            theoretical=f_size, measured=k**cval,
-            satisfied=k**cval <= f_size,
-            ratio=_ratio(k**cval, f_size),
-            note="k^C <= F"))
-
-    # --- covering complexity vs dual correlations ---
-    imax = dual_orders(fam)
-    dual_name = _correlation(fam)
-    dual_vals = []
-    for i in range(1, imax + 1):
-        r = by_key.get((dtag, dual_name, i))
-        if r is None:
-            missing.append(f"{dual_name} order {i} on the dual family")
-        else:
-            dual_vals.append(r.value)
+    # --- the records the bounds below read: ``verify_plan(fam, 0)`` ---
+    required = verify_plan(fam, 0)
+    # reversed, so the first record of each (subject, name, order) is read
+    by_key = {(m.subject, m.name, m.order): m for m in reversed(measures)}
+    found = [by_key.get((dtag if on_dual else tag, name, order))
+             for name, on_dual, order in required]
+    missing = [f"{name}{f' order {order}' if order else ''} on the "
+               f"{'dual ' if on_dual else ''}family"
+               for (name, on_dual, order), r in zip(required, found)
+               if r is None]
     if missing:
         raise ParameterError(
             "verify_family needs more measures; missing: "
             + "; ".join(missing))
+    cval = found[0].value
+    duals = [r.value for r in found[1:]]
 
-    if f_size >= 2 and dual_vals:
-        max_corr = max(dual_vals)
-        if max_corr > 0:
-            cval = fc.value
-            if k == 2:
-                bound = fc_lower_bound_from_dual(f_size, max_corr, 2, "binary")
-                reports.append(BoundReport(
-                    name="fc_dual_lower_bound", kind=KIND_EXACT,
-                    params={"F": f_size, "max_dual_phi": max_corr,
-                            "orders": imax},
-                    theoretical=bound, measured=cval,
-                    satisfied=cval >= bound,
-                    ratio=_ratio(cval, bound),
-                    note="C >= ceil(log2 F - log2 max phi(dual)) - 1"))
-            else:
-                # mixed/single log-base readings; reported, not asserted
-                for variant in ("kary_logk", "kary_log2"):
-                    bound = fc_lower_bound_from_dual(
-                        f_size, max_corr, k, variant)
-                    reports.append(BoundReport(
-                        name=f"fc_dual_lower_bound_{variant}",
-                        kind=KIND_ASYMPTOTIC,
-                        params={"F": f_size, "k": k,
-                                "max_dual_gamma": str(max_corr),
-                                "orders": imax},
-                        theoretical=bound, measured=cval,
-                        satisfied=cval >= bound,
-                        ratio=_ratio(cval, bound),
-                        note=f"k-ary variant {variant}; reported, "
-                             "not asserted"))
+    # --- capacity bound k^C <= F ---
+    reports.append(BoundReport(
+        name="fc_capacity", kind=KIND_EXACT,
+        params={"k": k, "C": cval},
+        theoretical=f_size, measured=k**cval,
+        satisfied=k**cval <= f_size,
+        ratio=_ratio(k**cval, f_size),
+        note="k^C <= F"))
+
+    # --- covering complexity vs dual correlations ---
+    max_corr = max(duals, default=0)
+    if max_corr > 0 and k == 2:
+        bound = fc_lower_bound_from_dual(f_size, max_corr, 2, "binary")
+        reports.append(BoundReport(
+            name="fc_dual_lower_bound", kind=KIND_EXACT,
+            params={"F": f_size, "max_dual_phi": max_corr,
+                    "orders": len(duals)},
+            theoretical=bound, measured=cval,
+            satisfied=cval >= bound,
+            ratio=_ratio(cval, bound),
+            note="C >= ceil(log2 F - log2 max phi(dual)) - 1"))
+    elif max_corr > 0:
+        # mixed/single log-base readings; reported, not asserted
+        for variant in ("kary_logk", "kary_log2"):
+            bound = fc_lower_bound_from_dual(f_size, max_corr, k, variant)
+            reports.append(BoundReport(
+                name=f"fc_dual_lower_bound_{variant}",
+                kind=KIND_ASYMPTOTIC,
+                params={"F": f_size, "k": k,
+                        "max_dual_gamma": str(max_corr),
+                        "orders": len(duals)},
+                theoretical=bound, measured=cval,
+                satisfied=cval >= bound,
+                ratio=_ratio(cval, bound),
+                note=f"k-ary variant {variant}; reported, not asserted"))
 
     # --- scale-constant envelopes for supplied correlation measures ---
     envelopes, known = _envelopes(fam), {"p": p, "d": d}
@@ -477,8 +465,8 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
         reports.append(BoundReport(
             name="fc_asymptotic", kind=KIND_ASYMPTOTIC,
             params={"p": p, "d": d, "raw": theo},
-            theoretical=clamped, measured=fc.value,
-            satisfied=fc.value >= clamped,
-            ratio=_ratio(fc.value, clamped), note=note))
+            theoretical=clamped, measured=cval,
+            satisfied=cval >= clamped,
+            ratio=_ratio(cval, clamped), note=note))
 
     return reports

@@ -373,18 +373,21 @@ def _cmd_measure(args) -> int:
 
 def compute_verify_measures(fam: Family, max_order: int = 2,
                             budget: int | None = None) -> list[MeasureResult]:
-    """The measures ``verify`` feeds to ``verify_family``: the covering
-    complexity, then each (measure, on the dual, order) of
-    ``bounds.verify_plan``.  Each is called through its name in this
-    module, where perfbench's tracer wraps it."""
+    """The measures ``verify`` feeds to ``verify_family``: one record per
+    (measure, on the dual, order) of ``bounds.verify_plan``, in its
+    order; the covering complexity, at order 0, takes no order.  Each
+    is called through its name in this module, where perfbench's tracer
+    wraps it."""
     _bind("construct", "measures", "bounds")
     plan = verify_plan(fam, max_order)
     dl = dual(fam)
-    measures = [f_complexity(fam, budget=budget)]
+    measures = []
     for name, on_dual, order in plan:
-        # the other measures are named as their functions
+        # phi runs as cross_correlation; the others are named as their
+        # functions
         fn = cross_correlation if name == "phi" else globals()[name]
-        measures.append(fn(dl if on_dual else fam, order, budget=budget))
+        measures.append(fn(dl if on_dual else fam, *(order,) if order else (),
+                           budget=budget))
     return measures
 
 

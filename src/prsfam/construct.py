@@ -75,6 +75,8 @@ class Family(Record):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         _check_tag(self.construction)
+        if {type(self.p), type(self.d), type(self.k)} != {int}:
+            raise ParameterError("p, d and k must be ints")
         if self.k < 1:
             raise ParameterError(f"alphabet size must be >= 1, got {self.k}")
         rows = self.rows

@@ -66,7 +66,11 @@ def check_budget(estimate: int, budget, what: str,
     if estimate > budget:
         certified = ("" if verified_lower_bound is None else
                      f"; value >= {verified_lower_bound} is certified")
-        raise BudgetError(f"{what} needs an estimated {estimate} loop steps, "
+        try:
+            shown = str(estimate)
+        except ValueError:
+            shown = f"2^{estimate.bit_length() - 1} or more"
+        raise BudgetError(f"{what} needs an estimated {shown} loop steps, "
                           f"budget is {budget}{certified}", estimate, budget,
                           verified_lower_bound)
     return budget

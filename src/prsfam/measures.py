@@ -684,9 +684,12 @@ def gamma_circ(fam: Family, ell: int, *, budget: Optional[int] = None,
 def _permutation(k: int, index: int) -> tuple[int, ...]:
     """The ``index``-th permutation of range(k) in the lexicographic
     order of ``itertools.permutations``: ``index`` in factorial base."""
+    digits = []
+    for r in range(1, k + 1):
+        index, digit = divmod(index, r)
+        digits.append(digit)
     pool = list(range(k))
-    return tuple(pool.pop(index // math.factorial(r) % (r + 1))
-                 for r in range(k - 1, -1, -1))
+    return tuple(map(pool.pop, reversed(digits)))
 
 
 def _signed_kernel(maps, seqs, size: int, floor, reading: str):

@@ -282,14 +282,20 @@ def test_verify_f2_without_trace_restriction_sizes():
 
 
 def test_verify_missing_measures_listed():
-    fam = family_f2(5, 3)
-    with pytest.raises(ParameterError) as exc:
-        verify_family(fam, [f_complexity(fam)])
-    msg = str(exc.value)
-    assert "phi order 1 on the dual family" in msg
-    assert "phi order 3 on the dual family" in msg
-    with pytest.raises(ParameterError, match="f_complexity"):
-        verify_family(fam, [])
+    prefix = "verify_family needs more measures; missing: "
+    for fam, named in (
+            (family_f2(5, 3), ["phi order 1 on the dual family",
+                               "phi order 2 on the dual family",
+                               "phi order 3 on the dual family"]),
+            (family_k_symbol(13, 2, 3), ["gamma order 1 on the dual family"])):
+        with pytest.raises(ParameterError) as exc:
+            verify_family(fam, [f_complexity(fam)])
+        assert str(exc.value) == prefix + "; ".join(named)
+        # an empty list names f_complexity first
+        with pytest.raises(ParameterError) as exc:
+            verify_family(fam, [])
+        assert str(exc.value) == prefix + "; ".join(
+            ["f_complexity on the family"] + named)
 
 
 def test_verify_surfaces_envelope_violation():
@@ -306,22 +312,36 @@ def test_verify_surfaces_envelope_violation():
 
 @pytest.mark.parametrize("build, plan", [
     (lambda: family_f2(13, 2),
-     [("phi", True, 1), ("phi", True, 2), ("phi", False, 1),
-      ("phi", False, 2)]),
-    (lambda: family_f1(11, 5),
-     [("phi", True, 1), ("phi", True, 2), ("phi", True, 3),
+     [("f_complexity", False, 0), ("phi", True, 1), ("phi", True, 2),
       ("phi", False, 1), ("phi", False, 2)]),
+    (lambda: family_f1(11, 5),
+     [("f_complexity", False, 0), ("phi", True, 1), ("phi", True, 2),
+      ("phi", True, 3), ("phi", False, 1), ("phi", False, 2)]),
     (lambda: family_k_symbol(13, 2, 3),
-     [("gamma", True, 1), ("gamma", False, 1), ("gamma_circ", True, 1),
-      ("gamma", False, 2), ("gamma_circ", True, 2)]),
+     [("f_complexity", False, 0), ("gamma", True, 1), ("gamma", False, 1),
+      ("gamma_circ", True, 1), ("gamma", False, 2), ("gamma_circ", True, 2)]),
 ], ids=["f2(13,2)", "f1(11,5)", "ksym(13,2,3)"])
 def test_verify_plan_lists_the_measures_in_order(build, plan):
     fam = build()
     assert verify_plan(fam, 2) == plan
-    measures = compute_verify_measures(fam)
-    assert [m.name for m in measures] == ["f_complexity"] + [
-        name for name, _, _ in plan]
-    assert [m.order for m in measures[1:]] == [order for *_, order in plan]
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("build", [
+    lambda: family_f2(13, 2),
+    lambda: family_f1(11, 5),
+    lambda: family_k_symbol(13, 2, 3),
+    lambda: dual(family_f2(13, 2)),
+], ids=["f2(13,2)", "f1(11,5)", "ksym(13,2,3)", "dual f2(13,2)"])
+def test_verify_takes_one_record_per_plan_entry(build, max_order):
+    # in plan order, each record with its entry's name, order and subject
+    fam = build()
+    dtag = dual(fam).construction
+    plan = verify_plan(fam, max_order)
+    measures = compute_verify_measures(fam, max_order=max_order)
+    assert [(m.name, m.subject, m.order) for m in measures] == [
+        (name, dtag if on_dual else fam.construction, order)
+        for name, on_dual, order in plan]
 
 
 def test_verify_plan_refuses_a_negative_order():
@@ -367,7 +387,7 @@ def test_traced_verify_spans_each_planned_measure(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = [span[1] for span in json.loads(spans.read_text())["spans"]
              if span[1].startswith("measures.")]
-    assert len(names) == 1 + len(verify_plan(fam, 2))
+    assert len(names) == len(verify_plan(fam, 2))
     assert names == ["measures.f_complexity"] + [
         "measures.gamma", "measures.gamma", "measures.gamma_circ"] + [
         "measures.gamma", "measures.gamma_circ"]

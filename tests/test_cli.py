@@ -339,6 +339,18 @@ def test_huge_prime_is_refused_by_budget(tmp_path, args):
     assert not (tmp_path / "x.fam").exists()
 
 
+def test_refusal_past_the_int_digit_limit_exits_3(tmp_path):
+    path = tmp_path / "big.fam"
+    path.write_text("#PRSFAM v1 p=5 d=2 k=1100 N=3 F=2 construction=external\n"
+                    "1099 0 5\n1 2 3\n")
+    proc = _cli_subprocess(["measure", "--in", str(path), "--measure",
+                            "biggamma", "--ell", "2"])
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert "or more loop steps" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_weil_check_budget_names_estimate():
     p = 1000000000000000003
     with pytest.raises(BudgetError) as exc:

@@ -51,6 +51,14 @@ def test_family_refuses_rows_that_are_not_int_tuples(rows):
         Family(p=5, d=2, k=2, rows=rows)
 
 
+@pytest.mark.parametrize("field", ["p", "d", "k"])
+@pytest.mark.parametrize("value", [2.0, True, "2", None])
+def test_family_refuses_p_d_k_that_are_not_ints(field, value):
+    fields = {"p": 5, "d": 2, "k": 2, field: value}
+    with pytest.raises(ParameterError, match="p, d and k must be ints"):
+        Family(**fields, rows=((0, 1, 1, 0), (1, 1, 0, 0), (1, 0, 1, 1)))
+
+
 def test_pm_view():
     fam = Family(p=3, d=1, k=2, rows=((0, 1, 0),))
     assert fam.pm_rows() == ((1, -1, 1),)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
-from prsfam.errors import BudgetError, ParameterError
+from prsfam.errors import BudgetError, ParameterError, check_budget
 from prsfam import measures, poly, roots
 from prsfam.measures import (
     MODE_EXACT,
@@ -521,6 +521,23 @@ def test_budget_refusal_names_estimate():
         big_gamma(family_k_symbol(13, 2, 3), 2, budget=1000)
 
 
+def test_budget_refusal_past_the_int_digit_limit():
+    # (1100!)^2 relabelings: an estimate of about 5,740 digits, which str()
+    # refuses; the message gives its power of two, the error the exact int
+    fam = Family(p=5, d=2, k=1100, rows=((1099, 0, 5), (1, 2, 3)))
+    with pytest.raises(BudgetError) as exc:
+        big_gamma(fam, 2)
+    estimate = exc.value.estimate
+    assert type(estimate) is int and estimate > 10**5000
+    assert str(exc.value) == (
+        "exact order-2 root-relabeling correlation needs an estimated "
+        f"2^{estimate.bit_length() - 1} or more loop steps, "
+        "budget is 1000000000")
+    # an estimate str() can print shows every digit, as before
+    with pytest.raises(BudgetError, match=f"estimated {10**4000} loop"):
+        check_budget(10**4000, None, "the search")
+
+
 @pytest.mark.parametrize("call", [
     lambda b: f_complexity(family_f2(5, 2), budget=b),
     lambda b: cross_correlation(family_f2(5, 2), 1, budget=b),
@@ -580,6 +597,18 @@ def test_permutation_decoder_is_lex_order():
         listed = list(itertools.permutations(range(k)))
         assert [measures._permutation(k, i)
                 for i in range(len(listed))] == listed
+
+
+@pytest.mark.parametrize("k", [50, 1100])
+def test_permutation_decoder_matches_factorial_base(k):
+    # the literal decode: digit r of ``index`` is index // r! mod (r + 1)
+    rng = random.Random(k)
+    for index in [0, math.factorial(k) - 1] + [
+            rng.randrange(math.factorial(k)) for _ in range(3)]:
+        pool = list(range(k))
+        literal = tuple(pool.pop(index // math.factorial(r) % (r + 1))
+                        for r in range(k - 1, -1, -1))
+        assert measures._permutation(k, index) == literal
 
 
 def test_default_budget_covers_reference_sizes():

@@ -23,12 +23,14 @@ estimate and refusal is compared, and ``fc`` on the binary family under
 a budget that stops it after level 1, so its ``verified-lower-bound``
 record is compared too.  ``verify`` also runs on ksym(5,3,2) and on
 the dual of f2(13,2), whose reports read none of their own
-correlations.  ``BUILD_JOBS`` run under ``builds/``: builds that no job list
-reaches, f2(13,3) without the trace-zero restriction, ksym(3,7,2),
-whose trace-zero coordinates are not all solved from the lower ones,
-and ksym(23,2,11), whose two-digit symbols go through a ``dual`` and a
-``measure``.  ``--jobs N`` replaces the
-``--jobs`` value of every job that passes one.  The invocations in
+correlations, and at ``--max-order`` 0 and 4 on f1(13,5) and
+ksym(13,2,3): at 0 it takes only the measures its reports require, and
+at 4 f1's envelope orders pass its 3 dual orders.  ``BUILD_JOBS`` run
+under ``builds/``: builds that no job list reaches, f2(13,3) without
+the trace-zero restriction, ksym(3,7,2), whose trace-zero coordinates
+are not all solved from the lower ones, and ksym(23,2,11), whose
+two-digit symbols go through a ``dual`` and a ``measure``.  ``--jobs N``
+replaces the ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
 output file, and each job's exit code, stdout and stderr, is compared
@@ -75,6 +77,13 @@ def _with_budget(job: Job, budget: int) -> Job:
                                          f"{{dir}}/{job_id}.json"))
 
 
+def _verify_at(tag: str, max_order: int) -> Job:
+    """``verify`` of ``tag`` at ``--max-order``."""
+    job_id = f"verify-{tag}-order{max_order}"
+    return Job(job_id, ("verify", "--in", f"{{dir}}/{tag}.fam", "--max-order",
+                        str(max_order), "--out", f"{{dir}}/{job_id}.json"))
+
+
 def _measure_jobs() -> list[Job]:
     jobs = [gen("f2_13_2", "f2", 13, 2),
             gen("ksym_13_2_3", "ksym", 13, 2, k=3)]
@@ -97,7 +106,10 @@ def _measure_jobs() -> list[Job]:
             # phi on k = 3 compares which refusal comes first
             jobs += [_with_budget(job, 0) for job in runs]
     jobs += [gen("ksym_5_3_2", "ksym", 5, 3, k=2), verify("ksym_5_3_2", 1),
-             dual("f2_13_2"), verify("dual_f2_13_2", 1)]
+             dual("f2_13_2"), verify("dual_f2_13_2", 1),
+             gen("f1_13_5", "f1", 13, 5)]
+    jobs += [_verify_at(tag, max_order) for tag in ("f1_13_5", "ksym_13_2_3")
+             for max_order in (0, 4)]
     return jobs
 
 
