@@ -53,6 +53,15 @@ class InternalError(Error):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
+def _shown(count: int) -> str:
+    """``count`` in digits, or as a power of two past the int digit
+    limit, where ``str`` refuses."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1} or more"
+
+
 def check_budget(estimate: int, budget, what: str,
                  default: int = DEFAULT_BUDGET,
                  verified_lower_bound=None) -> int:
@@ -66,13 +75,9 @@ def check_budget(estimate: int, budget, what: str,
     if estimate > budget:
         certified = ("" if verified_lower_bound is None else
                      f"; value >= {verified_lower_bound} is certified")
-        try:
-            shown = str(estimate)
-        except ValueError:
-            shown = f"2^{estimate.bit_length() - 1} or more"
-        raise BudgetError(f"{what} needs an estimated {shown} loop steps, "
-                          f"budget is {budget}{certified}", estimate, budget,
-                          verified_lower_bound)
+        raise BudgetError(f"{what} needs an estimated {_shown(estimate)} "
+                          f"loop steps, budget is {_shown(budget)}{certified}",
+                          estimate, budget, verified_lower_bound)
     return budget
 
 

@@ -24,10 +24,11 @@ are the case T = 0, s = 0, e = N.  ``big_gamma`` for k <= 2 is phi,
 since relabeling {0, 1} only flips signs; for k >= 3 it takes one
 relabeling tuple per rotation class, skips those whose prefix points
 have a hull diameter clearly below the best value, walks the windows
-of the others, and compares magnitudes exactly (``roots``).  Positions
-with equal lags form a block, and inside a block I strictly increases
-with distinct row contents: the lex-smallest tuple of each class that
-permuting a block leaves equal.
+of the others, and compares magnitudes exactly (``roots``).  I takes
+only the first row with each content, and positions with equal lags
+form a block inside which I strictly increases: the lex-smallest tuple
+of each class that permuting a block or swapping a row for an equal
+one leaves equal (``_lag_search``).
 The search is serial; ``n_jobs`` is accepted and ignored.
 
 Largest window first.  Every window value of a length-L sequence has an
@@ -77,15 +78,16 @@ indices and positions.
 
 Every exact search precomputes a loop-count estimate and refuses with a
 ``BudgetError`` rather than running unbounded.  It counts the steps of
-the full search, the sum over T of (canonical I count) * L, times k^ell
-for gamma; for k >= 3 big_gamma, (canonical I count) * L(L+1)/2 *
-(k!)^ell, the walk of every window and relabeling, which bounds the
+the full search, the sum over T of (I count) * L, times k^ell for
+gamma; for k >= 3 big_gamma, (I count) * L(L+1)/2 * (k!)^ell, the
+walk of every window and relabeling, which bounds the
 (k-1)!^ell * (L + 1 + L(L+1)/2) steps of its rotation-class search.
-``_lag_estimate`` gives its closed form.  Both stops above only remove
-steps, so the estimate is an upper bound on the steps taken, usually a
-loose one.  A sampled search counts the 2 ell indices of every sample
-and the work of a pinned draw: samples * (2 ell + (ell + 1) * N) for
-phi, samples * (2 ell + ell * N + min(N, k^ell) + 1) for gamma, and
+``_lag_estimate`` gives its closed form, a sum of binomials in N, C and
+ell.  Both stops above only remove steps, so the estimate is an upper
+bound on the steps taken, usually a loose one.  A sampled search counts
+the 2 ell indices of every sample and the work of a pinned draw:
+samples * (2 ell + (ell + 1) * N) for phi,
+samples * (2 ell + ell * N + min(N, k^ell) + 1) for gamma, and
 samples * (3 ell + (ell + 1) * N) for big_gamma, with its ell
 relabelings.
 """
@@ -230,10 +232,11 @@ def _empty(fam: Family, ell: int, circ: bool) -> bool:
 
 
 def _require(ell: int, mode: str = MODE_EXACT, samples: int = 1) -> None:
-    if not isinstance(ell, int) or ell < 1:
+    # an order and a sample count are ints >= 1, and a bool is not one
+    if type(ell) is not int or ell < 1:
         raise ParameterError(f"order must be an integer >= 1, got {ell}")
     if mode == MODE_SAMPLED:
-        if not isinstance(samples, int) or samples < 1:
+        if type(samples) is not int or samples < 1:
             raise ParameterError(
                 f"sample count must be an integer >= 1, got {samples}")
     elif mode != MODE_EXACT:
@@ -268,27 +271,29 @@ def f_complexity(fam: Family, budget: Optional[int] = None) -> MeasureResult:
     j-tuple of positions is realized by some row.
 
     Ascends j from 1 and stops at the first failing level, returning
-    j-1 with the uncovered (positions, pattern) pair as witness.  Since
-    k^C <= F, any level past floor(log_k F) fails at its very first
-    position tuple, so the full scans are capped a priori by that bound
-    and the final certificate costs one projection.  When every level
-    up to N passes (witness None) the value is N.  Exceeding the budget
-    raises a ``BudgetError`` whose ``verified_lower_bound`` holds the
-    last fully certified level.
+    j-1 with the uncovered (positions, pattern) pair as witness.  The
+    patterns are read from the C distinct rows, which realize at most C
+    of the k^j, so any level past floor(log_k C) fails at its very
+    first position tuple: the full scans are capped a priori by that
+    bound and the final certificate costs one projection.  When every
+    level up to N passes (witness None) the value is N.  Exceeding the
+    budget raises a ``BudgetError`` whose ``verified_lower_bound`` holds
+    the last fully certified level.
     """
-    n, f, k = fam.length, fam.size, fam.k
+    n, k, rows = fam.length, fam.k, set(fam.rows)
+    c = len(rows)
     budget = check_budget(0, budget, "f_complexity")  # resolves it
     if k == 1:
         return MeasureResult("f_complexity", 0, n, MODE_EXACT, None,
                              subject=fam.construction)
     spent = 0
     for j in range(1, n + 1):
-        full_scan = k**j <= f
-        spent += (math.comb(n, j) if full_scan else 1) * (f * j + k**j)
+        full_scan = k**j <= c
+        spent += (math.comb(n, j) if full_scan else 1) * (c * j + k**j)
         check_budget(spent, budget, f"certifying level {j}",
                      verified_lower_bound=j - 1)
         for positions in combinations(range(n), j):
-            realized = {tuple(row[q] for q in positions) for row in fam.rows}
+            realized = {tuple(row[q] for q in positions) for row in rows}
             if len(realized) == k**j:
                 continue
             for pat in product(range(k), repeat=j):
@@ -336,51 +341,30 @@ def _lag_plans(ell: int, n: int, circ: bool, most: int) -> list:
     return plans
 
 
-def _canonical_blocks(ids: list[int], sizes) -> dict:
-    """For each block size b: the strictly increasing b-tuples of row
-    indices with pairwise distinct contents."""
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(ids):
-        classes.setdefault(c, []).append(i)
-    return {b: [tuple(sorted(I))
-                for picked in combinations(classes.values(), b)
-                for I in product(*picked)]
-            for b in sizes}
-
-
 def _lag_estimate(fam: Family, ell: int, circ: bool,
                   windows: bool = False) -> int:
-    """Sequence steps of a lag search: sum over T of (canonical row
-    tuples for T) * L, or * L(L+1)/2 when every window is walked.
+    """Sequence steps of a lag search: sum over T of (row tuples for T)
+    * L, or * L(L+1)/2 when every window is walked.
 
-    A block of b tied lags takes e_b row tuples, e_b being the b-th
-    elementary symmetric polynomial of the content-class sizes.  The
-    lag tuples with r distinct values 0 = u_1 < ... < u_r < N have
-    L = N - u_r, which sums to C(N, r) over them, and L(L+1)/2 sums to
-    C(N+1, r+1).  So the count is the sum over r of C(N, r) (resp.
-    C(N+1, r+1)) * [x^ell] (e_1 x + e_2 x^2 + ...)^r.
+    The T with r distinct lags 0 = u_1 < ... < u_r < N (only r = 1 when
+    ``circ``) have L = N - u_r, which sums to C(N, r) over them, and
+    L(L+1)/2 to C(N+1, r+1).  Blocks of b_1 + ... + b_r = ell tied lags
+    take prod C(C, b_i) row tuples, C distinct rows, which sums over the
+    b_i to [x^ell] ((1 + x)^C - 1)^r = sum_i (-1)^(r-i) C(r, i) C(C i, ell),
+    0 when ell > C r.
     """
-    n, w = fam.length, int(windows)
-    if _empty(fam, ell, circ):
-        return 0  # the search returns 0
-    classes = Counter(fam.rows).values()
-    e = [1] + [0] * ell
-    for m in classes:
-        for b in range(ell, 0, -1):
-            e[b] += e[b - 1] * m
-    if circ:
-        return e[ell] * n
-    total, power = 0, [1] + [0] * ell
-    for r in range(1, min(ell, n) + 1):  # C(N, r) = 0 past N
-        power = [sum(power[i] * e[j - i] for i in range(j))
-                 for j in range(ell + 1)]
-        total += math.comb(n + w, r + w) * power[ell]
-    return total
+    n, w, c = fam.length, int(windows), len(set(fam.rows))
+    return sum(math.comb(n + w, r + w)
+               * sum((-1)**(r - i) * math.comb(r, i) * math.comb(c * i, ell)
+                     for i in range(r + 1))
+               for r in range(1, (1 if circ else min(ell, n)) + 1))
 
 
 def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
                 cap: int) -> _Best:
-    """Maximize ``kernel`` over the canonical admissible (I, T) pairs.
+    """Maximize ``kernel`` over the canonical admissible (I, T) pairs:
+    each row the first with its contents, strictly increasing inside a
+    block of tied lags.
 
     ``rows_at[j]`` holds the rows as read at tuple position j.  The
     kernel gets the shifted rows of one (I, T), L, the best value so far
@@ -390,6 +374,13 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     its per-tuple cap is strictly below that value; a tuple whose cap
     ties it is walked and offered.
 
+    No other I holds the lex-smallest maximal key: replacing each row by
+    the first with its contents, then sorting each tied-lag block (its
+    pattern or relabelings with it), reads the same sequences, so keeps
+    the value, and gives a componentwise no larger tuple, then a lex no
+    larger one, smaller unless I was canonical.  Equal contents at one
+    lag are inadmissible, so a block is a b-subset of the first rows.
+
     ``cap * L`` bounds every window value of a length-L sequence.  The
     lag tuples are visited by increasing T[-1], so L never increases,
     and the search stops at the first T with cap * L < best value: no
@@ -398,12 +389,14 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     lex-smallest key whatever the visit order; values and witnesses are
     those of the full search.
     """
-    n, ids = fam.length, _content_ids(fam)
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(fam.rows):
+        first.setdefault(row, i)
+    n, firsts = fam.length, list(first.values())  # in order
     reading = "full" if circ else "windows"
-    plans = sorted(_lag_plans(ell, n, circ, max(ids) + 1),
+    plans = sorted(_lag_plans(ell, n, circ, len(firsts)),
                    key=lambda plan: (plan[0][-1], plan[0]))
-    blocks = _canonical_blocks(ids, {b for _, sizes in plans for b in sizes})
-    shifted = [{t: [row[t:] for row in rows_at[j]]
+    shifted = [{t: {i: rows_at[j][i][t:] for i in firsts}
                 for t in {T[j] for T, _ in plans}} for j in range(ell)]
     best = _Best()
     for T, sizes in plans:
@@ -411,7 +404,7 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
         if best.value is not None and cap * size < best.value:
             break
         cols = [shifted[j][t] for j, t in enumerate(T)]
-        for parts in product(*(blocks[b] for b in sizes)):
+        for parts in product(*(combinations(firsts, b) for b in sizes)):
             I = tuple(chain.from_iterable(parts))
             found = kernel([cols[j][i] for j, i in enumerate(I)], size,
                            best.value, reading)

@@ -25,3 +25,24 @@ def replace(record, **changes):
 def pm(family: Family):
     """Rows as +/-1 integers."""
     return [[1 - 2 * s for s in row] for row in family.rows]
+
+
+def family_with_copies(rng: random.Random, k: int, distinct: int,
+                       n: int) -> Family:
+    """A seeded random family of ``distinct`` drawn rows of length n and
+    as many copies of them, each inserted at a random position, so that
+    about half the rows repeat another (drawn rows may also agree)."""
+    rows = [tuple(rng.randrange(k) for _ in range(n))
+            for _ in range(distinct)]
+    for _ in range(distinct):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+    return Family(p=3, d=1, k=k, rows=tuple(rows))
+
+
+def copied_cases(seed: int) -> list:
+    """(family, order) cases whose rows are about half copies: k in 2..4,
+    ell in 1..3, the longer orders on fewer and shorter rows."""
+    rng = random.Random(seed)
+    return [(family_with_copies(rng, k, rng.randint(1, 4 - ell // 2),
+                                rng.randint(1, 6 - ell)), ell)
+            for k in (2, 3, 4) for ell in (1, 2, 3) for _ in range(6)]

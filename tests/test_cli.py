@@ -293,6 +293,20 @@ def test_order_past_the_admissible_space_ends(tmp_path, name, order, value):
     assert (rec["witness"] is None) == (value == "0")
 
 
+def test_large_order_is_refused_fast(tmp_path):
+    # f2(61,3): 1,240 rows of N = 60; the order-1000 estimate, far past
+    # the budget, is a closed sum of binomials.  Working it out through
+    # a truncated polynomial power took about 80 s
+    src = str(tmp_path / "f2.fam")
+    run(["gen", "--construction", "f2", "--p", "61", "--d", "3",
+         "--out", src])
+    proc = _cli_subprocess(["measure", "--in", src, "--measure", "phi",
+                            "--ell", "1000"], timeout=20)
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert "exact order-1000 correlation needs an estimated" in proc.stderr
+
+
 def test_verify_f2_file_without_trace_zero(tmp_path):
     path = str(tmp_path / "f2.fam")
     proc = _cli_subprocess(["gen", "--construction", "f2", "--p", "7",

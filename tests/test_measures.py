@@ -29,7 +29,7 @@ from prsfam.measures import (
 )
 
 import oracle
-from _util import random_family, replace
+from _util import copied_cases, random_family, replace
 
 
 def fam_pm(rows_pm, k=2):
@@ -95,6 +95,27 @@ def test_phi_all_ones_order2_forces_distinct_shifts():
 
 def test_phi_alternating_row():
     assert cross_correlation(fam_pm([(1, -1, 1, -1)]), 1).value == 1
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: cross_correlation(family_f2(13, 2), 0), "order"),
+    (lambda: cross_correlation(family_f2(13, 2), 1.0), "order"),
+    (lambda: cross_correlation(family_f2(13, 2), True), "order"),
+    (lambda: gamma_circ(family_f2(13, 2), True), "order"),
+    (lambda: big_gamma(family_f2(13, 2), False), "order"),
+    (lambda: gamma(family_f2(13, 2), 1, MODE_SAMPLED, samples=0),
+     "sample count"),
+    (lambda: gamma(family_f2(13, 2), 1, MODE_SAMPLED, samples=True),
+     "sample count"),
+    (lambda: cross_correlation(family_f2(13, 2), 1, MODE_SAMPLED,
+                               samples=2.0), "sample count"),
+], ids=["order-0", "order-float", "order-true", "circ-order-true",
+        "order-false", "samples-0", "samples-true", "samples-float"])
+def test_order_and_sample_count_must_be_ints(call, shown):
+    # a bool is refused as any other non-int is, as Family refuses one
+    with pytest.raises(ParameterError,
+                       match=f"^{shown} must be an integer >= 1, got "):
+        call()
 
 
 def test_phi_rejects_nonbinary():
@@ -536,6 +557,14 @@ def test_budget_refusal_past_the_int_digit_limit():
     # an estimate str() can print shows every digit, as before
     with pytest.raises(BudgetError, match=f"estimated {10**4000} loop"):
         check_budget(10**4000, None, "the search")
+    # so does a budget; past the limit it too is given as a power of two
+    with pytest.raises(BudgetError, match=f"budget is {10**4000}$"):
+        check_budget(10**4001, 10**4000, "the search")
+    with pytest.raises(BudgetError) as exc:
+        check_budget(10**5000, 10**4999, "the search")
+    assert str(exc.value) == ("the search needs an estimated 2^16609 or more "
+                              "loop steps, budget is 2^16606 or more")
+    assert exc.value.budget == 10**4999
 
 
 @pytest.mark.parametrize("call", [
@@ -749,18 +778,22 @@ def _estimate(measure, fam, ell):
     return 0  # nothing to search: the zero budget was enough
 
 
-def _lag_work(fam, ell, circ, steps=lambda L: L):
+def _lag_work(fam, ell, circ, steps=lambda L: L, copies=False):
     """Sequence steps of the lag search, by literal enumeration: every
-    lag tuple T, every canonical admissible row tuple I (rows strictly
-    increasing inside a block of tied lags, equal contents only on
-    distinct lags), ``steps(L)`` each with L = N - T[-1]."""
+    lag tuple T, every admissible row tuple I the search walks (rows
+    strictly increasing inside a block of tied lags, equal contents only
+    on distinct lags, each row the first with its contents), ``steps(L)``
+    each with L = N - T[-1].  With ``copies``, I may also take the later
+    copies of a repeated row, as the search did before it skipped them."""
     n, f = fam.length, fam.size
+    rows = (range(f) if copies else
+            sorted({fam.rows.index(row) for row in fam.rows}))
     lags = ([(0,) * ell] if circ else
             [(0,) + r
              for r in combinations_with_replacement(range(n), ell - 1)])
     work = 0
     for T in lags:
-        for I in product(range(f), repeat=ell):
+        for I in product(rows, repeat=ell):
             tied = [(a, b) for a in range(ell) for b in range(a + 1, ell)
                     if T[a] == T[b]]
             if all(I[a] < I[b] and fam.rows[I[a]] != fam.rows[I[b]]
@@ -770,26 +803,28 @@ def _lag_work(fam, ell, circ, steps=lambda L: L):
 
 
 def test_lag_estimates_bound_literal_work():
+    # each estimate bounds the work of the search, which walks the first
+    # row with each content only, and is at most the work of walking
+    # every copy, which the estimates counted before: none of them grew
     rng = random.Random(19)
     fams = [random_family(rng, max_f=5, max_n=7, k=k, min_n=1)
             for k in (2, 2, 2, 3, 4) for _ in range(3)]
     fams.append(fam_pm([(1, 1, 1), (1, 1, 1), (1, -1, 1)]))
     for fam in fams:
-        kl = {ell: fam.k**ell for ell in (1, 2, 3)}
         for ell in (1, 2, 3):
-            walk = _lag_work(fam, ell, circ=False)
-            circ = _lag_work(fam, ell, circ=True)
-            assert walk * kl[ell] <= _estimate(gamma, fam, ell)
-            assert circ * kl[ell] <= _estimate(gamma_circ, fam, ell)
+            def work(circ, scale=1, steps=lambda L: L):
+                return [_lag_work(fam, ell, circ, steps, copies) * scale
+                        for copies in (False, True)]
+            kl = fam.k**ell
+            checks = [(gamma, work(False, kl)), (gamma_circ, work(True, kl))]
             if fam.k == 2:
-                assert walk <= _estimate(cross_correlation, fam, ell)
-                assert circ <= _estimate(cross_correlation_circ, fam, ell)
-                assert walk <= _estimate(big_gamma, fam, ell)
+                checks += [(cross_correlation, work(False)),
+                           (cross_correlation_circ, work(True)),
+                           (big_gamma, work(False))]
             else:
-                pairs = _lag_work(fam, ell, circ=False,
-                                  steps=lambda L: L * (L + 1) // 2)
-                assert (pairs * math.factorial(fam.k)**ell
-                        <= _estimate(big_gamma, fam, ell))
+                checks.append((big_gamma, work(
+                    False, math.factorial(fam.k)**ell,
+                    lambda L: L * (L + 1) // 2)))
                 # the rotation-class kernel: per (I, T) and representative,
                 # a hull pass over the L + 1 prefix points, then at most
                 # the L(L+1)/2 windows
@@ -797,6 +832,48 @@ def test_lag_estimates_bound_literal_work():
                                    steps=lambda L: L + 1 + L * (L + 1) // 2)
                 assert (kernel * math.factorial(fam.k - 1)**ell
                         <= _estimate(big_gamma, fam, ell))
+            for measure, (walked, every_copy) in checks:
+                assert walked <= _estimate(measure, fam, ell) <= every_copy
+
+
+def test_kernel_work_within_estimate(monkeypatch):
+    # on the families test_oracle checks with repeated rows: each kernel
+    # call is handed one (I, T) of length L; summed over the calls, L per
+    # call (k^ell * L for gamma, and for k >= 3 big_gamma
+    # (k-1)!^ell * (L + 1 + L(L+1)/2), a hull pass and the windows of
+    # each rotation-class representative) is at most the budget=0 estimate
+    sizes = []
+
+    def counted(kernel):
+        def call(seqs, size, *rest):
+            sizes.append(size)
+            return kernel(seqs, size, *rest)
+        return call
+
+    monkeypatch.setattr(measures, "_phi_kernel",
+                        counted(measures._phi_kernel))
+    for module, name in ((measures, "_gamma_kernel"),
+                         (roots, "windows_kernel")):
+        monkeypatch.setattr(module, name, lambda k, ell, make=getattr(
+            module, name): counted(make(k, ell)))
+    for fam, ell in copied_cases(31):
+        k, kl = fam.k, fam.k**ell
+        runs = [(gamma, lambda L: kl * L), (gamma_circ, lambda L: kl * L)]
+        if k == 2:
+            runs += [(cross_correlation, lambda L: L),
+                     (cross_correlation_circ, lambda L: L),
+                     (big_gamma, lambda L: L)]
+        else:
+            runs.append((big_gamma, lambda L: math.factorial(k - 1)**ell
+                         * (L + 1 + L * (L + 1) // 2)))
+        for measure, steps in runs:
+            sizes.clear()
+            measure(fam, ell)
+            estimate = _estimate(measure, fam, ell)
+            # the first lag tuple is always walked, so a kernel is called
+            # exactly when some tuple is admissible
+            assert bool(sizes) == (estimate > 0)
+            assert sum(map(steps, sizes)) <= estimate
 
 
 def test_lag_plans_are_the_fitting_lag_tuples():

@@ -1,8 +1,8 @@
 """Differential tests: exact measures, ``f_complexity`` included,
 against the literal-definition oracle in ``oracle.py``, value and
-witness, at one and two jobs and under a reversed or shuffled lag-tuple
-order; and the sampled modes against the oracle's replay of their
-draws."""
+witness, at one and two jobs, under a reversed or shuffled lag-tuple
+order and on families that repeat rows; and the sampled modes against
+the oracle's replay of their draws."""
 
 import random
 from math import comb, factorial
@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from _util import random_family, replace
+from _util import copied_cases, random_family, replace
 from prsfam import measures
 from prsfam.construct import Family, family_k_symbol
 from prsfam.measures import (
@@ -201,6 +201,10 @@ def families(draw):
 @example(fam=Family(p=3, d=1, k=2,
                     rows=((0, 0), (0, 1), (1, 0), (1, 1), (0, 1))))
 def test_f_complexity_matches_oracle(fam):
+    _check_f_complexity(fam)
+
+
+def _check_f_complexity(fam):
     v, key = oracle.f_complexity(fam)
     r = f_complexity(fam)
     assert r.value == v and type(r.value) is int
@@ -307,6 +311,40 @@ def test_plan_order_does_not_change_results(monkeypatch, order):
         for fam, ell in families:
             v, key = ref(fam, ell)
             _check(measure, fam, ell, v, _spec(fam, ell, key, **spec))
+
+
+_COPIED = copied_cases(31)
+
+
+def _oracle_cost(fam, ell, per_window):
+    n = fam.length
+    return comb(n + ell - 1, ell) * fam.size**ell * n * n * ell * per_window
+
+
+def test_repeated_rows_match_oracle():
+    # the exact searches walk the first row with each content only; on
+    # families that repeat about half their rows every value and witness
+    # is still the oracle's, and every witness row is a first occurrence
+    for fam, ell in _COPIED:
+        firsts = {fam.rows.index(row) + 1 for row in fam.rows}
+        runs = [(gamma, oracle.gamma, {"field": "pattern"}),
+                (gamma_circ, lambda f, l: oracle.gamma(f, l, circ=True),
+                 {"circ": True, "field": "pattern"})]
+        if fam.k == 2:
+            runs += [(cross_correlation, oracle.phi, {}),
+                     (cross_correlation_circ,
+                      lambda f, l: oracle.phi(f, l, circ=True),
+                      {"circ": True}),
+                     (big_gamma, oracle.big_gamma_binary,
+                      {"field": "root_maps"})]
+        elif _oracle_cost(fam, ell, factorial(fam.k)**ell) <= _ORACLE_CAP:
+            runs.append((big_gamma, oracle.big_gamma, {"field": "root_maps"}))
+        for measure, ref, spec in runs:
+            v, key = ref(fam, ell)
+            witness = _spec(fam, ell, key, **spec)
+            _check(measure, fam, ell, v, witness)
+            assert witness is None or set(witness.rows) <= firsts
+        _check_f_complexity(fam)
 
 
 _SAMPLED = {

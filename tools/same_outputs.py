@@ -21,7 +21,10 @@ on k = 2 among them, which no job list runs.  Every correlation measure
 and mode also runs under ``--budget 0`` on both families, so every
 estimate and refusal is compared, and ``fc`` on the binary family under
 a budget that stops it after level 1, so its ``verified-lower-bound``
-record is compared too.  ``verify`` also runs on ksym(5,3,2) and on
+record is compared too.  f2(5,4), whose 30 rows hold 16 distinct
+ones, runs ``fc`` and every exact measure at order 2, each also under
+``--budget 0``, so the searches and estimates are compared on a family
+with repeated rows.  ``verify`` also runs on ksym(5,3,2) and on
 the dual of f2(13,2), whose reports read none of their own
 correlations, and at ``--max-order`` 0 and 4 on f1(13,5) and
 ksym(13,2,3): at 0 it takes only the measures its reports require, and
@@ -84,15 +87,20 @@ def _verify_at(tag: str, max_order: int) -> Job:
                         str(max_order), "--out", f"{{dir}}/{job_id}.json"))
 
 
+def _fc(tag: str) -> Job:
+    """``measure --measure fc`` of ``tag``."""
+    return Job(f"measure-{tag}-fc", ("measure", "--in", f"{{dir}}/{tag}.fam",
+                                     "--measure", "fc", "--out",
+                                     f"{{dir}}/measure-{tag}-fc.json"))
+
+
 def _measure_jobs() -> list[Job]:
     jobs = [gen("f2_13_2", "f2", 13, 2),
             gen("ksym_13_2_3", "ksym", 13, 2, k=3)]
     for tag, ell, names in (
             ("f2_13_2", 3, ("phi", "phi0", "gamma", "gamma0", "biggamma")),
             ("ksym_13_2_3", 2, ("gamma", "gamma0", "biggamma"))):
-        fc = Job(f"measure-{tag}-fc", ("measure", "--in", f"{{dir}}/{tag}.fam",
-                                       "--measure", "fc", "--out",
-                                       f"{{dir}}/measure-{tag}-fc.json"))
+        fc = _fc(tag)
         jobs.append(fc)
         if tag == "f2_13_2":
             # fc certifies level 1 in 96 steps; level 2 needs 1,056 more
@@ -105,6 +113,12 @@ def _measure_jobs() -> list[Job]:
                 jobs += runs
             # phi on k = 3 compares which refusal comes first
             jobs += [_with_budget(job, 0) for job in runs]
+    # f2(5,4) repeats 14 of its 30 rows
+    jobs.append(gen("f2_5_4", "f2", 5, 4))
+    for job in [_fc("f2_5_4")] + [measure("f2_5_4", name, 2, 1) for name in
+                                  ("phi", "phi0", "gamma", "gamma0",
+                                   "biggamma")]:
+        jobs += [job, _with_budget(job, 0)]
     jobs += [gen("ksym_5_3_2", "ksym", 5, 3, k=2), verify("ksym_5_3_2", 1),
              dual("f2_13_2"), verify("dual_f2_13_2", 1),
              gen("f1_13_5", "f1", 13, 5)]
