@@ -54,11 +54,13 @@ class InternalError(Error):
 
 
 def _shown(count: int) -> str:
-    """``count`` in digits, or as a power of two past the int digit
-    limit, where ``str`` refuses."""
+    """``count`` in digits, or past the int digit limit, where ``str``
+    refuses, as the power of two that its magnitude reaches."""
     try:
         return str(count)
     except ValueError:
+        if count < 0:
+            return f"-2^{count.bit_length() - 1} or less"
         return f"2^{count.bit_length() - 1} or more"
 
 
@@ -71,7 +73,7 @@ def check_budget(estimate: int, budget, what: str,
     if budget is None:
         budget = default
     elif budget < 0:
-        raise ParameterError(f"budget must be >= 0, got {budget}")
+        raise ParameterError(f"budget must be >= 0, got {_shown(budget)}")
     if estimate > budget:
         certified = ("" if verified_lower_bound is None else
                      f"; value >= {verified_lower_bound} is certified")

@@ -23,8 +23,8 @@ occurrences of W, at 0 and at L: O(L + k^ell).  The zero-shift variants
 are the case T = 0, s = 0, e = N.  ``big_gamma`` for k <= 2 is phi,
 since relabeling {0, 1} only flips signs; for k >= 3 it takes one
 relabeling tuple per rotation class, skips those whose prefix points
-have a hull diameter clearly below the best value, walks the windows
-of the others, and compares magnitudes exactly (``roots``).  I takes
+span a box clearly below the best value, walks the windows of the
+others, and compares magnitudes exactly (``roots``).  I takes
 only the first row with each content, and positions with equal lags
 form a block inside which I strictly increases: the lex-smallest tuple
 of each class that permuting a block or swapping a row for an equal
@@ -105,7 +105,7 @@ from operator import add, mul
 
 from .construct import Family
 from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, InternalError,
-                     ParameterError, Record, check_budget)
+                     ParameterError, Record, _shown, check_budget)
 
 if TYPE_CHECKING:
     from typing import Optional, Union
@@ -233,13 +233,12 @@ def _empty(fam: Family, ell: int, circ: bool) -> bool:
 
 def _require(ell: int, mode: str = MODE_EXACT, samples: int = 1) -> None:
     # an order and a sample count are ints >= 1, and a bool is not one
-    if type(ell) is not int or ell < 1:
-        raise ParameterError(f"order must be an integer >= 1, got {ell}")
-    if mode == MODE_SAMPLED:
-        if type(samples) is not int or samples < 1:
+    sampled = mode == MODE_SAMPLED
+    for name, n in (("order", ell), ("sample count", samples))[:1 + sampled]:
+        if type(n) is not int or n < 1:
             raise ParameterError(
-                f"sample count must be an integer >= 1, got {samples}")
-    elif mode != MODE_EXACT:
+                f"{name} must be an integer >= 1, got {_shown(n)}")
+    if not sampled and mode != MODE_EXACT:
         raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -458,7 +457,7 @@ def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
     are still read, so values, witnesses and the stream are unchanged.
     """
     kind = "sampled" if mode == MODE_SAMPLED else "exact"
-    check_budget(estimate, budget, f"{kind} {what}")
+    check_budget(estimate, budget, f"{kind} order-{_shown(ell)} {what}")
     best = _Best()
     if _empty(fam, ell, circ):  # so no sampled draw is admissible either
         return best
@@ -530,7 +529,7 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
                 else samples * (2 * ell + (ell + 1) * fam.length))
     pm = fam.pm_rows()
     best = _search(fam, lambda j: pm, ell, mode, lambda: _phi_kernel,
-                   1, estimate, budget, f"order-{ell} correlation",
+                   1, estimate, budget, "correlation",
                    random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
 
@@ -546,7 +545,7 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     pm = fam.pm_rows()
     best = _search(fam, lambda j: pm, ell, MODE_EXACT,
                    lambda: _phi_kernel, 1, _lag_estimate(fam, ell, True),
-                   budget, f"order-{ell} zero-shift correlation", circ=True)
+                   budget, "zero-shift correlation", circ=True)
     return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
 
 
@@ -636,7 +635,7 @@ def _gamma(fam: Family, name: str, ell: int, mode: str,
     estimate = (samples * (2 * ell + ell * n + min(n, kl) + 1)
                 if mode == MODE_SAMPLED
                 else _lag_estimate(fam, ell, circ) * kl)
-    what = f"order-{ell} {'zero-shift ' if circ else ''}pattern deviation"
+    what = f"{'zero-shift ' if circ else ''}pattern deviation"
     kernel = _gamma_kernel(k, ell)
     # |k^ell * C - M| <= (k^ell - 1) * M above and <= M below, with M <= L
     best = _search(fam, lambda j: [tuple(s * k**(ell - 1 - j) for s in row)
@@ -725,8 +724,8 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     an integer, and exact mode runs the phi search.  For k >= 3 exact
     mode runs the lag-prefix engine over the rotation-class
     representatives phi_j(0) = 0, (k-1)!^ell relabeling tuples, each
-    skipped when the hull diameter of its prefix points is clearly
-    below the best value so far.  Every comparison of magnitudes, of
+    skipped when the bounding box of its prefix points is clearly below
+    the best value so far.  Every comparison of magnitudes, of
     windows, against the best so far and against the value cap, is
     exact: a float decides only beyond its proven error, otherwise the
     integer coordinates of |z|^2 mod Phi_k do (``roots.Magnitude``).  All
@@ -759,8 +758,8 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     # an exact magnitude is at most M <= L
     kernels = _relabel_kernels(k, ell, mode, rng)
     best = _search(fam, lambda j: rows, ell, mode, lambda: next(kernels), 1,
-                   estimate, budget,
-                   f"order-{ell} root-relabeling correlation", rng, samples)
+                   estimate, budget, "root-relabeling correlation", rng,
+                   samples)
     if k <= 2:
         return _result(fam, "big_gamma", ell, mode, best, 0,
                        field="root_maps")

@@ -19,10 +19,9 @@ points Q[0..L]; the window [s, e) has magnitude |Q[e] - Q[s]|.
 Floats stand for exact values within err(L) = (L + 1)^2 * 2^-44: each
 root is within 2^-48 of its value and each of the L prefix additions
 rounds by at most L * 2^-53, so a coordinate of Q[n] is within
-(L + 1)^2 * 2^-48 and a magnitude |Q[e] - Q[s]|, with its rounding,
-within (L + 1)^2 * 2^-46; err(L) is four times that, and also bounds the
-rounding of a cross product in ``diameter``.  A float gap beyond the
-errors decides a comparison, and ``Magnitude`` decides the others.
+(L + 1)^2 * 2^-48 = err(L)/16 and a magnitude |Q[e] - Q[s]|, with its
+rounding, within err(L)/4.  A float gap beyond the errors decides a
+comparison, and ``Magnitude`` decides the others.
 Ties go to the smallest s, then e, then phi.
 """
 
@@ -30,9 +29,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import (accumulate, combinations, islice, permutations,
-                       product, repeat, starmap)
-from operator import attrgetter, mul, sub
+from itertools import accumulate, islice, permutations, product, repeat
+from operator import mul, sub
 
 
 @lru_cache(maxsize=None)
@@ -152,32 +150,6 @@ class Magnitude:
     __hash__ = None
 
 
-_xy = attrgetter("real", "imag")
-
-
-def diameter(Q: list, tol: float) -> float:
-    """The largest distance between two points of Q, as the largest
-    between two points kept by Andrew's monotone chain.  A point leaves
-    the chain only on a computed cross product below -tol, a clear
-    right turn of the float points, so every vertex of their hull stays,
-    and with it the farthest pair; near-collinear points that stay only
-    cost time."""
-    pts = sorted(map(_xy, Q))
-    chain = []
-    for half in (pts, pts[::-1]):
-        part: list = []
-        for x, y in half:
-            while len(part) >= 2:
-                (ox, oy), (ax, ay) = part[-2], part[-1]
-                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= -tol:
-                    break
-                part.pop()
-            part.append((x, y))
-        chain += part[1:]  # each half starts where the other ends
-    hull = [complex(x, y) for x, y in chain]
-    return max(map(abs, starmap(sub, combinations(hull, 2))))
-
-
 @lru_cache(maxsize=None)
 def _roots(k: int) -> list[complex]:
     return [complex(math.cos(2.0 * math.pi * j / k),
@@ -208,18 +180,33 @@ def _prefix(maps, seqs, size: int):
                                  initial=0j)), (size + 1)**2 * 2.0**-44)
 
 
-def _walk(k, idx, Q, err, cut, starts, floor, best, phi):
+def _diagonal(Q: list) -> float:
+    """The diagonal of the bounding box of the float points Q."""
+    xs = [q.real for q in Q]
+    ys = [q.imag for q in Q]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
+def _walk(k, idx, Q, err, starts, floor, best, phi):
     """Offer the windows [s, e), s in ``starts``, of one relabeling
-    tuple whose windows reach at most ``cut`` (a float): a window wins
-    over ``best`` (s, e, phi, value) on a larger value or an equal one
-    with a smaller (s, e), and the first must reach ``floor``."""
+    tuple: a window wins over ``best`` (s, e, phi, value) on a larger
+    value or an equal one with a smaller (s, e), and the first must
+    reach ``floor``.
+
+    A window whose float is below thr = top.f - top.err - err, top the
+    best value or the floor, is strictly below top, so only the others
+    are compared.  The tuple is skipped unwalked when the diagonal of
+    the bounding box of its float prefix points, plus 2 err, is below
+    thr.  Every window Q[e] - Q[s] joins two prefix points, so its exact
+    magnitude is at most the diagonal of the exact points' box.  Each
+    coordinate is within err/16 of its exact value, so that diagonal is
+    at most the float one plus err.  Every window of a skipped tuple is
+    then below thr - err < top.f - top.err <= top: it can neither beat
+    nor tie the best value."""
     top = best[3] if best else floor
-    if top is not None and cut + err < top.f - top.err:
+    thr = 0 if top is None else top.f - top.err - err
+    if _diagonal(Q) + 2 * err < thr:
         return best
-    # a window below cut - 2 err is below another of this phi
-    thr = cut - 2 * err
-    if top is not None:
-        thr = max(thr, top.f - top.err - err)
     for s in starts:
         lo = s + max(int(thr - err), 1)  # a magnitude is at most M
         vals = list(map(abs, map(sub, Q[lo:], repeat(Q[s]))))
@@ -246,19 +233,18 @@ def windows_kernel(k: int, ell: int):
     (k-1)!^ell tuples: adding c to phi_j turns every term by zeta^c and
     leaves every magnitude unchanged, and the representative is the
     lex-smallest map of its class, so under exact comparison the
-    witness is that of all k!^ell tuples.  It skips a representative
-    whose prefix points have a hull diameter, the largest magnitude of
-    its windows, clearly below the best value so far, and walks the
-    windows of the others.  The representatives are the first (k-1)!
-    maps in lex order, those of ``itertools.permutations``."""
+    witness is that of all k!^ell tuples.  ``_walk`` skips a
+    representative whose prefix points span a box clearly below the
+    best value so far, and walks the windows of the others.  The
+    representatives are the first (k-1)! maps in lex order, those of
+    ``itertools.permutations``."""
     reps = list(islice(permutations(range(k)), math.factorial(k - 1)))
 
     def windows(seqs, size: int, floor, reading: str = "windows"):
         best = None
         for phi in product(range(len(reps)), repeat=ell):
             idx, Q, err = _prefix([reps[c] for c in phi], seqs, size)
-            best = _walk(k, idx, Q, err, diameter(Q, err), range(size),
-                         floor, best, phi)
+            best = _walk(k, idx, Q, err, range(size), floor, best, phi)
         if best is None:
             return None
         s, e, phi, mag = best
@@ -270,8 +256,8 @@ def windows_kernel(k: int, ell: int):
 def pinned(maps, seqs, size: int, floor, reading: str = "pinned"):
     """The sampled big_gamma kernel for one relabeling tuple: the
     windows [0, e), the earliest of the exact largest, as the "pinned"
-    reading of ``measures._search`` asks."""
+    reading of ``measures._search`` asks, skipped by the box test of
+    ``_walk``."""
     idx, Q, err = _prefix(maps, seqs, size)
-    best = _walk(len(maps[0]), idx, Q, err, max(map(abs, Q)), range(1),
-                 floor, None, maps)
+    best = _walk(len(maps[0]), idx, Q, err, range(1), floor, None, maps)
     return None if best is None else (best[3], 0, best[1], maps)

@@ -467,22 +467,70 @@ def test_magnitude_compares_exactly_where_floats_cannot():
     assert m == 3 and 2 < m < 4 and not 3 < m
 
 
-def test_diameter_matches_all_pairs():
+def test_box_diagonal_bounds_every_window():
     # the prefix points of random walks on the k-th roots, with long
-    # straight runs and returns that put many points on hull edges
+    # straight runs and returns, and of walks in one direction, whose
+    # farthest pair spans the box: the float diagonal plus err(L) is at
+    # least the exact magnitude of every window
+    from decimal import Decimal
     rng = random.Random(31)
     for k in range(3, 9):
-        zeta = [complex(math.cos(2 * math.pi * j / k),
-                        math.sin(2 * math.pi * j / k)) for j in range(k)]
+        walks = [[c] * n for c in range(k) for n in (1, 7, 12)]
         for _ in range(40):
             steps = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
-            steps = [c for c in steps for _ in range(rng.randint(1, 4))]
-            Q = [0j]
-            for c in steps:
-                Q.append(Q[-1] + zeta[c])
-            tol = (len(steps) + 1)**2 * 2.0**-44
-            brute = max(abs(a - b) for a in Q for b in Q)
-            assert abs(roots.diameter(Q, tol) - brute) <= tol
+            walks.append([c for c in steps for _ in range(rng.randint(1, 4))])
+        for steps in walks:
+            L = len(steps)
+            idx, Q, err = roots._prefix([tuple(range(k))], [steps], L)
+            bound = Decimal(roots._diagonal(Q) + err)**2
+            for s, e in itertools.combinations(range(L + 1), 2):
+                counts = tuple(map(steps[s:e].count, range(k)))
+                assert oracle._exact_square(counts)[0] <= bound
+
+
+def test_box_skips_most_walks(monkeypatch):
+    # a walk calls repeat once per start, so a call of _walk that makes
+    # none returned before its first window
+    skipped, starts = [], []
+    real_walk, real_repeat = roots._walk, roots.repeat
+
+    def repeat(*args):
+        starts.append(None)
+        return real_repeat(*args)
+
+    def walk(*args):
+        before = len(starts)
+        best = real_walk(*args)
+        skipped.append(len(starts) == before)
+        return best
+
+    monkeypatch.setattr(roots, "repeat", repeat)
+    monkeypatch.setattr(roots, "_walk", walk)
+    big_gamma(family_k_symbol(31, 2, 5), 1)
+    assert len(skipped) == 360 and sum(skipped) > len(skipped) // 2
+
+
+@pytest.mark.parametrize("p, d, k, ell", [(31, 2, 5, 1), (13, 2, 3, 2)])
+def test_box_skip_changes_nothing(p, d, k, ell, monkeypatch):
+    # with the skip off every tuple is walked: the same value and witness
+    fam = family_k_symbol(p, d, k)
+    modes = [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}]
+    kept = [big_gamma(fam, ell, **kw) for kw in modes]
+    monkeypatch.setattr(roots, "_diagonal", lambda Q: math.inf)
+    for kw, r in zip(modes, kept):
+        walked = big_gamma(fam, ell, **kw)
+        assert (walked.value, walked.witness) == (r.value, r.witness)
+
+
+def test_box_skip_keeps_a_tie():
+    # one row of symbol 0: every representative walks the real axis, so
+    # the box diagonal is the window [0, 6) itself, and it ties a floor of
+    # exactly 6, which both kernels must return
+    row, maps = (0,) * 6, ((0, 1, 2),)
+    floor = roots.Magnitude(6.0, 0.0, (6, 0, 0))
+    for got in (roots.windows_kernel(3, 1)([row], 6, floor),
+                roots.pinned(maps, [row], 6, floor)):
+        assert got is not None and got[0] == 6 and got[1:] == (0, 6, maps)
 
 
 # --- sampled mode ------------------------------------------------------------
@@ -565,6 +613,33 @@ def test_budget_refusal_past_the_int_digit_limit():
     assert str(exc.value) == ("the search needs an estimated 2^16609 or more "
                               "loop steps, budget is 2^16606 or more")
     assert exc.value.budget == 10**4999
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_budget(0, -10**5000, "x"), "budget must be >= 0"),
+    (lambda: cross_correlation(family_f2(13, 2), -10**5000),
+     "order must be an integer >= 1"),
+    (lambda: gamma(family_f2(13, 2), 1, mode=MODE_SAMPLED,
+                   samples=-10**5000), "sample count must be an integer >= 1"),
+], ids=["budget", "order", "samples"])
+def test_negative_int_past_the_digit_limit_is_refused(call, message):
+    # str() refuses such an int; the message gives the power of two that
+    # its magnitude reaches
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == f"{message}, got -2^16609 or less"
+
+
+def test_order_past_the_digit_limit_is_empty():
+    # past the admissible space, as at order 73, the search is empty; its
+    # description, which names the order, is built without str()
+    fam = family_f2(13, 2)
+    r, r73 = cross_correlation(fam, 10**5000), cross_correlation(fam, 73)
+    assert r.order == 10**5000
+    assert (r.value, r.witness) == (r73.value, r73.witness) == (0, None)
+    with pytest.raises(BudgetError,
+                       match=r"^sampled order-2\^16609 or more correlation "):
+        cross_correlation(fam, 10**5000, MODE_SAMPLED)
 
 
 @pytest.mark.parametrize("call", [
@@ -826,7 +901,7 @@ def test_lag_estimates_bound_literal_work():
                     False, math.factorial(fam.k)**ell,
                     lambda L: L * (L + 1) // 2)))
                 # the rotation-class kernel: per (I, T) and representative,
-                # a hull pass over the L + 1 prefix points, then at most
+                # a box pass over the L + 1 prefix points, then at most
                 # the L(L+1)/2 windows
                 kernel = _lag_work(fam, ell, circ=False,
                                    steps=lambda L: L + 1 + L * (L + 1) // 2)
@@ -840,7 +915,7 @@ def test_kernel_work_within_estimate(monkeypatch):
     # on the families test_oracle checks with repeated rows: each kernel
     # call is handed one (I, T) of length L; summed over the calls, L per
     # call (k^ell * L for gamma, and for k >= 3 big_gamma
-    # (k-1)!^ell * (L + 1 + L(L+1)/2), a hull pass and the windows of
+    # (k-1)!^ell * (L + 1 + L(L+1)/2), a box pass and the windows of
     # each rotation-class representative) is at most the budget=0 estimate
     sizes = []
 

@@ -24,7 +24,11 @@ a budget that stops it after level 1, so its ``verified-lower-bound``
 record is compared too.  f2(5,4), whose 30 rows hold 16 distinct
 ones, runs ``fc`` and every exact measure at order 2, each also under
 ``--budget 0``, so the searches and estimates are compared on a family
-with repeated rows.  ``verify`` also runs on ksym(5,3,2) and on
+with repeated rows.  Exact ``biggamma`` at order 1 runs on
+ksym(31,3,5) (k = 5, N = 30) and ksym(29,2,7) (k = 7, N = 28), each
+also under ``--budget 0``, and sampled ``biggamma`` on ksym(29,2,7):
+larger k and longer rows than any job list gives the k >= 3 walk and
+its skip.  ``verify`` also runs on ksym(5,3,2) and on
 the dual of f2(13,2), whose reports read none of their own
 correlations, and at ``--max-order`` 0 and 4 on f1(13,5) and
 ksym(13,2,3): at 0 it takes only the measures its reports require, and
@@ -119,6 +123,11 @@ def _measure_jobs() -> list[Job]:
                                   ("phi", "phi0", "gamma", "gamma0",
                                    "biggamma")]:
         jobs += [job, _with_budget(job, 0)]
+    # exact biggamma on larger k and longer rows than any job list runs
+    for tag, p, d, k in (("ksym_31_3_5", 31, 3, 5), ("ksym_29_2_7", 29, 2, 7)):
+        job = measure(tag, "biggamma", 1, 1)
+        jobs += [gen(tag, "ksym", p, d, k=k), job, _with_budget(job, 0)]
+    jobs.append(measure("ksym_29_2_7", "biggamma", 1, 1, samples=2000))
     jobs += [gen("ksym_5_3_2", "ksym", 5, 3, k=2), verify("ksym_5_3_2", 1),
              dual("f2_13_2"), verify("dual_f2_13_2", 1),
              gen("f1_13_5", "f1", 13, 5)]
