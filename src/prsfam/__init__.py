@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 _OWNER = {name: module for module, names in (
     ("errors", ("Error", "ParameterError", "DomainError", "BudgetError",
                 "ParseError", "InternalError")),
-    ("ff", ("is_prime", "legendre", "primitive_root", "char_k",
-            "FieldParams", "ExtElem")),
+    ("ff", ("is_prime", "legendre", "primitive_root", "char_k")),
     ("poly", ("Poly", "poly_gcd", "is_irreducible", "mobius",
               "count_trace_zero_irreducibles",
-              "enumerate_trace_zero_irreducibles", "minimal_polynomial",
-              "conjugacy_representatives", "scale_poly")),
+              "enumerate_trace_zero_irreducibles", "ExtElem",
+              "minimal_polynomial", "conjugacy_representatives",
+              "scale_poly")),
     ("construct", ("Family", "family_f1", "family_f2", "family_k_symbol",
                    "dual", "read_family", "write_family")),
     ("measures", ("CorrelationSpec", "PatternWitness", "MeasureResult",

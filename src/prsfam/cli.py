@@ -120,7 +120,11 @@ def _is(obj, module: str, cls: str) -> bool:
 def _value_str(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    return str(v)  # int and Fraction both print exactly ("7", "1/2")
+    try:
+        return str(v)  # int and Fraction both print exactly ("7", "1/2")
+    except ValueError:  # past the int-to-str digit limit
+        raise ParameterError("cannot report a number past the int digit "
+                             "limit") from None
 
 
 def _witness_dict(w):
@@ -168,10 +172,13 @@ def _bound_dict(r: BoundReport) -> dict:
 
 def _to_dict(r) -> dict:
     if _is(r, "measures", "MeasureResult"):
-        return _measure_dict(r)
-    if _is(r, "bounds", "BoundReport"):
-        return _bound_dict(r)
-    raise ParameterError(f"cannot serialize result of type {type(r)!r}")
+        d = _measure_dict(r)
+    elif _is(r, "bounds", "BoundReport"):
+        d = _bound_dict(r)
+    else:
+        raise ParameterError(f"cannot serialize result of type {type(r)!r}")
+    _value_str(d["order"])  # every format prints the order
+    return d
 
 
 _CSV_FIELDS = ["name", "order", "value", "mode", "subject", "witness",

@@ -50,10 +50,9 @@ _BASE_TAGS = {"f1", "f2", "ksym", "external"}
 
 
 def _check_tag(tag: str) -> None:
-    inner = tag
-    while inner.startswith("dual(") and inner.endswith(")"):
-        inner = inner[5:-1]
-    if inner not in _BASE_TAGS:
+    """A tag is a base tag or the dual of one, so ``dual`` is an
+    involution on every family."""
+    if tag not in _BASE_TAGS and dual_tag(tag) not in _BASE_TAGS:
         raise ParameterError(f"unknown construction tag {tag!r}")
 
 

@@ -95,9 +95,10 @@ class Record:
     called for a fresh value per instance.  Construction takes the
     fields by position or keyword.  ``==`` and ``hash`` read the fields
     not in ``_uncompared``, and ``repr`` shows those not in
-    ``_unshown``.  Assigning or deleting an attribute raises
-    ``AttributeError``; copies and pickles are rebuilt through the
-    constructor, since ``__setattr__`` blocks the default slot restore.
+    ``_unshown``, an int through ``_shown``.  Assigning or deleting an
+    attribute raises ``AttributeError``; copies and pickles are rebuilt
+    through the constructor, since ``__setattr__`` blocks the default
+    slot restore.
     """
 
     __slots__ = ()
@@ -129,8 +130,10 @@ class Record:
         return hash(self._values(self._uncompared))
 
     def __repr__(self):
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__
-                 if n not in self._unshown)
+        values = ((n, getattr(self, n)) for n in self.__slots__
+                  if n not in self._unshown)
+        shown = (f"{n}={_shown(v) if type(v) is int else repr(v)}"
+                 for n, v in values)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value=None):

@@ -1,19 +1,12 @@
-"""Arithmetic over F_p and its extensions F_{p^d}, plus the
+"""Arithmetic over the prime field F_p: the primality check, and the
 multiplicative characters the sequence constructions evaluate.
 
-Prime-field values are plain integers in [0, p).  Extension elements
-carry coordinate tuples in the polynomial basis 1, x, ..., x^(d-1) for a
-fixed monic irreducible modulus.  The modulus and the primitive root
-used by the order-k character are chosen deterministically, so
-independent runs agree bit for bit.
+Values are plain integers in [0, p).  The primitive root used by the
+order-k character is chosen deterministically, so independent runs
+agree bit for bit.  The extensions F_{p^d} live in ``poly``.
 
-Each field caches its p-power Frobenius as a d x d matrix over F_p
-(the map is F_p-linear; see ``poly``).  ``FieldParams`` and
-``ExtElem`` only hold values: the arithmetic on coordinate tuples, and
-``poly._orbit``, the one walk of a Frobenius orbit, live in ``poly``.
-
-Every value is immutable and every operation is a pure function; values
-can be shared freely across threads.
+Every operation is a pure function; values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -21,19 +14,16 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, InternalError, ParameterError, Record
+from .errors import DomainError, InternalError, ParameterError
 # ``is_irreducible`` is not called here; it stays importable from
 # ``ff`` because perfbench's tracer wraps ``ff.is_irreducible`` by name.
-from .poly import (Poly, _frobenius_columns, _prime_divisors,
-                   first_irreducible, is_irreducible)
+from .poly import _prime_divisors, is_irreducible
 
 __all__ = [
     "is_prime",
     "legendre",
     "primitive_root",
     "char_k",
-    "FieldParams",
-    "ExtElem",
 ]
 
 
@@ -138,53 +128,3 @@ def char_k(m: int, k: int, p: int) -> int:
     if m == 0:
         raise DomainError("order-k character is undefined at 0")
     return _dlog_table(p)[m] % k
-
-
-@functools.lru_cache(maxsize=None)
-def _default_modulus(p: int, d: int) -> Poly:
-    """Lexicographically smallest monic irreducible of degree d over
-    F_p, comparing coefficient tuples highest power first."""
-    f = first_irreducible([range(p)] * d, p)
-    if f is None:
-        raise InternalError(
-            f"no irreducible polynomial of degree {d} over F_{p}")
-    return f
-
-
-class FieldParams:
-    """The field F_{p^d} for an odd prime p and a degree d >= 1, in the
-    polynomial basis of ``_default_modulus(p, d)``.
-
-    ``frobenius_rows`` is the p-power map as a matrix acting on
-    coordinate tuples: its column i holds (x^i)^p mod the modulus.
-    """
-
-    __slots__ = ("p", "d", "modulus", "frobenius_rows")
-
-    def __init__(self, p: int, d: int):
-        _check_odd_prime(p)
-        if d < 1:
-            raise ParameterError(f"extension degree must be >= 1, got {d}")
-        self.p = p
-        self.d = d
-        self.modulus = _default_modulus(p, d)
-        self.frobenius_rows = tuple(zip(*_frobenius_columns(self.modulus)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldParams):
-            return NotImplemented
-        return (self.p, self.d) == (other.p, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.d))
-
-    def __repr__(self) -> str:
-        return f"FieldParams(p={self.p}, d={self.d})"
-
-
-class ExtElem(Record):
-    """Element of F_{p^d}: its field and its coordinate tuple in the
-    power basis.  It carries no arithmetic; ``poly`` computes on the
-    coordinate tuples."""
-
-    __match_args__ = __slots__ = ("field", "coeffs")

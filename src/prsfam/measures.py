@@ -151,11 +151,8 @@ class CorrelationSpec(Record):
             raise ParameterError("window must satisfy 1 <= M and M + d_ell <= N")
         if not all(1 <= idx <= fam.size for idx in i):
             raise ParameterError("row indices must lie in 1..F")
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                if fam.rows[i[a] - 1] == fam.rows[i[b] - 1] and d[a] == d[b]:
-                    raise ParameterError(
-                        "equal rows must carry distinct shifts")
+        if len(set(zip([fam.rows[idx - 1] for idx in i], d))) != ell:
+            raise ParameterError("equal rows must carry distinct shifts")
         symbols = range(fam.k)
         if self.pattern is not None and (
                 len(self.pattern) != ell

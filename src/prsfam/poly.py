@@ -6,24 +6,29 @@ structural.  Beyond the ring operations: irreducibility, a product
 sieve and counts of the monic irreducibles, minimal polynomials and
 conjugacy representatives of extension elements, and scaling.
 
+The extension F_(p^d) is ``_field(p, d)``: its modulus, the
+lexicographically smallest monic irreducible of degree d, so
+independent runs agree bit for bit, and its Frobenius.  An element,
+``ExtElem``, is a coordinate tuple in the basis 1, x, ..., x^(d-1).
 The p-th power map of F_p[x]/(f) is F_p-linear, so
 ``_frobenius_columns`` builds it once per modulus as a d x d matrix and
 every later p-th power is one matrix-vector product.  ``_orbit`` is the
 one walk of a Frobenius orbit; the trace-zero representatives are found
 on the trace's kernel alone.
 
-Functions taking a prime ``p`` trust the caller; the field and
-construction layers check it.
+Functions taking a prime ``p`` trust the caller; ``_field`` and the
+builders check it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, islice, product
 from math import prod
 from operator import mul
 
 from .errors import (TYPE_CHECKING, DomainError, InternalError,
-                     ParameterError, check_budget)
+                     ParameterError, Record, check_budget)
 
 if TYPE_CHECKING:
     from typing import Iterable, Sequence
@@ -38,6 +43,7 @@ __all__ = [
     "count_trace_zero_irreducibles",
     "enumerate_irreducibles",
     "enumerate_trace_zero_irreducibles",
+    "ExtElem",
     "minimal_polynomial",
     "conjugacy_representatives",
     "scale_poly",
@@ -399,9 +405,36 @@ def enumerate_trace_zero_irreducibles(p: int, d: int,
     return enumerate_irreducibles(p, d, True, budget)
 
 
-def minimal_polynomial(beta) -> Poly:
+@lru_cache(maxsize=None)
+def _field(p: int, d: int) -> tuple[Poly, tuple[tuple[int, ...], ...]]:
+    """F_(p^d) for an odd prime p and a degree d >= 1: its modulus, the
+    lexicographically smallest monic irreducible of degree d (comparing
+    coefficient tuples highest power first), and the rows of its p-power
+    Frobenius, whose column i holds (x^i)^p mod the modulus."""
+    from .ff import _check_odd_prime  # deferred: ff builds on this module
+
+    _check_odd_prime(p)
+    if d < 1:
+        raise ParameterError(f"extension degree must be >= 1, got {d}")
+    f = first_irreducible([range(p)] * d, p)
+    if f is None:
+        raise InternalError(
+            f"no irreducible polynomial of degree {d} over F_{p}")
+    return f, tuple(zip(*_frobenius_columns(f)))
+
+
+class ExtElem(Record):
+    """Element of F_(p^d): the prime p and the coordinate tuple, of
+    length d, in the basis of ``_field(p, d)``.  It carries no
+    arithmetic; the functions here compute on the coordinate tuple."""
+
+    __match_args__ = __slots__ = ("p", "coeffs")
+
+
+def minimal_polynomial(beta: ExtElem) -> Poly:
     """Monic polynomial over F_p whose roots are the distinct conjugates
-    of beta, an ``ff.ExtElem``.
+    of beta, read in ``_field(beta.p, d)``, d the length of beta's
+    coordinate tuple.
 
     For beta generating the full extension the degree equals d; subfield
     elements yield their lower-degree minimal polynomial (the degree of
@@ -409,12 +442,12 @@ def minimal_polynomial(beta) -> Poly:
     orbit is expanded on coordinate tuples; each coefficient must land
     in F_p.
     """
-    field = beta.field
-    p, f, d = field.p, field.modulus.coeffs, field.d
+    p, d = beta.p, len(beta.coeffs)
+    modulus, rows = _field(p, d)
     zero = (0,) * d
     coeffs = [(1,) + zero[1:]]  # coeffs[i] multiplies X^i
-    for r in _orbit(field.frobenius_rows, beta.coeffs, p):
-        scaled = [_mulmod(c, r, f, p) for c in coeffs] + [zero]
+    for r in _orbit(rows, beta.coeffs, p):
+        scaled = [_mulmod(c, r, modulus.coeffs, p) for c in coeffs] + [zero]
         coeffs = [tuple((a - b) % p for a, b in zip(u, w))
                   for u, w in zip([zero] + coeffs, scaled)]
     if any(any(c[1:]) for c in coeffs):
@@ -424,10 +457,11 @@ def minimal_polynomial(beta) -> Poly:
 
 
 def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
-                              budget: int | None = None) -> list:
-    """One representative per conjugate orbit of elements of degree
-    exactly d, optionally of trace zero: the orbit's lexicographically
-    smallest coordinate tuple, listed in that order.  They biject with
+                              budget: int | None = None) -> list[ExtElem]:
+    """One ``ExtElem`` per conjugate orbit of elements of F_(p^d) of
+    degree exactly d, optionally of trace zero: the orbit's
+    lexicographically smallest coordinate tuple in the basis of
+    ``_field(p, d)``, listed in that order.  They biject with
     the monic irreducible degree-d polynomials (of trace zero under the
     filter) via ``minimal_polynomial``.
 
@@ -438,11 +472,8 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
     A basis vector's trace is d / |orbit| times the sum of its orbit's
     rational coordinates.
     """
-    from .ff import ExtElem, FieldParams  # deferred: ff builds on this module
-
     check_budget(p**d, budget, "orbit enumeration", DEFAULT_ENUM_BUDGET)
-    field = FieldParams(p, d)
-    rows = field.frobenius_rows
+    rows = _field(p, d)[1]
     basis_traces = []
     for i in range(d):
         orbit = _orbit(rows, (0,) * i + (1,) + (0,) * (d - 1 - i), p)
@@ -462,7 +493,7 @@ def conjugacy_representatives(p: int, d: int, trace_zero_only: bool,
         orbit = _orbit(rows, coords, p)
         seen.update(orbit)
         if len(orbit) == d:
-            reps.append(ExtElem(field, coords))
+            reps.append(ExtElem(p, coords))
     return reps
 
 

@@ -180,8 +180,21 @@ def _prefix(maps, seqs, size: int):
                                  initial=0j)), (size + 1)**2 * 2.0**-44)
 
 
-def _diagonal(Q: list) -> float:
-    """The diagonal of the bounding box of the float points Q."""
+def _reach(Q: list, starts: range) -> float:
+    """A float r with r + err at least the exact magnitude of every
+    window [s, e), s in ``starts``, of the float prefix points Q, err
+    being err(L).
+
+    Each coordinate of Q[n] is within err/16 of its exact value.  When
+    every window starts at 0, as in a pinned draw, a window is
+    Q[e] - Q[0] = Q[e], since Q[0] = 0j exactly, and r is the largest
+    |Q[e]|: the exact |Q[e]| is within err/4 of its float.  Otherwise
+    r is the diagonal of the float points' bounding box.  Every window
+    Q[e] - Q[s] joins two prefix points, so its exact magnitude is at
+    most the diagonal of the exact points' box, and that is at most the
+    float diagonal plus err."""
+    if starts == range(1):
+        return max(map(abs, Q))
     xs = [q.real for q in Q]
     ys = [q.imag for q in Q]
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
@@ -195,17 +208,13 @@ def _walk(k, idx, Q, err, starts, floor, best, phi):
 
     A window whose float is below thr = top.f - top.err - err, top the
     best value or the floor, is strictly below top, so only the others
-    are compared.  The tuple is skipped unwalked when the diagonal of
-    the bounding box of its float prefix points, plus 2 err, is below
-    thr.  Every window Q[e] - Q[s] joins two prefix points, so its exact
-    magnitude is at most the diagonal of the exact points' box.  Each
-    coordinate is within err/16 of its exact value, so that diagonal is
-    at most the float one plus err.  Every window of a skipped tuple is
-    then below thr - err < top.f - top.err <= top: it can neither beat
-    nor tie the best value."""
+    are compared.  The tuple is skipped unwalked when
+    ``_reach(Q, starts)`` + 2 err is below thr: every window of it is
+    then below thr - err < top.f - top.err <= top, so it can neither
+    beat nor tie the best value."""
     top = best[3] if best else floor
     thr = 0 if top is None else top.f - top.err - err
-    if _diagonal(Q) + 2 * err < thr:
+    if _reach(Q, starts) + 2 * err < thr:
         return best
     for s in starts:
         lo = s + max(int(thr - err), 1)  # a magnitude is at most M
@@ -234,8 +243,8 @@ def windows_kernel(k: int, ell: int):
     leaves every magnitude unchanged, and the representative is the
     lex-smallest map of its class, so under exact comparison the
     witness is that of all k!^ell tuples.  ``_walk`` skips a
-    representative whose prefix points span a box clearly below the
-    best value so far, and walks the windows of the others.  The
+    representative whose windows all lie clearly below the best value
+    so far, and walks the windows of the others.  The
     representatives are the first (k-1)! maps in lex order, those of
     ``itertools.permutations``."""
     reps = list(islice(permutations(range(k)), math.factorial(k - 1)))
@@ -256,8 +265,8 @@ def windows_kernel(k: int, ell: int):
 def pinned(maps, seqs, size: int, floor, reading: str = "pinned"):
     """The sampled big_gamma kernel for one relabeling tuple: the
     windows [0, e), the earliest of the exact largest, as the "pinned"
-    reading of ``measures._search`` asks, skipped by the box test of
-    ``_walk``."""
+    reading of ``measures._search`` asks, skipped by ``_walk`` when its
+    largest prefix point lies clearly below the best value."""
     idx, Q, err = _prefix(maps, seqs, size)
     best = _walk(len(maps[0]), idx, Q, err, range(1), floor, None, maps)
     return None if best is None else (best[3], 0, best[1], maps)

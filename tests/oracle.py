@@ -27,9 +27,10 @@ became ``prsfam.errors.Record`` subclasses, without ``Family``'s
 validation; ``test_records`` checks each class against its twin.
 
 The kernel references at the end use no precomputed map: irreducibility
-is trial division by every monic candidate divisor; extension elements
-are coordinate tuples, and their product is the ``Poly`` product
-reduced mod the field's modulus; a power is repeated multiplication,
+is trial division by every monic candidate divisor; a field is
+``make_field``'s p, d and modulus, extension elements are coordinate
+tuples, and their product is the ``Poly`` product reduced mod the
+field's modulus; a power is repeated multiplication,
 conjugates are literal p-th powers, and a shift f(x + s) is the
 expanded sum of c_i (x + s)^i.
 """
@@ -46,8 +47,9 @@ from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
-from prsfam.ff import FieldParams
-from prsfam.poly import Poly
+from types import SimpleNamespace
+
+from prsfam.poly import Poly, _field
 from prsfam.roots import magnitude
 
 
@@ -303,6 +305,12 @@ def irreducible_by_divisors(f):
     return True
 
 
+def make_field(p, d):
+    """The field that the functions below take: p, d and the modulus of
+    F_(p^d), ``poly._field``'s."""
+    return SimpleNamespace(p=p, d=d, modulus=_field(p, d)[0])
+
+
 def field_elements(field):
     """Every element of the field as a coordinate tuple, in order."""
     return list(product(range(field.p), repeat=field.d))
@@ -376,7 +384,7 @@ def conjugacy_representatives(p, d, trace_zero_only):
     conjugate orbit of degree exactly d, in lexicographic order.  The
     orbit is ``conjugates``, and the trace is the sum of its
     elements."""
-    field = FieldParams(p, d)
+    field = make_field(p, d)
     seen = set()
     reps = []
     for coords in product(range(p), repeat=d):

@@ -611,6 +611,8 @@ _AFTER_BLANKS = _HEADER + b"\n \n\n0 +1\n"  # the bad row is line 5
                  id="d-past-the-int-digit-limit"),
     pytest.param(_HEADER + b"0 " + b"1" * 5001 + b"\n",
                  id="symbol-past-the-int-digit-limit"),
+    pytest.param(_HEADER.replace(b"external", b"dual(dual(f2))") + b"0 1\n",
+                 id="nested-dual-tag"),
     _AFTER_BLANKS,
 ])
 @pytest.mark.parametrize("command", ["measure", "verify", "dual"])
@@ -746,6 +748,20 @@ def test_emit_report_csv_and_text():
     emit_report(results, "text", text_buf)
     assert "phi" in text_buf.getvalue()
     assert "weil_complete_sum" in text_buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_report_refuses_a_number_past_the_digit_limit(fmt):
+    # str refuses an int of more than 4,300 digits: a report that would
+    # print one is refused before anything is written
+    fam = family_f2(13, 2)
+    fine = cross_correlation(fam, 1)
+    for huge in (cross_correlation(fam, 10**5000),
+                 MeasureResult("phi", 1, 10**5000, "exact", None)):
+        sink = io.StringIO()
+        with pytest.raises(ParameterError, match="digit limit"):
+            emit_report([fine, huge], fmt, sink)
+        assert sink.getvalue() == ""
 
 
 def test_reports_deterministic_across_jobs(tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from prsfam.construct import (
+    _BASE_TAGS,
     Family,
     dual,
     family_f1,
@@ -259,6 +260,20 @@ def test_dual_preserves_symbol_multiset():
         assert sorted(s for r in fam.rows for s in r) == \
             sorted(s for r in d.rows for s in r)
         assert dual(d) == fam
+
+
+def test_nested_dual_tag_is_refused():
+    # no family carries dual(dual(...)): dual would unwrap one level of
+    # it, so dual(dual(fam)) would not be fam
+    with pytest.raises(ParameterError, match="unknown construction tag"):
+        Family(p=3, d=1, k=2, rows=((0, 1),), construction="dual(dual(f2))")
+
+
+@pytest.mark.parametrize("tag", sorted(_BASE_TAGS | {f"dual({t})"
+                                                     for t in _BASE_TAGS}))
+def test_dual_is_an_involution_on_every_accepted_tag(tag):
+    fam = Family(p=3, d=1, k=2, rows=((0, 1), (1, 1)), construction=tag)
+    assert dual(dual(fam)) == fam and dual(fam).construction != tag
 
 
 # --- serialization -----------------------------------------------------------

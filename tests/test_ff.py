@@ -5,16 +5,9 @@ import pytest
 
 import oracle
 from prsfam.errors import DomainError, ParameterError
-from prsfam.ff import (
-    ExtElem,
-    FieldParams,
-    _default_modulus,
-    char_k,
-    is_prime,
-    legendre,
-    primitive_root,
-)
-from prsfam.poly import (Poly, _apply_rows, _mulmod, _orbit, is_irreducible,
+from prsfam.ff import char_k, is_prime, legendre, primitive_root
+from prsfam.poly import (ExtElem, Poly, _apply_rows, _field, _mulmod, _orbit,
+                         conjugacy_representatives, is_irreducible,
                          minimal_polynomial)
 
 PRIMES_TO_101 = [p for p in range(3, 102) if is_prime(p)]
@@ -97,13 +90,10 @@ def test_legendre_rejects_bad_modulus():
 
 def test_default_modulus_is_deterministic_and_valid():
     for p, d in SMALL_FIELDS:
-        fld1 = FieldParams(p, d)
-        fld2 = FieldParams(p, d)
-        assert fld1 == fld2 and hash(fld1) == hash(fld2)
-        assert fld1.modulus.is_monic and fld1.modulus.degree == d
-        assert is_irreducible(fld1.modulus)
-    assert FieldParams(3, 2).modulus == Poly((1, 0, 1), 3)
-    assert FieldParams(3, 2) != FieldParams(3, 3)
+        modulus = _field(p, d)[0]
+        assert modulus.is_monic and modulus.degree == d
+        assert is_irreducible(modulus)
+    assert _field(3, 2)[0] == Poly((1, 0, 1), 3)
 
 
 @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1),
@@ -112,20 +102,22 @@ def test_default_modulus_is_first_irreducible_by_divisors(p, d):
     # candidates in lexicographic order, highest power first
     candidates = (Poly(rest[::-1] + (1,), p)
                   for rest in product(range(p), repeat=d))
-    assert _default_modulus(p, d) == next(
+    assert _field(p, d)[0] == next(
         filter(oracle.irreducible_by_divisors, candidates))
 
 
 def test_field_params_validation():
-    with pytest.raises(ParameterError):
-        FieldParams(9, 2)
-    with pytest.raises(ParameterError):
-        FieldParams(7, 0)
+    with pytest.raises(ParameterError,
+                       match="p must be an odd prime >= 3, got 9"):
+        conjugacy_representatives(9, 2, True)
+    with pytest.raises(ParameterError,
+                       match="extension degree must be >= 1, got 0"):
+        minimal_polynomial(ExtElem(7, ()))
 
 
 def test_ext_mul_reduction_example():
-    f9 = FieldParams(3, 2)  # modulus x^2 + 1
-    assert _mulmod((0, 1), (0, 1), f9.modulus.coeffs, 3) == [2, 0]  # x^2 = -1
+    modulus = _field(3, 2)[0]  # x^2 + 1
+    assert _mulmod((0, 1), (0, 1), modulus.coeffs, 3) == [2, 0]  # x^2 = -1
 
 
 # --- frobenius / trace / norm ----------------------------------------------
@@ -134,40 +126,40 @@ def test_ext_mul_reduction_example():
 def _trace(fld, a):
     """The trace of a, the sum of its d conjugates, as the minimal
     polynomial gives it: d/t times minus its X^(t-1) coefficient."""
-    mp = minimal_polynomial(ExtElem(fld, a))
+    mp = minimal_polynomial(ExtElem(fld.p, a))
     return -(fld.d // mp.degree) * mp.coeffs[-2] % fld.p
 
 
 def test_frobenius_example_and_order():
-    f9 = FieldParams(3, 2)
-    assert _apply_rows(f9.frobenius_rows, (0, 1), 3) == (0, 2)  # x^3 = -x
+    f9, rows = oracle.make_field(3, 2), _field(3, 2)[1]
+    assert _apply_rows(rows, (0, 1), 3) == (0, 2)  # x^3 = -x
     for a in oracle.field_elements(f9):
         conj = a
         for _ in range(f9.d):
-            conj = _apply_rows(f9.frobenius_rows, conj, 3)
+            conj = _apply_rows(rows, conj, 3)
         assert conj == a
-        assert f9.d % len(_orbit(f9.frobenius_rows, a, 3)) == 0
+        assert f9.d % len(_orbit(rows, a, 3)) == 0
 
 
 def test_frobenius_fixes_base_field():
-    fld = FieldParams(5, 3)
+    fld = oracle.make_field(5, 3)
     for c in range(5):
         a = oracle.const(fld, c)
-        assert _orbit(fld.frobenius_rows, a, 5) == [a]
+        assert _orbit(_field(5, 3)[1], a, 5) == [a]
 
 
 def test_trace_examples():
-    f9 = FieldParams(3, 2)
+    f9 = oracle.make_field(3, 2)
     assert _trace(f9, (0, 1)) == 0  # x + x^3 = 0
     for p, d in SMALL_FIELDS:
-        fld = FieldParams(p, d)
+        fld = oracle.make_field(p, d)
         for c in range(p):
             assert _trace(fld, oracle.const(fld, c)) == d * c % p
-    fld = FieldParams(5, 3)
+    fld = oracle.make_field(5, 3)
     rng = random.Random(1)
     for _ in range(20):
         a = tuple(rng.randrange(5) for _ in range(3))
-        assert _trace(fld, _apply_rows(fld.frobenius_rows, a, 5)) == \
+        assert _trace(fld, _apply_rows(_field(5, 3)[1], a, 5)) == \
             _trace(fld, a)
 
 
@@ -175,12 +167,12 @@ def test_trace_norm_match_minimal_polynomial_coefficients():
     # x^(d-1) coefficient is -trace, constant term is (-1)^d * norm,
     # trace and norm being the sum and product of the literal conjugates
     for p, d in [(3, 2), (5, 2), (5, 3), (7, 2)]:
-        fld = FieldParams(p, d)
+        fld = oracle.make_field(p, d)
         for a in oracle.field_elements(fld):
             conj = oracle.conjugates(fld, a)
             if len(conj) != d:
                 continue
-            mp = minimal_polynomial(ExtElem(fld, a))
+            mp = minimal_polynomial(ExtElem(fld.p, a))
             assert oracle.const(fld, -mp.coeffs[d - 1]) == \
                 oracle.total(fld, conj)
             assert oracle.const(fld, (-1) ** d * mp.coeffs[0]) == \
@@ -192,7 +184,7 @@ def test_degree_trace_norm_on_proper_subfields(p, d):
     # an element of degree t < d repeats its t literal conjugates d/t
     # times: its trace sums all d, its minimal polynomial has degree t
     # and, as constant term, (-1)^t times the product of the t
-    fld = FieldParams(p, d)
+    fld = oracle.make_field(p, d)
     degrees = set()
     for a in oracle.field_elements(fld):
         conj = oracle.conjugates(fld, a)
@@ -202,7 +194,7 @@ def test_degree_trace_norm_on_proper_subfields(p, d):
         degrees.add(t)
         assert oracle.const(fld, _trace(fld, a)) == \
             oracle.total(fld, conj * (d // t))
-        mp = minimal_polynomial(ExtElem(fld, a))
+        mp = minimal_polynomial(ExtElem(fld.p, a))
         assert mp.degree == t
         assert oracle.const(fld, (-1) ** t * mp.coeffs[0]) == \
             oracle.prod(fld, conj)
@@ -215,7 +207,7 @@ def test_degree_trace_norm_on_proper_subfields(p, d):
 def _norm(fld, a):
     """N(a), the product of the d conjugates from ``poly._orbit`` by
     ``poly._mulmod``, as an integer of F_p."""
-    orbit = _orbit(fld.frobenius_rows, a, fld.p)
+    orbit = _orbit(_field(fld.p, fld.d)[1], a, fld.p)
     acc = oracle.const(fld, 1)
     for c in orbit * (fld.d // len(orbit)):
         acc = _mulmod(acc, c, fld.modulus.coeffs, fld.p)
@@ -229,13 +221,13 @@ def _quad_char(fld, a):
 
 
 def test_norm_examples():
-    f9 = FieldParams(3, 2)
+    f9 = oracle.make_field(3, 2)
     assert _norm(f9, (0, 1)) == 1  # x * x^3 = -x^2 = 1
     for p, d in SMALL_FIELDS:
-        fld = FieldParams(p, d)
+        fld = oracle.make_field(p, d)
         for c in range(p):
             assert _norm(fld, oracle.const(fld, c)) == pow(c, d, p)
-    fld = FieldParams(5, 3)
+    fld = oracle.make_field(5, 3)
     rng = random.Random(2)
     for _ in range(20):
         a = tuple(rng.randrange(5) for _ in range(3))
@@ -247,7 +239,7 @@ def test_norm_examples():
 def test_norm_is_conjugate_power():
     # the Frobenius-matrix conjugates multiply to a^((p^d - 1)/(p - 1)),
     # the power taken by literal multiplication
-    fld = FieldParams(7, 2)
+    fld = oracle.make_field(7, 2)
     e = (7**2 - 1) // (7 - 1)
     for a in oracle.field_elements(fld):
         if not any(a):
@@ -256,11 +248,11 @@ def test_norm_is_conjugate_power():
 
 
 def test_quad_char_examples():
-    f9 = FieldParams(3, 2)
+    f9 = oracle.make_field(3, 2)
     assert _quad_char(f9, (0, 0)) == 0
     assert _quad_char(f9, (0, 1)) == 1  # norm 1
     rng = random.Random(3)
-    fld = FieldParams(7, 2)
+    fld = oracle.make_field(7, 2)
     for _ in range(30):
         g = tuple(rng.randrange(7) for _ in range(2))
         if any(g):
@@ -268,11 +260,11 @@ def test_quad_char_examples():
     # the residue symbol of a minimal polynomial's value at n is the
     # character of n - a: mp_a(n) is the product of n - a^(p^t)
     for p, d in [(7, 2), (5, 3)]:
-        fld = FieldParams(p, d)
+        fld = oracle.make_field(p, d)
         for a in oracle.field_elements(fld):
             if len(oracle.conjugates(fld, a)) != d:
                 continue
-            mp = minimal_polynomial(ExtElem(fld, a))
+            mp = minimal_polynomial(ExtElem(fld.p, a))
             for n in range(p):
                 assert legendre(mp.eval(n), p) == _quad_char(
                     fld, oracle.sub(fld, oracle.const(fld, n), a))
@@ -283,14 +275,14 @@ def test_quad_char_examples():
                                  (3, 3), (5, 3)])
 def test_quad_char_square_count(p, d):
     # exactly (p^d - 1)/2 nonzero elements have character +1
-    fld = FieldParams(p, d)
+    fld = oracle.make_field(p, d)
     plus = sum(1 for a in oracle.field_elements(fld)
                if _quad_char(fld, a) == 1)
     assert plus == (p**d - 1) // 2
 
 
 def test_quad_char_multiplicative():
-    fld = FieldParams(5, 2)
+    fld = oracle.make_field(5, 2)
     elems = [a for a in oracle.field_elements(fld) if any(a)]
     for a in elems:
         for b in elems:

@@ -471,7 +471,8 @@ def test_box_diagonal_bounds_every_window():
     # the prefix points of random walks on the k-th roots, with long
     # straight runs and returns, and of walks in one direction, whose
     # farthest pair spans the box: the float diagonal plus err(L) is at
-    # least the exact magnitude of every window
+    # least the exact magnitude of every window, and the largest float
+    # |Q[e]| plus err(L) that of every window [0, e) a pinned draw reads
     from decimal import Decimal
     rng = random.Random(31)
     for k in range(3, 9):
@@ -482,10 +483,13 @@ def test_box_diagonal_bounds_every_window():
         for steps in walks:
             L = len(steps)
             idx, Q, err = roots._prefix([tuple(range(k))], [steps], L)
-            bound = Decimal(roots._diagonal(Q) + err)**2
+            bound = Decimal(roots._reach(Q, range(L)) + err)**2
+            pinned = Decimal(roots._reach(Q, range(1)) + err)**2
             for s, e in itertools.combinations(range(L + 1), 2):
                 counts = tuple(map(steps[s:e].count, range(k)))
                 assert oracle._exact_square(counts)[0] <= bound
+                if s == 0:
+                    assert oracle._exact_square(counts)[0] <= pinned
 
 
 def test_box_skips_most_walks(monkeypatch):
@@ -516,7 +520,7 @@ def test_box_skip_changes_nothing(p, d, k, ell, monkeypatch):
     fam = family_k_symbol(p, d, k)
     modes = [{}, {"mode": MODE_SAMPLED, "samples": 300, "seed": 3}]
     kept = [big_gamma(fam, ell, **kw) for kw in modes]
-    monkeypatch.setattr(roots, "_diagonal", lambda Q: math.inf)
+    monkeypatch.setattr(roots, "_reach", lambda Q, starts: math.inf)
     for kw, r in zip(modes, kept):
         walked = big_gamma(fam, ell, **kw)
         assert (walked.value, walked.witness) == (r.value, r.witness)

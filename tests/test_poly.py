@@ -1,14 +1,14 @@
 import random
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
 import oracle
 from prsfam.errors import (BudgetError, DomainError, InternalError,
                            ParameterError)
-from prsfam.ff import ExtElem, FieldParams
+from prsfam import poly
 from prsfam.poly import (
+    ExtElem,
     Poly,
     conjugacy_representatives,
     count_irreducibles,
@@ -210,36 +210,35 @@ def test_enumeration_budget():
 
 
 def test_minimal_polynomial_examples():
-    f9 = FieldParams(3, 2)
-    assert minimal_polynomial(ExtElem(f9, (0, 1))) == Poly((1, 0, 1), 3)
-    fld = FieldParams(7, 3)
+    assert minimal_polynomial(ExtElem(3, (0, 1))) == Poly((1, 0, 1), 3)
     for c in range(7):
-        assert minimal_polynomial(ExtElem(fld, (c, 0, 0))) == Poly((-c, 1), 7)
+        assert minimal_polynomial(ExtElem(7, (c, 0, 0))) == Poly((-c, 1), 7)
 
 
 def test_minimal_polynomial_vieta():
     # the constant term is (-1)^t times the product of the t distinct
     # literal conjugates
     rng = random.Random(11)
-    fld = FieldParams(5, 3)
+    fld = oracle.make_field(5, 3)
     for _ in range(25):
         b = tuple(rng.randrange(5) for _ in range(3))
         conj = oracle.conjugates(fld, b)
         t = len(conj)
-        mp = minimal_polynomial(ExtElem(fld, b))
+        mp = minimal_polynomial(ExtElem(5, b))
         assert mp.degree == t
         assert oracle.const(fld, (-1) ** t * mp.coeffs[0]) == \
             oracle.prod(fld, conj)
 
 
-def test_minimal_polynomial_refuses_a_coefficient_outside_the_base_field():
+def test_minimal_polynomial_refuses_a_coefficient_outside_the_base_field(
+        monkeypatch):
     # a field whose "Frobenius" is the identity: the orbit of x is {x},
     # and X - x does not lie over F_3
-    fld = SimpleNamespace(p=3, d=2, modulus=Poly((1, 0, 1), 3),
-                          frobenius_rows=((1, 0), (0, 1)))
+    monkeypatch.setattr(poly, "_field", lambda p, d: (
+        Poly((1, 0, 1), 3), ((1, 0), (0, 1))))
     with pytest.raises(InternalError):
-        minimal_polynomial(ExtElem(fld, (0, 1)))
-    assert minimal_polynomial(ExtElem(fld, (2, 0))) == Poly((1, 1), 3)
+        minimal_polynomial(ExtElem(3, (0, 1)))
+    assert minimal_polynomial(ExtElem(3, (2, 0))) == Poly((1, 1), 3)
 
 
 def test_conjugacy_representatives_examples():
@@ -264,7 +263,8 @@ def test_representatives_biject_with_polynomials(p, d):
 
 def test_representatives_are_orbit_minima():
     for b in conjugacy_representatives(5, 2, trace_zero_only=False):
-        assert b.coeffs == min(oracle.conjugates(b.field, b.coeffs))
+        assert b.p == 5 and b.coeffs == min(
+            oracle.conjugates(oracle.make_field(5, 2), b.coeffs))
 
 
 def test_representatives_budget():

@@ -131,6 +131,16 @@ def test_record_defaults_match_the_twin(cls):
         cls(*values.values(), None)
 
 
+def test_repr_shows_an_int_past_the_digit_limit():
+    # str refuses an int of more than 4,300 digits; repr shows it as the
+    # power of two that it reaches, and the other fields as before
+    record = MeasureResult("phi", 10**5000, -(10**5000), "exact", None)
+    assert repr(record) == (
+        "MeasureResult(name='phi', order=2^16609 or more, "
+        "value=-2^16609 or less, mode='exact', witness=None, "
+        "subject='external', err_bound=0.0)")
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_record_refuses_assignment_and_deletion(cls):
     record = cls(*_fields(cls, random.Random(3), prsfam))

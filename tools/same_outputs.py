@@ -35,8 +35,11 @@ ksym(13,2,3): at 0 it takes only the measures its reports require, and
 at 4 f1's envelope orders pass its 3 dual orders.  ``BUILD_JOBS`` run
 under ``builds/``: builds that no job list reaches, f2(13,3) without
 the trace-zero restriction, ksym(3,7,2), whose trace-zero coordinates
-are not all solved from the lower ones, and ksym(23,2,11), whose
-two-digit symbols go through a ``dual`` and a ``measure``.  ``--jobs N``
+are not all solved from the lower ones, ksym(23,2,11), whose
+two-digit symbols go through a ``dual`` and a ``measure``,
+ksym(11,5,2), whose field has a 5 x 5 Frobenius matrix, and
+ksym(31,3,5) under ``--budget 1000``, refused by the orbit enumeration
+before any field is built.  ``--jobs N``
 replaces the ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
@@ -146,6 +149,8 @@ BUILD_JOBS = [
     gen("ksym_23_2_11", "ksym", 23, 2, k=11),
     dual("ksym_23_2_11"),
     measure("ksym_23_2_11", "gamma", 1, 1),
+    gen("ksym_11_5_2", "ksym", 11, 5, k=2),
+    _with_budget(gen("ksym_31_3_5", "ksym", 31, 3, k=5), 1000),
 ]
 
 
