@@ -118,13 +118,8 @@ def _is(obj, module: str, cls: str) -> bool:
 
 
 def _value_str(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    try:
-        return str(v)  # int and Fraction both print exactly ("7", "1/2")
-    except ValueError:  # past the int-to-str digit limit
-        raise ParameterError("cannot report a number past the int digit "
-                             "limit") from None
+    # int and Fraction both print exactly ("7", "1/2")
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _witness_dict(w):
@@ -177,7 +172,6 @@ def _to_dict(r) -> dict:
         d = _bound_dict(r)
     else:
         raise ParameterError(f"cannot serialize result of type {type(r)!r}")
-    _value_str(d["order"])  # every format prints the order
     return d
 
 
@@ -190,39 +184,49 @@ def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
 
     JSON: one object per result, stable field order.  CSV: flat columns
     with a header row.  Text: one aligned human-readable line each.
-    Deterministic for deterministic inputs.
+    Deterministic for deterministic inputs.  The whole report is built
+    before any of it is written, so a refused one writes nothing.
     """
+    import io
     import json
 
     if not results:
         raise ParameterError("nothing to report")
-    dicts = [_to_dict(r) for r in results]
-    if fmt == "json":
-        json.dump(dicts, sink, indent=2)
-        sink.write("\n")
-    elif fmt == "csv":
-        import csv
+    out = io.StringIO()
+    try:
+        dicts = [_to_dict(r) for r in results]
+        if fmt == "json":
+            json.dump(dicts, out, indent=2)
+            out.write("\n")
+        elif fmt == "csv":
+            import csv
 
-        writer = csv.DictWriter(sink, fieldnames=_CSV_FIELDS,
-                                extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        for d in dicts:
-            row = dict(d)
-            if isinstance(row.get("witness"), dict):
-                row["witness"] = json.dumps(row["witness"],
-                                            separators=(",", ":"))
-            writer.writerow(row)
-    elif fmt == "text":
-        for d in dicts:
-            if "bound" in d:
-                mark = "ok" if d["satisfied"] else "VIOLATED"
-                sink.write(f"{d['name']:34s} [{d['kind']}] measured="
-                           f"{d['value']} bound={d['bound']} {mark}\n")
-            else:
-                sink.write(f"{d['name']:12s} order={d['order']} value="
-                           f"{d['value']} ({d['mode']})\n")
-    else:
-        raise ParameterError(f"unknown format {fmt!r}")
+            writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS,
+                                    extrasaction="ignore", lineterminator="\n")
+            writer.writeheader()
+            for d in dicts:
+                row = dict(d)
+                if isinstance(row.get("witness"), dict):
+                    row["witness"] = json.dumps(row["witness"],
+                                                separators=(",", ":"))
+                writer.writerow(row)
+        elif fmt == "text":
+            for d in dicts:
+                if "bound" in d:
+                    mark = "ok" if d["satisfied"] else "VIOLATED"
+                    out.write(f"{d['name']:34s} [{d['kind']}] measured="
+                              f"{d['value']} bound={d['bound']} {mark}\n")
+                else:
+                    out.write(f"{d['name']:12s} order={d['order']} value="
+                              f"{d['value']} ({d['mode']})\n")
+        else:
+            raise ParameterError(f"unknown format {fmt!r}")
+    except ParameterError:
+        raise
+    except ValueError:  # an int past the int-to-str digit limit
+        raise ParameterError("cannot report a number past the int digit "
+                             "limit") from None
+    sink.write(out.getvalue())
 
 
 def _emit(results: Sequence, args) -> None:

@@ -54,14 +54,25 @@ class InternalError(Error):
 
 
 def _shown(count: int) -> str:
-    """``count`` in digits, or past the int digit limit, where ``str``
-    refuses, as the power of two that its magnitude reaches."""
-    try:
+    """``count`` in digits when it has at most 30 of them, else as the
+    power of two that its magnitude reaches: a longer number is not read
+    digit by digit, and past the int digit limit ``str`` refuses it.  A
+    value that is not an int is shown by ``str``."""
+    if not isinstance(count, int) or -10**30 < count < 10**30:
         return str(count)
-    except ValueError:
-        if count < 0:
-            return f"-2^{count.bit_length() - 1} or less"
-        return f"2^{count.bit_length() - 1} or more"
+    if count < 0:
+        return f"-2^{count.bit_length() - 1} or less"
+    return f"2^{count.bit_length() - 1} or more"
+
+
+def _repr(value) -> str:
+    """``repr(value)``, each int in it, in nested tuples too, through
+    ``_shown``."""
+    if type(value) is int:
+        return _shown(value)
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 def check_budget(estimate: int, budget, what: str,
@@ -95,10 +106,10 @@ class Record:
     called for a fresh value per instance.  Construction takes the
     fields by position or keyword.  ``==`` and ``hash`` read the fields
     not in ``_uncompared``, and ``repr`` shows those not in
-    ``_unshown``, an int through ``_shown``.  Assigning or deleting an
-    attribute raises ``AttributeError``; copies and pickles are rebuilt
-    through the constructor, since ``__setattr__`` blocks the default
-    slot restore.
+    ``_unshown``, each int, in tuples too, through ``_shown``.
+    Assigning or deleting an attribute raises ``AttributeError``; copies
+    and pickles are rebuilt through the constructor, since
+    ``__setattr__`` blocks the default slot restore.
     """
 
     __slots__ = ()
@@ -132,8 +143,7 @@ class Record:
     def __repr__(self):
         values = ((n, getattr(self, n)) for n in self.__slots__
                   if n not in self._unshown)
-        shown = (f"{n}={_shown(v) if type(v) is int else repr(v)}"
-                 for n, v in values)
+        shown = (f"{n}={_repr(v)}" for n, v in values)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value=None):

@@ -28,7 +28,9 @@ others, and compares magnitudes exactly (``roots``).  I takes
 only the first row with each content, and positions with equal lags
 form a block inside which I strictly increases: the lex-smallest tuple
 of each class that permuting a block or swapping a row for an equal
-one leaves equal (``_lag_search``).
+one leaves equal.  Those (I, T) are one enumeration, the strictly
+increasing ell-tuples of (lag, first row) pairs whose first lag is 0,
+walked by their last pair (``_lag_search``).
 The search is serial; ``n_jobs`` is accepted and ignored.
 
 Largest window first.  Every window value of a length-L sequence has an
@@ -99,9 +101,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import (accumulate, chain, combinations, count, islice,
-                       product)
-from operator import add, mul
+from itertools import accumulate, combinations, count, islice, product
+from operator import add, getitem, mul
 
 from .construct import Family
 from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, InternalError,
@@ -213,12 +214,10 @@ class _Best:
             self.key = key
 
 
-def _content_ids(fam: Family) -> list[int]:
-    ids: dict[tuple[int, ...], int] = {}
-    out = []
-    for row in fam.rows:
-        out.append(ids.setdefault(row, len(ids)))
-    return out
+def _first_rows(fam: Family) -> list[int]:
+    """Per row, the index of the first row with its contents."""
+    first: dict[tuple[int, ...], int] = {}
+    return [first.setdefault(row, i) for i, row in enumerate(fam.rows)]
 
 
 def _empty(fam: Family, ell: int, circ: bool) -> bool:
@@ -314,29 +313,6 @@ def _combine(op, seqs):
     return it
 
 
-def _lag_plans(ell: int, n: int, circ: bool, most: int) -> list:
-    """Each lag tuple T = (0, ...), non-decreasing with T[-1] < n (only
-    T = 0 when ``circ``), whose tied-lag blocks fit the ``most``
-    distinct row contents, as no other T has an admissible row tuple,
-    with its block sizes, in no set order.  A partial T takes only
-    blocks the lags above can complete: at most one plan per estimated
-    step."""
-    top = 1 if circ else n
-    plans, partial = [], [((), [])]
-    while partial:
-        T, sizes = partial.pop()
-        left = ell - len(T)
-        if not left:
-            plans.append((T, sizes))
-            continue
-        for u in range(T[-1] + 1, top) if T else (0,):
-            # the lags above u hold at most most * (top - 1 - u) positions
-            for b in range(max(1, left - most * (top - 1 - u)),
-                           min(left, most) + 1):
-                partial.append((T + (u,) * b, sizes + [b]))
-    return plans
-
-
 def _lag_estimate(fam: Family, ell: int, circ: bool,
                   windows: bool = False) -> int:
     """Sequence steps of a lag search: sum over T of (row tuples for T)
@@ -377,36 +353,58 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     larger one, smaller unless I was canonical.  Equal contents at one
     lag are inadmissible, so a block is a b-subset of the first rows.
 
+    One enumeration walks them.  With C first rows, pair q = t * C + x
+    reads row ``firsts[x]`` at lag t, so q orders the pairs by (lag,
+    row).  A canonical (I, T) is exactly a strictly increasing ell-tuple
+    of pairs whose first pair has lag 0 (q < C): its lags do not
+    decrease, tied lags take increasing rows, and distinct pairs hold
+    distinct (contents, lag), so it is admissible; conversely a
+    canonical (I, T) lists its pairs in increasing q.  Each tuple is a
+    head, an (ell-1)-subset of range(b), and its last pair b.  A head
+    with least pair below C comes, in the lex order of
+    ``combinations(range(b), ell - 1)``, before every head inside
+    [C, b), C(b - C, ell - 1) of them, so the lag-0 heads are the first
+    C(b, ell - 1) - C(b - C, ell - 1) (all of them when b < C).  With
+    ell = 1 the one pair is the first, so only lag 0 is walked.
+
     ``cap * L`` bounds every window value of a length-L sequence.  The
-    lag tuples are visited by increasing T[-1], so L never increases,
-    and the search stops at the first T with cap * L < best value: no
-    later T can reach that value, let alone beat it.  The stop is
-    strict, so every tie is still offered to ``_Best``, which keeps the
-    lex-smallest key whatever the visit order; values and witnesses are
-    those of the full search.
+    last lags u = T[-1] are visited in increasing order, so L = N - u
+    never increases, and the search stops at the first u with
+    cap * L < best value: no later tuple can reach that value, let alone
+    beat it.  The stop is strict, so every tie is still offered to
+    ``_Best``, which keeps the lex-smallest key whatever the visit
+    order; values and witnesses are those of the full search.
     """
-    first: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(fam.rows):
-        first.setdefault(row, i)
-    n, firsts = fam.length, list(first.values())  # in order
+    ids = _first_rows(fam)
+    firsts = [i for i, f in enumerate(ids) if i == f]
+    n, c = fam.length, len(firsts)
     reading = "full" if circ else "windows"
-    plans = sorted(_lag_plans(ell, n, circ, len(firsts)),
-                   key=lambda plan: (plan[0][-1], plan[0]))
-    shifted = [{t: {i: rows_at[j][i][t:] for i in firsts}
-                for t in {T[j] for T, _ in plans}} for j in range(ell)]
+    lags = range(1 if circ or ell == 1 else n)
+    pairs = range(c * len(lags))
+    # position 0 reads lag 0 only
+    shifted = [[rows_at[j][firsts[q % c]][q // c:]
+                for q in (pairs[:c] if j == 0 else pairs)]
+               for j in range(ell)]
     best = _Best()
-    for T, sizes in plans:
-        size = n - T[-1]
+    for u in lags:
+        size = n - u
         if best.value is not None and cap * size < best.value:
             break
-        cols = [shifted[j][t] for j, t in enumerate(T)]
-        for parts in product(*(combinations(firsts, b) for b in sizes)):
-            I = tuple(chain.from_iterable(parts))
-            found = kernel([cols[j][i] for j, i in enumerate(I)], size,
-                           best.value, reading)
-            if found is not None:
-                value, s, e, extra = found
-                best.offer(value, (I, tuple(s + t for t in T), e - s, extra))
+        for b in pairs[u * c:(u + 1) * c]:
+            heads = combinations(range(b), ell - 1)
+            if b >= c:
+                heads = islice(heads, math.comb(b, ell - 1)
+                               - math.comb(b - c, ell - 1))
+            last = shifted[-1][b]
+            for head in heads:
+                found = kernel([*map(getitem, shifted, head), last], size,
+                               best.value, reading)
+                if found is not None:
+                    value, s, e, extra = found
+                    pick = head + (b,)
+                    best.offer(value, (tuple(firsts[q % c] for q in pick),
+                                       tuple(s + q // c for q in pick),
+                                       e - s, extra))
     return best
 
 
@@ -426,7 +424,7 @@ def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
     draw is admissible when its ell (row content, shift) pairs are
     distinct.  Lazy, so a caller may draw more from ``rng`` between
     items without changing the sequence."""
-    n, ids = fam.length, _content_ids(fam)
+    n, ids = fam.length, _first_rows(fam)
     rows, shifts = _indices(rng, fam.size), _indices(rng, n)
     for _ in range(samples):
         I = tuple(islice(rows, ell))

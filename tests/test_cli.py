@@ -764,6 +764,19 @@ def test_emit_report_refuses_a_number_past_the_digit_limit(fmt):
         assert sink.getvalue() == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_report_refuses_a_witness_past_the_digit_limit(fmt):
+    # json and csv print the witness: one whose shift is past the int digit
+    # limit is refused, and nothing of the report is written
+    fam = family_f2(13, 2)
+    huge = MeasureResult("phi", 1, 1, "exact",
+                         CorrelationSpec(1, 1, (10**5000,), (1,)))
+    sink = io.StringIO()
+    with pytest.raises(ParameterError, match="digit limit"):
+        emit_report([cross_correlation(fam, 1), huge], fmt, sink)
+    assert sink.getvalue() == ""
+
+
 def test_reports_deterministic_across_jobs(tmp_path):
     src = str(tmp_path / "fam.txt")
     run(["gen", "--construction", "f2", "--p", "5", "--d", "3", "--out", src])

@@ -606,17 +606,34 @@ def test_budget_refusal_past_the_int_digit_limit():
         "exact order-2 root-relabeling correlation needs an estimated "
         f"2^{estimate.bit_length() - 1} or more loop steps, "
         "budget is 1000000000")
-    # an estimate str() can print shows every digit, as before
-    with pytest.raises(BudgetError, match=f"estimated {10**4000} loop"):
-        check_budget(10**4000, None, "the search")
-    # so does a budget; past the limit it too is given as a power of two
-    with pytest.raises(BudgetError, match=f"budget is {10**4000}$"):
-        check_budget(10**4001, 10**4000, "the search")
+    # a budget past the limit is given as a power of two too
     with pytest.raises(BudgetError) as exc:
         check_budget(10**5000, 10**4999, "the search")
     assert str(exc.value) == ("the search needs an estimated 2^16609 or more "
                               "loop steps, budget is 2^16606 or more")
     assert exc.value.budget == 10**4999
+
+
+def test_refusal_shows_a_long_number_as_a_power_of_two():
+    # 1100! relabelings: a 2,870-digit estimate, which str() can print but
+    # no one reads; past 30 digits the message gives its power of two, and
+    # the error keeps the exact int
+    fam = Family(p=5, d=2, k=1100, rows=((1099, 0, 5), (1, 2, 3)))
+    with pytest.raises(BudgetError) as exc:
+        big_gamma(fam, 1, budget=0)
+    assert exc.value.estimate == 2 * 6 * math.factorial(1100)
+    assert str(exc.value) == (
+        "exact order-1 root-relabeling correlation needs an estimated "
+        "2^9536 or more loop steps, budget is 0")
+    # 30 digits are shown in full, an estimate and a budget alike
+    with pytest.raises(BudgetError, match=(
+            f"estimated {10**30 - 1} loop steps, budget is {10**29}$")):
+        check_budget(10**30 - 1, 10**29, "the search")
+    with pytest.raises(BudgetError, match=(
+            r"estimated 2\^102 or more loop steps, budget is 2\^99 or more$")):
+        check_budget(10**31, 10**30, "the search")
+    with pytest.raises(ParameterError, match=r"got -2\^99 or less$"):
+        cross_correlation(family_f2(13, 2), -10**30)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -857,28 +874,33 @@ def _estimate(measure, fam, ell):
     return 0  # nothing to search: the zero budget was enough
 
 
-def _lag_work(fam, ell, circ, steps=lambda L: L, copies=False):
-    """Sequence steps of the lag search, by literal enumeration: every
-    lag tuple T, every admissible row tuple I the search walks (rows
-    strictly increasing inside a block of tied lags, equal contents only
-    on distinct lags, each row the first with its contents), ``steps(L)``
-    each with L = N - T[-1].  With ``copies``, I may also take the later
-    copies of a repeated row, as the search did before it skipped them."""
+def _canonical(fam, ell, circ, copies=False):
+    """The (I, T) pairs the lag search walks, by literal enumeration:
+    every lag tuple T, every admissible row tuple I (rows strictly
+    increasing inside a block of tied lags, equal contents only on
+    distinct lags, each row the first with its contents).  With
+    ``copies``, I may also take the later copies of a repeated row, as
+    the search did before it skipped them."""
     n, f = fam.length, fam.size
     rows = (range(f) if copies else
             sorted({fam.rows.index(row) for row in fam.rows}))
     lags = ([(0,) * ell] if circ else
             [(0,) + r
              for r in combinations_with_replacement(range(n), ell - 1)])
-    work = 0
     for T in lags:
         for I in product(rows, repeat=ell):
             tied = [(a, b) for a in range(ell) for b in range(a + 1, ell)
                     if T[a] == T[b]]
             if all(I[a] < I[b] and fam.rows[I[a]] != fam.rows[I[b]]
                    for a, b in tied):
-                work += steps(n - T[-1])
-    return work
+                yield I, T
+
+
+def _lag_work(fam, ell, circ, steps=lambda L: L, copies=False):
+    """Sequence steps of the lag search, ``steps(L)`` for each (I, T) of
+    ``_canonical`` with L = N - T[-1]."""
+    return sum(steps(fam.length - T[-1])
+               for _, T in _canonical(fam, ell, circ, copies))
 
 
 def test_lag_estimates_bound_literal_work():
@@ -955,25 +977,37 @@ def test_kernel_work_within_estimate(monkeypatch):
             assert sum(map(steps, sizes)) <= estimate
 
 
-def test_lag_plans_are_the_fitting_lag_tuples():
-    # only lag tuples whose tied blocks fit the C distinct row contents
-    # are listed, so there are at most as many plans as estimated steps
-    rng = random.Random(23)
-    fams = [random_family(rng, max_f=5, max_n=7, k=k, min_n=1)
+def test_walk_visits_each_canonical_tuple_once(monkeypatch):
+    # a kernel that always returns a value is called, and its key offered,
+    # once for each (I, T) of the literal rule, with the rows of I shifted
+    # by T, whatever the repeated or constant rows, F = 1, N = 1, ell > C
+    offers, real = [], measures._Best.offer
+    monkeypatch.setattr(measures._Best, "offer", lambda best, value, key: (
+        offers.append(key), real(best, value, key)))
+    rng = random.Random(41)
+    fams = [random_family(rng, max_f=5, max_n=5, k=k, min_n=1)
             for k in (1, 2, 2, 3) for _ in range(4)]
+    fams += [Family(p=3, d=1, k=2, rows=((0, 1, 1), (0, 1, 1), (1, 0, 1))),
+             Family(p=3, d=1, k=3, rows=((2, 2, 2, 2), (0, 0, 0, 0))),
+             Family(p=3, d=1, k=2, rows=((0, 1, 1, 0),)),
+             Family(p=3, d=1, k=3, rows=((1,), (2,), (1,)))]
     for fam in fams:
-        n, most = fam.length, len(set(fam.rows))
-        for ell, circ in product((1, 2, 3, 4, 5), (False, True)):
-            plans = measures._lag_plans(ell, n, circ, most)
-            lags = ([(0,) * ell] if circ else
-                    [(0,) + rest for rest in combinations_with_replacement(
-                        range(n), ell - 1)])
-            fitting = [(T, [T.count(t) for t in sorted(set(T))])
-                       for T in lags if max(Counter(T).values()) <= most]
-            assert sorted(plans) == fitting
-            measure = cross_correlation_circ if circ else cross_correlation
-            if fam.k == 2:
-                assert len(plans) <= _estimate(measure, fam, ell)
+        for ell, circ in product((1, 2, 3, 4), (False, True)):
+            calls = []
+
+            def kernel(seqs, size, floor, reading):
+                calls.append((seqs, size, reading))
+                return 0, 0, size, ()
+
+            offers.clear()
+            measures._lag_search(fam, [fam.rows] * ell, ell, circ, kernel, 1)
+            walked = [(I, D) for I, D, _, _ in offers]
+            assert sorted(walked) == sorted(_canonical(fam, ell, circ))
+            assert len(set(walked)) == len(walked)
+            for (I, D), (seqs, size, reading) in zip(walked, calls):
+                assert size == fam.length - D[-1]
+                assert seqs == [fam.rows[i][d:] for i, d in zip(I, D)]
+                assert reading == ("full" if circ else "windows")
 
 
 def test_sampled_gamma_estimate_bounds_literal_work():

@@ -141,6 +141,21 @@ def test_repr_shows_an_int_past_the_digit_limit():
         "subject='external', err_bound=0.0)")
 
 
+def test_repr_shows_a_witness_int_past_the_digit_limit():
+    # an int inside a tuple field goes through _shown as well; every
+    # other tuple, one of one item included, reads as its repr
+    spec = CorrelationSpec(1, 1, (10**5000,), (1,))
+    assert repr(spec) == ("CorrelationSpec(ell=1, window=1, "
+                          "shifts=(2^16609 or more,), rows=(1,), "
+                          "pattern=None, root_maps=None)")
+    maps = ((0, 1, 2), (2, 0, 1))
+    spec = CorrelationSpec(2, 3, (0, 1), (1, 4), root_maps=maps)
+    assert repr(spec) == ("CorrelationSpec(ell=2, window=3, shifts=(0, 1), "
+                          f"rows=(1, 4), pattern=None, root_maps={maps!r})")
+    assert repr(MeasureResult("phi", 1, 1, "exact", spec)).count(
+        repr(spec)) == 1
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_record_refuses_assignment_and_deletion(cls):
     record = cls(*_fields(cls, random.Random(3), prsfam))

@@ -22,9 +22,10 @@ and mode also runs under ``--budget 0`` on both families, so every
 estimate and refusal is compared, and ``fc`` on the binary family under
 a budget that stops it after level 1, so its ``verified-lower-bound``
 record is compared too.  f2(5,4), whose 30 rows hold 16 distinct
-ones, runs ``fc`` and every exact measure at order 2, each also under
-``--budget 0``, so the searches and estimates are compared on a family
-with repeated rows.  Exact ``biggamma`` at order 1 runs on
+ones, runs ``fc`` and every exact measure at orders 2 and 3, each also
+under ``--budget 0``, so the searches and estimates are compared on a
+family with repeated rows, and at order 3 on tied-lag blocks of three
+rows among the 16.  Exact ``biggamma`` at order 1 runs on
 ksym(31,3,5) (k = 5, N = 30) and ksym(29,2,7) (k = 7, N = 28), each
 also under ``--budget 0``, and sampled ``biggamma`` on ksym(29,2,7):
 larger k and longer rows than any job list gives the k >= 3 walk and
@@ -122,7 +123,8 @@ def _measure_jobs() -> list[Job]:
             jobs += [_with_budget(job, 0) for job in runs]
     # f2(5,4) repeats 14 of its 30 rows
     jobs.append(gen("f2_5_4", "f2", 5, 4))
-    for job in [_fc("f2_5_4")] + [measure("f2_5_4", name, 2, 1) for name in
+    for job in [_fc("f2_5_4")] + [measure("f2_5_4", name, ell, 1)
+                                  for ell in (2, 3) for name in
                                   ("phi", "phi0", "gamma", "gamma0",
                                    "biggamma")]:
         jobs += [job, _with_budget(job, 0)]
