@@ -17,6 +17,7 @@ Three kinds of report are produced:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import TYPE_CHECKING, ParameterError, Record, check_budget
@@ -196,7 +197,12 @@ def fc_envelope_ksym(p: int, d: int) -> float:
     return (d / 2 - 1) * math.log2(p) - math.log2((d - 1) * math.log2(p))
 
 
-_CHUNK = 1024
+def _reduce_slots(r: int, p: int, ones: int) -> int:
+    """``r`` less p in each of its 32-bit slots that holds p or more,
+    for slots in [0, 2p) with p < 2^30; ``ones`` has a 1 at the foot of
+    every slot.  A slot plus 2^31 - p stays below 2^32, and reaches bit
+    31 exactly when the slot is p or more."""
+    return r - ((r + (2**31 - p) * ones) >> 31 & ones) * p
 
 
 def weil_check(h: Poly, p: int) -> BoundReport:
@@ -204,9 +210,30 @@ def weil_check(h: Poly, p: int) -> BoundReport:
     against (deg h - 1) * sqrt(p); the comparison is exact (squared
     integer inequality), the report shows the float envelope.  The sum
     takes p steps and is refused with a ``BudgetError`` when p exceeds
-    ``DEFAULT_BUDGET``.  Values of h, ``_CHUNK`` at a time, are looked
-    up in a table of the squares mod p, or past ``DEFAULT_ENUM_BUDGET``,
-    where that table grows too large, go through Euler's criterion."""
+    ``DEFAULT_BUDGET``.
+
+    The values h(0), ..., h(p - 1) are walked by forward differences
+    in ``lanes = isqrt(p)`` runs of ``steps = ceil(p / lanes)``
+    consecutive points, lane i from i * steps.  Each difference order
+    Delta^j h, j = 0..m = deg h, keeps the lanes as the 32-bit slots of
+    one int, and a step adds order j + 1 into order j for j = 0..m - 1
+    (Delta^m h is constant), then ``_reduce_slots``: no per-point
+    multiply or ``%``.  Why this reads every h(x) mod p exactly once:
+
+    * a lane's start differences, reduced mod p, are congruent to the
+      integer ones, and the step is the integer recurrence, so after t
+      steps a value slot holds h(i * steps + t) mod p;
+    * every slot stays in [0, p), and the sum of two is below
+      2p < 2^31, since ``check_budget`` refuses p > ``DEFAULT_BUDGET``
+      = 10^9 < 2^30; so bit 31 decides "p or more", and no carry
+      crosses a slot;
+    * lanes * steps - p < lanes <= steps, so only the last lane runs
+      past p - 1, and its slot is not read in the steps that do.
+
+    Each value read adds 1 plus its residue symbol, from a p-byte
+    table (2 on the squares, 1 at 0) or, past ``DEFAULT_ENUM_BUDGET``,
+    where that table grows too large, through one ``legendre`` call;
+    the sum less p is the character sum."""
     _check_odd_prime(p)
     check_budget(p, None, "the complete sum")
     if h.degree < 1:
@@ -215,21 +242,30 @@ def weil_check(h: Poly, p: int) -> BoundReport:
         raise ParameterError("polynomial is over the wrong prime field")
     if poly_gcd(h, h.derivative()).degree != 0:
         raise ParameterError(f"{h} is not square-free over F_{p}")
-    tabulated = p <= DEFAULT_ENUM_BUDGET
-    if tabulated:
-        square = bytearray(p)
+    if p <= DEFAULT_ENUM_BUDGET:
+        table = bytearray(b"\1") + bytes(p - 1)  # 1 at 0, 2 on the squares
         for x in range(1, (p + 1) // 2):
-            square[x * x % p] = 1
-    total = 0
-    for start in range(0, p, _CHUNK):
-        vals = h.values(range(start, min(start + _CHUNK, p)))
-        if tabulated:
-            # squares count +1, zeros 0 and the rest -1
-            total += (2 * sum(map(square.__getitem__, vals))
-                      + vals.count(0) - len(vals))
-        else:
-            total += sum(legendre(v, p) for v in vals)
-    m = h.degree
+            table[x * x % p] = 2
+        symbol = table.__getitem__
+    else:
+        symbol = lambda v: legendre(v, p) + 1
+    m, lanes, order = h.degree, math.isqrt(p), sys.byteorder
+    steps, ones = -(-p // lanes), ((1 << 32 * lanes) - 1) // 0xFFFF_FFFF
+    # row t holds h at each lane's point t; differenced in place, it
+    # holds Delta^t h at each lane's first point
+    rows = [h.values(range(t, lanes * steps + t, steps)) for t in range(m + 1)]
+    for j in range(1, m + 1):
+        for t in range(m, j - 1, -1):
+            rows[t] = [(b - a) % p for a, b in zip(rows[t - 1], rows[t])]
+    layers = [int.from_bytes(b"".join(v.to_bytes(4, order) for v in row),
+                             order) for row in rows]
+    total = -p
+    for t in range(steps):
+        vals = memoryview(layers[0].to_bytes(4 * lanes, order)).cast("I")
+        # the lanes whose point t is in F_p: all, or all but the last
+        total += sum(map(symbol, vals[:(p - 1 - t) // steps + 1]))
+        for j in range(m):
+            layers[j] = _reduce_slots(layers[j] + layers[j + 1], p, ones)
     measured = abs(total)
     theoretical = (m - 1) * math.sqrt(p)
     satisfied = measured * measured <= (m - 1) * (m - 1) * p

@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="alphabet size (ksym only; default 2)")
     gen.add_argument("--base", type=str, default=None,
                      help="f1 base polynomial, comma-separated coefficients "
-                          "constant-first (default: deterministic search)")
+                          "constant-first (default: deterministic search); "
+                          "give one that starts with '-' as --base=-1,...")
     gen.add_argument("--no-trace-zero", action="store_true", default=None,
                      help="f2 only: drop the zero second-highest-"
                           "coefficient restriction")
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     weil = sub.add_parser("weil", help="complete residue-symbol sum check")
     weil.add_argument("--poly", required=True,
-                      help="comma-separated coefficients, constant first")
+                      help="comma-separated coefficients, constant first; "
+                           "give one that starts with '-' as --poly=-1,0,1")
     weil.add_argument("--p", type=int, required=True)
     weil.add_argument("--format", choices=["json", "csv", "text"],
                       default="json")

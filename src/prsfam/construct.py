@@ -72,6 +72,20 @@ class Family(Record):
     _uncompared = _unshown = ("params",)
 
     def __init__(self, *args, **kwargs):
+        self._init_shape(*args, **kwargs)
+        # C-level passes over the symbols: their types, then their values
+        if set(map(type, chain.from_iterable(self.rows))) != {int}:
+            raise ParameterError("symbols must be ints")
+        symbols = set().union(*self.rows)
+        lo, hi = min(symbols), max(symbols)
+        if lo < 0 or hi >= self.k:
+            raise ParameterError(f"symbol {lo if lo < 0 else hi} out of "
+                                 f"range for alphabet size {self.k}")
+
+    def _init_shape(self, *args, **kwargs) -> None:
+        """Set the fields, and check all but the symbols: the tag, int
+        p, d and k, k >= 1, and a tuple of equal-length nonempty
+        tuples."""
         super().__init__(*args, **kwargs)
         _check_tag(self.construction)
         if {type(self.p), type(self.d), type(self.k)} != {int}:
@@ -88,14 +102,6 @@ class Family(Record):
             raise ParameterError("rows must be nonempty")
         if set(map(len, rows)) != {n}:
             raise ParameterError("rows must all have the same length")
-        # C-level passes over the symbols: their types, then their values
-        if set(map(type, chain.from_iterable(rows))) != {int}:
-            raise ParameterError("symbols must be ints")
-        symbols = set().union(*rows)
-        lo, hi = min(symbols), max(symbols)
-        if lo < 0 or hi >= self.k:
-            raise ParameterError(f"symbol {lo if lo < 0 else hi} out of "
-                                 f"range for alphabet size {self.k}")
 
     @property
     def size(self) -> int:
@@ -122,6 +128,16 @@ class Family(Record):
         x^3+5 give the same residue-symbol row.  So the builders do not
         refuse them, and ``verify`` reports a violation."""
         return len(set(self.rows)) == len(self.rows)
+
+
+def _family(**fields) -> Family:
+    """A family whose symbols are known to be ints in 0..k-1, as the
+    builders, ``dual`` and a file read through its symbol table give
+    them: the ``Family`` constructor without its two passes over the
+    symbols."""
+    fam = Family.__new__(Family)
+    fam._init_shape(**fields)
+    return fam
 
 
 def _pm_symbol(p: int):
@@ -220,8 +236,8 @@ def family_f1(p: int, d: int, base: Poly | None = None,
         _validate_base(base, p, d)
     rows = _symbol_rows((scale_poly(base, i) for i in range(1, p)), p,
                         _pm_symbol(p))
-    return Family(p=p, d=d, k=2, rows=rows, construction="f1",
-                  params={"base": base.coeffs})
+    return _family(p=p, d=d, k=2, rows=rows, construction="f1",
+                   params={"base": base.coeffs})
 
 
 def family_f2(p: int, d: int, trace_zero: bool = True,
@@ -243,8 +259,8 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     else:
         polys = _poly.enumerate_irreducibles(p, d, False, budget)
     rows = _symbol_rows(polys, p, _pm_symbol(p))
-    return Family(p=p, d=d, k=2, rows=rows, construction="f2",
-                  params={"trace_zero": trace_zero})
+    return _family(p=p, d=d, k=2, rows=rows, construction="f2",
+                   params={"trace_zero": trace_zero})
 
 
 def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
@@ -280,7 +296,7 @@ def family_k_symbol(p: int, d: int, k: int, require_coprime: bool = True,
     if len(rows) != expected:
         raise InternalError(
             f"family size {len(rows)} != (p^d-p)/(dp) = {expected}")
-    return Family(p=p, d=d, k=k, rows=rows, construction="ksym")
+    return _family(p=p, d=d, k=k, rows=rows, construction="ksym")
 
 
 def dual_tag(tag: str) -> str:
@@ -294,9 +310,9 @@ def dual_tag(tag: str) -> str:
 def dual(fam: Family) -> Family:
     """Transpose: row n of the dual reads symbol n of every member.
     Applying it twice returns the original family."""
-    return Family(p=fam.p, d=fam.d, k=fam.k, rows=tuple(zip(*fam.rows)),
-                  construction=dual_tag(fam.construction),
-                  params=dict(fam.params))
+    return _family(p=fam.p, d=fam.d, k=fam.k, rows=tuple(zip(*fam.rows)),
+                   construction=dual_tag(fam.construction),
+                   params=dict(fam.params))
 
 
 class _Names(dict):
@@ -335,8 +351,9 @@ def write_family(fam: Family, sink: Union[str, IO[str]]) -> None:
 def read_family(source: Union[str, IO[str]]) -> Family:
     """Parse a family file; the inverse of ``write_family``, restoring
     ``trace_zero=false`` into ``params``.  Symbols are looked up in a
-    table of how ``write_family`` spells them; a row with any other
-    token is checked per token."""
+    table of how ``write_family`` spells them, so their values need no
+    check; a row with any other token is checked per token, and then
+    the family by the full ``Family`` constructor."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -367,12 +384,13 @@ def read_family(source: Union[str, IO[str]]) -> Family:
         raise ParseError(
             f"header says F={f} but file has {len(body)} rows", line=1)
     names = {str(s): s for s in range(min(k, 1024))}  # k may be huge
-    rows = []
+    rows, make = [], _family
     for idx, ln in body:
         tokens = ln.split()
         row = tuple(map(names.get, tokens))
         named = None not in row
         if not named:
+            make = Family
             if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise ParseError(f"non-digit symbol in {ln!r}", line=idx)
             try:
@@ -388,7 +406,7 @@ def read_family(source: Union[str, IO[str]]) -> Family:
                              f"{k}", line=idx)
         rows.append(row)
     try:
-        return Family(p=p, d=d, k=k, rows=tuple(rows), construction=tag,
-                      params={"trace_zero": False} if m.group(7) else {})
+        return make(p=p, d=d, k=k, rows=tuple(rows), construction=tag,
+                    params={"trace_zero": False} if m.group(7) else {})
     except ParameterError as exc:
         raise ParseError(str(exc)) from None

@@ -200,16 +200,39 @@ def _literal_sum(h, p):
 
 def test_weil_seeded_squarefree_suite():
     rng = random.Random(99)
-    # small primes, then primes that span several evaluation chunks,
-    # then polynomials with roots in F_p
-    cases = (_squarefree_cases(rng, [5, 7, 11, 13, 101], 60, 0)
+    # small primes, where the degree reaches p, then primes of many
+    # lanes, then polynomials with roots in F_p
+    cases = (_squarefree_cases(rng, [3, 5, 7, 11, 13, 101], 60, 0)
              + _squarefree_cases(rng, [4099, 10007], 10, 0)
-             + _squarefree_cases(rng, [5, 13, 101, 4099, 10007], 20, 2))
+             + _squarefree_cases(rng, [3, 5, 13, 101, 4099, 10007], 20, 2))
+    assert {3, 5} <= {p for h, p in cases if h.degree >= p}
+    assert any(h.degree == 1 for h, _ in cases)
+    # the last lane runs past p - 1 at every prime but 3 (one lane)
+    overshoot = {p: math.isqrt(p) * -(-p // math.isqrt(p)) - p
+                 for _, p in cases}
+    assert overshoot[3] == 0 and all(overshoot[p] > 0 for p in overshoot
+                                     if p > 3)
     for h, p in cases:
         r = weil_check(h, p)
         assert r.satisfied, (h, p, r.measured, r.theoretical)
         # independent recomputation of the sum
         assert r.measured == abs(_literal_sum(h, p))
+
+
+def test_reduce_slots_at_the_largest_prime_the_budget_admits():
+    p = 999_999_937  # the largest prime below DEFAULT_BUDGET = 10^9
+    lanes = 5
+    ones = sum(1 << 32 * i for i in range(lanes))
+
+    def packed(slots):
+        return sum(v << 32 * i for i, v in enumerate(slots))
+
+    # every slot at its largest sum, p - 1 + p - 1: no carry between them
+    assert bounds._reduce_slots((2 * p - 2) * ones, p, ones) == \
+        (p - 2) * ones
+    slots = [p - 1, p, 0, 2 * p - 2, p + 1]
+    assert bounds._reduce_slots(packed(slots), p, ones) == \
+        packed([v % p for v in slots])
 
 
 def test_weil_euler_branch_matches_literal_sum(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from prsfam.construct import (
     _BASE_TAGS,
     Family,
+    _family,
     dual,
     family_f1,
     family_f2,
@@ -36,6 +37,8 @@ def test_family_validation():
         Family(p=3, d=1, k=2, rows=((0, 1), (0,)))  # ragged
     with pytest.raises(ParameterError):
         Family(p=3, d=1, k=2, rows=((0, 2),))  # symbol out of range
+    with pytest.raises(ParameterError, match="symbol -1 out of range"):
+        Family(p=3, d=1, k=2, rows=((0, 1), (-1, 1)))
     with pytest.raises(ParameterError):
         Family(p=3, d=1, k=2, rows=((0, 1),), construction="bogus")
 
@@ -50,6 +53,24 @@ def test_family_validation():
 def test_family_refuses_rows_that_are_not_int_tuples(rows):
     with pytest.raises(ParameterError):
         Family(p=5, d=2, k=2, rows=rows)
+
+
+@pytest.mark.parametrize("fields", [
+    {"rows": ()},
+    {"rows": ((0, 1), (0,))},
+    {"rows": ((),)},
+    {"rows": [(0, 1)]},
+    {"construction": "bogus"},
+    {"k": 0},
+    {"p": 3.0},
+])
+def test_valid_symbol_constructor_keeps_the_shape_checks(fields):
+    # the builders, dual and a tabled file read skip only the symbol passes
+    fields = {"p": 3, "d": 1, "k": 2, "rows": ((0, 1),), **fields}
+    with pytest.raises(ParameterError):
+        Family(**fields)
+    with pytest.raises(ParameterError):
+        _family(**fields)
 
 
 @pytest.mark.parametrize("field", ["p", "d", "k"])
@@ -301,6 +322,15 @@ def test_round_trip_of_two_digit_symbols():
         ((1, 1, 10, 10),)
     with pytest.raises(ParseError, match="line 2: symbol 12 out of range"):
         read_family(io.StringIO(header + "3 12 11 0\n"))
+
+
+def test_read_family_checks_a_row_spelled_otherwise():
+    header = "#PRSFAM v1 p=5 d=2 k=2 N=4 F=2 construction=external\n"
+    fam = read_family(io.StringIO(header + "0 1 1 0\n01 1 0 0\n"))
+    assert fam.rows == ((0, 1, 1, 0), (1, 1, 0, 0))
+    for row in ("01 2 0 0", "2 1 0 0"):
+        with pytest.raises(ParseError, match="line 3: symbol 2 out of range"):
+            read_family(io.StringIO(header + "0 1 1 0\n" + row + "\n"))
 
 
 def test_header_records_only_a_false_trace_zero():

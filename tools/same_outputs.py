@@ -40,7 +40,13 @@ are not all solved from the lower ones, ksym(23,2,11), whose
 two-digit symbols go through a ``dual`` and a ``measure``,
 ksym(11,5,2), whose field has a 5 x 5 Frobenius matrix, and
 ksym(31,3,5) under ``--budget 1000``, refused by the orbit enumeration
-before any field is built.  ``--jobs N``
+before any field is built.  ``WEIL_JOBS`` run under ``weil/``: the
+complete sum of x + 1 at p = 3 (one lane), of x^2 + 1 and x^2 - 1 at
+p = 5 (degree 2, a negative coefficient given as ``--poly=-1,0,1``),
+of x^6 + x^2 + 3 at p = 101 and at p = 9,999,991, the largest prime
+whose sum reads the squares table, of (x + 1)(x^2 + 1) at p = 7, which
+has a linear factor, and the refusal of (x + 1)^2 at p = 5, which is
+not square-free.  ``--jobs N``
 replaces the ``--jobs`` value of every job that passes one.  The invocations in
 ``NO_INPUT`` (``--version``, the help texts and one usage error) run
 the same way, under ``no-input/``.  Then every
@@ -156,6 +162,26 @@ BUILD_JOBS = [
 ]
 
 
+def _weil(job_id: str, poly: str, p: int) -> Job:
+    """``weil`` of ``poly`` (``--poly=`` form, so a leading minus
+    reads) at ``p``."""
+    return Job(job_id, ("weil", f"--poly={poly}", "--p", str(p),
+                        "--out", f"{{dir}}/{job_id}.json"))
+
+
+WEIL_JOBS = [
+    _weil("weil-x+1-p3", "1,1", 3),
+    _weil("weil-x2+1-p5", "1,0,1", 5),
+    _weil("weil-x2-1-p5", "-1,0,1", 5),
+    _weil("weil-x6+x2+3-p101", "3,0,1,0,0,0,1", 101),
+    _weil("weil-x6+x2+3-p9999991", "3,0,1,0,0,0,1", 9999991),
+    # (x + 1)(x^2 + 1), with a root in F_7
+    _weil("weil-linear-factor-p7", "1,1,1,1", 7),
+    # (x + 1)^2 is refused
+    _weil("weil-square-p5", "1,2,1", 5),
+]
+
+
 def job_argv(job, work_dir: str, seed: int, jobs: int | None) -> list[str]:
     argv = job.expand(work_dir, seed)
     if jobs is not None and "--jobs" in argv:
@@ -180,7 +206,8 @@ def run_tree(src: Path, root: Path, seeds: list[int],
         base.with_suffix(".out").write_bytes(proc.stdout)
         base.with_suffix(".err").write_bytes(proc.stderr)
 
-    job_lists = {**WORKLOADS, "measures": MEASURE_JOBS, "builds": BUILD_JOBS}
+    job_lists = {**WORKLOADS, "measures": MEASURE_JOBS, "builds": BUILD_JOBS,
+                 "weil": WEIL_JOBS}
     for name, job_list in job_lists.items():
         (root / name).mkdir(parents=True)
         for job in job_list:
@@ -243,7 +270,7 @@ def main(argv: list[str]) -> int:
     total = len(parent.keys() | change.keys())
     jobs = args.jobs if args.jobs is not None else "as listed"
     print(f"{total} files compared ({', '.join(WORKLOADS)}, measures, "
-          f"builds, no-input; jobs {jobs}, seed{'s' * (len(seeds) > 1)} "
+          f"builds, weil, no-input; jobs {jobs}, seed{'s' * (len(seeds) > 1)} "
           f"{', '.join(map(str, seeds))}): "
           + ("all identical" if not differ else f"{differ} differ"))
     return 1 if differ else 0
