@@ -225,8 +225,9 @@ def weil_check(h: Poly, p: int) -> BoundReport:
       steps a value slot holds h(i * steps + t) mod p;
     * every slot stays in [0, p), and the sum of two is below
       2p < 2^31, since ``check_budget`` refuses p > ``DEFAULT_BUDGET``
-      = 10^9 < 2^30; so bit 31 decides "p or more", and no carry
-      crosses a slot;
+      = 10^9 < 2^30, and a p of 2^30 or more is refused here too,
+      should that budget grow; so bit 31 decides "p or more", and no
+      carry crosses a slot;
     * lanes * steps - p < lanes <= steps, so only the last lane runs
       past p - 1, and its slot is not read in the steps that do.
 
@@ -242,13 +243,14 @@ def weil_check(h: Poly, p: int) -> BoundReport:
         raise ParameterError("polynomial is over the wrong prime field")
     if poly_gcd(h, h.derivative()).degree != 0:
         raise ParameterError(f"{h} is not square-free over F_{p}")
+    if 2 * p >= 1 << 31:  # two slots must sum below bit 31
+        raise ParameterError(f"p = {p} too large for 32-bit lanes")
+    symbol = lambda v: legendre(v, p) + 1
     if p <= DEFAULT_ENUM_BUDGET:
         table = bytearray(b"\1") + bytes(p - 1)  # 1 at 0, 2 on the squares
         for x in range(1, (p + 1) // 2):
             table[x * x % p] = 2
         symbol = table.__getitem__
-    else:
-        symbol = lambda v: legendre(v, p) + 1
     m, lanes, order = h.degree, math.isqrt(p), sys.byteorder
     steps, ones = -(-p // lanes), ((1 << 32 * lanes) - 1) // 0xFFFF_FFFF
     # row t holds h at each lane's point t; differenced in place, it

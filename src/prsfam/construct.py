@@ -132,9 +132,8 @@ class Family(Record):
 
 def _family(**fields) -> Family:
     """A family whose symbols are known to be ints in 0..k-1, as the
-    builders, ``dual`` and a file read through its symbol table give
-    them: the ``Family`` constructor without its two passes over the
-    symbols."""
+    builders, ``dual`` and ``read_family`` give them: the ``Family``
+    constructor without its two passes over the symbols."""
     fam = Family.__new__(Family)
     fam._init_shape(**fields)
     return fam
@@ -352,8 +351,8 @@ def read_family(source: Union[str, IO[str]]) -> Family:
     """Parse a family file; the inverse of ``write_family``, restoring
     ``trace_zero=false`` into ``params``.  Symbols are looked up in a
     table of how ``write_family`` spells them, so their values need no
-    check; a row with any other token is checked per token, and then
-    the family by the full ``Family`` constructor."""
+    check; a row with any other token is checked per token, so the
+    family is built with the shape checks only."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -384,13 +383,12 @@ def read_family(source: Union[str, IO[str]]) -> Family:
         raise ParseError(
             f"header says F={f} but file has {len(body)} rows", line=1)
     names = {str(s): s for s in range(min(k, 1024))}  # k may be huge
-    rows, make = [], _family
+    rows = []
     for idx, ln in body:
         tokens = ln.split()
         row = tuple(map(names.get, tokens))
         named = None not in row
         if not named:
-            make = Family
             if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise ParseError(f"non-digit symbol in {ln!r}", line=idx)
             try:
@@ -406,7 +404,7 @@ def read_family(source: Union[str, IO[str]]) -> Family:
                              f"{k}", line=idx)
         rows.append(row)
     try:
-        return make(p=p, d=d, k=k, rows=tuple(rows), construction=tag,
-                    params={"trace_zero": False} if m.group(7) else {})
+        return _family(p=p, d=d, k=k, rows=tuple(rows), construction=tag,
+                       params={"trace_zero": False} if m.group(7) else {})
     except ParameterError as exc:
         raise ParseError(str(exc)) from None

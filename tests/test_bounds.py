@@ -235,6 +235,14 @@ def test_reduce_slots_at_the_largest_prime_the_budget_admits():
         packed([v % p for v in slots])
 
 
+def test_weil_refuses_a_prime_too_wide_for_its_lanes(monkeypatch):
+    # past a raised budget, two slots could carry across bit 31
+    monkeypatch.setattr(bounds, "check_budget", lambda *args: None)
+    p = 2**31 - 1
+    with pytest.raises(ParameterError, match="too large for 32-bit lanes"):
+        weil_check(Poly((1, 0, 1), p), p)
+
+
 def test_weil_euler_branch_matches_literal_sum(monkeypatch):
     # above the table limit each value goes through Euler's criterion
     calls = []
