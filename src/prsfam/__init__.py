@@ -25,8 +25,8 @@ _OWNER = {name: module for module, names in (
               "enumerate_trace_zero_irreducibles", "ExtElem",
               "minimal_polynomial", "conjugacy_representatives",
               "scale_poly")),
-    ("construct", ("Family", "family_f1", "family_f2", "family_k_symbol",
-                   "dual", "read_family", "write_family")),
+    ("family", ("Family", "dual", "read_family", "write_family")),
+    ("construct", ("family_f1", "family_f2", "family_k_symbol")),
     ("measures", ("CorrelationSpec", "PatternWitness", "MeasureResult",
                   "f_complexity", "cross_correlation",
                   "cross_correlation_circ", "gamma", "gamma_circ",

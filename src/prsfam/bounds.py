@@ -28,7 +28,7 @@ from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
 if TYPE_CHECKING:  # `weil` runs this module without building or measuring
     from typing import Optional, Sequence, Union
 
-    from .construct import Family
+    from .family import Family
     from .measures import MeasureResult
 
     Number = Union[int, float, Fraction]
@@ -368,7 +368,7 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     builder emits (p not an odd prime, N != p - 1, d < 2, or p^d at or
     past 2^1024).
     """
-    from .construct import dual_tag
+    from .family import dual_tag  # here, so `weil` does not compile it
 
     _check_scale(c)
     tag = fam.construction

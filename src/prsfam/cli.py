@@ -17,10 +17,12 @@ point.
 
 Each command imports only the modules it runs (``_COMMAND_MODULES``):
 every call is a fresh interpreter, which compiles what it imports, so
-``--version`` and ``--help`` load no construction or measure code and
-``weil`` loads no measure code.  The names a handler uses are bound in
-this module on first use, by ``_bind`` or by attribute access from
-outside, and a name already bound there is kept.
+``--version`` and ``--help`` load no family or measure code, ``dual``,
+``measure`` and ``verify`` read a family file through ``family`` alone,
+with no builder (``construct``), and ``weil`` loads no measure code.
+The names a handler uses are bound in this module on first use, by
+``_bind`` or by attribute access from outside, and a name already bound
+there is kept.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ if TYPE_CHECKING:
     from typing import IO, Sequence
 
     from .bounds import BoundReport
-    from .construct import Family
+    from .family import Family
     from .measures import MeasureResult
     from .poly import Poly
 
@@ -50,8 +52,8 @@ EXIT_VIOLATED = 4
 
 # The names the handlers look up in this module, by owning module.
 _NAMES = {
-    "construct": ("dual", "family_f1", "family_f2", "family_k_symbol",
-                  "read_family", "write_family"),
+    "construct": ("family_f1", "family_f2", "family_k_symbol"),
+    "family": ("dual", "read_family", "write_family"),
     "measures": ("MODE_EXACT", "MODE_SAMPLED", "MODE_VERIFIED_LB",
                  "MeasureResult", "cross_correlation", "f_complexity",
                  "gamma", "gamma_circ"),
@@ -64,10 +66,10 @@ _OWNER["_MEASURES"] = "measures"
 
 # The modules each command's handler runs.
 _COMMAND_MODULES = {
-    "gen": ("construct", "poly"),
-    "dual": ("construct",),
-    "measure": ("construct", "measures"),
-    "verify": ("construct", "measures", "bounds"),
+    "gen": ("construct", "family", "poly"),
+    "dual": ("family",),
+    "measure": ("family", "measures"),
+    "verify": ("family", "measures", "bounds"),
     "weil": ("bounds", "poly"),
 }
 
@@ -391,7 +393,7 @@ def compute_verify_measures(fam: Family, max_order: int = 2,
     order; the covering complexity, at order 0, takes no order.  Each
     is called through its name in this module, where perfbench's tracer
     wraps it."""
-    _bind("construct", "measures", "bounds")
+    _bind("family", "measures", "bounds")
     plan = verify_plan(fam, max_order)
     dl = dual(fam)
     measures = []

@@ -51,7 +51,10 @@ the whole sum.  gamma: a code that occurs C times gives every window at
 most max((k^ell - 1) * C, L), as k^ell * C_w - M <= (k^ell - 1) * C_w
 and M - k^ell * C_w <= L.  Both hold for every reading and for k <= 2
 big_gamma.  They are at least L/2 and L, so the pass runs only when the
-floor exceeds that.  The stop is strict: every tuple that could tie is
+floor exceeds that.  gamma counts its distinct codes first: each other
+code takes a position, so C <= L - distinct + 1, and the count of every
+code is taken only when (k^ell - 1) * (L - distinct + 1) is not already
+below the floor.  The stop is strict: every tuple that could tie is
 walked and offered, so values, witnesses and draw streams are those of
 the full walk.
 
@@ -104,12 +107,13 @@ from functools import partial
 from itertools import accumulate, combinations, count, islice, product
 from operator import add, getitem, mul
 
-from .construct import Family
 from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, InternalError,
                      ParameterError, Record, _shown, check_budget)
 
 if TYPE_CHECKING:
     from typing import Optional, Union
+
+    from .family import Family
 
     Value = Union[int, Fraction, float]
 
@@ -587,9 +591,12 @@ def _gamma_kernel(k: int, ell: int):
         codes = _combine(add, seqs)
         if floor is not None and floor > size:
             # the per-tuple cap max((kl - 1) * C, L), C the largest count
-            # of a code; it is at least L, so it is taken only when floor > L
+            # of a code; it is at least L, so it is taken only when floor > L.
+            # The other codes take a position each, so C <= L - distinct + 1,
+            # and the Counter is built only when that does not decide it
             codes = list(codes)
-            if max((kl - 1) * max(Counter(codes).values()), size) < floor:
+            if ((kl - 1) * (size - len(set(codes)) + 1) < floor
+                    or (kl - 1) * max(Counter(codes).values()) < floor):
                 return None
         stats = _occurrences(codes, kl)
         best = None  # (-value, s, e, code)

@@ -1,8 +1,10 @@
 """Shared test helpers."""
 
 import random
+from collections import Counter
 
-from prsfam.construct import Family
+from prsfam import measures
+from prsfam.family import Family
 
 
 def random_family(rng: random.Random, max_f: int = 6, max_n: int = 12,
@@ -46,3 +48,29 @@ def copied_cases(seed: int) -> list:
     return [(family_with_copies(rng, k, rng.randint(1, 4 - ell // 2),
                                 rng.randint(1, 6 - ell)), ell)
             for k in (2, 3, 4) for ell in (1, 2, 3) for _ in range(6)]
+
+
+def count_gamma_caps(monkeypatch) -> dict:
+    """Counts, updated as gamma runs: "checked", the gamma kernel calls
+    whose floor is above L, where the per-tuple cap is tested, and
+    "counted", the ``Counter`` of codes built; the calls between are
+    those the distinct-code test decided."""
+    seen = {"checked": 0, "counted": 0}
+    make = measures._gamma_kernel
+
+    def gamma_kernel(k, ell):
+        kernel = make(k, ell)
+
+        def checked(seqs, size, floor, reading):
+            seen["checked"] += floor is not None and floor > size
+            return kernel(seqs, size, floor, reading)
+        return checked
+
+    class Counted(Counter):
+        def __init__(self, *args):
+            seen["counted"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(measures, "_gamma_kernel", gamma_kernel)
+    monkeypatch.setattr(measures, "Counter", Counted)
+    return seen

@@ -16,13 +16,8 @@ import pytest
 
 from prsfam.bounds import fc_lower_bound_from_dual, weil_check
 from prsfam.cli import emit_report
-from prsfam.construct import (
-    Family,
-    dual,
-    family_f1,
-    family_f2,
-    family_k_symbol,
-)
+from prsfam.construct import family_f1, family_f2, family_k_symbol
+from prsfam.family import Family, dual
 from prsfam.measures import (
     MeasureResult,
     big_gamma,

@@ -29,9 +29,9 @@ from prsfam.bounds import (
 )
 from prsfam import cli
 from prsfam.cli import compute_verify_measures
-from prsfam.construct import (Family, dual, family_f1, family_f2,
-                              family_k_symbol, write_family)
+from prsfam.construct import family_f1, family_f2, family_k_symbol
 from prsfam.errors import ParameterError
+from prsfam.family import Family, dual, write_family
 from prsfam.ff import legendre
 from prsfam.measures import f_complexity
 from prsfam.poly import Poly, is_irreducible, poly_gcd

@@ -19,7 +19,7 @@ from prsfam.cli import (
     emit_report,
     main,
 )
-from prsfam.construct import read_family
+from prsfam.family import read_family
 from prsfam.errors import BudgetError, ParameterError
 from prsfam.measures import (
     CorrelationSpec,
@@ -464,21 +464,24 @@ _RUN_AND_LIST_MODULES = (
     "print(code, *sorted(m for m in sys.modules if m.startswith('prsfam')\n"
     "    or m in ('dataclasses', 'inspect', 'json', 'fractions', 'typing')))")
 _PARSE = {"prsfam", "prsfam.cli", "prsfam.errors"}
-_BUILD = _PARSE | {"prsfam.construct", "prsfam.poly", "prsfam.ff"}
+_FAMILY = _PARSE | {"prsfam.family"}
+_FIELD = {"prsfam.poly", "prsfam.ff"}
 _REPORT = {"json", "fractions"}
-_MEASURE = _BUILD | _REPORT | {"prsfam.measures"}
+# a family file is read and measured without the builders
+_MEASURE = _FAMILY | _REPORT | {"prsfam.measures"}
 
 
 @pytest.mark.parametrize("family, args, code, modules", [
     (None, ["--version"], EXIT_OK, _PARSE),
     (None, ["measure", "--help"], EXIT_OK, _PARSE),
     (None, ["measure"], EXIT_PARAM, _PARSE),
-    (None, ["gen", *_GEN["f2"], "--out", "{out}"], EXIT_OK, _BUILD),
-    ("f2", ["dual", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _BUILD),
+    (None, ["gen", *_GEN["f2"], "--out", "{out}"], EXIT_OK,
+     _FAMILY | _FIELD | {"prsfam.construct"}),
+    ("f2", ["dual", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _FAMILY),
     (None, ["weil", "--poly", "1,1,1", "--p", "7", "--out", "{out}"], EXIT_OK,
-     _PARSE | _REPORT | {"prsfam.bounds", "prsfam.poly", "prsfam.ff"}),
+     _PARSE | _REPORT | _FIELD | {"prsfam.bounds"}),
     ("f2", ["verify", "--in", "{fam}", "--out", "{out}"], EXIT_OK,
-     _MEASURE | {"prsfam.bounds"}),
+     _MEASURE | _FIELD | {"prsfam.bounds"}),
     ("f2", ["measure", "--measure", "phi", "--ell", "2", "--in", "{fam}",
             "--out", "{out}"], EXIT_OK, _MEASURE),
     ("f2", ["measure", "--measure", "biggamma", "--ell", "2", "--in", "{fam}",
@@ -492,9 +495,11 @@ _MEASURE = _BUILD | _REPORT | {"prsfam.measures"}
         "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
 def test_command_module_sets(tmp_path, family, args, code, modules):
     # every call is a fresh interpreter that compiles what it imports, so
-    # a command loads only the modules it runs; only k >= 3 magnitudes
-    # need prsfam.roots, which also costs peak memory.  -S: no site hook
-    # (a .pth file) loads ``typing`` or the others before the command
+    # a command loads only the modules it runs: dual, measure and verify
+    # read a family file without the builders (prsfam.construct), and
+    # only k >= 3 magnitudes need prsfam.roots, which also costs peak
+    # memory.  -S: no site hook (a .pth file) loads ``typing`` or the
+    # others before the command
     fam = str(tmp_path / "fam.txt")
     if family is not None:
         assert run(["gen", *_GEN[family], "--out", fam]) == EXIT_OK

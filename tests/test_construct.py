@@ -3,18 +3,17 @@ import random
 
 import pytest
 
-from prsfam.construct import (
+from prsfam.construct import family_f1, family_f2, family_k_symbol
+from prsfam.errors import ParameterError, ParseError
+from prsfam.family import (
     _BASE_TAGS,
     Family,
+    _check_tag,
     _family,
     dual,
-    family_f1,
-    family_f2,
-    family_k_symbol,
     read_family,
     write_family,
 )
-from prsfam.errors import ParameterError, ParseError
 from prsfam.ff import char_k, legendre
 from prsfam.poly import (
     Poly,
@@ -288,11 +287,14 @@ def test_nested_dual_tag_is_refused():
     # it, so dual(dual(fam)) would not be fam
     with pytest.raises(ParameterError, match="unknown construction tag"):
         Family(p=3, d=1, k=2, rows=((0, 1),), construction="dual(dual(f2))")
+    with pytest.raises(ParameterError, match="unknown construction tag"):
+        _check_tag("dual(dual(f2))")
 
 
 @pytest.mark.parametrize("tag", sorted(_BASE_TAGS | {f"dual({t})"
                                                      for t in _BASE_TAGS}))
 def test_dual_is_an_involution_on_every_accepted_tag(tag):
+    _check_tag(tag)
     fam = Family(p=3, d=1, k=2, rows=((0, 1), (1, 1)), construction=tag)
     assert dual(dual(fam)) == fam and dual(fam).construction != tag
 

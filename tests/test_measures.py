@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsfam.construct import Family, family_f1, family_f2, family_k_symbol
+from prsfam.construct import family_f1, family_f2, family_k_symbol
 from prsfam.errors import BudgetError, ParameterError, check_budget
+from prsfam.family import Family
 from prsfam import measures, poly, roots
 from prsfam.measures import (
     MODE_EXACT,
@@ -29,7 +30,7 @@ from prsfam.measures import (
 )
 
 import oracle
-from _util import copied_cases, random_family, replace
+from _util import copied_cases, count_gamma_caps, random_family, replace
 
 
 def fam_pm(rows_pm, k=2):
@@ -239,7 +240,10 @@ def _check_gamma_reading(reading: str) -> None:
     cases = [(2, 1, [(0, 0, 1, 1, 1, 1)]),  # max Q ties minus min Q
              (3, 1, [(2,)]), (3, 2, [(1,), (0,)]), (1, 2, [(0, 0, 0)] * 2),
              (2, 2, [(1, 1, 1, 1)] * 2), (3, 1, [(0, 0, 0, 0, 0)]),
-             (3, 2, [(0, 2, 1, 2, 0)] * 2), (4, 3, [(3,) * 6] * 3)]
+             (3, 2, [(0, 2, 1, 2, 0)] * 2), (4, 3, [(3,) * 6] * 3),
+             # code 0 at its distinct-count bound C = L - 2 + 1, where the
+             # value 2 * C ties the cap
+             (3, 1, [(0, 0, 0, 1)])]
     for _ in range(300):
         k, ell, n = rng.randint(1, 4), rng.randint(1, 2), rng.randint(1, 8)
         cases.append((k, ell, [tuple(rng.randrange(k) for _ in range(n))
@@ -300,7 +304,7 @@ def test_per_tuple_cap_skips_walks(monkeypatch):
     # the per-tuple caps stop most kernel calls before their walk: the
     # phi walk is its prefix sum, the gamma walk its occurrence pass
     import itertools
-    from prsfam.construct import dual
+    from prsfam.family import dual
     walks = {"accumulate": 0, "_occurrences": 0}
 
     def counted(name, real):
@@ -318,6 +322,16 @@ def test_per_tuple_cap_skips_walks(monkeypatch):
     r = gamma(dual(family_k_symbol(13, 2, 3)), 2)
     assert r.value == Fraction(8, 3)
     assert walks["_occurrences"] < 250  # of 492 kernel calls
+
+
+def test_gamma_distinct_code_count_decides_most_caps(monkeypatch):
+    # a code seen C times leaves L - C positions to the other codes, so
+    # C <= L - distinct + 1: most gamma calls whose floor is above L are
+    # refused by that bound before any code is counted
+    seen = count_gamma_caps(monkeypatch)
+    assert gamma(family_k_symbol(13, 2, 3), 2).value == Fraction(40, 9)
+    assert seen["checked"] > 250  # of 267 kernel calls
+    assert seen["counted"] < seen["checked"] // 3
 
 
 # --- pattern deviation -------------------------------------------------------
@@ -1133,7 +1147,7 @@ def test_refusal_names_the_mode():
 
 
 def test_dual_f1_17_5_order4_fits_default_budget():
-    from prsfam.construct import dual
+    from prsfam.family import dual
     from prsfam.measures import DEFAULT_BUDGET
     est = _estimate(cross_correlation, dual(family_f1(17, 5)), 4)
     assert 0 < est <= DEFAULT_BUDGET
@@ -1144,7 +1158,7 @@ def test_lag_search_stops_on_value_cap(monkeypatch):
     # 112,684 times; largest window first, almost every lag tuple has a
     # window shorter than the value already found.
     from prsfam import measures, roots
-    from prsfam.construct import dual
+    from prsfam.family import dual
     real = measures._phi_kernel
     calls = []
 

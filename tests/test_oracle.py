@@ -3,14 +3,16 @@ against the literal-definition oracle in ``oracle.py``, value and
 witness, at one and two jobs and on families that repeat rows; and
 the sampled modes against the oracle's replay of their draws."""
 
+import random
 from math import comb, factorial
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from _util import copied_cases, replace
-from prsfam.construct import Family, family_k_symbol
+from _util import copied_cases, count_gamma_caps, replace
+from prsfam.construct import family_k_symbol
+from prsfam.family import Family
 from prsfam.measures import (
     MODE_EXACT,
     MODE_SAMPLED,
@@ -364,6 +366,29 @@ def test_sampled_phi_matches_oracle(case, seed, samples):
 ])
 def test_sampled_gamma_matches_oracle(case, seed, samples):
     _check_sampled("gamma", case, seed, samples)
+
+
+def test_gamma_distinct_code_cap_matches_oracle(monkeypatch):
+    # gamma skips a tuple whose (k^ell - 1) * (L - distinct codes + 1) is
+    # below the floor.  Row 0 constant sets a floor near the cap at once,
+    # and about half the rows are copies, some of row 0; gamma and
+    # gamma_circ, exact and sampled, still give the oracle's values and
+    # witnesses, with the test deciding about three in ten of the calls
+    # past the floor
+    seen = count_gamma_caps(monkeypatch)
+    rng = random.Random(53)
+    for fam, ell in copied_cases(53):
+        rows = list(fam.rows)
+        rows[0] = rows[rng.randrange(len(rows))] = (
+            rng.randrange(fam.k),) * fam.length
+        fam = Family(p=3, d=1, k=fam.k, rows=tuple(rows))
+        v, key = oracle.gamma(fam, ell)
+        _check(gamma, fam, ell, v, _spec(fam, ell, key, field="pattern"))
+        v, key = oracle.gamma(fam, ell, circ=True)
+        _check(gamma_circ, fam, ell, v,
+               _spec(fam, ell, key, circ=True, field="pattern"))
+        _check_sampled("gamma", (fam, ell), rng.randrange(2**32), 40)
+    assert seen["checked"] - seen["counted"] > seen["checked"] // 5
 
 
 @_sampled_settings

@@ -19,10 +19,14 @@ def test_public_names_resolve_lazily_to_their_owners():
     assert public == set(prsfam.__all__) - {"__version__"}
     assert not public & vars(package).keys()
     assert public <= set(dir(package))
+    # the data model and its file format have their own module, apart
+    # from the builders
+    assert {n for n in public if package._OWNER[n] == "family"} == {
+        "Family", "dual", "read_family", "write_family"}
     for name in sorted(public):
         value = getattr(package, name)
         owner = value.__module__
-        assert owner.startswith("prsfam."), name
+        assert owner == f"prsfam.{package._OWNER[name]}", name
         assert getattr(importlib.import_module(owner), name) is value
     namespace = {}
     exec("from prsfam import *", namespace)
@@ -46,12 +50,26 @@ def test_budget_error_is_raised_only_by_its_owner():
     assert sites == ["errors.py"]
 
 
-def test_roots_imports_no_other_package_module():
-    # measures imports roots lazily, for k >= 3 big_gamma; roots takes
-    # nothing back, so importing it alone loads no measures
-    code = ("import sys, prsfam.roots; print(*sorted("
+def _modules_loaded_by(module: str) -> list[str]:
+    """The package modules a fresh interpreter holds after importing
+    ``module`` alone."""
+    code = (f"import sys, {module}; print(*sorted("
             "m for m in sys.modules if m.startswith('prsfam')))")
     env = dict(os.environ, PYTHONPATH=str(Path(prsfam.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["prsfam", "prsfam.roots"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_roots_imports_no_other_package_module():
+    # measures imports roots lazily, for k >= 3 big_gamma; roots takes
+    # nothing back, so importing it alone loads no measures
+    assert _modules_loaded_by("prsfam.roots") == ["prsfam", "prsfam.roots"]
+
+
+def test_family_imports_no_other_package_module():
+    # dual and measure read a family file through this module alone, so
+    # it must not pull in the builders or the field arithmetic
+    assert _modules_loaded_by("prsfam.family") == [
+        "prsfam", "prsfam.errors", "prsfam.family"]

@@ -16,7 +16,7 @@ import oracle
 import prsfam
 from _util import replace
 from prsfam.bounds import BoundReport
-from prsfam.construct import Family
+from prsfam.family import Family
 from prsfam.measures import CorrelationSpec, MeasureResult, PatternWitness
 
 CLASSES = (Family, CorrelationSpec, PatternWitness, MeasureResult,

@@ -7,11 +7,16 @@ count (the lines left after taking out blank lines, comment-only lines
 and docstrings: the string literal that opens a module, class or
 function body, found with ``ast``) and the size in bytes.  A line gives
 the same totals over ``tests/*.py``, so a change shows whether lines
-only moved from the package into the tests.  The last line gives the
-bytes of the package modules that perfbench's runner compiles from
-source through ``gate.py``, whose size moves its ``peak_rss_mb``.  The
-set is found by importing ``gate`` in a fresh interpreter that writes
-no bytecode, as the runner does.
+only moved from the package into the tests.
+
+Then, per CLI command (``--version``, gen, dual, measure, verify,
+weil), the code lines and bytes of the package modules the command
+loads, which every run of it compiles.  The last line gives the bytes
+of the package modules that perfbench's runner compiles from source
+through ``gate.py``, whose size moves its ``peak_rss_mb``.  Each set is
+found in a fresh interpreter that writes no bytecode, as the runner
+does: one that imports ``gate``, and one per command that binds
+``cli._COMMAND_MODULES[command]`` (``--version`` binds none).
 """
 
 from __future__ import annotations
@@ -26,19 +31,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prsfam"
 TESTS = ROOT / "tests"
+COMMANDS = ("--version", "gen", "dual", "measure", "verify", "weil")
+LIST_MODULES = ("print(*sorted(m.__file__ for n, m in sys.modules.items()"
+                " if n.split('.')[0] == 'prsfam'))")
 LIST_GATE_MODULES = ("import sys; sys.path[:0] = sys.argv[1:]; import gate; "
-                     "print(*sorted(m.__file__ for n, m in sys.modules.items()"
-                     " if n.split('.')[0] == 'prsfam'))")
+                     + LIST_MODULES)
+LIST_COMMAND_MODULES = (
+    "import sys; sys.path[:0] = sys.argv[1:2]; from prsfam import cli; "
+    "cli._bind(*cli._COMMAND_MODULES.get(sys.argv[2], ())); " + LIST_MODULES)
+
+
+def loaded(code: str, *args: str) -> list[str]:
+    """The file names of the package modules that a fresh interpreter,
+    writing no bytecode, holds after running ``code`` with ``args``."""
+    out = subprocess.run([sys.executable, "-B", "-c", code, *args],
+                         capture_output=True, text=True, check=True).stdout
+    return [Path(f).name for f in out.split()]
 
 
 def runner_compiled() -> list[str]:
     """The file names of the package modules that importing
     ``perfbench/gate.py`` loads."""
-    out = subprocess.run(
-        [sys.executable, "-B", "-c", LIST_GATE_MODULES,
-         str(ROOT / "src"), str(ROOT / "perfbench")],
-        capture_output=True, text=True, check=True).stdout
-    return [Path(f).name for f in out.split()]
+    return loaded(LIST_GATE_MODULES, str(ROOT / "src"), str(ROOT / "perfbench"))
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -88,6 +102,11 @@ def main() -> None:
     print(f"{'module':16s} {'lines':>6s} {'code':>6s} {'bytes':>7s}")
     for name, n, c, b in rows:
         print(f"{name:16s} {n:6d} {c:6d} {b:7d}")
+    print(f"{'command loads':16s} {'':6s} {'code':>6s} {'bytes':>7s}")
+    for command in COMMANDS:
+        files = loaded(LIST_COMMAND_MODULES, str(ROOT / "src"), command)
+        _, _, c, b = total("", [r for r in rows if r[0] in files])
+        print(f"{command:16s} {'':6s} {c:6d} {b:7d}  {' + '.join(files)}")
     print(f"perfbench runner compiles {' + '.join(names)}: "
           f"{total('', compiled)[3]} bytes")
 
