@@ -82,21 +82,13 @@ def _ratio(measured: Number, theoretical: Number) -> Optional[float]:
 
 
 def _ceil_log_ratio(num: Number, den: Number, base: int) -> int:
-    """Smallest integer t with den * base**t >= num, computed with
-    exact rational arithmetic (num, den > 0)."""
-    if den <= 0 or num <= 0:
-        raise ParameterError("log ratio needs positive arguments")
-    num = Fraction(num)
-    den = Fraction(den)
-
-    def ok(t: int) -> bool:
-        return den * Fraction(base) ** t >= num
-
-    t = 0
-    while not ok(t):
+    """Smallest integer t >= 0 with den * base**t >= num, computed with
+    exact rational arithmetic.  Its caller takes max(t - 1, 0), and a
+    smaller t, when den >= num, would clamp to the same 0; so the search
+    starts at t = 0 and only ascends."""
+    num, den, t = Fraction(num), Fraction(den), 0
+    while den * Fraction(base) ** t < num:
         t += 1
-    while ok(t - 1):
-        t -= 1
     return t
 
 
@@ -377,7 +369,7 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
     reports: list[BoundReport] = []
 
     # --- structural identities (computed here, always available) ---
-    if tag in ("f1", "f2", "ksym"):
+    if tag in _REPORTS:
         # refuse a header no builder emits: each writes rows of p - 1
         # symbols over a field ``_buildable`` admits
         if n_len != p - 1 or not _buildable(p, d):
@@ -416,12 +408,12 @@ def verify_family(fam: Family, measures: Sequence[MeasureResult],
                 note="exact count vs leading term p^(d-1)/d with "
                      "correction (3/2) p^floor(d/2)"))
 
-    distinct = fam.distinct_rows()
+    distinct = len(set(fam.rows))
     reports.append(BoundReport(
         name="rows_distinct", kind=KIND_EXACT,
         params={"F": f_size, "N": n_len},
-        theoretical=f_size, measured=len(set(fam.rows)),
-        satisfied=distinct, ratio=None,
+        theoretical=f_size, measured=distinct,
+        satisfied=distinct == f_size, ratio=None,
         note="all rows pairwise distinct"))
 
     # --- the records the bounds below read: ``verify_plan(fam, 0)`` ---

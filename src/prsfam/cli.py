@@ -38,7 +38,6 @@ from .errors import (TYPE_CHECKING, BudgetError, Error, InternalError,
 if TYPE_CHECKING:
     from typing import IO, Sequence
 
-    from .bounds import BoundReport
     from .family import Family
     from .measures import MeasureResult
     from .poly import Poly
@@ -54,7 +53,7 @@ EXIT_VIOLATED = 4
 _NAMES = {
     "construct": ("family_f1", "family_f2", "family_k_symbol"),
     "family": ("dual", "read_family", "write_family"),
-    "measures": ("MODE_EXACT", "MODE_SAMPLED", "MODE_VERIFIED_LB",
+    "measures": ("MODE_SAMPLED", "MODE_VERIFIED_LB",
                  "MeasureResult", "cross_correlation", "f_complexity",
                  "gamma", "gamma_circ"),
     "bounds": ("KIND_EXACT", "_check_scale", "verify_family", "verify_plan",
@@ -137,19 +136,14 @@ def _witness_dict(w):
     return out
 
 
-def _measure_dict(r: MeasureResult) -> dict:
-    return {
-        "name": r.name,
-        "order": r.order,
-        "value": _value_str(r.value),
-        "mode": r.mode,
-        "subject": r.subject,
-        "witness": _witness_dict(r.witness),
-        "err_bound": repr(r.err_bound),
-    }
-
-
-def _bound_dict(r: BoundReport) -> dict:
+def _to_dict(r) -> dict:
+    if _is(r, "measures", "MeasureResult"):
+        return {"name": r.name, "order": r.order,
+                "value": _value_str(r.value), "mode": r.mode,
+                "subject": r.subject, "witness": _witness_dict(r.witness),
+                "err_bound": repr(r.err_bound)}
+    if not _is(r, "bounds", "BoundReport"):
+        raise ParameterError(f"cannot serialize result of type {type(r)!r}")
     from fractions import Fraction  # loaded already by ``bounds``
 
     return {
@@ -165,16 +159,6 @@ def _bound_dict(r: BoundReport) -> dict:
                    else v for k, v in r.params.items()},
         "note": r.note,
     }
-
-
-def _to_dict(r) -> dict:
-    if _is(r, "measures", "MeasureResult"):
-        d = _measure_dict(r)
-    elif _is(r, "bounds", "BoundReport"):
-        d = _bound_dict(r)
-    else:
-        raise ParameterError(f"cannot serialize result of type {type(r)!r}")
-    return d
 
 
 _CSV_FIELDS = ["name", "order", "value", "mode", "subject", "witness",
@@ -251,6 +235,18 @@ def _parse_poly(text: str, p: int) -> Poly:
     return Poly(coeffs, p)
 
 
+def _report_options(parser: argparse.ArgumentParser, searches: bool) -> None:
+    """The options of a command that emits a report: ``--budget`` and
+    ``--jobs`` when it runs searches, then ``--format`` and ``--out``."""
+    if searches:
+        parser.add_argument("--budget", type=int, default=None)
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="accepted and ignored: searches are serial")
+    parser.add_argument("--format", choices=["json", "csv", "text"],
+                        default="json")
+    parser.add_argument("--out", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="prsfam",
@@ -290,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     meas.add_argument("--samples", type=int)
     meas.add_argument("--seed", type=int)
-    meas.add_argument("--budget", type=int, default=None)
-    meas.add_argument("--jobs", type=int, default=1,
-                      help="accepted and ignored: searches are serial")
-    meas.add_argument("--format", choices=["json", "csv", "text"],
-                      default="json")
-    meas.add_argument("--out", default=None)
+    _report_options(meas, searches=True)
 
     ver = sub.add_parser("verify", help="run all applicable bound reports")
     ver.add_argument("--in", dest="in_path", required=True)
@@ -315,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated coefficients, constant first; "
                            "give one that starts with '-' as --poly=-1,0,1")
     weil.add_argument("--p", type=int, required=True)
-    weil.add_argument("--format", choices=["json", "csv", "text"],
-                      default="json")
-    weil.add_argument("--out", default=None)
+    _report_options(weil, searches=False)
 
     return top
 
@@ -367,12 +356,12 @@ def _cmd_measure(args) -> int:
         _refuse(args, "ell", "measures other than fc")
     fam = read_family(args.in_path)
     fn = _MEASURES[name]
+    # exact mode, seed 0 and 1,000 samples are the measure's defaults
     kwargs = {"budget": args.budget}
-    if sampling:
-        kwargs.update(mode=MODE_SAMPLED if args.mode == "sampled"
-                      else MODE_EXACT,
-                      seed=0 if args.seed is None else args.seed,
-                      samples=1000 if args.samples is None else args.samples)
+    if args.mode == "sampled":
+        kwargs.update(mode=MODE_SAMPLED, **{
+            dest: value for dest in ("seed", "samples")
+            if (value := getattr(args, dest)) is not None})
     order = () if name == "fc" else (1 if args.ell is None else args.ell,)
     try:
         result = fn(fam, *order, **kwargs)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from prsfam import bounds
@@ -52,6 +54,50 @@ def test_fc_lower_bound_exact_at_power_boundaries():
     assert fc_lower_bound_from_dual(2**20, 2, 2, "binary") == 18
     assert fc_lower_bound_from_dual(2**20 + 1, 2, 2, "binary") == 19
     assert fc_lower_bound_from_dual(8, Fraction(1, 2), 2, "binary") == 3
+
+
+def _literal_lower_bound(f_size, x, base) -> int:
+    """min{t in Z : x * base**t >= F}, found by descending from 0 while
+    the inequality holds, then ascending while it fails: x * base**t
+    grows with t."""
+    x, t = Fraction(x), 0
+    while x * Fraction(base) ** t >= f_size:
+        t -= 1
+    while x * Fraction(base) ** t < f_size:
+        t += 1
+    return t
+
+
+@st.composite
+def lower_bound_cases(draw):
+    """(F, x, b): F >= 2, an exact power of b among them; x an int, a
+    Fraction or a float, x >= F among them, and x = F / b^j, an exact
+    power of b off F."""
+    base = draw(st.integers(2, 7))
+    f_size = draw(st.one_of(st.integers(2, 10**9),
+                            st.integers(1, 70).map(lambda e: base**e)))
+    x = draw(st.one_of(
+        st.integers(1, 10**12),
+        st.fractions(Fraction(1, 10**9), 10**12).filter(lambda v: v > 0),
+        st.floats(1e-9, 1e12),
+        st.integers(-3, 70).map(lambda j: Fraction(f_size, base**j)
+                                if j >= 0 else f_size * base**-j)))
+    return f_size, x, base
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=lower_bound_cases())
+@example(case=(3**40, Fraction(1, 3), 3))       # t = 41 exactly
+@example(case=(2**60 + 1, 0.5, 2))             # one past a power
+@example(case=(7, 7, 7))                        # x = F: t = 0
+@example(case=(5, 10**6, 5))                    # x far above F: t < 0
+def test_fc_lower_bound_matches_the_literal_definition(case):
+    f_size, x, base = case
+    t = _literal_lower_bound(f_size, x, base)
+    variant = "binary" if base == 2 else "kary_logk"
+    assert fc_lower_bound_from_dual(f_size, x, base, variant) == max(t - 1, 0)
+    # the helper's own contract: the least t >= 0
+    assert bounds._ceil_log_ratio(f_size, x, base) == max(t, 0)
 
 
 def test_fc_lower_bound_variants_coincide_for_binary_alphabet():

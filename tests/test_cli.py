@@ -793,3 +793,37 @@ def test_reports_deterministic_across_jobs(tmp_path):
         with open(out, "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+def test_perfbench_gate_rechecks_the_reported_witnesses(tmp_path):
+    """perfbench/gate.py reads the package through
+    ``construct.read_family``, the keywords of ``MeasureResult``,
+    ``CorrelationSpec`` and ``PatternWitness``, and
+    ``evaluate_witness``; imported as the benchmark imports it, it must
+    re-evaluate each witness the CLI reports to the reported value."""
+    repo = Path(__file__).resolve().parent.parent
+    jobs = [(["--construction", "f2", "--p", "13", "--d", "2"],
+             ["--measure", "phi"]),
+            (["--construction", "ksym", "--p", "13", "--d", "2", "--k", "3"],
+             ["--measure", "gamma", "--mode", "sampled", "--seed", "3"])]
+    paths = []
+    for n, (gen, measure) in enumerate(jobs):
+        fam, report = str(tmp_path / f"{n}.fam"), str(tmp_path / f"{n}.json")
+        assert run(["gen", *gen, "--out", fam]) == EXIT_OK
+        assert run(["measure", "--in", fam, *measure,
+                    "--out", report]) == EXIT_OK
+        paths += [report, fam]
+    script = ("import json, sys\n"
+              "import gate\n"
+              "for report, fam in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    with open(report) as fh:\n"
+              "        (r,) = json.load(fh)\n"
+              "    print(r['mode'], gate.check_witness(r, fam))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(repo / "perfbench"),
+                                           str(repo / "src")]))
+    proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["exact None",
+                                        "sampled-lower-bound None"]

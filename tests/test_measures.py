@@ -303,25 +303,32 @@ def test_literal_maxima_never_exceed_the_per_tuple_caps(k, ell, data):
 def test_per_tuple_cap_skips_walks(monkeypatch):
     # the per-tuple caps stop most kernel calls before their walk: the
     # phi walk is its prefix sum, the gamma walk its occurrence pass
-    import itertools
     from prsfam.family import dual
-    walks = {"accumulate": 0, "_occurrences": 0}
+    seen = {"phi": 0, "gamma": 0, "accumulate": 0, "_occurrences": 0}
 
     def counted(name, real):
-        def walk(*args, **kwargs):
-            walks[name] += 1
+        def call(*args, **kwargs):
+            seen[name] += 1
             return real(*args, **kwargs)
-        return walk
+        return call
 
+    make_gamma = measures._gamma_kernel
+    monkeypatch.setattr(measures, "_phi_kernel",
+                        counted("phi", measures._phi_kernel))
+    monkeypatch.setattr(measures, "_gamma_kernel",
+                        lambda k, ell: counted("gamma", make_gamma(k, ell)))
     monkeypatch.setattr(measures, "accumulate",
                         counted("accumulate", itertools.accumulate))
     monkeypatch.setattr(measures, "_occurrences",
                         counted("_occurrences", measures._occurrences))
     r = cross_correlation(dual(family_f1(13, 5)), 3)
-    assert r.value == 12 and walks["accumulate"] < 50  # of 220 kernel calls
+    assert r.value == 12
+    assert seen["phi"] > 100  # 220 kernel calls, 20 of them walk
+    assert seen["accumulate"] < seen["phi"] // 3
     r = gamma(dual(family_k_symbol(13, 2, 3)), 2)
     assert r.value == Fraction(8, 3)
-    assert walks["_occurrences"] < 250  # of 492 kernel calls
+    assert seen["gamma"] > 100  # 123 kernel calls, 28 of them walk
+    assert seen["_occurrences"] < seen["gamma"] // 3
 
 
 def test_gamma_distinct_code_count_decides_most_caps(monkeypatch):
