@@ -87,10 +87,10 @@ def lower_bound_cases(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=lower_bound_cases())
-@example(case=(3**40, Fraction(1, 3), 3))       # t = 41 exactly
-@example(case=(2**60 + 1, 0.5, 2))             # one past a power
-@example(case=(7, 7, 7))                        # x = F: t = 0
-@example(case=(5, 10**6, 5))                    # x far above F: t < 0
+@example(case=(3**40, Fraction(1, 3), 3))  # t = 41 exactly
+@example(case=(2**60 + 1, 0.5, 2))        # one past a power
+@example(case=(7, 7, 7))                   # x = F: t = 0
+@example(case=(5, 10**6, 5))               # x far above F: t < 0
 def test_fc_lower_bound_matches_the_literal_definition(case):
     f_size, x, base = case
     t = _literal_lower_bound(f_size, x, base)
