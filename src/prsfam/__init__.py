@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _OWNER = {name: module for module, names in (
     ("errors", ("Error", "ParameterError", "DomainError", "BudgetError",
                 "ParseError", "InternalError")),
-    ("ff", ("is_prime", "legendre", "primitive_root", "char_k")),
-    ("poly", ("Poly", "poly_gcd", "is_irreducible", "mobius",
-              "count_trace_zero_irreducibles",
+    ("ff", ("is_prime", "legendre", "primitive_root", "char_k", "mobius",
+            "count_trace_zero_irreducibles")),
+    ("poly", ("Poly", "poly_gcd", "is_irreducible",
               "enumerate_trace_zero_irreducibles", "ExtElem",
               "minimal_polynomial", "conjugacy_representatives",
               "scale_poly")),

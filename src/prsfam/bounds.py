@@ -20,16 +20,17 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import TYPE_CHECKING, ParameterError, Record, check_budget
-from .ff import _buildable, _check_odd_prime, legendre
-from .poly import (DEFAULT_ENUM_BUDGET, Poly, count_irreducibles,
-                   count_trace_zero_irreducibles, poly_gcd)
+from .errors import (DEFAULT_ENUM_BUDGET, TYPE_CHECKING, ParameterError,
+                     Record, check_budget)
+from .ff import (_buildable, _check_odd_prime, count_irreducibles,
+                 count_trace_zero_irreducibles, legendre)
 
 if TYPE_CHECKING:  # `weil` runs this module without building or measuring
     from typing import Optional, Sequence, Union
 
     from .family import Family
     from .measures import MeasureResult
+    from .poly import Poly
 
     Number = Union[int, float, Fraction]
 
@@ -227,6 +228,8 @@ def weil_check(h: Poly, p: int) -> BoundReport:
     table (2 on the squares, 1 at 0) or, past ``DEFAULT_ENUM_BUDGET``,
     where that table grows too large, through one ``legendre`` call;
     the sum less p is the character sum."""
+    from .poly import poly_gcd  # here, so `verify` does not compile it
+
     _check_odd_prime(p)
     check_budget(p, None, "the complete sum")
     if h.degree < 1:

@@ -19,10 +19,14 @@ Each command imports only the modules it runs (``_COMMAND_MODULES``):
 every call is a fresh interpreter, which compiles what it imports, so
 ``--version`` and ``--help`` load no family or measure code, ``dual``,
 ``measure`` and ``verify`` read a family file through ``family`` alone,
-with no builder (``construct``), and ``weil`` loads no measure code.
-The names a handler uses are bound in this module on first use, by
-``_bind`` or by attribute access from outside, and a name already bound
-there is kept.
+with no builder (``construct``), ``verify`` loads no polynomial code
+(``poly``), ``weil`` no measure code, and only the three commands that
+write a report load its writer (``report``).  The names a handler uses
+are bound in this module on first use, by ``_bind`` or by attribute
+access from outside, and a name already bound there is kept.  Likewise
+``build_parser`` gives options only to the command that the first
+argument not starting with "-" names; every help, usage and error text
+is that of a parser holding all of them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (TYPE_CHECKING, BudgetError, Error, InternalError,
                      ParameterError)
 
 if TYPE_CHECKING:
-    from typing import IO, Sequence
+    from typing import Sequence
 
     from .family import Family
     from .measures import MeasureResult
@@ -44,10 +48,7 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "emit_report"]
 
-EXIT_OK = 0
-EXIT_PARAM = 2
-EXIT_BUDGET = 3
-EXIT_VIOLATED = 4
+EXIT_OK, EXIT_PARAM, EXIT_BUDGET, EXIT_VIOLATED = 0, 2, 3, 4
 
 # The names the handlers look up in this module, by owning module.
 _NAMES = {
@@ -59,29 +60,24 @@ _NAMES = {
     "bounds": ("KIND_EXACT", "_check_scale", "verify_family", "verify_plan",
                "weil_check"),
     "poly": ("Poly",),
+    "report": ("emit_report",),
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names}
 _OWNER["_MEASURES"] = "measures"
 
 # The modules each command's handler runs.
 _COMMAND_MODULES = {
-    "gen": ("construct", "family", "poly"),
-    "dual": ("family",),
-    "measure": ("family", "measures"),
-    "verify": ("family", "measures", "bounds"),
-    "weil": ("bounds", "poly"),
-}
+    "gen": ("construct", "family", "poly"), "dual": ("family",),
+    "measure": ("family", "measures", "report"),
+    "verify": ("family", "measures", "bounds", "report"),
+    "weil": ("bounds", "poly", "report")}
 
 # --measure choice -> its function in ``measures``, as ``_MEASURES`` holds
 # it once that module is loaded.
 _MEASURE_FUNCTIONS = {
-    "fc": "f_complexity",
-    "phi": "cross_correlation",
-    "phi0": "cross_correlation_circ",
-    "gamma": "gamma",
-    "gamma0": "gamma_circ",
-    "biggamma": "big_gamma",
-}
+    "fc": "f_complexity", "phi": "cross_correlation",
+    "phi0": "cross_correlation_circ", "gamma": "gamma",
+    "gamma0": "gamma_circ", "biggamma": "big_gamma"}
 
 # gen options read by one construction only.
 _GEN_OPTION_OWNER = {"k": "ksym", "allow_noncoprime": "ksym", "base": "f1",
@@ -111,114 +107,10 @@ def __getattr__(name):
     return globals()[name]
 
 
-def _is(obj, module: str, cls: str) -> bool:
-    """``isinstance(obj, <module>.<cls>)`` without importing ``module``:
-    while it is not loaded, no instance of its classes exists."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return mod is not None and isinstance(obj, getattr(mod, cls))
-
-
-def _value_str(v) -> str:
-    # int and Fraction both print exactly ("7", "1/2")
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _witness_dict(w):
-    if w is None:
-        return None
-    if _is(w, "measures", "PatternWitness"):
-        return {"positions": list(w.positions), "pattern": list(w.pattern)}
-    out = {"M": w.window, "D": list(w.shifts), "I": list(w.rows)}
-    if w.pattern is not None:
-        out["W"] = list(w.pattern)
-    if w.root_maps is not None:
-        out["maps"] = [list(m) for m in w.root_maps]
-    return out
-
-
-def _to_dict(r) -> dict:
-    if _is(r, "measures", "MeasureResult"):
-        return {"name": r.name, "order": r.order,
-                "value": _value_str(r.value), "mode": r.mode,
-                "subject": r.subject, "witness": _witness_dict(r.witness),
-                "err_bound": repr(r.err_bound)}
-    if not _is(r, "bounds", "BoundReport"):
-        raise ParameterError(f"cannot serialize result of type {type(r)!r}")
-    from fractions import Fraction  # loaded already by ``bounds``
-
-    return {
-        "name": r.name,
-        "order": r.params.get("ell"),
-        "value": _value_str(r.measured),
-        "mode": "exact",
-        "bound": _value_str(r.theoretical),
-        "satisfied": r.satisfied,
-        "kind": r.kind,
-        "ratio": None if r.ratio is None else repr(r.ratio),
-        "params": {k: _value_str(v) if isinstance(v, (int, float, Fraction))
-                   else v for k, v in r.params.items()},
-        "note": r.note,
-    }
-
-
-_CSV_FIELDS = ["name", "order", "value", "mode", "subject", "witness",
-               "bound", "satisfied", "kind", "ratio", "note"]
-
-
-def emit_report(results: Sequence, fmt: str, sink: IO[str]) -> None:
-    """Serialize measure results and bound reports.
-
-    JSON: one object per result, stable field order.  CSV: flat columns
-    with a header row.  Text: one aligned human-readable line each.
-    Deterministic for deterministic inputs.  The whole report is built
-    before any of it is written, so a refused one writes nothing.
-    """
-    import io
-    import json
-
-    if not results:
-        raise ParameterError("nothing to report")
-    out = io.StringIO()
-    try:
-        dicts = [_to_dict(r) for r in results]
-        if fmt == "json":
-            json.dump(dicts, out, indent=2)
-            out.write("\n")
-        elif fmt == "csv":
-            import csv
-
-            writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS,
-                                    extrasaction="ignore", lineterminator="\n")
-            writer.writeheader()
-            for d in dicts:
-                row = dict(d)
-                if isinstance(row.get("witness"), dict):
-                    row["witness"] = json.dumps(row["witness"],
-                                                separators=(",", ":"))
-                writer.writerow(row)
-        elif fmt == "text":
-            for d in dicts:
-                if "bound" in d:
-                    mark = "ok" if d["satisfied"] else "VIOLATED"
-                    out.write(f"{d['name']:34s} [{d['kind']}] measured="
-                              f"{d['value']} bound={d['bound']} {mark}\n")
-                else:
-                    out.write(f"{d['name']:12s} order={d['order']} value="
-                              f"{d['value']} ({d['mode']})\n")
-        else:
-            raise ParameterError(f"unknown format {fmt!r}")
-    except ParameterError:
-        raise
-    except ValueError:  # an int past the int-to-str digit limit
-        raise ParameterError("cannot report a number past the int digit "
-                             "limit") from None
-    sink.write(out.getvalue())
-
-
 def _emit(results: Sequence, args) -> None:
-    """Write the report to stdout for ``--out`` None or "-", else to the
-    file; called once the results exist, so a refusal leaves the file
-    as it was."""
+    """Write the report, through the ``emit_report`` bound here, to
+    stdout for ``--out`` None or "-", else to the file; called once the
+    results exist, so a refusal leaves the file as it was."""
     if args.out is None or args.out == "-":
         emit_report(results, args.format, sys.stdout)
     else:
@@ -247,7 +139,10 @@ def _report_options(parser: argparse.ArgumentParser, searches: bool) -> None:
     parser.add_argument("--out", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of ``command``
+    only: argparse reads no other command's, and every help, usage and
+    error text is that of a parser holding them all."""
     top = argparse.ArgumentParser(
         prog="prsfam",
         description="Construct pseudorandom sequence families, evaluate "
@@ -256,57 +151,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="construct a family and write it")
-    gen.add_argument("--construction", required=True,
-                     choices=["f1", "f2", "ksym"])
-    gen.add_argument("--p", type=int, required=True, help="odd prime")
-    gen.add_argument("--d", type=int, required=True, help="polynomial degree")
-    gen.add_argument("--k", type=int,
-                     help="alphabet size (ksym only; default 2)")
-    gen.add_argument("--base", type=str, default=None,
-                     help="f1 base polynomial, comma-separated coefficients "
-                          "constant-first (default: deterministic search); "
-                          "give one that starts with '-' as --base=-1,...")
-    gen.add_argument("--no-trace-zero", action="store_true", default=None,
-                     help="f2 only: drop the zero second-highest-"
-                          "coefficient restriction")
-    gen.add_argument("--allow-noncoprime", action="store_true", default=None,
-                     help="ksym only: build even when gcd(k,(p^d-1)/(p-1))>1")
-    gen.add_argument("--budget", type=int, default=None)
-    gen.add_argument("--out", required=True)
+    if command == "gen":
+        gen.add_argument("--construction", required=True,
+                         choices=["f1", "f2", "ksym"])
+        gen.add_argument("--p", type=int, required=True, help="odd prime")
+        gen.add_argument("--d", type=int, required=True,
+                         help="polynomial degree")
+        gen.add_argument("--k", type=int,
+                         help="alphabet size (ksym only; default 2)")
+        gen.add_argument("--base", type=str, default=None,
+                         help="f1 base polynomial, comma-separated "
+                              "coefficients constant-first (default: "
+                              "deterministic search); give one that starts "
+                              "with '-' as --base=-1,...")
+        gen.add_argument("--no-trace-zero", action="store_true", default=None,
+                         help="f2 only: drop the zero second-highest-"
+                              "coefficient restriction")
+        gen.add_argument("--allow-noncoprime", action="store_true",
+                         default=None, help="ksym only: build even when "
+                                            "gcd(k,(p^d-1)/(p-1))>1")
+        gen.add_argument("--budget", type=int, default=None)
+        gen.add_argument("--out", required=True)
 
     du = sub.add_parser("dual", help="transpose a family file")
-    du.add_argument("--in", dest="in_path", required=True)
-    du.add_argument("--out", required=True)
+    if command == "dual":
+        du.add_argument("--in", dest="in_path", required=True)
+        du.add_argument("--out", required=True)
 
     meas = sub.add_parser("measure", help="evaluate one measure")
-    meas.add_argument("--in", dest="in_path", required=True)
-    meas.add_argument("--measure", required=True,
-                      choices=sorted(_MEASURE_FUNCTIONS))
-    meas.add_argument("--ell", type=int, help="order (default 1)")
-    meas.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    meas.add_argument("--samples", type=int)
-    meas.add_argument("--seed", type=int)
-    _report_options(meas, searches=True)
+    if command == "measure":
+        meas.add_argument("--in", dest="in_path", required=True)
+        meas.add_argument("--measure", required=True,
+                          choices=sorted(_MEASURE_FUNCTIONS))
+        meas.add_argument("--ell", type=int, help="order (default 1)")
+        meas.add_argument("--mode", choices=["exact", "sampled"],
+                          default="exact")
+        meas.add_argument("--samples", type=int)
+        meas.add_argument("--seed", type=int)
+        _report_options(meas, searches=True)
 
     ver = sub.add_parser("verify", help="run all applicable bound reports")
-    ver.add_argument("--in", dest="in_path", required=True)
-    ver.add_argument("--c", type=float, default=10.0,
-                     help="envelope scale constant (default 10)")
-    ver.add_argument("--max-order", type=int, default=2,
-                     help="envelope correlation orders to compute (default 2)")
-    ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="accepted and ignored: searches are serial")
-    ver.add_argument("--format", choices=["json", "csv", "text"],
-                     default="json")
-    ver.add_argument("--out", default=None)
+    if command == "verify":
+        ver.add_argument("--in", dest="in_path", required=True)
+        ver.add_argument("--c", type=float, default=10.0,
+                         help="envelope scale constant (default 10)")
+        ver.add_argument("--max-order", type=int, default=2,
+                         help="envelope correlation orders to compute "
+                              "(default 2)")
+        _report_options(ver, searches=True)
 
     weil = sub.add_parser("weil", help="complete residue-symbol sum check")
-    weil.add_argument("--poly", required=True,
-                      help="comma-separated coefficients, constant first; "
-                           "give one that starts with '-' as --poly=-1,0,1")
-    weil.add_argument("--p", type=int, required=True)
-    _report_options(weil, searches=False)
+    if command == "weil":
+        weil.add_argument("--poly", required=True,
+                          help="comma-separated coefficients, constant "
+                               "first; give one that starts with '-' as "
+                               "--poly=-1,0,1")
+        weil.add_argument("--p", type=int, required=True)
+        _report_options(weil, searches=False)
 
     return top
 
@@ -426,7 +327,10 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first token not starting with "-": no option
+    # before it takes a value
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

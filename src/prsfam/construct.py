@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 
 from . import poly as _poly
-from .errors import InternalError, ParameterError, check_budget
+from .errors import (DEFAULT_ENUM_BUDGET, InternalError, ParameterError,
+                     check_budget)
 # ``read_family`` is not called here; it stays importable from
 # ``construct`` because perfbench's gate imports it from here.
 from .family import Family, _family, read_family
-from .ff import _buildable, char_k, is_prime, legendre
+from .ff import (_buildable, char_k, count_irreducibles,
+                 count_trace_zero_irreducibles, is_prime, legendre)
 from .poly import (
     Poly,
     conjugacy_representatives,
@@ -40,23 +42,26 @@ def _pm_symbol(p: int):
 def _symbol_rows(polys, p: int, symbol) -> tuple[tuple[int, ...], ...]:
     """One row symbol(f(n)), n = 1..p-1, per polynomial f.  p - 1 calls
     of ``symbol`` fill a table, doubled so index v + c reads v + c mod p:
-    f(n) = s(n) + c for f's stem s (f less its constant c), and s is
-    evaluated once per run of rows sharing it, as f2's do."""
+    f(n) = s(n) + c for f's stem s (f less its constant c).  Rows are
+    filled stem by stem: each stem is evaluated once, wherever its rows
+    fall, and one stem's values are held at a time."""
     table = [None] + [symbol(m) for m in range(1, p)]
     table += table
     xs = range(1, p)
-    rows = []
-    stem = None
-    for f in polys:
-        c = f.coeffs[0]
-        if f.coeffs[1:] != stem:
-            stem = f.coeffs[1:]
-            vals = Poly((0,) + stem, p).values(xs)
-        row = tuple(map(table[c:].__getitem__, vals))
-        if None in row:
-            raise InternalError(f"{f} vanished at {row.index(None) + 1}; "
-                                f"irreducible inputs cannot")
-        rows.append(row)
+    polys = list(polys)
+    by_stem = {}
+    for i, f in enumerate(polys):
+        by_stem.setdefault(f.coeffs[1:], []).append(i)
+    rows = [None] * len(polys)
+    for stem, indices in by_stem.items():
+        vals = Poly((0,) + stem, p).values(xs)
+        for i in indices:
+            c = polys[i].coeffs[0]
+            rows[i] = row = tuple(map(table[c:].__getitem__, vals))
+            if None in row:
+                raise InternalError(f"{polys[i]} vanished at "
+                                    f"{row.index(None) + 1}; irreducible "
+                                    f"inputs cannot")
     return tuple(rows)
 
 
@@ -120,7 +125,7 @@ def family_f1(p: int, d: int, base: Poly | None = None,
     symbols = (p - 1)**2
     budget = check_budget(symbols, budget, f"building {p - 1} rows of "
                           f"{p - 1} symbols, {symbols} in all,",
-                          _poly.DEFAULT_ENUM_BUDGET)
+                          DEFAULT_ENUM_BUDGET)
     if base is None:
         base = _find_base_poly(p, d, budget)
     else:
@@ -139,12 +144,12 @@ def family_f2(p: int, d: int, trace_zero: bool = True,
     The row count is known in closed form, so a family of more row
     symbols than the budget is refused before any enumeration."""
     _check_field(p, d)
-    size = (_poly.count_trace_zero_irreducibles if trace_zero
-            else _poly.count_irreducibles)(p, d)
+    size = (count_trace_zero_irreducibles if trace_zero
+            else count_irreducibles)(p, d)
     symbols = size * (p - 1)
     budget = check_budget(symbols, budget, f"building {size} rows of "
                           f"{p - 1} symbols, {symbols} in all,",
-                          _poly.DEFAULT_ENUM_BUDGET)
+                          DEFAULT_ENUM_BUDGET)
     if trace_zero:
         polys = _poly.enumerate_trace_zero_irreducibles(p, d, budget=budget)
     else:

@@ -10,6 +10,10 @@ TYPE_CHECKING = False
 # always runs.
 DEFAULT_BUDGET = 10**9
 
+# Cap on brute-force candidate counts (polynomials or field elements).
+# Enumerations refuse loudly instead of truncating silently.
+DEFAULT_ENUM_BUDGET = 10**7
+
 
 class Error(Exception):
     """Base class for all package errors."""

@@ -1,9 +1,12 @@
-"""Arithmetic over the prime field F_p: the primality check, and the
-multiplicative characters the sequence constructions evaluate.
+"""Arithmetic over F_p and the integers: primality, the Mobius function,
+Gauss's counts of the monic irreducibles, and the multiplicative
+characters the sequence constructions evaluate.
 
 Values are plain integers in [0, p).  The primitive root used by the
 order-k character is chosen deterministically, so independent runs
-agree bit for bit.  The extensions F_{p^d} live in ``poly``.
+agree bit for bit.  Polynomials and the extensions F_{p^d} live in
+``poly``, which builds on this module and is not imported here, so
+``verify`` compiles no polynomial code.
 
 Every operation is a pure function; values can be shared freely across
 threads.
@@ -15,16 +18,26 @@ import functools
 import math
 
 from .errors import DomainError, InternalError, ParameterError
-# ``is_irreducible`` is not called here; it stays importable from
-# ``ff`` because perfbench's tracer wraps ``ff.is_irreducible`` by name.
-from .poly import _prime_divisors, is_irreducible
 
 __all__ = [
     "is_prime",
     "legendre",
     "primitive_root",
     "char_k",
+    "mobius",
+    "count_irreducibles",
+    "count_trace_zero_irreducibles",
 ]
+
+
+def __getattr__(name):
+    # poly's ``is_irreducible``, read here only by perfbench's tracer,
+    # which wraps ``ff.is_irreducible`` by name
+    if name != "is_irreducible":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .poly import is_irreducible
+
+    return is_irreducible
 
 
 # These bases make Miller-Rabin exact below the limit (Sorenson and
@@ -78,6 +91,64 @@ def _buildable(p: int, d: int) -> bool:
     d >= 2 and d * log2 p < 1024, so ``verify``'s p^d-sized counts fit
     a float.  The builders refuse, and ``verify`` rejects, the rest."""
     return p >= 3 and is_prime(p) and 2 <= d < 1024 / math.log2(p)
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def mobius(n: int) -> int:
+    """0 when a square above 1 divides n, else (-1)^(number of primes
+    dividing n): n is square-free exactly when it is the product of its
+    prime divisors."""
+    if n < 1:
+        raise ParameterError("mobius is defined for n >= 1")
+    primes = _prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+def count_irreducibles(p: int, d: int) -> int:
+    """Number of monic irreducible degree-d polynomials over F_p, by
+    Gauss's formula (1/d) * sum over t | d of mobius(d/t) * p^t."""
+    if d < 1:
+        raise ParameterError(f"degree must be >= 1, got {d}")
+    return sum(mobius(d // t) * p**t
+               for t in range(1, d + 1) if d % t == 0) // d
+
+
+def count_trace_zero_irreducibles(p: int, d: int) -> int:
+    """Number of monic irreducible degree-d polynomials over F_p whose
+    x^(d-1) coefficient vanishes.
+
+    Counts degree-d field elements with zero trace down to F_p and
+    divides by the orbit size d.  For p not dividing d this equals the
+    Mobius sum (1/(dp)) * sum over t | d of mobius(t) * p^(d/t); the
+    subfield-exact inclusion-exclusion below also stays correct when
+    p | d, where that closed form is not even an integer.
+    """
+    if d < 2:
+        raise ParameterError(f"extension degree must be >= 2, got {d}")
+    total = 0
+    for t in range(1, d + 1):
+        if d % t:
+            continue
+        # Elements of F_{p^t} with zero trace to F_p: all of them when
+        # p divides the relative degree d/t, else a fraction 1/p.
+        sub = p**t if (d // t) % p == 0 else p ** (t - 1)
+        total += mobius(d // t) * sub
+    if total % d:
+        raise InternalError(f"trace-zero count not divisible by d={d}")
+    return total // d
 
 
 def legendre(a: int, p: int) -> int:

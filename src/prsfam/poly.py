@@ -3,8 +3,9 @@
 Polynomials are dense, immutable coefficient tuples, constant term
 first and without trailing zeros, so equality and hashing are
 structural.  Beyond the ring operations: irreducibility, a product
-sieve and counts of the monic irreducibles, minimal polynomials and
-conjugacy representatives of extension elements, and scaling.
+sieve of the monic irreducibles, minimal polynomials and conjugacy
+representatives of extension elements, and scaling.  Their counts are
+``ff``'s; this module builds on ``ff``, never the reverse.
 
 The extension F_(p^d) is ``_field(p, d)``: its modulus, the
 lexicographically smallest monic irreducible of degree d, so
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, islice, product
-from math import prod
 from operator import mul
 
-from .errors import (TYPE_CHECKING, DomainError, InternalError,
-                     ParameterError, Record, check_budget)
+from .errors import (DEFAULT_ENUM_BUDGET, TYPE_CHECKING, DomainError,
+                     InternalError, ParameterError, Record, check_budget)
+# ``mobius`` stays importable here: the acceptance suite imports it.
+from .ff import _check_odd_prime, _prime_divisors, mobius
 
 if TYPE_CHECKING:
     from typing import Iterable, Sequence
@@ -37,23 +39,14 @@ __all__ = [
     "Poly",
     "poly_gcd",
     "is_irreducible",
-    "mobius",
     "first_irreducible",
-    "count_irreducibles",
-    "count_trace_zero_irreducibles",
     "enumerate_irreducibles",
     "enumerate_trace_zero_irreducibles",
     "ExtElem",
     "minimal_polynomial",
     "conjugacy_representatives",
     "scale_poly",
-    "DEFAULT_ENUM_BUDGET",
 ]
-
-# Cap on brute-force candidate counts (polynomials or field elements).
-# Enumerations refuse loudly instead of truncating silently.
-DEFAULT_ENUM_BUDGET = 10**7
-
 
 class Poly:
     """Dense polynomial over F_p; ``coeffs[i]`` multiplies x^i."""
@@ -262,20 +255,6 @@ def _orbit(rows: Sequence[Sequence[int]], v: Sequence[int],
     return orbit
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """Deterministic irreducibility test over F_p (Rabin).
 
@@ -307,16 +286,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def mobius(n: int) -> int:
-    """0 when a square above 1 divides n, else (-1)^(number of primes
-    dividing n): n is square-free exactly when it is the product of its
-    prime divisors."""
-    if n < 1:
-        raise ParameterError("mobius is defined for n >= 1")
-    primes = _prime_divisors(n)
-    return (-1) ** len(primes) if prod(primes) == n else 0
-
-
 def first_irreducible(ranges: Sequence[Iterable[int]], p: int,
                       budget: int | None = None) -> Poly | None:
     """The first monic irreducible x^d + c_(d-1) x^(d-1) + ... + c_0,
@@ -328,40 +297,6 @@ def first_irreducible(ranges: Sequence[Iterable[int]], p: int,
         if is_irreducible(f):
             return f
     return None
-
-
-def count_irreducibles(p: int, d: int) -> int:
-    """Number of monic irreducible degree-d polynomials over F_p, by
-    Gauss's formula (1/d) * sum over t | d of mobius(d/t) * p^t."""
-    if d < 1:
-        raise ParameterError(f"degree must be >= 1, got {d}")
-    return sum(mobius(d // t) * p**t
-               for t in range(1, d + 1) if d % t == 0) // d
-
-
-def count_trace_zero_irreducibles(p: int, d: int) -> int:
-    """Number of monic irreducible degree-d polynomials over F_p whose
-    x^(d-1) coefficient vanishes.
-
-    Counts degree-d field elements with zero trace down to F_p and
-    divides by the orbit size d.  For p not dividing d this equals the
-    Mobius sum (1/(dp)) * sum over t | d of mobius(t) * p^(d/t); the
-    subfield-exact inclusion-exclusion below also stays correct when
-    p | d, where that closed form is not even an integer.
-    """
-    if d < 2:
-        raise ParameterError(f"extension degree must be >= 2, got {d}")
-    total = 0
-    for t in range(1, d + 1):
-        if d % t:
-            continue
-        # Elements of F_{p^t} with zero trace to F_p: all of them when
-        # p divides the relative degree d/t, else a fraction 1/p.
-        sub = p**t if (d // t) % p == 0 else p ** (t - 1)
-        total += mobius(d // t) * sub
-    if total % d:
-        raise InternalError(f"trace-zero count not divisible by d={d}")
-    return total // d
 
 
 def enumerate_irreducibles(p: int, d: int, trace_zero: bool = True,
@@ -411,8 +346,6 @@ def _field(p: int, d: int) -> tuple[Poly, tuple[tuple[int, ...], ...]]:
     lexicographically smallest monic irreducible of degree d (comparing
     coefficient tuples highest power first), and the rows of its p-power
     Frobenius, whose column i holds (x^i)^p mod the modulus."""
-    from .ff import _check_odd_prime  # deferred: ff builds on this module
-
     _check_odd_prime(p)
     if d < 1:
         raise ParameterError(f"extension degree must be >= 1, got {d}")

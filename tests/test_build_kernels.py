@@ -17,7 +17,7 @@ import pytest
 import oracle
 from prsfam.construct import _find_base_poly, _pm_symbol, _symbol_rows
 from prsfam.errors import BudgetError, InternalError, ParameterError
-from prsfam.ff import char_k, legendre
+from prsfam.ff import char_k, count_trace_zero_irreducibles, legendre
 from prsfam.poly import (
     Poly,
     _apply_rows,
@@ -25,10 +25,10 @@ from prsfam.poly import (
     _mulmod,
     _orbit,
     conjugacy_representatives,
-    count_trace_zero_irreducibles,
     enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
+    minimal_polynomial,
     scale_poly,
 )
 
@@ -168,6 +168,28 @@ def test_symbol_rows_match_literal_evaluation(p, d, family):
     with pytest.raises(InternalError) as got:
         _symbol_rows(polys + [g], p, symbol)
     assert str(got.value) == str(expected.value)
+    # rows sharing a stem need not be adjacent
+    polys = rng.sample(polys, len(polys))
+    assert _symbol_rows(polys, p, symbol) == \
+        tuple(_literal_row(f, p, symbol) for f in polys)
+
+
+def test_symbol_rows_evaluate_each_stem_once(monkeypatch):
+    # ksym(31,3,5): 320 rows over 31 stems, spread over 310 runs
+    polys = [minimal_polynomial(b)
+             for b in conjugacy_representatives(31, 3, trace_zero_only=True)]
+    stems = [f.coeffs[1:] for f in polys]
+    runs = sum(a != b for a, b in zip([None] + stems, stems))
+    assert (len(polys), len(set(stems)), runs) == (320, 31, 310)
+    evaluated = []
+    values = Poly.values
+    monkeypatch.setattr(Poly, "values", lambda f, xs: (
+        evaluated.append(f.coeffs[1:]), values(f, xs))[1])
+    rows = _symbol_rows(polys, 31, lambda m: char_k(m, 5, 31))
+    assert sorted(evaluated) == sorted(set(stems))
+    monkeypatch.undo()
+    assert rows == tuple(_literal_row(f, 31, lambda m: char_k(m, 5, 31))
+                         for f in polys)
 
 
 # p in 3..13 with d in 2..4 is covered in test_poly.py; these add p = 2,

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,13 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from prsfam import cli
 from prsfam.bounds import weil_check
 from prsfam.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARAM,
     EXIT_VIOLATED,
-    emit_report,
     main,
 )
 from prsfam.family import read_family
@@ -30,6 +31,7 @@ from prsfam.measures import (
 )
 from prsfam.construct import family_f2, family_k_symbol
 from prsfam.poly import Poly
+from prsfam.report import emit_report
 
 
 def run(args):
@@ -466,13 +468,15 @@ _RUN_AND_LIST_MODULES = (
 _PARSE = {"prsfam", "prsfam.cli", "prsfam.errors"}
 _FAMILY = _PARSE | {"prsfam.family"}
 _FIELD = {"prsfam.poly", "prsfam.ff"}
-_REPORT = {"json", "fractions"}
+# only the commands that write a report load its writer
+_REPORT = {"json", "fractions", "prsfam.report"}
 # a family file is read and measured without the builders
 _MEASURE = _FAMILY | _REPORT | {"prsfam.measures"}
 
 
 @pytest.mark.parametrize("family, args, code, modules", [
     (None, ["--version"], EXIT_OK, _PARSE),
+    (None, ["--help"], EXIT_OK, _PARSE),
     (None, ["measure", "--help"], EXIT_OK, _PARSE),
     (None, ["measure"], EXIT_PARAM, _PARSE),
     (None, ["gen", *_GEN["f2"], "--out", "{out}"], EXIT_OK,
@@ -480,8 +484,9 @@ _MEASURE = _FAMILY | _REPORT | {"prsfam.measures"}
     ("f2", ["dual", "--in", "{fam}", "--out", "{out}"], EXIT_OK, _FAMILY),
     (None, ["weil", "--poly", "1,1,1", "--p", "7", "--out", "{out}"], EXIT_OK,
      _PARSE | _REPORT | _FIELD | {"prsfam.bounds"}),
+    # the size identities read ff's counts: no polynomial code
     ("f2", ["verify", "--in", "{fam}", "--out", "{out}"], EXIT_OK,
-     _MEASURE | _FIELD | {"prsfam.bounds"}),
+     _MEASURE | {"prsfam.ff", "prsfam.bounds"}),
     ("f2", ["measure", "--measure", "phi", "--ell", "2", "--in", "{fam}",
             "--out", "{out}"], EXIT_OK, _MEASURE),
     ("f2", ["measure", "--measure", "biggamma", "--ell", "2", "--in", "{fam}",
@@ -491,8 +496,8 @@ _MEASURE = _FAMILY | _REPORT | {"prsfam.measures"}
     ("ksym", ["measure", "--measure", "biggamma", "--ell", "1", "--in",
               "{fam}", "--out", "{out}"], EXIT_OK,
      _MEASURE | {"prsfam.roots"}),
-], ids=["version", "help", "usage-error", "gen", "dual", "weil", "verify",
-        "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
+], ids=["version", "top-help", "help", "usage-error", "gen", "dual", "weil",
+        "verify", "phi", "biggamma", "biggamma-sampled", "ksym-biggamma"])
 def test_command_module_sets(tmp_path, family, args, code, modules):
     # every call is a fresh interpreter that compiles what it imports, so
     # a command loads only the modules it runs: dual, measure and verify
@@ -701,6 +706,58 @@ def test_mutated_family_files_exit_cleanly(data, measure, ell, sampled):
                 sys.stderr = real
             assert code in (EXIT_OK, EXIT_PARAM, EXIT_BUDGET, EXIT_VIOLATED)
             assert "Traceback" not in err.getvalue()
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parser_with_every_command(build_parser=cli.build_parser):
+    """The top-level parser with each command's parser as
+    ``build_parser`` builds it for that command: every option of every
+    command."""
+    top = build_parser()
+    choices = _subcommands(top)
+    for name in choices:
+        choices[name] = _subcommands(build_parser(name))[name]
+    return top
+
+
+# each command's required options, with valid values
+_REQUIRED = {
+    "gen": ["--construction", "f2", "--p", "5", "--d", "2", "--out", "o"],
+    "dual": ["--in", "i", "--out", "o"],
+    "measure": ["--in", "i", "--measure", "phi"],
+    "verify": ["--in", "i"],
+    "weil": ["--poly", "1,0,1", "--p", "5"],
+}
+_PARSER_CASES = [["--help"], [], ["bogus"], ["--bogus"], ["--version"],
+                 ["--", "gen", "--help"], ["bogus", "gen", "--help"]] + [
+    case for command, required in _REQUIRED.items() for case in (
+        [command, "--help"],
+        [command],
+        [command, "bogus"],
+        [command, *required[:-2]],
+        [command, *required, "--construction", "bogus"],
+        [command, *required, "--measure", "bogus"],
+        [command, *required, "--format", "bogus"],
+        ["--version", command, "--help"])]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_parser_matches_one_with_every_command(argv, capsys, monkeypatch):
+    # main builds only the options of the command its argv names; every
+    # help, usage and error text, and the exit code, is that of a parser
+    # holding every command's options
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: _parser_with_every_command())
+    assert (code, got.out, got.err) == (main(argv), *capsys.readouterr())
+    assert code == (EXIT_OK if {"--help", "--version"} & {*argv[:2]}
+                    else EXIT_PARAM)
 
 
 def test_unknown_flags_exit_2(capsys):

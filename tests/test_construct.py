@@ -14,11 +14,10 @@ from prsfam.family import (
     read_family,
     write_family,
 )
-from prsfam.ff import char_k, legendre
+from prsfam.ff import char_k, count_trace_zero_irreducibles, legendre
 from prsfam.poly import (
     Poly,
     conjugacy_representatives,
-    count_trace_zero_irreducibles,
     minimal_polynomial,
     scale_poly,
 )

@@ -23,6 +23,11 @@ def test_public_names_resolve_lazily_to_their_owners():
     # from the builders
     assert {n for n in public if package._OWNER[n] == "family"} == {
         "Family", "dual", "read_family", "write_family"}
+    # the integer arithmetic, Gauss's counts among it, is ff's, apart
+    # from the polynomials
+    assert {n for n in public if package._OWNER[n] == "ff"} == {
+        "is_prime", "legendre", "primitive_root", "char_k", "mobius",
+        "count_trace_zero_irreducibles"}
     for name in sorted(public):
         value = getattr(package, name)
         owner = value.__module__
@@ -66,6 +71,22 @@ def test_roots_imports_no_other_package_module():
     # measures imports roots lazily, for k >= 3 big_gamma; roots takes
     # nothing back, so importing it alone loads no measures
     assert _modules_loaded_by("prsfam.roots") == ["prsfam", "prsfam.roots"]
+
+
+def test_ff_imports_no_other_package_module():
+    # poly builds on ff, never the other way round, so verify, whose size
+    # identities read ff's counts, compiles no polynomial code; the
+    # ``ff.is_irreducible`` name, which perfbench's tracer wraps, loads
+    # poly on access only
+    assert _modules_loaded_by("prsfam.ff") == ["prsfam", "prsfam.errors",
+                                               "prsfam.ff"]
+    assert "prsfam.poly" not in _modules_loaded_by("prsfam.bounds")
+    import prsfam.ff
+    import prsfam.poly
+
+    assert prsfam.ff.is_irreducible is prsfam.poly.is_irreducible
+    with pytest.raises(AttributeError, match="no_such_name"):
+        prsfam.ff.no_such_name
 
 
 def test_family_imports_no_other_package_module():

@@ -7,17 +7,15 @@ import oracle
 from prsfam.errors import (BudgetError, DomainError, InternalError,
                            ParameterError)
 from prsfam import poly
+from prsfam.ff import count_irreducibles, count_trace_zero_irreducibles, mobius
 from prsfam.poly import (
     ExtElem,
     Poly,
     conjugacy_representatives,
-    count_irreducibles,
-    count_trace_zero_irreducibles,
     enumerate_irreducibles,
     enumerate_trace_zero_irreducibles,
     is_irreducible,
     minimal_polynomial,
-    mobius,
     poly_gcd,
     scale_poly,
 )

@@ -11,12 +11,18 @@ only moved from the package into the tests.
 
 Then, per CLI command (``--version``, gen, dual, measure, verify,
 weil), the code lines and bytes of the package modules the command
-loads, which every run of it compiles.  The last line gives the bytes
-of the package modules that perfbench's runner compiles from source
-through ``gate.py``, whose size moves its ``peak_rss_mb``.  Each set is
-found in a fresh interpreter that writes no bytecode, as the runner
-does: one that imports ``gate``, and one per command that binds
-``cli._COMMAND_MODULES[command]`` (``--version`` binds none).
+loads, which every run of it compiles.  Then, per perfbench workload
+(``perfbench/workloads.py``, read and not changed), the code lines its
+job list compiles in one pass: the sum, over its jobs, of the code
+lines the job's command loads.  ``roots`` is not counted, because only
+k >= 3 ``biggamma`` loads it, at run time.  Unlike the benchmark's
+``setup_s``, these counts do not depend on the machine.  The last line
+gives the bytes of the package modules that perfbench's runner
+compiles from source through ``gate.py``, whose size moves its
+``peak_rss_mb``.  Each set is found in a fresh interpreter that writes
+no bytecode, as the runner does: one that imports ``gate``, and one per
+command that binds ``cli._COMMAND_MODULES[command]`` (``--version``
+binds none).
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
 PACKAGE = ROOT / "src" / "prsfam"
 TESTS = ROOT / "tests"
 COMMANDS = ("--version", "gen", "dual", "measure", "verify", "weil")
@@ -103,10 +113,16 @@ def main() -> None:
     for name, n, c, b in rows:
         print(f"{name:16s} {n:6d} {c:6d} {b:7d}")
     print(f"{'command loads':16s} {'':6s} {'code':>6s} {'bytes':>7s}")
+    loads = {}
     for command in COMMANDS:
         files = loaded(LIST_COMMAND_MODULES, str(ROOT / "src"), command)
-        _, _, c, b = total("", [r for r in rows if r[0] in files])
-        print(f"{command:16s} {'':6s} {c:6d} {b:7d}  {' + '.join(files)}")
+        _, _, loads[command], b = total("", [r for r in rows if r[0] in files])
+        print(f"{command:16s} {'':6s} {loads[command]:6d} {b:7d}  "
+              f"{' + '.join(files)}")
+    print(f"{'workload pass':16s} {'':6s} {'code':>6s}")
+    for name, jobs in WORKLOADS.items():
+        code = sum(loads[job.command] for job in jobs)
+        print(f"{name:16s} {'':6s} {code:6d}  {len(jobs)} jobs")
     print(f"perfbench runner compiles {' + '.join(names)}: "
           f"{total('', compiled)[3]} bytes")
 
