@@ -717,7 +717,8 @@ def _subcommands(parser):
 def _parser_with_every_command(build_parser=cli.build_parser):
     """The top-level parser with each command's parser as
     ``build_parser`` builds it for that command: every option of every
-    command."""
+    command.  The default is bound here, before a test patches
+    ``cli.build_parser``."""
     top = build_parser()
     choices = _subcommands(top)
     for name in choices:
