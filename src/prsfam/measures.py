@@ -730,7 +730,7 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     the best value so far.  Every comparison of magnitudes, of
     windows, against the best so far and against the value cap, is
     exact: a float decides only beyond its proven error, otherwise the
-    integer coordinates of |z|^2 mod Phi_k do (``roots.Magnitude``).  All
+    exact sign of a difference of |z|^2 does (``roots.Magnitude``).  All
     members of a class tie exactly, and the representative is the
     lex-smallest, so the witness is that of the search over all k!^ell
     tuples.  The reported value is the float magnitude of the winning
@@ -784,11 +784,11 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
     count deviation, or root-sum magnitude directly from the stated
     (M, D, I, pattern) tuple.  For the covering complexity it checks
     that no row realizes the uncovered specification (value = pattern
-    size - 1).  Without a witness, the covering complexity is N only for
-    k = 1 or all k^N rows, and a correlation is 0 only when sampled or
-    when ell > C * N (ell > C at zero shift), C distinct rows; other
-    such records, and an order not the witness's, raise
-    ``ParameterError``.
+    size - 1), else ``InternalError``.  Without a witness, the covering
+    complexity is N only for k = 1 or all k^N rows, and a correlation
+    is 0 only when sampled or when ell > C * N (ell > C at zero shift),
+    C distinct rows; other such records, a malformed specification and
+    an order not the witness's raise ``ParameterError``.
     """
     w = result.witness
     if result.name == "f_complexity":
@@ -797,11 +797,11 @@ def evaluate_witness(fam: Family, result: MeasureResult) -> Value:
                 raise ParameterError("the record needs its uncovered pattern")
             return fam.length
         if len(w.positions) != len(w.pattern):
-            raise InternalError("witness positions/pattern lengths differ")
+            raise ParameterError("witness positions/pattern lengths differ")
         if list(w.positions) != sorted(set(w.positions)):
-            raise InternalError("witness positions must strictly increase")
+            raise ParameterError("witness positions must strictly increase")
         if not all(1 <= q <= fam.length for q in w.positions):
-            raise InternalError("witness positions out of range")
+            raise ParameterError("witness positions out of range")
         if not all(s in range(fam.k) for s in w.pattern):
             raise ParameterError("pattern must be symbols in 0..k-1")
         for row in fam.rows:

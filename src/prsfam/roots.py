@@ -3,15 +3,12 @@ magnitudes, their display float (``magnitude``), and the big_gamma
 kernels built on it.
 
 A sum z = sum_j c_j zeta_k^j with integer counts c has
-|z|^2 = sum_d A_d zeta^d, A_d = sum_i c_i c_(i+d mod k), an element of
-Z[zeta_k].  Its remainder mod the cyclotomic polynomial Phi_k gives
-unique integer coordinates, so two squares are equal exactly when their
-coordinates are.  The sign of a nonzero difference is an integer sign
-when only its rational coordinate is nonzero, as for every real element
-when k is in {3, 4, 6}, and otherwise a fixed-point evaluation at a
-precision that doubles until the value clears its error.
-``Magnitude`` compares by a float first and falls back to these only
-when the float cannot decide.
+|z|^2 = sum_d A_d zeta^d, A_d = sum_i c_i c_(i+d mod k), a real element
+of Z[zeta_k] (A_d = A_(k-d)).  Two squares compare as the sign of the
+difference of their A vectors, which ``sign`` decides exactly with one
+fixed-point evaluation at a precision that the norm of an algebraic
+integer proves sufficient.  ``Magnitude`` compares by a float first and
+falls back to ``sign`` only when the float cannot decide.
 
 The kernels read a relabeling tuple phi through the index sequence
 sum_j phi_j(x_j) mod k of the shifted rows and its complex prefix
@@ -31,37 +28,6 @@ import math
 from functools import lru_cache
 from itertools import accumulate, islice, permutations, product, repeat
 from operator import mul, sub
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(k: int) -> tuple[int, ...]:
-    """Phi_k's integer coefficients, low to high: x^k - 1 divided
-    exactly by Phi_d for every proper divisor d of k."""
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            div = cyclotomic(d)  # monic
-            q = [0] * (len(poly) - len(div) + 1)
-            for i in reversed(range(len(q))):
-                q[i] = poly[i + len(div) - 1]
-                for j, c in enumerate(div):
-                    poly[i + j] -= q[i] * c
-            poly = q
-    return tuple(poly)
-
-
-def coordinates(poly: list[int]) -> list[int]:
-    """The coordinates of sum_j poly[j] zeta_k^j, k = len(poly), in the
-    basis 1, zeta, ..., zeta^(deg Phi_k - 1): the remainder mod Phi_k."""
-    k = len(poly)
-    phi_k = cyclotomic(k)
-    deg = len(phi_k) - 1
-    poly = list(poly)
-    for m in reversed(range(deg, k)):
-        top = poly.pop()
-        for i in range(deg):
-            poly[m - deg + i] -= top * phi_k[i]
-    return poly
 
 
 @lru_cache(maxsize=None)
@@ -93,20 +59,26 @@ def cos_fixed(k: int, bits: int) -> list[int]:
 
 
 def sign(r: list[int], k: int) -> int:
-    """The sign of the real number sum_j r_j zeta_k^j, given by its
-    coordinates mod Phi_k: an integer when only r_0 is nonzero (always
-    for k in {3, 4, 6}); else fixed-point evaluations of
-    sum_j r_j cos(2 pi j / k) at doubling precision until the value
-    clears the 2 sum |r_j| units of its error.  Nonzero coordinates are
-    a nonzero number, so the loop ends."""
-    if not any(r[1:]):
-        return (r[0] > 0) - (r[0] < 0)
-    slack, bits = 2 * sum(map(abs, r)), 64
-    while True:
-        v = sum(map(mul, r, cos_fixed(k, bits)))
-        if abs(v) > slack:
-            return (v > 0) - (v < 0)
-        bits *= 2
+    """The sign of x = sum_j r_j zeta_k^j for any integer vector r whose
+    value x is real, as a symmetric one r_j = r_(k-j) is, reduced mod
+    Phi_k or not: one fixed-point evaluation of its real part
+    sum_j r_j cos(2 pi j / k) at a precision proven to decide it.
+
+    Let s = sum_j |r_j| and m = phi(k)/2.  x is an algebraic integer,
+    so a nonzero x has a norm that is a nonzero integer: the product of
+    its phi(k) conjugates sum_j r_j zeta^(a j), gcd(a, k) = 1.  Each
+    conjugate is at most s in size, and x itself is two of them
+    (a = +-1), so |x|^2 s^(2m - 2) >= 1: a nonzero x has
+    |x| >= s^(1 - m).  Each ``cos_fixed`` entry is within 2 units, so
+    v = sum_j r_j cos_fixed(k, bits)[j] is within 2s units of 2^bits x.
+    At 2^bits > 4 s^m, a nonzero x has |2^bits x| > 4s, so |v| > 2s
+    and v has the sign of x, while x = 0 gives |v| <= 2s.  bits is the
+    first of 64, 128, 256, ... with 2^bits > 4 s^m."""
+    s = sum(map(abs, r))
+    m = sum(math.gcd(j, k) == 1 for j in range(k)) // 2
+    bits = max(64, 1 << ((4 * s**m).bit_length() - 1).bit_length())
+    v = sum(map(mul, r, cos_fixed(k, bits)))
+    return (v > 2 * s) - (v < -2 * s)
 
 
 class Magnitude:
@@ -119,11 +91,13 @@ class Magnitude:
         self.f, self.err, self.counts, self._square = f, err, counts, None
 
     def square(self) -> list[int]:
-        """The coordinates of |z|^2 mod Phi_k."""
+        """|z|^2 = sum_d A_d zeta^d as its autocorrelation
+        A_d = sum_i c_i c_(i+d mod k), a real element that ``sign``
+        reads."""
         if self._square is None:
             c = self.counts
-            self._square = coordinates([sum(map(mul, c, c[d:] + c[:d]))
-                                        for d in range(len(c))])
+            self._square = [sum(map(mul, c, c[d:] + c[:d]))
+                            for d in range(len(c))]
         return self._square
 
     def compare(self, other) -> int:

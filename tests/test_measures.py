@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prsfam.construct import family_f1, family_f2, family_k_symbol
-from prsfam.errors import BudgetError, ParameterError, check_budget
+from prsfam.errors import (BudgetError, InternalError, ParameterError,
+                           check_budget)
 from prsfam.family import Family
 from prsfam import measures, poly, roots
 from prsfam.measures import (
@@ -452,11 +453,41 @@ def _cyclic_power(base, n):
 ])
 def test_sign_of_small_units(k, unit):
     # the powers of a real unit below 1 in absolute value shrink while
-    # their coordinates grow: at k = 7, u^80 is about 1e-28 with
-    # coordinates near 1e20, so the generic path doubles to 256 bits
+    # their vectors grow: at k = 7, u^80 is about 3e-29 with s = 2^80,
+    # so sign evaluates at 256 bits
     for n in range(0, 81, 5):
-        r = roots.coordinates(_cyclic_power(unit, n))
-        assert roots.sign(r, k) == (-1)**n
+        assert roots.sign(_cyclic_power(unit, n), k) == (-1)**n
+
+
+def test_sign_of_unreduced_real_elements():
+    # sign reads any vector whose value is real: random symmetric
+    # vectors, the same plus multiples of x^t Phi_k, which keep the
+    # value and change the vector, and pure such multiples, whose value
+    # is 0; against the sign of a 400-digit evaluation
+    from decimal import Decimal, localcontext
+    rng = random.Random(34)
+    for k in range(3, 17):
+        phi_k = oracle._cyclotomic(k)
+
+        def vanishing():  # c x^t Phi_k mod x^k - 1
+            t, c, out = rng.randrange(k), rng.randint(-40, 40), [0] * k
+            for i, a in enumerate(phi_k):
+                out[(i + t) % k] += c * a
+            return out
+
+        with localcontext() as ctx:
+            ctx.prec = 400
+            # past the cache, which may hold fewer digits
+            cos = [oracle._decimal_cos.__wrapped__(j, k) for j in range(k)]
+            for _ in range(60):
+                half = [rng.randint(-9, 9) for _ in range(k // 2 + 1)]
+                real = [half[min(j, k - j)] for j in range(k)]
+                for r in (real, [a + b for a, b in zip(real, vanishing())],
+                          vanishing()):
+                    x = sum((a * c for a, c in zip(r, cos)), Decimal(0))
+                    if abs(x) < Decimal("1e-300"):  # the evaluation error
+                        x = 0
+                    assert roots.sign(r, k) == (x > 0) - (x < 0), (k, r)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
@@ -842,6 +873,25 @@ def test_evaluate_witness_refuses_an_uncovered_pattern_outside_the_alphabet(
                            PatternWitness((1,), (symbol,)), subject="f2")
     with pytest.raises(ParameterError):
         evaluate_witness(fam, forged)
+
+
+@pytest.mark.parametrize("positions, pattern", [
+    ((1, 2), (0,)),    # positions and pattern of different lengths
+    ((2, 1), (0, 0)),  # positions that do not strictly increase
+    ((0,), (0,)),      # a position outside 1..N
+], ids=["lengths", "order", "range"])
+def test_evaluate_witness_refuses_a_malformed_uncovered_pattern(
+        positions, pattern):
+    # a malformed record is a parameter fault; only a pattern that some
+    # row realizes is an unsound certificate
+    fam = family_f2(13, 2)
+    forged = MeasureResult("f_complexity", 0, 0, MODE_EXACT,
+                           PatternWitness(positions, pattern), subject="f2")
+    with pytest.raises(ParameterError):
+        evaluate_witness(fam, forged)
+    realized = PatternWitness((1,), (fam.rows[0][0],))
+    with pytest.raises(InternalError, match="unsound"):
+        evaluate_witness(fam, replace(forged, witness=realized))
 
 
 def test_evaluate_witness_takes_no_witness_only_for_a_full_certificate():

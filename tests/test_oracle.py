@@ -223,8 +223,8 @@ def _check_f_complexity(fam):
     (Family(p=3, d=1, k=7, rows=((2, 2, 2), (2, 2, 2))), 1),  # duplicates
 ])
 def test_big_gamma_generic_alphabet_matches_oracle(case):
-    # k = 7 takes the generic exact path: equality on the coordinates mod
-    # Phi_7, order at growing precision
+    # k = 7, phi(7)/2 = 3: the exact comparisons evaluate the sign at a
+    # precision above 4 s^3, s the absolute sum of the vector
     fam, ell = case
     v, key = oracle.big_gamma(fam, ell)
     _check(big_gamma, fam, ell, v, _spec(fam, ell, key, field="root_maps"))

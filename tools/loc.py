@@ -14,8 +14,10 @@ weil), the code lines and bytes of the package modules the command
 loads, which every run of it compiles.  Then, per perfbench workload
 (``perfbench/workloads.py``, read and not changed), the code lines its
 job list compiles in one pass: the sum, over its jobs, of the code
-lines the job's command loads.  ``roots`` is not counted, because only
-k >= 3 ``biggamma`` loads it, at run time.  Unlike the benchmark's
+lines the job's command loads, plus the ``roots`` code lines for each
+``measure --measure biggamma`` job whose family's ``gen`` job passes
+``--k`` >= 3: only k >= 3 ``biggamma`` loads ``roots``, at run time.
+Unlike the benchmark's
 ``setup_s``, these counts do not depend on the machine.  The last line
 gives the bytes of the package modules that perfbench's runner
 compiles from source through ``gate.py``, whose size moves its
@@ -102,6 +104,16 @@ def total(name: str, rows) -> tuple:
     return (name, *(sum(column) for column in zip(*(r[1:] for r in rows))))
 
 
+def loads_roots(job, jobs) -> bool:
+    """Whether ``job`` is a ``biggamma`` measure of a family that a
+    ``gen`` job of ``jobs`` builds with ``--k`` >= 3."""
+    family = job.option("--in")
+    return (job.command == "measure"
+            and job.option("--measure") == "biggamma"
+            and any(g.command == "gen" and g.option("--out") == family
+                    and int(g.option("--k") or 2) >= 3 for g in jobs))
+
+
 def main() -> None:
     rows = [(path.name, *counts(path))
             for path in sorted(PACKAGE.glob("*.py"))]
@@ -119,9 +131,11 @@ def main() -> None:
         _, _, loads[command], b = total("", [r for r in rows if r[0] in files])
         print(f"{command:16s} {'':6s} {loads[command]:6d} {b:7d}  "
               f"{' + '.join(files)}")
+    roots = next(r[2] for r in rows if r[0] == "roots.py")
     print(f"{'workload pass':16s} {'':6s} {'code':>6s}")
     for name, jobs in WORKLOADS.items():
-        code = sum(loads[job.command] for job in jobs)
+        code = sum(loads[job.command] + roots * loads_roots(job, jobs)
+                   for job in jobs)
         print(f"{name:16s} {'':6s} {code:6d}  {len(jobs)} jobs")
     print(f"perfbench runner compiles {' + '.join(names)}: "
           f"{total('', compiled)[3]} bytes")
