@@ -92,10 +92,19 @@ class Family(Record):
 
     def pm_rows(self) -> tuple[tuple[int, ...], ...]:
         """Rows as +/-1 values (binary families only; 0 -> +1, 1 -> -1)."""
+        return tuple(tuple(1 - 2 * s for s in row) for row in self._binary())
+
+    def bit_rows(self) -> tuple[int, ...]:
+        """Rows packed as ints (binary families only): bit n is set
+        where the symbol at n is 1, its +/-1 value -1."""
+        return tuple(int("".join(map(str, reversed(row))), 2)
+                     for row in self._binary())
+
+    def _binary(self) -> tuple[tuple[int, ...], ...]:
         if self.k != 2:
             raise ParameterError(
                 f"the +/-1 view needs a binary family, alphabet size is {self.k}")
-        return tuple(tuple(1 - 2 * s for s in row) for row in self.rows)
+        return self.rows
 
     def distinct_rows(self) -> bool:
         """Whether the rows are pairwise distinct.  The supporting

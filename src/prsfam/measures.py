@@ -44,16 +44,18 @@ visit order, so values and witnesses are exactly those of the full
 search.
 
 Per-tuple cap.  A phi or gamma kernel first bounds every window of its
-sequence in one C-level pass, and returns None without walking when the
-bound is strictly below the best value so far (the floor).  phi: with a
-terms +1 and b terms -1, |P[e] - P[s]| <= max(a, b) = (L + |S|) / 2, S
-the whole sum.  gamma: a code that occurs C times gives every window at
-most max((k^ell - 1) * C, L), as k^ell * C_w - M <= (k^ell - 1) * C_w
-and M - k^ell * C_w <= L.  Both hold for every reading and for k <= 2
-big_gamma.  They are at least L/2 and L, so the pass runs only when the
-floor exceeds that.  gamma counts its distinct codes first: each other
-code takes a position, so C <= L - distinct + 1, and the count of every
-code is taken only when (k^ell - 1) * (L - distinct + 1) is not already
+sequence, and returns None without walking when the bound is strictly
+below the best value so far (the floor).  phi: with a terms +1 and b
+terms -1, |P[e] - P[s]| <= max(a, b) = (L + |S|) / 2, S the whole sum;
+its rows are packed ints, bit n set where the +/-1 value is -1, so S is
+L - 2 * popcount of one masked XOR, and only a tuple that passes is
+unpacked.  gamma: a code that occurs C times gives every window at most
+max((k^ell - 1) * C, L), as k^ell * C_w - M <= (k^ell - 1) * C_w and
+M - k^ell * C_w <= L; that is at least L, so its C-level pass runs only
+when the floor exceeds L.  Both hold for every reading and for k <= 2
+big_gamma.  gamma counts its distinct codes first: each other code
+takes a position, so C <= L - distinct + 1, and the count of every code
+is taken only when (k^ell - 1) * (L - distinct + 1) is not already
 below the floor.  The stop is strict: every tuple that could tie is
 walked and offered, so values, witnesses and draw streams are those of
 the full walk.
@@ -61,20 +63,21 @@ the full walk.
 One search.  Every correlation measure runs ``_search``: one budget
 check, the empty result when ell > C * N (ell > C at zero shift, C
 distinct rows), then the rows and the kernel are built and
-``_lag_search`` runs, or in sampled mode each admissible seeded draw
-(I, D) of ``_sampled_draws``.  A draw takes each index as
-``randrange(n)`` does, calling ``getrandbits(n.bit_length())`` until it
-is below n, so the stream is that of ``randrange``, and is admissible
-when its ell pairs (row content, shift) are distinct, one set.  A draw
-of window length L with cap * L strictly below the best value (the caps
-below) is skipped before its rows are sliced; big_gamma draws its
-relabeling first.  Every kernel takes (seqs, size, floor, reading) and
-reads every window ("windows"), the full window ("full") or, for a
-draw, only the windows [0, M) of its shifted rows ("pinned"): phi takes
-max |P[e]| over e >= 1 from its prefix array; gamma reads its
-occurrence statistics at s = 0, the larger of max Q_W and -min Q_W, in
-O(L + k^ell); big_gamma draws one relabeling tuple per draw and walks
-its windows from s = 0.
+``_lag_search`` runs, or in sampled mode each seeded draw (I, D) of
+``_sampled_draws``.  A draw takes each index as ``randrange(n)`` does,
+calling ``getrandbits(n.bit_length())`` until it is below n, so the
+stream is that of ``randrange``.  A draw whose window L = N - max(D) is
+shorter than the least L with cap * L at least the best value (the caps
+below) is dropped first; otherwise D is sorted, and the draw is
+admissible when its ell pairs (row content, shift) are distinct, one
+set.  big_gamma sorts and checks a short draw too, and draws the
+relabeling of every admissible one.  Every kernel takes (seqs, size,
+floor, reading) and reads every window ("windows"), the full window
+("full") or, for a draw, only the windows [0, M) of its shifted rows
+("pinned"): phi takes max |P[e]| over e >= 1 from its prefix array;
+gamma reads its occurrence statistics at s = 0, the larger of max Q_W
+and -min Q_W, in O(L + k^ell); big_gamma draws one relabeling tuple
+per draw and walks its windows from s = 0.
 
 Ties go to the lexicographically smallest (I, D, M, pattern or
 relabeling) witness (inside one (I, T): smallest s, then e, then W;
@@ -105,7 +108,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, count, islice, product
-from operator import add, getitem, mul
+from operator import add, getitem
 
 from .errors import (DEFAULT_BUDGET, TYPE_CHECKING, InternalError,
                      ParameterError, Record, _shown, check_budget)
@@ -317,6 +320,12 @@ def _combine(op, seqs):
     return it
 
 
+def _shift(row, t: int):
+    """``row`` read from lag t on: a tuple row sliced, a packed row
+    shifted right."""
+    return row >> t if type(row) is int else row[t:]
+
+
 def _lag_estimate(fam: Family, ell: int, circ: bool,
                   windows: bool = False) -> int:
     """Sequence steps of a lag search: sum over T of (row tuples for T)
@@ -342,10 +351,11 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     each row the first with its contents, strictly increasing inside a
     block of tied lags.
 
-    ``rows_at[j]`` holds the rows as read at tuple position j.  The
-    kernel gets the shifted rows of one (I, T), L, the best value so far
-    and "windows" ("full" when ``circ``), and returns None below that
-    value, else (value, s, e, extra) for its best window [s, e): the key
+    ``rows_at[j]`` holds the rows as read at tuple position j, tuples
+    or packed ints (``_shift``).  The kernel gets the shifted rows of
+    one (I, T), L, the best value so far and "windows" ("full" when
+    ``circ``), and returns None below that value, else
+    (value, s, e, extra) for its best window [s, e): the key
     (I, s + T, e - s, extra).  It may return None before its walk when
     its per-tuple cap is strictly below that value; a tuple whose cap
     ties it is walked and offered.
@@ -386,7 +396,7 @@ def _lag_search(fam: Family, rows_at, ell: int, circ: bool, kernel,
     lags = range(1 if circ or ell == 1 else n)
     pairs = range(c * len(lags))
     # position 0 reads lag 0 only
-    shifted = [[rows_at[j][firsts[q % c]][q // c:]
+    shifted = [[_shift(rows_at[j][firsts[q % c]], q // c)
                 for q in (pairs[:c] if j == 0 else pairs)]
                for j in range(ell)]
     best = _Best()
@@ -422,38 +432,34 @@ def _indices(rng: random.Random, n: int):
 
 
 def _sampled_draws(fam: Family, ell: int, rng: random.Random, samples: int):
-    """The sampled modes' seeded draws: (I, D, L) for each admissible
-    draw, the window starting at D[0].  Per sample, I is ell indices
-    below F and D the sorted ell indices below N that follow it; the
-    draw is admissible when its ell (row content, shift) pairs are
-    distinct.  Lazy, so a caller may draw more from ``rng`` between
-    items without changing the sequence."""
-    n, ids = fam.length, _first_rows(fam)
-    rows, shifts = _indices(rng, fam.size), _indices(rng, n)
-    for _ in range(samples):
-        I = tuple(islice(rows, ell))
-        D = tuple(sorted(islice(shifts, ell)))
-        if len(set(zip(map(ids.__getitem__, I), D))) == ell:
-            yield I, D, n - D[-1]
+    """The sampled modes' seeded draws (I, D), one per sample, as drawn:
+    ell indices below F, then ell below N, D unsorted.  Lazy, so a
+    caller may draw more from ``rng`` between items without changing
+    the sequence."""
+    rows, shifts = _indices(rng, fam.size), _indices(rng, fam.length)
+    return islice(zip(zip(*[rows] * ell), zip(*[shifts] * ell)), samples)
 
 
 def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
             cap: int, estimate: int, budget: Optional[int], what: str,
             rng: Optional[random.Random] = None, samples: int = 0,
-            circ: bool = False) -> _Best:
+            circ: bool = False, relabels: bool = False) -> _Best:
     """Every correlation search: the budget check of ``estimate``, the
     empty result when no (I, D) is admissible, then the rows as read at
     each tuple position j, ``rows_at(j)``, and the kernel are built, so
     a refusal builds nothing, and ``_lag_search`` runs, or in sampled
     mode the "pinned" reading of a kernel over ``_sampled_draws``.
 
-    A draw (I, D, L) reads only the windows [0, M) of its shifted rows
-    ``rows_at(j)[I[j]][D[j]:]``.  The kernel returns None below the best
-    value so far, else (value, 0, e, extra) for its best window [0, e),
-    ties going to the earliest e: the key (I, D, e, extra).  A kernel is
-    made per draw (big_gamma's draws its relabeling), then a draw with
-    ``cap * L`` strictly below the best value is skipped unsliced; ties
-    are still read, so values, witnesses and the stream are unchanged.
+    A draw (I, D) is admissible when its ell (row content, shift) pairs
+    are distinct; with D sorted it reads only the windows [0, M) of its
+    shifted rows, L = N - D[-1] long.  The kernel returns None below the
+    best value so far, else (value, 0, e, extra) for its best window
+    [0, e), ties going to the earliest e: the key (I, D, e, extra).  A
+    draw with L below ``short``, the least L whose ``cap * L`` reaches
+    the best value, is skipped before it is checked, sorted or sliced,
+    except that with ``relabels`` (big_gamma's) every admissible draw
+    still makes its kernel, which draws its relabeling.  Ties are still
+    read, so values, witnesses and the stream are unchanged.
     """
     kind = "sampled" if mode == MODE_SAMPLED else "exact"
     check_budget(estimate, budget, f"{kind} order-{_shown(ell)} {what}")
@@ -463,16 +469,24 @@ def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
     rows_at = list(map(rows_at, range(ell)))
     if mode == MODE_EXACT:
         return _lag_search(fam, rows_at, ell, circ, make_kernel(), cap)
-    for I, D, size in _sampled_draws(fam, ell, rng, samples):
-        kernel = make_kernel()
-        if best.value is not None and cap * size < best.value:
+    n, ids, short = fam.length, _first_rows(fam), 1
+    for I, D in _sampled_draws(fam, ell, rng, samples):
+        size = n - max(D)
+        if size < short and not relabels:
             continue
-        found = kernel([rows[i][d:d + size]
-                        for rows, i, d in zip(rows_at, I, D)], size,
+        D = tuple(sorted(D))  # paired with I as sorted
+        if len(set(zip(map(ids.__getitem__, I), D))) < ell:
+            continue
+        kernel = make_kernel()
+        if size < short:
+            continue
+        found = kernel(list(map(_shift, map(getitem, rows_at, I), D)), size,
                        best.value, "pinned")
         if found is not None:
             value, _, e, extra = found
             best.offer(value, (I, D, e, extra))
+            while cap * short < best.value:
+                short += 1
     return best
 
 
@@ -480,28 +494,35 @@ def _search(fam: Family, rows_at, ell: int, mode: str, make_kernel,
 # binary product correlation
 
 
+_SIGNS = {"0": 1, "1": -1}
+
+
 def _phi_kernel(seqs, size: int, floor, reading: str):
-    """The prefix array P of the product of the shifted rows.  Every
+    """The prefix array P of the product of the shifted packed rows:
+    their XOR masked to L bits, bit n set where term n is -1.  Every
     window: |P[e] - P[s]| peaks at max P - min P, s the earlier of the
     two first extremes, e the other; "pinned": max |P[e]|, e >= 1, at
-    the earliest e; "full": |P[L]|.  It returns None before its walk
-    when the per-tuple cap (L + |S|) / 2, S = P[L], is strictly below
-    ``floor``, taken only when 2 * floor > L: the cap is at least L/2."""
-    terms = _combine(mul, seqs)
-    if floor is not None and 2 * floor > size:
-        terms = list(terms)
-        if size + abs(sum(terms)) < 2 * floor:
-            return None
-    if reading == "windows":
-        P = list(accumulate(terms, initial=0))
-        hi, lo = max(P), min(P)
-        if floor is not None and hi - lo < floor:
-            return None
-        a, b = P.index(hi), P.index(lo)
-        return hi - lo, min(a, b), max(a, b), ()
+    the earliest e; "full": |P[L]|.  S = P[L] = L - 2 * popcount, and
+    the kernel returns None before unpacking the terms when the
+    per-tuple cap (L + |S|) / 2 is strictly below ``floor``."""
+    x = 0
+    for seq in seqs:
+        x ^= seq
+    x &= ~(-1 << size)
+    total = size - 2 * x.bit_count()
+    if floor is not None and size + abs(total) < 2 * floor:
+        return None
     if reading == "full":
-        value, e = abs(sum(terms)), size
+        value, e = abs(total), size
     else:
+        terms = map(_SIGNS.__getitem__, f"{x:0{size}b}"[::-1])
+        if reading == "windows":
+            P = list(accumulate(terms, initial=0))
+            hi, lo = max(P), min(P)
+            if floor is not None and hi - lo < floor:
+                return None
+            a, b = P.index(hi), P.index(lo)
+            return hi - lo, min(a, b), max(a, b), ()
         P = [abs(v) for v in accumulate(terms)]  # |P[1..L]|
         value = max(P)
         e = P.index(value) + 1
@@ -526,8 +547,8 @@ def cross_correlation(fam: Family, ell: int, mode: str = MODE_EXACT, *,
                 # a sample draws 2 ell indices; a pinned draw combines ell
                 # rows of length <= N, then reads their prefix array
                 else samples * (2 * ell + (ell + 1) * fam.length))
-    pm = fam.pm_rows()
-    best = _search(fam, lambda j: pm, ell, mode, lambda: _phi_kernel,
+    bits = fam.bit_rows()
+    best = _search(fam, lambda j: bits, ell, mode, lambda: _phi_kernel,
                    1, estimate, budget, "correlation",
                    random.Random(seed), samples)
     return _result(fam, "phi", ell, mode, best, 0)
@@ -541,8 +562,8 @@ def cross_correlation_circ(fam: Family, ell: int, *,
     then requires pairwise distinct row contents, so this is always a
     restriction of the unrestricted maximum."""
     _require(ell)
-    pm = fam.pm_rows()
-    best = _search(fam, lambda j: pm, ell, MODE_EXACT,
+    bits = fam.bit_rows()
+    best = _search(fam, lambda j: bits, ell, MODE_EXACT,
                    lambda: _phi_kernel, 1, _lag_estimate(fam, ell, True),
                    budget, "zero-shift correlation", circ=True)
     return _result(fam, "phi_circ", ell, MODE_EXACT, best, 0)
@@ -753,15 +774,15 @@ def big_gamma(fam: Family, ell: int, mode: str = MODE_EXACT, *,
     else:
         estimate = (_lag_estimate(fam, ell, False, windows=True)
                     * math.factorial(k)**ell)
-    # for k <= 2 every root is +/-1, for k = 1 every term is 1
-    rows = (fam.rows if k >= 3 else fam.pm_rows() if k == 2
-            else ((1,) * n,) * fam.size)
+    # for k <= 2 every root is +/-1, for k = 1 every term is 1 (a packed 0)
+    rows = (fam.rows if k >= 3 else fam.bit_rows() if k == 2
+            else (0,) * fam.size)
     rng = random.Random(seed)  # the sampled draws and their relabelings
     # an exact magnitude is at most M <= L
     kernels = _relabel_kernels(k, ell, mode, rng)
     best = _search(fam, lambda j: rows, ell, mode, lambda: next(kernels), 1,
                    estimate, budget, "root-relabeling correlation", rng,
-                   samples)
+                   samples, relabels=True)
     if k <= 2:
         return _result(fam, "big_gamma", ell, mode, best, 0,
                        field="root_maps")

@@ -41,7 +41,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
@@ -126,10 +126,16 @@ def _cyclotomic(k):
     return [round(c.real) for c in poly]
 
 
-@lru_cache(maxsize=None)
 def _decimal_cos(j, k):
     """cos(2 pi j / k) to the current Decimal precision: pi by the
-    Decimal recipe's series, then the Taylor series of cos."""
+    Decimal recipe's series, then the Taylor series of cos.  Cached per
+    (j, k, precision), so a later caller at more digits gets them."""
+    return _cos(j, k, getcontext().prec)
+
+
+@lru_cache(maxsize=None)
+def _cos(j, k, prec):
+    """``_decimal_cos`` at ``prec`` digits, the current precision."""
     three = Decimal(3)
     last, t, pi, n, na, d, da = 0, three, three, 1, 0, 0, 24
     while pi != last:

@@ -185,12 +185,20 @@ def _gamma_cap(k: int, ell: int, rows) -> int:
     return max((k**ell - 1) * max(Counter(patterns).values()), len(patterns))
 
 
+def _packed(seq) -> int:
+    """A +/-1 sequence as the kernels' packed row: bit n set where the
+    value at n is -1."""
+    return sum(1 << n for n, v in enumerate(seq) if v == -1)
+
+
 def _check_phi_reading(reading: str) -> None:
     """One reading of the phi kernel against its definition: the
     largest |sum| over its windows [s, e), then the smallest s, then e;
     and the floor contract under the per-tuple cap.  The cases include
     L = 1, constant rows (as k = 1 big_gamma reads them), duplicate rows
-    and orders up to 3."""
+    and orders up to 3.  The kernel takes the rows packed, each read
+    from its shift to the end of the row, as the searches hand them:
+    only the last is L long, so it must mask the others."""
     from prsfam.measures import _phi_kernel
     rng = random.Random(12)
     cases = [[(1,)], [(-1,), (1,)],  # L = 1
@@ -208,10 +216,10 @@ def _check_phi_reading(reading: str) -> None:
         bad = any(fam.rows[I[a]] == fam.rows[I[b]] and D[a] == D[b]
                   for a in range(ell) for b in range(a + 1, ell))
         if not bad:
-            cases.append([pmr[I[j]][D[j]:n - D[-1] + D[j]]
-                          for j in range(ell)])
-    for slices in cases:
-        size = len(slices[0])
+            cases.append([pmr[I[j]][D[j]:] for j in range(ell)])
+    for tails in cases:
+        size = min(map(len, tails))
+        slices = [tail[:size] for tail in tails]
         terms = [math.prod(col) for col in zip(*slices)]
         spans = {"windows": [(s, e) for s in range(size)
                              for e in range(s + 1, size + 1)],
@@ -222,13 +230,67 @@ def _check_phi_reading(reading: str) -> None:
             if naive is None or abs(sum(terms[s:e])) > naive[0]:
                 naive = (abs(sum(terms[s:e])), s, e, ())
         kernel = partial(_phi_kernel, reading=reading)
-        assert kernel(slices, size, None) == naive
-        _assert_floor_contract(kernel, slices, size, _phi_cap(terms))
+        packed = list(map(_packed, tails))
+        assert kernel(packed, size, None) == naive
+        _assert_floor_contract(kernel, packed, size, _phi_cap(terms))
 
 
 @pytest.mark.parametrize("reading", ["windows", "pinned", "full"])
 def test_phi_kernel_readings_against_naive(reading):
     _check_phi_reading(reading)
+
+
+def _binary_families():
+    """Binary families with L = 1 and N = 1 windows, constant rows and
+    duplicate rows, built and random."""
+    rng = random.Random(35)
+    return ([fam_pm([(1,)]), fam_pm([(-1,), (1,), (-1,)]),  # N = 1
+             fam_pm([(1,) * 6, (-1,) * 6, (1,) * 6]),  # constant, repeated
+             family_f2(5, 4), family_f2(13, 2)]
+            + [random_family(rng, max_f=5, max_n=9, min_n=1)
+               for _ in range(20)])
+
+
+def test_packed_rows_match_pm_rows():
+    # bit n of a packed row is set exactly where the +/-1 row is -1
+    for fam in _binary_families():
+        bits, pmr = fam.bit_rows(), fam.pm_rows()
+        assert len(bits) == len(pmr) == fam.size
+        for packed, row in zip(bits, pmr):
+            assert 0 <= packed < 1 << fam.length
+            assert [1 - 2 * (packed >> n & 1) for n in range(fam.length)] \
+                == list(row)
+
+
+def test_xor_popcount_is_the_product_sum():
+    # the shifted packed rows' XOR, masked to L bits, has L - 2 * popcount
+    # equal to the sum of the +/-1 product, for every row tuple, lag tuple
+    # and L up to N - the last lag: the "full" phi reading gives |S|
+    from prsfam.measures import _phi_kernel, _shift
+    for fam in _binary_families()[:12]:
+        bits, pmr, n = fam.bit_rows(), fam.pm_rows(), fam.length
+        for ell in (1, 2, 3):
+            for I in product(range(min(fam.size, 4)), repeat=ell):
+                for D in combinations_with_replacement(range(n), ell):
+                    seqs = [_shift(bits[i], d) for i, d in zip(I, D)]
+                    for size in range(1, n - D[-1] + 1):
+                        total = sum(math.prod(pmr[i][d + t]
+                                              for i, d in zip(I, D))
+                                    for t in range(size))
+                        assert _phi_kernel(seqs, size, None, "full") == (
+                            abs(total), 0, size, ())
+
+
+@pytest.mark.parametrize("call", [
+    partial(cross_correlation, ell=1),
+    partial(cross_correlation, ell=2, mode=MODE_SAMPLED),
+    partial(cross_correlation_circ, ell=1)], ids=["phi", "sampled", "circ"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_phi_refuses_a_nonbinary_family_before_its_budget(call, k):
+    fam = Family(p=3, d=1, k=k, rows=((0,) * 4, (k - 1,) * 4))
+    with pytest.raises(ParameterError, match=(
+            f"^the \\+/-1 view needs a binary family, alphabet size is {k}$")):
+        call(fam, budget=0)
 
 
 def _check_gamma_reading(reading: str) -> None:
@@ -477,8 +539,7 @@ def test_sign_of_unreduced_real_elements():
 
         with localcontext() as ctx:
             ctx.prec = 400
-            # past the cache, which may hold fewer digits
-            cos = [oracle._decimal_cos.__wrapped__(j, k) for j in range(k)]
+            cos = [oracle._decimal_cos(j, k) for j in range(k)]
             for _ in range(60):
                 half = [rng.randint(-9, 9) for _ in range(k // 2 + 1)]
                 real = [half[min(j, k - j)] for j in range(k)]
@@ -1093,8 +1154,12 @@ def test_sampled_gamma_estimate_bounds_literal_work():
             for ell in (1, 2, 3, 6):
                 seed, samples = rng.randrange(10**6), rng.randint(1, 40)
                 work = {"phi": 0, "gamma": 0, "big_gamma": 0}
-                for I, D, size in measures._sampled_draws(
+                for I, D in measures._sampled_draws(
                         fam, ell, random.Random(seed), samples):
+                    D = sorted(D)
+                    if not oracle._admissible(fam, I, D):
+                        continue
+                    size = fam.length - D[-1]
                     codes = {tuple(fam.rows[i][d + t] for i, d in zip(I, D))
                              for t in range(size)}
                     work["phi"] += (ell + 1) * size
@@ -1114,8 +1179,9 @@ def test_sampled_gamma_estimate_bounds_literal_work():
 @pytest.mark.parametrize("size, length", list(product(
     (1, 2, 3, 15, 16, 17, 30, 31, 32), repeat=2)))
 def test_sampled_draws_are_the_randrange_stream(size, length):
-    # per sample, ell randrange(F) draws then ell randrange(N) draws,
-    # sorted; an item is yielded only after its own draws are taken
+    # every sample, admissible or not, is ell randrange(F) draws then ell
+    # randrange(N) draws, as drawn; an item is yielded only after its own
+    # draws are taken, and before any later one
     rng = random.Random(size * 100 + length)
     fam = Family(p=3, d=1, k=2, rows=tuple(
         tuple(rng.randrange(2) for _ in range(length)) for _ in range(size)))
@@ -1126,10 +1192,9 @@ def test_sampled_draws_are_the_randrange_stream(size, length):
         replay = random.Random(seed)
         for _ in range(samples):
             I = tuple(replay.randrange(size) for _ in range(ell))
-            D = tuple(sorted(replay.randrange(length) for _ in range(ell)))
-            if oracle._admissible(fam, I, D):
-                assert next(draws) == (I, D, length - D[-1])
-                assert drawn.getstate() == replay.getstate()
+            D = tuple(replay.randrange(length) for _ in range(ell))
+            assert next(draws) == (I, D)
+            assert drawn.getstate() == replay.getstate()
         assert next(draws, None) is None
         assert drawn.getstate() == replay.getstate()
 
@@ -1177,8 +1242,10 @@ def test_sampled_value_cap_skip_changes_nothing(name, monkeypatch):
         read.clear()
         relabeled.clear()
         r = measure(fam, ell, mode=MODE_SAMPLED, seed=samples, samples=samples)
-        admissible = sum(1 for _ in measures._sampled_draws(
-            fam, ell, random.Random(samples), samples))
+        admissible = sum(oracle._admissible(fam, I, D) for I, D in
+                         measures._sampled_draws(fam, ell,
+                                                 random.Random(samples),
+                                                 samples))
         if name == "big_gamma":  # its relabelings take from the same stream
             admissible = len(relabeled) // ell
         assert len(read) < admissible
@@ -1188,6 +1255,59 @@ def test_sampled_value_cap_skip_changes_nothing(name, monkeypatch):
         assert r.witness == CorrelationSpec(
             ell=ell, window=m, shifts=D, rows=tuple(i + 1 for i in I),
             **({field: key[-1]} if field else {}))
+
+
+def test_sampled_window_test_fires_and_changes_nothing(monkeypatch):
+    # a draw whose window L = N - max(D) is below the least length that
+    # can reach the best value is dropped unread, and for phi and gamma
+    # before it is sorted; big_gamma still sorts and checks it, and
+    # draws its relabeling.  With the test off (a cap no draw falls
+    # below) every value, witness and relabeling draw is the same
+    seen = Counter()
+    real_search = measures._search
+    for name in ("_shift", "_permutation"):
+        monkeypatch.setattr(measures, name, lambda *a, name=name, real=getattr(
+            measures, name): (seen.update([name]), real(*a))[1])
+    monkeypatch.setattr(measures, "sorted", lambda d: (
+        seen.update(["sorted"]), sorted(d))[1], raising=False)
+    fam3 = family_k_symbol(13, 2, 3)
+    runs = [(cross_correlation, family_f2(31, 2), 3),
+            (cross_correlation, family_f2(5, 4), 2),
+            (gamma, family_f2(13, 2), 2), (gamma, fam3, 2),
+            (big_gamma, family_f2(13, 2), 2), (big_gamma, fam3, 2)]
+    for measure, fam, ell in runs:
+        results, counts = [], []
+        for cap in (None, 10**9):
+            seen.clear()
+            if cap is not None:
+                monkeypatch.setattr(measures, "_search", lambda *a, **kw: (
+                    real_search(*a[:5], cap, *a[6:], **kw)))
+            results.append(measure(fam, ell, mode=MODE_SAMPLED, seed=5,
+                                   samples=3000))
+            counts.append(dict(seen))
+            monkeypatch.setattr(measures, "_search", real_search)
+        (on, off), case = counts, (measure.__name__, fam.construction, ell)
+        assert results[0] == results[1], case
+        assert on.get("_permutation") == off.get("_permutation"), case
+        assert on["_shift"] < off["_shift"] // 2, case  # draws read
+        if measure is big_gamma:
+            assert on["sorted"] == off["sorted"] == 3000
+        else:
+            assert on["sorted"] < off["sorted"], case
+        assert off["sorted"] == 3000
+
+
+def test_decimal_cos_holds_the_digits_asked_for():
+    # the oracle's cosines are cached per precision: a 400-digit request
+    # after a 100-digit one gets 400 digits, not the cached 100
+    from decimal import localcontext
+    values = {}
+    for prec in (100, 400, 100):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            values[prec] = oracle._decimal_cos(5, 103)
+            assert len(values[prec].as_tuple().digits) > prec - 5
+    assert abs(values[400] - values[100]) < 10**-98
 
 
 def test_refusal_names_the_mode():

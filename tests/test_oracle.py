@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from _util import copied_cases, count_gamma_caps, replace
+from _util import copied_cases, count_gamma_caps, family_with_copies, replace
 from prsfam.construct import family_k_symbol
 from prsfam.family import Family
 from prsfam.measures import (
@@ -411,3 +411,23 @@ def test_sampled_big_gamma_matches_oracle(case, seed, samples):
                     (Family(p=3, d=1, k=7, rows=((1, 5, 2), (4, 4, 0))), 1)])
 def test_sampled_big_gamma_k7_matches_oracle(case, seed, samples):
     _check_sampled("big_gamma", case, seed, samples)
+
+
+def test_sampled_window_test_matches_oracle():
+    # with hundreds of samples the best value settles and most draws fall
+    # below the window test; sampled phi, gamma and big_gamma (k = 1, 2,
+    # 3) still give the oracle's replay, value and witness, on families
+    # that repeat rows and hold a constant one, at orders 1 to 4
+    rng = random.Random(35)
+    for k in (1, 2, 3):
+        for ell in (1, 2, 3, 4):
+            for _ in range(2):
+                fam = family_with_copies(rng, k, rng.randint(2, 3),
+                                         rng.randint(ell, 8 - ell))
+                rows = list(fam.rows)
+                rows[rng.randrange(len(rows))] = (
+                    rng.randrange(k),) * fam.length
+                fam = Family(p=3, d=1, k=k, rows=tuple(rows))
+                for name in ("phi", "gamma", "big_gamma")[k != 2:]:
+                    _check_sampled(name, (fam, ell), rng.randrange(2**32),
+                                   300)

@@ -25,7 +25,9 @@ record is compared too.  f2(5,4), whose 30 rows hold 16 distinct
 ones, runs ``fc`` and every exact measure at orders 2 and 3, each also
 under ``--budget 0``, so the searches and estimates are compared on a
 family with repeated rows, and at order 3 on tied-lag blocks of three
-rows among the 16.  Exact ``biggamma`` at order 1 runs on
+rows among the 16; and sampled ``phi``, ``gamma`` and ``biggamma`` at
+orders 2 and 3, whose draws then include inadmissible ones, with
+``biggamma``'s relabelings drawn between them.  Exact ``biggamma`` at order 1 runs on
 ksym(31,3,5) (k = 5, N = 30) and ksym(29,2,7) (k = 7, N = 28), each
 also under ``--budget 0``, and sampled ``biggamma`` on ksym(29,2,7):
 larger k and longer rows than any job list gives the k >= 3 walk and
@@ -134,6 +136,10 @@ def _measure_jobs() -> list[Job]:
                                   ("phi", "phi0", "gamma", "gamma0",
                                    "biggamma")]:
         jobs += [job, _with_budget(job, 0)]
+    # its sampled draws meet repeated rows: inadmissible draws, and
+    # biggamma's relabelings drawn between them
+    jobs += [measure("f2_5_4", name, ell, 1, samples=2000)
+             for ell in (2, 3) for name in ("phi", "gamma", "biggamma")]
     # exact biggamma on larger k and longer rows than any job list runs
     for tag, p, d, k in (("ksym_31_3_5", 31, 3, 5), ("ksym_29_2_7", 29, 2, 7)):
         job = measure(tag, "biggamma", 1, 1)
